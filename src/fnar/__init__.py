@@ -7,7 +7,7 @@ integrated GMM with fixed-effect differencing, quantifies pointwise
 uncertainty, and computes network multiplier effects.
 """
 
-from .basis import BasisSystem, QuadratureGrid, build_bspline_basis, build_quadrature, eval_basis
+from .basis import BasisSystem, QuadratureGrid, build_bspline_basis, build_quadrature
 from .effects import (
     PropagationResult,
     ShockFunction,
@@ -16,6 +16,7 @@ from .effects import (
     marginal_effects,
     risk_key_player,
     total_impact,
+    total_impacts,
 )
 from .errors import (
     CannotDifferenceError,
@@ -47,8 +48,6 @@ from .interaction import (
     KernelIntegral,
     PastWindow,
     PointEval,
-    apply_interaction,
-    contraction_bound,
     epanechnikov_kernel,
     network_lag,
 )

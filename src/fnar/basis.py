@@ -20,7 +20,6 @@ __all__ = [
     "BasisSystem",
     "build_quadrature",
     "build_bspline_basis",
-    "eval_basis",
 ]
 
 
@@ -194,8 +193,3 @@ def build_bspline_basis(inner_knots: int, degree: int,
     raw = BSpline.design_matrix(quad.points, knots, degree).toarray().T  # (K, G)
     coeffs = _gram_schmidt(raw, quad.weights)
     return BasisSystem(knots=knots, degree=degree, coeffs=coeffs, quad=quad)
-
-
-def eval_basis(basis: BasisSystem, s: float) -> np.ndarray:
-    """Evaluate the basis vector at a point of [0, 1]."""
-    return basis.eval(s)

@@ -6,9 +6,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,8 +20,8 @@ from .effects import (
     ShockFunction,
     impulse_response,
     marginal_effects,
-    risk_key_player,
     total_impact,
+    total_impacts,
 )
 from .errors import (
     CannotDifferenceError,
@@ -221,10 +223,10 @@ def cmd_simulate(args) -> int:
         n_quad=args.grid_count, alpha_scale=args.alpha_scale,
     )
     s_vals = panel.quad.points
-    obs_rows = [
+    obs_rows = (
         (i, t, repr(float(s_vals[g])), repr(float(panel.y[i, t, g])))
         for i in range(panel.n) for t in range(panel.T) for g in range(panel.quad.count)
-    ]
+    )
     _write_rows(out / "observations.csv", ["unit", "period", "s", "y"], obs_rows)
     cov_rows = [
         (i, t, *[repr(float(v)) for v in panel.x[i, t]])
@@ -271,13 +273,12 @@ def cmd_estimate(args) -> int:
     for j in range(panel.d_x):
         _write_rows(out / f"beta{j + 1}_hat.csv", header,
                     functional_estimate_table(fit, "beta", j=j))
-    fe_rows = [
-        (i, g, repr(float(fit.fixed_effects[i, g])))
-        for i in range(panel.n) for g in range(panel.quad.count)
-    ]
-    _write_rows(out / "fixed_effects.csv", ["unit", "grid_index", "value"], fe_rows)
+    _write_array(out / "fixed_effects.csv", ["unit", "grid_index"], fit.fixed_effects)
     print(f"estimated {args.estimator} fit written to {out} "
           f"(converged={fit.converged}, objective={fit.objective_value:.6g})")
+    if not fit.converged:
+        print(f"warning: {args.estimator} fit not converged after "
+              f"{fit.iterations} iterations", file=sys.stderr)
     return EXIT_OK
 
 
@@ -309,34 +310,24 @@ def cmd_montecarlo(args) -> int:
         sys.stdout.write(text)
     print(f"# {cfg.replications} replications, {report.failures} failures, "
           f"{report.wall_clock:.1f}s", file=sys.stderr)
+    if report.errors:
+        print(f"# first failure: {report.errors[0]}", file=sys.stderr)
     return EXIT_OK
 
 
-class _EffectsSource:
-    """Duck-typed effects input: grid functions plus the operator."""
-
-    def __init__(self, alpha, beta, operator):
-        self.alpha = alpha
-        self.beta = beta
-        self.operator = operator
+def _write_array(path, index_names, values, value_name="value"):
+    """One row per entry of ``values``: its indices, then the value in full precision."""
+    index = itertools.product(*map(range, values.shape))
+    _write_rows(path, [*index_names, value_name],
+                ((*ix, repr(v)) for ix, v in zip(index, values.ravel().tolist())))
 
 
 def _write_propagation(result, out_dir, stem):
     out_dir = Path(out_dir)
-    per_rows = [
-        (ell, i, g, repr(float(result.per_order[ell, i, g])))
-        for ell in range(result.order + 1)
-        for i in range(result.per_order.shape[1])
-        for g in range(result.per_order.shape[2])
-    ]
-    _write_rows(out_dir / f"{stem}_orders.csv", ["order", "unit", "grid_index", "value"],
-                per_rows)
-    cum_rows = [
-        (i, g, repr(float(result.cumulative[i, g])))
-        for i in range(result.cumulative.shape[0])
-        for g in range(result.cumulative.shape[1])
-    ]
-    _write_rows(out_dir / f"{stem}_cumulative.csv", ["unit", "grid_index", "value"], cum_rows)
+    _write_array(out_dir / f"{stem}_orders.csv", ["order", "unit", "grid_index"],
+                 result.per_order)
+    _write_array(out_dir / f"{stem}_cumulative.csv", ["unit", "grid_index"],
+                 result.cumulative)
 
 
 def cmd_effects(args) -> int:
@@ -347,7 +338,7 @@ def cmd_effects(args) -> int:
     beta = None
     if args.beta_file is not None:
         beta = _read_function_file(args.beta_file, quad)[None, :]
-    source = _EffectsSource(alpha, beta, operator)
+    source = SimpleNamespace(alpha=alpha, beta=beta, operator=operator)
 
     if args.effect == "marginal":
         if beta is None:
@@ -371,15 +362,11 @@ def cmd_effects(args) -> int:
               f"(total impact {total_impact(result):.6g})")
         return EXIT_OK
 
-    # key player: report per-unit total impacts and the argmax
-    impacts = [
-        total_impact(impulse_response(source, weights, i, shock, order=args.orders))
-        for i in range(weights.n)
-    ]
-    star = risk_key_player(source, weights, shock, order=args.orders)
+    # key player: the argmax of the per-unit total impacts that are written
+    impacts = total_impacts(source, weights, shock, order=args.orders)
+    star = int(np.argmax(impacts))
     if args.out is not None:
-        _write_rows(Path(args.out), ["unit", "total_impact"],
-                    [(i, repr(float(v))) for i, v in enumerate(impacts)])
+        _write_array(Path(args.out), ["unit"], impacts, "total_impact")
     print(f"risk key player: unit {star}")
     return EXIT_OK
 

@@ -19,6 +19,7 @@ __all__ = [
     "marginal_effects",
     "impulse_response",
     "total_impact",
+    "total_impacts",
     "risk_key_player",
 ]
 
@@ -61,16 +62,26 @@ class PropagationResult:
         return self.per_order[: upto + 1].sum(axis=0)
 
 
+def _iterates(step, start: np.ndarray, order: int) -> np.ndarray:
+    """Rows start, step(start), ..., step applied ``order`` times to start."""
+    if order < 0:
+        raise InvalidArgumentError(f"truncation order must be non-negative, got {order}")
+    out = [np.asarray(start, dtype=float)]
+    for _ in range(order):
+        out.append(step(out[-1]))
+    return np.stack(out)
+
+
+def _gammas(alpha: np.ndarray, operator: InteractionOperator, h: np.ndarray,
+            order: int) -> np.ndarray:
+    """Rows Gamma^0(h), ..., Gamma^order(h) of the map h -> alpha(s) A(h, s)."""
+    return _iterates(lambda g: alpha * operator.apply_grid(g), h, order)
+
+
 def gamma_power(alpha: np.ndarray, operator: InteractionOperator,
                 h: np.ndarray, ell: int) -> np.ndarray:
     """Iterate h -> alpha(s) A(h, s) on the grid, ell times."""
-    if ell < 0:
-        raise InvalidArgumentError(f"order must be non-negative, got {ell}")
-    out = np.asarray(h, dtype=float).copy()
-    alpha = np.asarray(alpha, dtype=float)
-    for _ in range(ell):
-        out = alpha * operator.apply_grid(out)
-    return out
+    return _gammas(np.asarray(alpha, dtype=float), operator, h, ell)[-1]
 
 
 def _source_functions(source) -> tuple[np.ndarray, np.ndarray, InteractionOperator]:
@@ -89,24 +100,26 @@ def _source_functions(source) -> tuple[np.ndarray, np.ndarray, InteractionOperat
     return alpha, beta, spec.operator
 
 
+def _shock_values(eta, operator: InteractionOperator) -> np.ndarray:
+    shock = eta.values if isinstance(eta, ShockFunction) else np.asarray(eta, dtype=float)
+    if shock.shape != (operator.grid.count,):
+        raise InvalidArgumentError(
+            f"shock must have {operator.grid.count} grid values, got {shock.shape}"
+        )
+    return shock
+
+
 def _propagate(alpha: np.ndarray, operator: InteractionOperator,
                weights: NetworkWeights, unit: int, h: np.ndarray,
                order: int) -> PropagationResult:
+    """Order-ell term (W^ell e_unit) x Gamma^ell(h) for ell = 0..order."""
     n = weights.n
     if not 0 <= unit < n:
         raise InvalidArgumentError(f"unit {unit} out of range for {n} units")
-    if order < 0:
-        raise InvalidArgumentError(f"truncation order must be non-negative, got {order}")
-    reach = np.zeros(n)
-    reach[unit] = 1.0  # W^0 e_i
-    gamma = np.asarray(h, dtype=float).copy()
-    terms = np.empty((order + 1, n, gamma.size))
-    terms[0] = reach[:, None] * gamma[None, :]
-    for ell in range(1, order + 1):
-        reach = weights.w @ reach
-        gamma = alpha * operator.apply_grid(gamma)
-        terms[ell] = reach[:, None] * gamma[None, :]
-    return PropagationResult(per_order=terms, quad=operator.grid)
+    gammas = _gammas(alpha, operator, h, order)
+    reach = _iterates(weights.w.__matmul__, np.eye(1, n, unit)[0], order)
+    return PropagationResult(per_order=reach[:, :, None] * gammas[:, None, :],
+                             quad=operator.grid)
 
 
 def marginal_effects(source, weights: NetworkWeights, unit: int,
@@ -127,12 +140,7 @@ def impulse_response(source, weights: NetworkWeights, unit: int, eta,
                      order: int = 5) -> PropagationResult:
     """Response of all outcome functions to an error shock at one unit."""
     alpha, _, operator = _source_functions(source)
-    shock = eta.values if isinstance(eta, ShockFunction) else np.asarray(eta, dtype=float)
-    if shock.shape != (operator.grid.count,):
-        raise InvalidArgumentError(
-            f"shock must have {operator.grid.count} grid values, got {shock.shape}"
-        )
-    return _propagate(alpha, operator, weights, unit, shock, order)
+    return _propagate(alpha, operator, weights, unit, _shock_values(eta, operator), order)
 
 
 def total_impact(result: PropagationResult) -> float:
@@ -140,10 +148,24 @@ def total_impact(result: PropagationResult) -> float:
     return float(result.quad.integrate(result.cumulative).sum())
 
 
+def total_impacts(source, weights: NetworkWeights, eta, order: int = 5) -> np.ndarray:
+    """Total impact of a shock ``eta`` at each unit, all units in one propagation.
+
+    Unit i's order-ell term is (W^ell e_i) x Gamma^ell(eta), so its total impact
+    is sum_ell ((W')^ell 1)_i times the integral of Gamma^ell(eta), a factor
+    shared by every unit. Entry i is ``total_impact(impulse_response(...))``
+    for unit i, up to rounding.
+    """
+    alpha, _, operator = _source_functions(source)
+    gammas = _gammas(alpha, operator, _shock_values(eta, operator), order)
+    walks = _iterates(weights.w.T.__matmul__, np.ones(weights.n), order)
+    return operator.grid.integrate(gammas) @ walks
+
+
 def risk_key_player(source, weights: NetworkWeights, eta, order: int = 5) -> int:
-    """Unit whose shock maximizes the total impact; ties take the lowest index."""
-    impacts = np.array([
-        total_impact(impulse_response(source, weights, i, eta, order))
-        for i in range(weights.n)
-    ])
-    return int(np.argmax(impacts))
+    """Unit whose shock maximizes the total impact: the argmax of ``total_impacts``.
+
+    Ties are broken on the computed values (lowest index among exactly equal
+    ones); impacts equal up to rounding are not snapped to a tolerance.
+    """
+    return int(np.argmax(total_impacts(source, weights, eta, order)))

@@ -19,9 +19,7 @@ __all__ = [
     "KernelIntegral",
     "PastWindow",
     "epanechnikov_kernel",
-    "apply_interaction",
     "network_lag",
-    "contraction_bound",
 ]
 
 
@@ -154,11 +152,6 @@ class PastWindow(InteractionOperator):
         return 1.0
 
 
-def apply_interaction(op: InteractionOperator, values: np.ndarray, s: float):
-    """Evaluate A(h, s) for a function given by its grid values."""
-    return op.apply(values, s)
-
-
 def network_lag(weights, values: np.ndarray) -> np.ndarray:
     """Aggregate neighbours' functions: row i gets sum_j w_ij * values_j.
 
@@ -178,8 +171,3 @@ def network_lag(weights, values: np.ndarray) -> np.ndarray:
     flat = values.reshape(n, -1)
     out = weights.w @ flat
     return np.asarray(out).reshape(values.shape)
-
-
-def contraction_bound(op: InteractionOperator) -> float:
-    """Certified b with ||A(h, .)||_L2 <= b ||h||_L2."""
-    return op.contraction_bound()

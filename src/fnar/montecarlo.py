@@ -66,6 +66,7 @@ class McReport:
     coverage: dict = field(default_factory=dict)      # point -> rate
     coverage_count: int = 0
     failures: int = 0
+    errors: list = field(default_factory=list)        # one message per failure
     nonconverged: dict = field(default_factory=dict)  # estimator -> count
     wall_clock: float = 0.0
 
@@ -134,8 +135,8 @@ def run_mc(cfg: McConfig) -> McReport:
     """Run the replication loop and aggregate bias/RMSE per estimator and target.
 
     Per-replication seeds are spawned from the base seed up front, so the
-    report is identical for any worker count. Hard failures inside a
-    replication are counted and skipped; more than 10% of them abort.
+    report is identical for any worker count. Failed replications are kept
+    in ``errors`` and skipped; more than 10% of them abort.
     """
     started = time.perf_counter()
     seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)
@@ -149,9 +150,10 @@ def run_mc(cfg: McConfig) -> McReport:
     report = McReport(config=cfg)
     scores = {name: [] for name in cfg.estimators}
     covered = []
-    for res in results:
+    for rep, res in enumerate(results):
         if "error" in res:
             report.failures += 1
+            report.errors.append(f"replication {rep}: {res['error']}")
             continue
         for name in cfg.estimators:
             scores[name].append(res["scores"][name])
@@ -161,7 +163,8 @@ def run_mc(cfg: McConfig) -> McReport:
             covered.append(res["covered"])
     if report.failures > 0.1 * cfg.replications:
         raise HarnessError(
-            f"{report.failures} of {cfg.replications} replications failed"
+            f"{report.failures} of {cfg.replications} replications failed; "
+            f"first: {report.errors[0]}"
         )
 
     for name in cfg.estimators:

@@ -228,10 +228,14 @@ def read_edge_list(path, n: int | None = None) -> NetworkWeights:
 
 
 def write_edge_list(weights: NetworkWeights, path) -> None:
-    """Write weights as a text edge list with header ``i,j,weight``."""
+    """Write weights as a text edge list with header ``i,j,weight``; a last
+    unit in no edge gets the row ``n-1,n-1,0.0``, so the file keeps n."""
     coo = weights.w.tocoo()
+    last = weights.n - 1
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "weight"])
         for i, j, v in zip(coo.row, coo.col, coo.data):
             writer.writerow([int(i), int(j), repr(float(v))])
+        if last not in coo.row and last not in coo.col:
+            writer.writerow([last, last, repr(0.0)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fnar.basis import build_bspline_basis, build_quadrature, eval_basis
+from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.errors import DomainError, IllConditionedBasisError, InvalidArgumentError
 
 
@@ -38,7 +38,7 @@ class TestBSplineBasis:
         basis = build_bspline_basis(0, 0, quad)
         assert basis.size == 1
         for s in (0.0, 0.37, 1.0):
-            assert_allclose(eval_basis(basis, s), [1.0], atol=1e-12)
+            assert_allclose(basis.eval(s), [1.0], atol=1e-12)
 
     def test_three_knots_vs_highres_oracle(self):
         # orthonormality re-checked with an independently written inner product
@@ -78,15 +78,15 @@ class TestBSplineBasis:
 
 class TestEvalBasis:
     def test_boundary_continuity(self, cubic_basis):
-        left = eval_basis(cubic_basis, 0.0)
-        near = eval_basis(cubic_basis, 1e-14)
+        left = cubic_basis.eval(0.0)
+        near = cubic_basis.eval(1e-14)
         assert np.max(np.abs(left - near)) < 1e-12
 
     def test_outside_domain_rejected(self, cubic_basis):
         with pytest.raises(DomainError):
-            eval_basis(cubic_basis, -0.01)
+            cubic_basis.eval(-0.01)
         with pytest.raises(DomainError):
-            eval_basis(cubic_basis, 1.01)
+            cubic_basis.eval(1.01)
 
     def test_gram_trace_equals_size(self, cubic_basis):
         assert np.trace(cubic_basis.gram_matrix()) == pytest.approx(6.0, abs=1e-8)

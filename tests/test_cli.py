@@ -178,6 +178,60 @@ class TestMonteCarlo:
         assert len(out.read_text().splitlines()) == 3
 
 
+class TestFailureReports:
+    def test_montecarlo_reports_first_failure(self, tmp_path, monkeypatch, capsys):
+        import fnar.montecarlo as mc
+
+        original = mc.simulate_mc_panel
+        calls = {"i": 0}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] == 2:
+                raise RuntimeError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "simulate_mc_panel", flaky)
+        code = run(["montecarlo", "--n", 16, "--T", 3, "--moment-points", 8,
+                    "--estimators", "gmm1", "--replications", 10, "--seed", 1,
+                    "--out", tmp_path / "mc.csv"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "10 replications, 1 failures" in err
+        assert "first failure: replication 1: RuntimeError: synthetic failure" in err
+
+    def test_estimate_warns_when_not_converged(self, sim_dir, tmp_path, monkeypatch,
+                                               capsys):
+        import fnar.cli as cli
+
+        original = cli.fit_gmm
+
+        def stalled(*args, **kwargs):
+            fit = original(*args, **kwargs)
+            fit.converged = False
+            return fit
+
+        monkeypatch.setattr(cli, "fit_gmm", stalled)
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run(["estimate", "--observations", sim_dir / "observations.csv",
+                    "--covariates", sim_dir / "covariates.csv",
+                    "--weights", sim_dir / "weights.csv", "--out", est])
+        assert code == 0
+        assert "warning: gmm1 fit not converged" in capsys.readouterr().err
+        assert "  converged: False" in (est / "fit_report.txt").read_text()
+
+    def test_estimate_silent_when_converged(self, sim_dir, tmp_path, capsys):
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run(["estimate", "--observations", sim_dir / "observations.csv",
+                    "--covariates", sim_dir / "covariates.csv",
+                    "--weights", sim_dir / "weights.csv", "--out", est])
+        assert code == 0
+        assert "warning" not in capsys.readouterr().err
+        assert "  converged: True" in (est / "fit_report.txt").read_text()
+
+
 class TestEffects:
     @pytest.fixture()
     def star_files(self, tmp_path):
@@ -223,6 +277,26 @@ class TestEffects:
                     "--grid-count", 33])
         assert code == 0
         assert "risk key player: unit 0" in capsys.readouterr().out
+
+    def test_key_player_table_keeps_isolated_last_unit(self, tmp_path, capsys):
+        # seed 0 leaves unit 11 of a 12-unit lattice without neighbours
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        assert run(["simulate", "--n", 12, "--T", 2, "--seed", 0, "--grid-count", 33,
+                    "--out", sim]) == 0
+        assert (sim / "weights.csv").read_text().splitlines()[-1] == "11,11,0.0"
+        shock = tmp_path / "eta.csv"
+        shock.write_text("s,value\n0,1\n1,0.5\n")
+        table = tmp_path / "impacts.csv"
+        capsys.readouterr()
+        code = run(["effects", "keyplayer", "--alpha-file", sim / "truth_functions.csv",
+                    "--weights", sim / "weights.csv", "--shock-file", shock,
+                    "--grid-count", 33, "--out", table])
+        assert code == 0
+        impacts = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
+        assert impacts[:, 0].tolist() == list(range(12))
+        star = int(impacts[np.argmax(impacts[:, 1]), 0])
+        assert f"risk key player: unit {star}" in capsys.readouterr().out
 
     def test_marginal_requires_beta(self, star_files, tmp_path):
         wfile, alpha, shock = star_files

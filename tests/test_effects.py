@@ -11,13 +11,14 @@ from fnar.effects import (
     marginal_effects,
     risk_key_player,
     total_impact,
+    total_impacts,
 )
 from fnar.errors import InvalidArgumentError
 from fnar.interaction import PastWindow, PointEval
 from fnar.network import NetworkWeights, build_lattice_weights
-from fnar.simulate import DgpConfig, mc_alpha, mc_beta
+from fnar.simulate import DgpConfig, mc_alpha, mc_beta, simulate_mc_panel
 
-from conftest import ring_weights
+from conftest import ring_weights, small_operator
 
 
 def truth_source(n, quad, operator, alpha=None, beta=None, weights=None):
@@ -177,6 +178,69 @@ class TestTotalImpactAndKeyPlayer:
         res = impulse_response(src, src.weights, 1, np.ones(99), order=3)
         manual = sum(quad99.integrate(res.cumulative[i]) for i in range(3))
         assert total_impact(res) == pytest.approx(manual, abs=1e-12)
+
+
+def impact_oracle(src, weights, eta, order, units):
+    """Per-unit loop: one full propagation for each unit's shock."""
+    return np.array([total_impact(impulse_response(src, weights, i, eta, order))
+                     for i in units])
+
+
+GRAPHS = {
+    "ring": lambda: ring_weights(12),
+    "star": lambda: star_weights(9),
+    "lattice": lambda: build_lattice_weights(200, 11),
+}
+
+
+class TestTotalImpacts:
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("kind", ["point", "kernel", "window"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_per_unit_oracle(self, graph, kind, sign):
+        quad = build_quadrature(33)
+        w = GRAPHS[graph]()
+        alpha = sign * (0.55 + 0.1 * np.sin(6 * quad.points))
+        src = truth_source(w.n, quad, small_operator(kind, quad), alpha=alpha, weights=w)
+        eta = 1.0 + 0.5 * np.cos(4 * quad.points)
+        for order in (0, 1, 5):
+            impacts = total_impacts(src, w, eta, order)
+            oracle = impact_oracle(src, w, eta, order, range(w.n))
+            assert impacts.shape == (w.n,)
+            assert np.max(np.abs(impacts - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            assert risk_key_player(src, w, eta, order) == int(np.argmax(impacts))
+
+    def test_order_zero_is_the_shock_integral(self, quad99, epa_op):
+        src = truth_source(5, quad99, epa_op)
+        eta = np.exp(-quad99.points)
+        impacts = total_impacts(src, src.weights, ShockFunction(eta), order=0)
+        assert_allclose(impacts, quad99.integrate(eta), rtol=1e-15)
+
+    def test_zero_shock_is_exactly_zero(self, quad99, epa_op):
+        src = truth_source(6, quad99, epa_op)
+        impacts = total_impacts(src, src.weights, np.zeros(99), order=5)
+        assert np.array_equal(impacts, np.zeros(6))
+
+    def test_bad_shock_and_order_rejected(self, quad99, epa_op):
+        src = truth_source(4, quad99, epa_op)
+        with pytest.raises(InvalidArgumentError):
+            total_impacts(src, src.weights, np.ones(98))
+        with pytest.raises(InvalidArgumentError):
+            total_impacts(src, src.weights, np.ones(99), order=-1)
+
+    def test_near_tie_reports_one_of_the_tied_units(self):
+        # units 1233 and 1447 of this panel have impacts equal to within one
+        # ulp; which of them wins depends on rounding, never on a tolerance
+        panel, truth = simulate_mc_panel(1600, 2, 1.0, 3)
+        eta = np.ones(panel.quad.count)
+        tied = (1233, 1447)
+        impacts = total_impacts(truth, truth.weights, eta, order=5)
+        star = risk_key_player(truth, truth.weights, eta, order=5)
+        assert star in tied
+        assert star == int(np.argmax(impacts))
+        oracle = impact_oracle(truth, truth.weights, eta, 5, tied)
+        assert abs(oracle[0] - oracle[1]) <= np.spacing(oracle.max())
+        assert np.max(np.abs(impacts[list(tied)] - oracle)) <= 1e-12 * oracle.max()
 
 
 class TestTruncationDecay:

@@ -10,8 +10,6 @@ from fnar.interaction import (
     KernelIntegral,
     PastWindow,
     PointEval,
-    apply_interaction,
-    contraction_bound,
     epanechnikov_kernel,
     network_lag,
 )
@@ -24,25 +22,25 @@ class TestApply:
         op = PointEval(quad99)
         h = np.full(99, 3.25)
         for s in (0.0, 0.31, 0.5, 1.0):
-            assert apply_interaction(op, h, s) == pytest.approx(3.25, abs=1e-14)
+            assert op.apply(h, s) == pytest.approx(3.25, abs=1e-14)
 
     def test_epanechnikov_constant_at_half(self, quad99):
         # exact integral of 0.75 (1 - (u - 0.5)^2) over [0, 1] is 0.6875;
         # the shared rule carries O(G^-2) error, so check both resolutions
         op = KernelIntegral(quad99, kernel=epanechnikov_kernel)
-        assert apply_interaction(op, np.ones(99), 0.5) == pytest.approx(0.6875, abs=2e-3)
+        assert op.apply(np.ones(99), 0.5) == pytest.approx(0.6875, abs=2e-3)
         fine = build_quadrature(4999)
         op_fine = KernelIntegral(fine, kernel=epanechnikov_kernel)
-        assert apply_interaction(op_fine, np.ones(4999), 0.5) == pytest.approx(0.6875, abs=5e-5)
+        assert op_fine.apply(np.ones(4999), 0.5) == pytest.approx(0.6875, abs=5e-5)
 
     def test_past_window_full_width_constant(self, quad99):
         op = PastWindow(quad99, width=1.0)
-        assert apply_interaction(op, np.ones(99), 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert op.apply(np.ones(99), 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_past_window_start_of_domain(self, quad99):
         op = PastWindow(quad99, width=0.25)
         h = 1.0 + quad99.points
-        assert apply_interaction(op, h, 0.0) == pytest.approx(h[0], abs=1e-14)
+        assert op.apply(h, 0.0) == pytest.approx(h[0], abs=1e-14)
 
     def test_grid_mismatch_rejected(self, quad99):
         op = PointEval(quad99)
@@ -133,21 +131,21 @@ class TestNetworkLag:
 
 class TestContractionBound:
     def test_point_eval(self, quad99):
-        assert contraction_bound(PointEval(quad99)) == 1.0
+        assert PointEval(quad99).contraction_bound() == 1.0
 
     def test_epanechnikov(self, quad99, epa_op):
-        assert contraction_bound(epa_op) == pytest.approx(0.75, abs=1e-12)
+        assert epa_op.contraction_bound() == pytest.approx(0.75, abs=1e-12)
 
     def test_scaled_kernel(self, quad99):
         op = KernelIntegral(quad99, kernel=lambda u, s: 2.0 * epanechnikov_kernel(u, s))
-        assert contraction_bound(op) == pytest.approx(1.5, abs=1e-12)
+        assert op.contraction_bound() == pytest.approx(1.5, abs=1e-12)
 
     def test_past_window(self, quad99):
-        assert contraction_bound(PastWindow(quad99, width=0.5)) == 1.0
+        assert PastWindow(quad99, width=0.5).contraction_bound() == 1.0
 
     def test_l2_bound_holds_empirically(self, quad99, epa_op):
         rng = np.random.default_rng(7)
-        bound = contraction_bound(epa_op)
+        bound = epa_op.contraction_bound()
         for _ in range(10):
             h = rng.normal(size=99)
             image = epa_op.apply_grid(h)

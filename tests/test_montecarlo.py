@@ -68,8 +68,24 @@ class TestRun:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mc, "simulate_mc_panel", flaky)
-        with pytest.raises(HarnessError):
+        with pytest.raises(HarnessError, match="RuntimeError: synthetic failure"):
             run_mc(tiny_cfg(replications=4))
+
+    def test_failure_messages_kept(self, monkeypatch):
+        original = mc.simulate_mc_panel
+        calls = {"i": 0}
+
+        def flaky(*args, **kwargs):
+            calls["i"] += 1
+            if calls["i"] == 3:
+                raise RuntimeError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "simulate_mc_panel", flaky)
+        rep = run_mc(tiny_cfg(replications=10))
+        assert rep.failures == 1
+        assert rep.errors == ["replication 2: RuntimeError: synthetic failure"]
+        assert rep.per_rep_rmse[("gmm1", "alpha")].size == 9
 
     def test_report_rows_layout(self):
         rep = run_mc(tiny_cfg())

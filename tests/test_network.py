@@ -133,6 +133,23 @@ class TestEdgeList:
         back = read_edge_list(path, n=12)
         assert (w.w != back.w).nnz == 0
 
+    def test_round_trip_keeps_isolated_last_unit(self, tmp_path):
+        dense = np.zeros((4, 4))
+        dense[0, 1] = dense[1, 0] = dense[1, 2] = dense[2, 1] = 0.5
+        w = NetworkWeights(w=sp.csr_array(dense))
+        path = tmp_path / "w.csv"
+        write_edge_list(w, path)
+        assert path.read_text().splitlines()[-1] == "3,3,0.0"
+        back = read_edge_list(path)
+        assert back.n == 4
+        assert (w.w != back.w).nnz == 0
+
+    def test_connected_last_unit_gets_no_extra_row(self, tmp_path):
+        w = _find_seed(12, lambda w: w.degrees[-1] > 0)
+        path = tmp_path / "w.csv"
+        write_edge_list(w, path)
+        assert len(path.read_text().splitlines()) == 1 + w.w.nnz
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("0,1,0.5\n")
