@@ -331,21 +331,23 @@ def _write_propagation(result, out_dir, stem):
 
 
 def cmd_effects(args) -> int:
+    if args.effect != "marginal" and args.shock_file is None:
+        raise InvalidArgumentError(f"{args.effect} needs --shock-file")
+    if args.effect == "marginal" and args.beta_file is None:
+        raise InvalidArgumentError("marginal effects need --beta-file")
+    out = None if args.out is None else Path(args.out)
+    if args.effect != "keyplayer" and out is None:
+        raise InvalidArgumentError(f"{args.effect} needs --out (an output directory)")
+    if args.effect != "keyplayer" and not out.is_dir():
+        raise FileNotFoundError(f"output directory {out} does not exist")
     quad = build_quadrature(args.grid_count)
     weights = _build_weights(args)
     operator = _build_operator(args, quad)
     alpha = _read_function_file(args.alpha_file, quad)
-    beta = None
-    if args.beta_file is not None:
-        beta = _read_function_file(args.beta_file, quad)[None, :]
+    beta = None if args.beta_file is None else _read_function_file(args.beta_file, quad)[None, :]
     source = SimpleNamespace(alpha=alpha, beta=beta, operator=operator)
 
     if args.effect == "marginal":
-        if beta is None:
-            raise InvalidArgumentError("marginal effects need --beta-file")
-        out = Path(args.out)
-        if not out.is_dir():
-            raise FileNotFoundError(f"output directory {out} does not exist")
         result = marginal_effects(source, weights, args.unit, 0, order=args.orders)
         _write_propagation(result, out, "marginal")
         print(f"marginal effects for unit {args.unit} written to {out}")
@@ -353,9 +355,6 @@ def cmd_effects(args) -> int:
 
     shock = ShockFunction(_read_function_file(args.shock_file, quad))
     if args.effect == "impulse":
-        out = Path(args.out)
-        if not out.is_dir():
-            raise FileNotFoundError(f"output directory {out} does not exist")
         result = impulse_response(source, weights, args.unit, shock, order=args.orders)
         _write_propagation(result, out, "impulse")
         print(f"impulse responses for unit {args.unit} written to {out} "
@@ -365,8 +364,8 @@ def cmd_effects(args) -> int:
     # key player: the argmax of the per-unit total impacts that are written
     impacts = total_impacts(source, weights, shock, order=args.orders)
     star = int(np.argmax(impacts))
-    if args.out is not None:
-        _write_array(Path(args.out), ["unit"], impacts, "total_impact")
+    if out is not None:
+        _write_array(out, ["unit"], impacts, "total_impact")
     print(f"risk key player: unit {star}")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .basis import BasisSystem
 from .errors import (
@@ -571,59 +572,54 @@ def estimate_fixed_effects(fit: GmmFit, panel: FunctionalPanel) -> np.ndarray:
     return fit.fixed_effects
 
 
-def _differenced_residuals(design: _Design, theta: np.ndarray) -> np.ndarray:
-    """Residual first differences at every moment point, shape (L, T-1, n)."""
-    return design.dy - np.einsum("ltnk,k->ltn", design.dh, theta)
+def _quad_variance(de: np.ndarray, quad_mats) -> np.ndarray:
+    """Quadratic-moment variance block before scaling, on the union pattern only."""
+    n = de.shape[2]
+    rows, cols = sum((abs(mat.p) for mat in quad_mats), sp.csr_array((n, n))).nonzero()
+    if rows.size == 0:  # an empty fancy index would return a sparse array
+        return np.zeros((len(quad_mats), len(quad_mats)))
+    pv = np.array([mat.p[rows, cols] for mat in quad_mats])  # (M, nnz)
+    c = np.einsum("ltk,ltk->tk", de[:, :, rows], de[:, :, cols])  # (T-1, nnz)
+    s = np.einsum("tk,tk->k", c, c) + 2.0 * np.einsum("tk,tk->k", c[:-1], c[1:])
+    return 2.0 * (pv * s) @ pv.T
 
 
 def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec
                       ) -> tuple[np.ndarray, Callable, Callable]:
     """Sandwich covariance of the coefficient block and pointwise sigmas.
 
-    The long-run moment variance is estimated from differenced residuals
-    with the one-period band over differenced time indices; cross blocks
-    between linear and quadratic moments are zero. Returns the clipped
-    positive semidefinite covariance together with callables giving the
-    pointwise sigmas of the interaction-effect and coefficient estimates
-    (divide by sqrt(n (T-1)) for standard errors; ``GmmFit.se_alpha`` and
-    ``GmmFit.se_beta`` do this).
+    The long-run moment variance is estimated from the differenced residuals
+    de[l, t, i] with the one-period band over differenced time indices;
+    cross blocks between linear and quadratic moments are zero. The
+    quadratic block (Kelejian & Prucha 2010) is summed only over the union
+    sparsity pattern (rows[k], cols[k]) of the quadratic matrices, which is
+    exact because their diagonals are zero::
+
+        c[t, k] = sum_l de[l, t, rows[k]] de[l, t, cols[k]]
+        s[k] = sum_t c[t, k]^2 + 2 sum_t c[t, k] c[t+1, k]
+        v_q = 2 scale (pv * s) @ pv.T,   pv[m, k] = P_m[rows[k], cols[k]]
+
+    with scale = 1/(L^2 n (T-1)), at O(nnz L T) time and memory. Returns the
+    positive semidefinite covariance and callables giving the pointwise
+    sigmas of alpha and beta_j (divide by sqrt(n (T-1)) for standard errors,
+    as ``GmmFit.se_alpha``/``se_beta`` do). Negative eigenvalues are set to
+    zero; ``fit.diagnostics`` records their number and summed magnitude as
+    ``variance_clipped_count`` and ``variance_clipped_mass``.
     """
     design = fit._design
     if design is None or design.panel is not panel or design.spec is not spec:
         design = _Design(panel, spec)
     n, T = panel.n, panel.T
     L = spec.n_points
-    de = _differenced_residuals(design, fit.theta)  # (L, T-1, n)
+    de = design.dy - np.einsum("ltnk,k->ltn", design.dh, fit.theta)  # (L, T-1, n)
     scale = 1.0 / (L * L * n * (T - 1))
 
     u = np.einsum("ltnz,ltn->tnz", design.dz, de)  # (T-1, n, d_z)
-    v_z = np.zeros((design.d_z, design.d_z))
-    for t in range(T - 1):
-        for t2 in (t - 1, t, t + 1):
-            if 0 <= t2 < T - 1:
-                v_z += u[t].T @ u[t2]
-    v_z *= scale
+    lag = np.einsum("tnz,tnw->zw", u[:-1], u[1:])
+    v_z = scale * (np.einsum("tnz,tnw->zw", u, u) + lag + lag.T)
 
     if fit.include_quadratic:
-        M = design.M
-        c_mats = [de[:, t, :].T @ de[:, t, :] for t in range(T - 1)]  # each (n, n)
-        v_q = np.zeros((M, M))
-        pair_products = [
-            [(spec.quad_mats[a].p.multiply(spec.quad_mats[b].p)) for b in range(M)]
-            for a in range(M)
-        ]
-        for t in range(T - 1):
-            for t2 in (t - 1, t, t + 1):
-                if not 0 <= t2 < T - 1:
-                    continue
-                cc = c_mats[t] * c_mats[t2]
-                for a in range(M):
-                    for b in range(M):
-                        v_q[a, b] += pair_products[a][b].multiply(cc).sum()
-        v_q *= 2.0 * scale
-        v_hat = np.zeros((design.d_g, design.d_g))
-        v_hat[: design.d_z, : design.d_z] = v_z
-        v_hat[design.d_z:, design.d_z:] = v_q
+        v_hat = sla.block_diag(v_z, scale * _quad_variance(de, spec.quad_mats))
         jbar = design.jacobian(fit.theta)
     else:
         v_hat = v_z
@@ -639,9 +635,11 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec
         ) from exc
     meat = jbar.T @ omega @ v_hat @ omega @ jbar
     sigma = sla.cho_solve(chol, sla.cho_solve(chol, meat).T)
-    sigma = 0.5 * (sigma + sigma.T)
-    vals, vecs = np.linalg.eigh(sigma)
-    sigma = (vecs * np.clip(vals, 0.0, None)) @ vecs.T  # PSD clip at -1e-10 tolerance
+    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    clipped = vals[vals < 0.0]  # no tolerance: every negative eigenvalue is set to 0
+    sigma = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    fit.diagnostics["variance_clipped_count"] = clipped.size
+    fit.diagnostics["variance_clipped_mass"] = float(-clipped.sum())
     fit.sigma = sigma
 
     def sigma_alpha(s):

@@ -7,6 +7,7 @@ deliberately naive; the streaming implementation must match it exactly.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from fnar.interaction import network_lag
 
@@ -89,3 +90,59 @@ def dense_jacobian(panel, spec, theta):
         quad = [2.0 * e @ d.T @ p @ d @ h for p in big_p]
         out.append(-scale * np.vstack([lin, quad]))
     return np.array(out)
+
+
+def dense_quad_block(de, quad_mats):
+    """Quadratic-moment variance block before scaling, from dense n x n products.
+
+    ``de`` is the (L, T-1, n) stack of differenced residuals. Every period
+    gets the full matrix C_t = sum_l de[l, t]' de[l, t]; the block sums
+    P_a * P_b * C_t * C_t' over all (i, j) and the one-period band of (t, t').
+    """
+    periods = de.shape[1]
+    c_mats = [de[:, t, :].T @ de[:, t, :] for t in range(periods)]
+    dense_p = [mat.dense() for mat in quad_mats]
+    out = np.zeros((len(quad_mats), len(quad_mats)))
+    for t in range(periods):
+        for t2 in (t - 1, t, t + 1):
+            if 0 <= t2 < periods:
+                cc = c_mats[t] * c_mats[t2]
+                for a, pa in enumerate(dense_p):
+                    for b, pb in enumerate(dense_p):
+                        out[a, b] += np.sum(pa * pb * cc)
+    return 2.0 * out
+
+
+def dense_variance(panel, spec, fit):
+    """Unclipped sandwich covariance through the materialized D and dense stacks.
+
+    Residuals, instruments and Jacobian rows come from ``stacked_matrices``
+    and the difference matrix; the quadratic block from ``dense_quad_block``.
+    """
+    n, T = panel.n, panel.T
+    L = spec.n_points
+    d = difference_matrix(n, T)
+    big_p = [np.kron(np.eye(T - 1), mat.dense()) for mat in spec.quad_mats]
+    norm = 1.0 / (n * (T - 1))
+    de_all, u, jac = [], 0.0, 0.0
+    for s in spec.points:
+        y, z, h = stacked_matrices(panel, spec, s)
+        de = d @ (y - h @ fit.theta)
+        de_all.append(de.reshape(T - 1, n))
+        u = u + ((d @ z) * de[:, None]).reshape(T - 1, n, -1)
+        rows = [z.T @ d.T @ d @ h] + [2.0 * de @ p @ d @ h for p in big_p]
+        jac = jac - norm * np.vstack(rows) / L
+    scale = 1.0 / (L * L * n * (T - 1))
+    d_z = u.shape[2]
+    v_hat = np.zeros((d_z, d_z))
+    for t in range(T - 1):
+        for t2 in (t - 1, t, t + 1):
+            if 0 <= t2 < T - 1:
+                v_hat += scale * u[t].T @ u[t2]
+    if fit.include_quadratic:
+        v_hat = block_diag(v_hat, scale * dense_quad_block(np.array(de_all), spec.quad_mats))
+    else:
+        jac = jac[:d_z]
+    bread_inv = np.linalg.inv(jac.T @ fit.omega @ jac)
+    sigma = bread_inv @ jac.T @ fit.omega @ v_hat @ fit.omega @ jac @ bread_inv
+    return 0.5 * (sigma + sigma.T)

@@ -307,6 +307,28 @@ class TestEffects:
         assert code == 4
 
 
+    def test_impulse_without_out_is_data_error(self, star_files, capsys):
+        wfile, alpha, shock = star_files
+        code = run(["effects", "impulse", "--alpha-file", alpha, "--weights", wfile,
+                    "--shock-file", shock, "--grid-count", 33])
+        assert code == 4
+        assert capsys.readouterr().err == "error: impulse needs --out (an output directory)\n"
+
+    def test_marginal_without_out_is_data_error(self, star_files, capsys):
+        wfile, alpha, _ = star_files
+        code = run(["effects", "marginal", "--alpha-file", alpha, "--beta-file", alpha,
+                    "--weights", wfile, "--grid-count", 33])
+        assert code == 4
+        assert capsys.readouterr().err == "error: marginal needs --out (an output directory)\n"
+
+    @pytest.mark.parametrize("effect", ["impulse", "keyplayer"])
+    def test_missing_shock_file_is_data_error(self, effect, star_files, tmp_path, capsys):
+        wfile, alpha, _ = star_files
+        code = run(["effects", effect, "--alpha-file", alpha, "--weights", wfile,
+                    "--grid-count", 33, "--out", tmp_path])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {effect} needs --shock-file\n"
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "config.json"

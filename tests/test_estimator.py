@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,21 +18,24 @@ from fnar.errors import (
 from fnar.estimator import (
     GmmFit,
     MomentSpec,
+    _Design,
+    _quad_variance,
     build_instruments,
     estimate_fixed_effects,
     estimate_variance,
     fit_2sls,
     fit_gmm,
+    fit_report_text,
     interpolate_response,
     moment_function,
     moment_jacobian,
 )
 from fnar.interaction import KernelIntegral, epanechnikov_kernel
-from fnar.network import NetworkWeights, build_lattice_weights
+from fnar.network import NetworkWeights, QuadWeightMatrix, build_lattice_weights
 from fnar.simulate import DgpConfig, FunctionalPanel, neumann_solve, simulate_mc_panel
 
 from conftest import ring_weights, small_operator
-from dense_oracle import dense_jacobian, dense_moments
+from dense_oracle import dense_jacobian, dense_moments, dense_quad_block, dense_variance
 
 
 def make_panel(n=3, T=3, n_quad=15, d_x=1, seed=0):
@@ -344,6 +349,8 @@ class TestVariance:
         vals = np.linalg.eigvalsh(sigma)
         assert vals.min() >= -1e-10
         assert_allclose(sigma, sigma.T, atol=0)
+        assert fit.diagnostics["variance_clipped_count"] == 0
+        assert fit.diagnostics["variance_clipped_mass"] == 0.0
         K = basis.size
         for s in (0.25, 0.5, 0.75):
             phi = basis.eval(s)
@@ -363,6 +370,105 @@ class TestVariance:
         sigma, _, _ = estimate_variance(fit, panel, spec)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-10
         assert np.all(np.isfinite(fit.se_alpha(np.array([0.3, 0.7]))))
+
+    def test_indefinite_case_records_clipped_mass(self):
+        # outcomes alternate in sign and covariates grow linearly, so at theta = 0
+        # the instrument scores alternate too: over three differenced periods the
+        # one-period band outweighs the diagonal and the sandwich is negative definite
+        rng = np.random.default_rng(4)
+        n, T, quad = 30, 4, build_quadrature(15)
+        y = (-1.0) ** np.arange(T)[None, :, None] * rng.normal(size=(n, 1, 15))
+        x = np.arange(T)[None, :, None] * rng.normal(size=(n, 1, 1))
+        panel = FunctionalPanel(y=y, x=x, quad=quad)
+        spec = make_spec(panel, weights=build_lattice_weights(n, rng))
+        design = _Design(panel, spec)
+        fit = GmmFit(theta=np.zeros(design.d_theta), spec=spec, n=n, T=T, d_x=1,
+                     method="2sls", include_quadratic=False,
+                     omega=design._instrument_weight(), objective_value=0.0,
+                     iterations=0, converged=True, _design=design)
+        sigma, _, _ = estimate_variance(fit, panel, spec)
+        vals = np.linalg.eigvalsh(dense_variance(panel, spec, fit))
+        assert vals.max() < 0.0
+        assert fit.diagnostics["variance_clipped_count"] == vals.size
+        assert fit.diagnostics["variance_clipped_mass"] == pytest.approx(-vals.sum(), rel=1e-12)
+        assert np.all(sigma == 0.0)
+        assert "variance_clipped_count: 4" in fit_report_text(fit, include_grids=False)
+
+
+def _random_quad_matrix(n, density, seed):
+    """Symmetric zero-diagonal matrix on a random pattern unrelated to any network."""
+    upper = sp.triu(sp.random_array((n, n), density=density, rng=seed), k=1)
+    return QuadWeightMatrix(p=sp.csr_array(upper + upper.T))
+
+
+def _band_quad_matrix(n, offset):
+    band = sp.diags_array(np.linspace(1.0, 2.0, n - offset), offsets=offset, shape=(n, n))
+    return QuadWeightMatrix(p=sp.csr_array(band + band.T))
+
+
+class TestVarianceDenseOracle:
+    """The pattern-only sandwich against the dense n x n formula, at n <= 200."""
+
+    @staticmethod
+    def _check(n, estimator="gmm1", operator_kind="kernel", seed=21, **spec_kwargs):
+        panel, truth = simulate_mc_panel(n, 4, 1.0, seed=seed)
+        spec = MomentSpec(basis=build_bspline_basis(1, 2, panel.quad),
+                          operator=small_operator(operator_kind, panel.quad),
+                          weights=truth.weights, n_points=6,
+                          weighting="identity" if estimator == "gmm2" else "2sls-block",
+                          **spec_kwargs)
+        fit = fit_2sls(panel, spec) if estimator == "2sls" else fit_gmm(panel, spec)
+        sigma, _, _ = estimate_variance(fit, panel, spec)
+        assert fit.diagnostics["variance_clipped_count"] == 0
+        oracle = dense_variance(panel, spec, fit)
+        assert np.max(np.abs(sigma - oracle)) <= 1e-12 * np.max(np.abs(sigma))
+
+    @pytest.mark.parametrize("estimator", ["gmm1", "gmm2", "2sls"])
+    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
+    def test_operators_and_estimators(self, operator_kind, estimator):
+        self._check(40, estimator, operator_kind)
+
+    def test_largest_oracle_size(self):
+        self._check(200, seed=22)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_custom_quad_mats_off_network_pattern(self, count):
+        n = 60
+        mats = [_random_quad_matrix(n, 0.05, 1), _band_quad_matrix(n, 3),
+                _random_quad_matrix(n, 0.15, 2)][:count]
+        self._check(n, quad_mats=mats)
+
+    def test_empty_pattern_gives_zero_quadratic_block(self):
+        n = 40
+        empty = QuadWeightMatrix(p=sp.csr_array((n, n)))
+        self._check(n, quad_mats=[empty])
+        de = np.random.default_rng(6).normal(size=(6, 3, n))
+        assert np.all(_quad_variance(de, [empty]) == 0.0)
+        assert _quad_variance(de, []).shape == (0, 0)
+
+    def test_quadratic_block_matches_dense_products(self):
+        rng = np.random.default_rng(5)
+        n = 50
+        mats = [_random_quad_matrix(n, 0.1, 3), _band_quad_matrix(n, 1)]
+        for periods in (1, 2, 5):
+            de = rng.normal(size=(4, periods, n))
+            fast, dense = _quad_variance(de, mats), dense_quad_block(de, mats)
+            assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_variance_memory_grows_with_edges_not_n_squared():
+    # the dense n x n formula peaks near 470 MB here; the edge-sparse one near 13 MB
+    panel, truth = simulate_mc_panel(3200, 5, 1.0, seed=11)
+    spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad), operator=truth.operator,
+                      weights=truth.weights, n_points=10)
+    fit = fit_gmm(panel, spec)
+    tracemalloc.start()
+    try:
+        estimate_variance(fit, panel, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 class TestInterpolateResponse:
