@@ -160,7 +160,8 @@ class _Design:
 
     All stored moment pieces carry the 1/(n(T-1)) normalization. The
     ``lin_*``/``quad_*`` aggregates are additionally averaged over the
-    moment grid; the ``per_point`` variants keep the grid axis.
+    moment grid; the ``per_point`` variants keep the grid axis. Nothing here
+    depends on the weighting, so fits that differ only in it share a design.
     """
 
     def __init__(self, panel: FunctionalPanel, spec: MomentSpec):
@@ -262,21 +263,6 @@ class _Design:
         quad_rows = -2.0 * (self.b_point - np.einsum("lmkj,j->lmk", self.C_point, theta))
         return np.concatenate([-self.A_point, quad_rows], axis=1)
 
-    def omega(self) -> np.ndarray:
-        if self.spec.omega is not None:
-            om = np.asarray(self.spec.omega, dtype=float)
-            if om.shape != (self.d_g, self.d_g):
-                raise InvalidArgumentError(
-                    f"custom weight matrix must be {self.d_g}x{self.d_g}, got {om.shape}"
-                )
-            return om
-        if self.spec.weighting == "identity":
-            return np.eye(self.d_g)
-        om = np.zeros((self.d_g, self.d_g))
-        om[: self.d_z, : self.d_z] = self._instrument_weight()
-        om[self.d_z:, self.d_z:] = np.eye(self.M)
-        return om
-
     def _instrument_weight(self) -> np.ndarray:
         try:
             chol = sla.cho_factor(self.s_z)
@@ -311,6 +297,35 @@ class _Design:
         return theta, float(smin)
 
 
+def _matches(design: _Design | None, panel: FunctionalPanel, spec: MomentSpec) -> bool:
+    """Whether ``design`` was built on ``panel`` with the moment settings of ``spec``."""
+    def settings(s):  # ids compare identity: both specs keep every object alive
+        return (id(s.basis), id(s.operator), id(s.weights), s.n_points, s.iv_orders,
+                s.iv_exclude, *map(id, s.quad_mats))
+    return design is not None and design.panel is panel and settings(design.spec) == settings(spec)
+
+
+def _use_design(panel: FunctionalPanel, spec: MomentSpec, design: _Design | None) -> _Design:
+    """A new design, or the one passed in if it matches; any other raises."""
+    if design is not None and not _matches(design, panel, spec):
+        raise InvalidArgumentError("design was built on another panel or other moment settings")
+    return _Design(panel, spec) if design is None else design
+
+
+def _weight_matrix(design: _Design, spec: MomentSpec) -> np.ndarray:
+    """The weight matrix that ``spec`` asks for, on the design's moments."""
+    if spec.omega is not None:
+        om = np.asarray(spec.omega, dtype=float)
+        if om.shape != (design.d_g, design.d_g):
+            raise InvalidArgumentError(
+                f"custom weight matrix must be {design.d_g}x{design.d_g}, got {om.shape}"
+            )
+        return om
+    if spec.weighting == "identity":
+        return np.eye(design.d_g)
+    return sla.block_diag(design._instrument_weight(), np.eye(design.M))
+
+
 def _omega_sqrt(omega: np.ndarray) -> np.ndarray:
     """Factor R with R'R = omega, tolerant of semidefinite custom matrices."""
     vals, vecs = np.linalg.eigh(0.5 * (omega + omega.T))
@@ -320,12 +335,13 @@ def _omega_sqrt(omega: np.ndarray) -> np.ndarray:
 
 
 def moment_function(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
-                    *, per_point: bool = False) -> np.ndarray:
+                    *, per_point: bool = False, design: _Design | None = None) -> np.ndarray:
     """Averaged moment vector, or the per-grid-point stack when requested.
 
-    Shape (d_g,) by default, (L, d_g) with ``per_point=True``.
+    Shape (d_g,) by default, (L, d_g) with ``per_point=True``; ``design``
+    is as in ``fit_gmm``.
     """
-    design = _Design(panel, spec)
+    design = _use_design(panel, spec, design)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (design.d_theta,):
         raise InvalidArgumentError(
@@ -335,9 +351,9 @@ def moment_function(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
 
 
 def moment_jacobian(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
-                    *, per_point: bool = False) -> np.ndarray:
+                    *, per_point: bool = False, design: _Design | None = None) -> np.ndarray:
     """Analytic Jacobian of the (averaged) moment vector in theta."""
-    design = _Design(panel, spec)
+    design = _use_design(panel, spec, design)
     theta = np.asarray(theta, dtype=float)
     return design.jacobian_per_point(theta) if per_point else design.jacobian(theta)
 
@@ -403,13 +419,14 @@ class GmmFit:
         return self._pointwise_sigma(1 + j, s) / np.sqrt(self.n * (self.T - 1))
 
 
-def fit_2sls(panel: FunctionalPanel, spec: MomentSpec) -> GmmFit:
+def fit_2sls(panel: FunctionalPanel, spec: MomentSpec, *, design: _Design | None = None) -> GmmFit:
     """Closed-form estimator from the linear moments alone.
 
     Numerically identical to the full GMM estimator with the quadratic
-    moments dropped and the block weight matrix retained.
+    moments dropped and the block weight matrix retained. ``design`` is as
+    in ``fit_gmm``.
     """
-    design = _Design(panel, spec)
+    design = _use_design(panel, spec, design)
     theta, smin = design.solve_2sls()
     resid = design.lin_a - design.lin_A @ theta
     omega_z = design._instrument_weight()
@@ -503,15 +520,19 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
 
 def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, max_iter: int = 200,
             grad_tol: float = 1e-10, box_bound: float | None = None,
-            n_restarts: int = 3, restart_seed: int = 0) -> GmmFit:
+            n_restarts: int = 3, restart_seed: int = 0,
+            design: _Design | None = None) -> GmmFit:
     """Minimize the integrated-GMM objective by damped Gauss-Newton.
 
     The weight matrix is fixed (one-step GMM); optimization starts from the
     closed-form linear-moments solution, with a few perturbed restarts as a
     guarded fallback if the first run fails to meet the gradient tolerance.
+    Fits that differ only in the weighting can share one moment design:
+    pass an earlier fit's ``_design`` built on this panel with the same
+    moment settings; any other ``design`` raises ``InvalidArgumentError``.
     """
-    design = _Design(panel, spec)
-    omega = design.omega()
+    design = _use_design(panel, spec, design)
+    omega = _weight_matrix(design, spec)
     omega_sqrt = _omega_sqrt(omega)
     theta0, smin = design.solve_2sls()
 
@@ -557,7 +578,8 @@ def estimate_fixed_effects(fit: GmmFit, panel: FunctionalPanel) -> np.ndarray:
     """
     spec = fit.spec
     grid = panel.quad
-    ay = spec.operator.apply_grid(network_lag(spec.weights, panel.y))  # (n, T, G)
+    ay = (fit._design.ay_grid if _matches(fit._design, panel, spec)  # (n, T, G)
+          else spec.operator.apply_grid(network_lag(spec.weights, panel.y)))
     alpha_grid = fit.alpha(grid.points)
     beta_grid = np.stack([fit.beta(j, grid.points) for j in range(fit.d_x)])
     resid = panel.y - alpha_grid[None, None, :] * ay - np.einsum(
@@ -606,9 +628,7 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec
     zero; ``fit.diagnostics`` records their number and summed magnitude as
     ``variance_clipped_count`` and ``variance_clipped_mass``.
     """
-    design = fit._design
-    if design is None or design.panel is not panel or design.spec is not spec:
-        design = _Design(panel, spec)
+    design = fit._design if _matches(fit._design, panel, spec) else _Design(panel, spec)
     n, T = panel.n, panel.T
     L = spec.n_points
     de = design.dy - np.einsum("ltnk,k->ltn", design.dh, fit.theta)  # (L, T-1, n)

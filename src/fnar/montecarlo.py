@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,29 +87,25 @@ class McReport:
         return rows
 
 
-def _fit_one(name: str, panel, spec_kwargs: dict):
-    spec = MomentSpec(weighting="identity" if name == "gmm2" else "2sls-block",
-                      **spec_kwargs)
-    if name == "2sls":
-        return fit_2sls(panel, spec), spec
-    return fit_gmm(panel, spec), spec
-
-
 def _run_replication(cfg: McConfig, seed: np.random.SeedSequence) -> dict:
+    """Simulate one panel and fit every estimator on its one moment design."""
     panel, truth = simulate_mc_panel(cfg.n, cfg.T, cfg.r, seed, n_quad=cfg.n_quad)
     grid = panel.quad
     alpha_true = mc_alpha(grid.points)
     beta_true = mc_beta(grid.points, cfg.r)
     basis = build_bspline_basis(cfg.inner_knots, cfg.degree, grid)
-    spec_kwargs = dict(basis=basis, operator=truth.operator, weights=truth.weights,
-                       n_points=cfg.L)
+    spec = MomentSpec(basis=basis, operator=truth.operator, weights=truth.weights,
+                      n_points=cfg.L)
+    specs = {"gmm1": spec, "gmm2": replace(spec, weighting="identity"), "2sls": spec}
+    design = None  # built by the first fit, shared by the others
     out = {"scores": {}, "nonconverged": [], "covered": None}
     for name in cfg.estimators:
-        fit, spec = _fit_one(name, panel, spec_kwargs)
+        fit = (fit_2sls if name == "2sls" else fit_gmm)(panel, specs[name], design=design)
+        design = fit._design
         if not fit.converged:
             out["nonconverged"].append(name)
-        err_alpha = fit.alpha(grid.points) - alpha_true
-        err_beta = fit.beta(0, grid.points) - beta_true
+        err_alpha = basis.values_on_grid @ fit.theta_alpha - alpha_true
+        err_beta = basis.values_on_grid @ fit.theta_beta(0) - beta_true
         out["scores"][name] = (
             float(err_alpha.mean()), float(np.sqrt(np.mean(err_alpha**2))),
             float(err_beta.mean()), float(np.sqrt(np.mean(err_beta**2))),

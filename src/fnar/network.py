@@ -117,17 +117,14 @@ def build_lattice_weights(n: int, rng_seed) -> NetworkWeights:
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     cells = rng.choice(side * side, size=n, replace=False)
     coords = np.column_stack([cells // side, cells % side]).astype(float)
-    rows, cols = [], []
-    for i in range(n):
-        diff = coords - coords[i]
-        dist2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        neighbours = np.nonzero(dist2 == 1.0)[0]
-        rows.extend([i] * neighbours.size)
-        cols.extend(neighbours.tolist())
-    adj = sp.csr_array(
-        (np.ones(len(rows)), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-        shape=(n, n),
-    )
+    # unit id of every lattice cell, -1 for empty cells and the padding border
+    unit_at = np.full((side + 2, side + 2), -1)
+    r, c = cells // side + 1, cells % side + 1
+    unit_at[r, c] = np.arange(n)
+    around = np.column_stack([unit_at[r - 1, c], unit_at[r + 1, c],
+                              unit_at[r, c - 1], unit_at[r, c + 1]])
+    rows, k = np.nonzero(around >= 0)  # csr_array sorts each row's columns
+    adj = sp.csr_array((np.ones(rows.size), (rows, around[rows, k])), shape=(n, n))
     return NetworkWeights(w=_row_normalize(adj), coords=coords)
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.errors import (
     CannotDifferenceError,
+    InvalidArgumentError,
     MissingDataError,
     SmallTWarning,
     UnderidentificationWarning,
@@ -31,7 +33,12 @@ from fnar.estimator import (
     moment_jacobian,
 )
 from fnar.interaction import KernelIntegral, epanechnikov_kernel
-from fnar.network import NetworkWeights, QuadWeightMatrix, build_lattice_weights
+from fnar.network import (
+    NetworkWeights,
+    QuadWeightMatrix,
+    build_lattice_weights,
+    build_quadratic_weights,
+)
 from fnar.simulate import DgpConfig, FunctionalPanel, neumann_solve, simulate_mc_panel
 
 from conftest import ring_weights, small_operator
@@ -393,6 +400,97 @@ class TestVariance:
         assert fit.diagnostics["variance_clipped_mass"] == pytest.approx(-vals.sum(), rel=1e-12)
         assert np.all(sigma == 0.0)
         assert "variance_clipped_count: 4" in fit_report_text(fit, include_grids=False)
+
+
+def _paper_cell_spec(seed):
+    panel, truth = simulate_mc_panel(40, 5, 1.0, seed=seed)
+    spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad), operator=truth.operator,
+                      weights=truth.weights, n_points=10)
+    return panel, spec
+
+
+class TestSharedDesign:
+    """gmm1, gmm2 and 2SLS on one moment design, against separately built designs."""
+
+    @staticmethod
+    def _fits(panel, spec, shared):
+        specs = {"gmm1": spec, "gmm2": replace(spec, weighting="identity"), "2sls": spec}
+        if not shared:  # the oracle: a fresh spec, quadratic matrices and design per fit
+            specs = {name: MomentSpec(basis=s.basis, operator=s.operator, weights=s.weights,
+                                      n_points=s.n_points, weighting=s.weighting)
+                     for name, s in specs.items()}
+        design, fits = None, {}
+        for name, s in specs.items():
+            fit_fn = fit_2sls if name == "2sls" else fit_gmm
+            fits[name] = fit_fn(panel, s, design=design if shared else None)
+            design = fits[name]._design
+            estimate_variance(fits[name], panel, s)
+            estimate_fixed_effects(fits[name], panel)
+        return fits
+
+    def test_bit_identical_to_separate_designs(self):
+        panel, spec = _paper_cell_spec(seed=41)
+        shared, separate = self._fits(panel, spec, True), self._fits(panel, spec, False)
+        assert shared["gmm1"]._design is shared["gmm2"]._design is shared["2sls"]._design
+        assert len({id(fit._design) for fit in separate.values()}) == 3
+        for name in shared:
+            a, b = shared[name], separate[name]
+            assert np.array_equal(a.theta, b.theta)
+            assert a.objective_value == b.objective_value
+            assert a.iterations == b.iterations
+            assert np.array_equal(a.sigma, b.sigma)
+            assert np.array_equal(a.fixed_effects, b.fixed_effects)
+
+    def test_variance_reuses_design_of_other_weighting(self, monkeypatch):
+        import fnar.estimator as est
+
+        panel, spec = _paper_cell_spec(seed=42)
+        gmm2_spec = replace(spec, weighting="identity")
+        fit = fit_gmm(panel, gmm2_spec, design=fit_2sls(panel, spec)._design)
+        monkeypatch.setattr(est, "_Design", None)  # any rebuild would fail
+        estimate_variance(fit, panel, gmm2_spec)
+        assert fit.diagnostics["variance_clipped_count"] == 0
+
+    def test_fixed_effects_from_design_bit_identical(self, monkeypatch):
+        import fnar.estimator as est
+
+        panel, spec = _paper_cell_spec(seed=45)
+        fit = fit_gmm(panel, spec)
+        recomputed = estimate_fixed_effects(replace(fit, _design=None), panel)
+        monkeypatch.setattr(est, "network_lag", None)  # the design path must not recompute
+        reused = estimate_fixed_effects(fit, panel)
+        assert np.array_equal(reused, recomputed)
+
+    @pytest.mark.parametrize("entry", ["fit_2sls", "fit_gmm", "moment_function",
+                                       "moment_jacobian"])
+    @pytest.mark.parametrize("mismatch", ["panel", "n_points", "quad_mats"])
+    def test_mismatched_design_rejected(self, entry, mismatch):
+        panel, spec = _paper_cell_spec(seed=43)
+        design = _Design(panel, spec)
+        if mismatch == "panel":
+            panel = FunctionalPanel(y=panel.y.copy(), x=panel.x.copy(), quad=panel.quad)
+        elif mismatch == "n_points":
+            spec = replace(spec, n_points=9)
+        else:
+            spec = replace(spec, quad_mats=build_quadratic_weights(spec.weights))
+        calls = {"fit_2sls": lambda **kw: fit_2sls(panel, spec, **kw),
+                 "fit_gmm": lambda **kw: fit_gmm(panel, spec, **kw),
+                 "moment_function": lambda **kw: moment_function(
+                     panel, spec, np.zeros(design.d_theta), **kw),
+                 "moment_jacobian": lambda **kw: moment_jacobian(
+                     panel, spec, np.zeros(design.d_theta), **kw)}
+        with pytest.raises(InvalidArgumentError, match="design was built"):
+            calls[entry](design=design)
+        calls[entry]()  # without a design the same call builds its own
+
+    def test_moments_on_passed_design_match_own(self):
+        panel, spec = _paper_cell_spec(seed=44)
+        design = _Design(panel, spec)
+        theta = np.random.default_rng(0).normal(scale=0.1, size=design.d_theta)
+        for fn in (moment_function, moment_jacobian):
+            for per_point in (False, True):
+                assert np.array_equal(fn(panel, spec, theta, per_point=per_point, design=design),
+                                      fn(panel, spec, theta, per_point=per_point))
 
 
 def _random_quad_matrix(n, density, seed):

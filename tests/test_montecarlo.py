@@ -13,6 +13,27 @@ def tiny_cfg(**kw):
     return McConfig(**defaults)
 
 
+def paper_cell(**kw):
+    """The simulation study's benchmark cell (table 1, r=1.0) with coverage."""
+    defaults = dict(n=40, T=5, L=10, inner_knots=2, r=1.0,
+                    estimators=("gmm1", "gmm2", "2sls"), coverage_points=(0.25, 0.5, 0.75))
+    defaults.update(kw)
+    return McConfig(**defaults)
+
+
+# bias, RMSE and coverage of paper_cell(replications=10, base_seed=424242), as
+# computed when each estimator still built its own moment design
+GOLDEN_PAPER_CELL = {
+    ("gmm1", "alpha"): (0.0013033700400481379, 0.0834556268187991),
+    ("gmm1", "beta"): (0.03570619295651057, 0.07895064393936338),
+    ("gmm2", "alpha"): (-0.0023454229839675713, 0.15103286184653356),
+    ("gmm2", "beta"): (0.03855063330096316, 0.0883677571159788),
+    ("2sls", "alpha"): (0.00044066483632208207, 0.09407672443399875),
+    ("2sls", "beta"): (0.03762917830662001, 0.07812263845474185),
+}
+GOLDEN_COVERAGE = (0.9, 0.8, 0.8)
+
+
 class TestConfig:
     def test_rejects_empty_estimators(self):
         with pytest.raises(InvalidArgumentError):
@@ -99,3 +120,31 @@ class TestRun:
     def test_rmse_se_positive(self):
         rep = run_mc(tiny_cfg())
         assert rep.rmse_se("gmm1", "alpha") > 0.0
+
+
+class TestSharedDesign:
+    def test_one_design_and_one_quadratic_build_per_replication(self, monkeypatch):
+        import fnar.estimator as est
+
+        calls = {"instruments": 0, "quad": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(est, "build_instruments", counted("instruments", est.build_instruments))
+        monkeypatch.setattr(est, "build_quadratic_weights",
+                            counted("quad", est.build_quadratic_weights))
+        rep = run_mc(paper_cell(replications=3, base_seed=5))
+        assert rep.failures == 0 and rep.coverage_count > 0
+        assert calls == {"instruments": 3, "quad": 3}
+
+    def test_paper_cell_golden(self):
+        rep = run_mc(paper_cell(replications=10, base_seed=424242))
+        for key, (bias, rmse) in GOLDEN_PAPER_CELL.items():
+            assert rep.bias[key] == pytest.approx(bias, rel=1e-12, abs=0)
+            assert rep.rmse[key] == pytest.approx(rmse, rel=1e-12, abs=0)
+        coverage = tuple(rep.coverage[p] for p in rep.config.coverage_points)
+        assert coverage == pytest.approx(GOLDEN_COVERAGE, rel=1e-12, abs=0)

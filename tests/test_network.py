@@ -7,6 +7,7 @@ from fnar.errors import InvalidArgumentError, SchemaError
 from fnar.network import (
     NetworkWeights,
     QuadWeightMatrix,
+    _row_normalize,
     build_distance_weights,
     build_lattice_weights,
     build_quadratic_weights,
@@ -23,7 +24,40 @@ def _find_seed(n, predicate, limit=200):
     raise AssertionError("no seed produced the wanted configuration")
 
 
+def loop_lattice_weights(n, rng_seed):
+    """The all-pairs distance loop the lattice builder used before its O(n)
+    cell lookup, kept as the oracle: same cells, then O(n^2) neighbour search."""
+    side = int(np.floor(np.sqrt(2.0 * n) + 0.5))
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    cells = rng.choice(side * side, size=n, replace=False)
+    coords = np.column_stack([cells // side, cells % side]).astype(float)
+    rows, cols = [], []
+    for i in range(n):
+        diff = coords - coords[i]
+        neighbours = np.nonzero(diff[:, 0] ** 2 + diff[:, 1] ** 2 == 1.0)[0]
+        rows.extend([i] * neighbours.size)
+        cols.extend(neighbours.tolist())
+    adj = sp.csr_array(
+        (np.ones(len(rows)), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+        shape=(n, n),
+    )
+    return NetworkWeights(w=_row_normalize(adj), coords=coords)
+
+
 class TestLattice:
+    @pytest.mark.parametrize("n", [2, 40, 401, 3200])
+    @pytest.mark.parametrize("seed_kind", ["int", "generator"])
+    def test_cell_lookup_matches_distance_loop(self, n, seed_kind):
+        def seed():
+            return 11 if seed_kind == "int" else np.random.default_rng(11)
+
+        fast, slow = build_lattice_weights(n, seed()), loop_lattice_weights(n, seed())
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(fast.w, name), getattr(slow.w, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(fast.coords, slow.coords)
+
+
     def test_adjacent_pair_is_symmetric_exchange(self):
         w = _find_seed(2, lambda w: w.w.nnz == 2)
         assert_allclose(w.dense(), [[0.0, 1.0], [1.0, 0.0]])
