@@ -335,13 +335,12 @@ def _omega_sqrt(omega: np.ndarray) -> np.ndarray:
 
 
 def moment_function(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
-                    *, per_point: bool = False, design: _Design | None = None) -> np.ndarray:
+                    *, per_point: bool = False) -> np.ndarray:
     """Averaged moment vector, or the per-grid-point stack when requested.
 
-    Shape (d_g,) by default, (L, d_g) with ``per_point=True``; ``design``
-    is as in ``fit_gmm``.
+    Shape (d_g,) by default, (L, d_g) with ``per_point=True``.
     """
-    design = _use_design(panel, spec, design)
+    design = _Design(panel, spec)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (design.d_theta,):
         raise InvalidArgumentError(
@@ -351,9 +350,9 @@ def moment_function(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
 
 
 def moment_jacobian(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
-                    *, per_point: bool = False, design: _Design | None = None) -> np.ndarray:
+                    *, per_point: bool = False) -> np.ndarray:
     """Analytic Jacobian of the (averaged) moment vector in theta."""
-    design = _use_design(panel, spec, design)
+    design = _Design(panel, spec)
     theta = np.asarray(theta, dtype=float)
     return design.jacobian_per_point(theta) if per_point else design.jacobian(theta)
 
@@ -527,9 +526,9 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, max_iter: int = 200,
     The weight matrix is fixed (one-step GMM); optimization starts from the
     closed-form linear-moments solution, with a few perturbed restarts as a
     guarded fallback if the first run fails to meet the gradient tolerance.
-    Fits that differ only in the weighting can share one moment design:
-    pass an earlier fit's ``_design`` built on this panel with the same
-    moment settings; any other ``design`` raises ``InvalidArgumentError``.
+    ``design`` is for ``run_mc``, whose fits differ only in the weighting
+    and share one moment design; a design built on another panel or with
+    other moment settings raises ``InvalidArgumentError``.
     """
     design = _use_design(panel, spec, design)
     omega = _weight_matrix(design, spec)

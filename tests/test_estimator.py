@@ -461,8 +461,7 @@ class TestSharedDesign:
         reused = estimate_fixed_effects(fit, panel)
         assert np.array_equal(reused, recomputed)
 
-    @pytest.mark.parametrize("entry", ["fit_2sls", "fit_gmm", "moment_function",
-                                       "moment_jacobian"])
+    @pytest.mark.parametrize("entry", ["fit_2sls", "fit_gmm"])
     @pytest.mark.parametrize("mismatch", ["panel", "n_points", "quad_mats"])
     def test_mismatched_design_rejected(self, entry, mismatch):
         panel, spec = _paper_cell_spec(seed=43)
@@ -473,24 +472,10 @@ class TestSharedDesign:
             spec = replace(spec, n_points=9)
         else:
             spec = replace(spec, quad_mats=build_quadratic_weights(spec.weights))
-        calls = {"fit_2sls": lambda **kw: fit_2sls(panel, spec, **kw),
-                 "fit_gmm": lambda **kw: fit_gmm(panel, spec, **kw),
-                 "moment_function": lambda **kw: moment_function(
-                     panel, spec, np.zeros(design.d_theta), **kw),
-                 "moment_jacobian": lambda **kw: moment_jacobian(
-                     panel, spec, np.zeros(design.d_theta), **kw)}
+        fit_fn = fit_2sls if entry == "fit_2sls" else fit_gmm
         with pytest.raises(InvalidArgumentError, match="design was built"):
-            calls[entry](design=design)
-        calls[entry]()  # without a design the same call builds its own
-
-    def test_moments_on_passed_design_match_own(self):
-        panel, spec = _paper_cell_spec(seed=44)
-        design = _Design(panel, spec)
-        theta = np.random.default_rng(0).normal(scale=0.1, size=design.d_theta)
-        for fn in (moment_function, moment_jacobian):
-            for per_point in (False, True):
-                assert np.array_equal(fn(panel, spec, theta, per_point=per_point, design=design),
-                                      fn(panel, spec, theta, per_point=per_point))
+            fit_fn(panel, spec, design=design)
+        fit_fn(panel, spec)  # without a design the same call builds its own
 
 
 def _random_quad_matrix(n, density, seed):
