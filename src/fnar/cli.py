@@ -4,9 +4,7 @@ study, and compute propagation effects, all through plain text tables."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -47,9 +45,10 @@ from .estimator import (
     interpolate_response,
 )
 from .interaction import KernelIntegral, PastWindow, PointEval, epanechnikov_kernel
+from .io import read_coords, read_function, read_panel, write_panel, write_table
 from .montecarlo import McConfig, format_report, run_mc
 from .network import build_distance_weights, read_edge_list, write_edge_list
-from .simulate import FunctionalPanel, simulate_mc_panel
+from .simulate import simulate_mc_panel
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -67,122 +66,9 @@ _NUMERIC_ERRORS = (
 )
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _read_function_file(path, quad):
     """Read a two-column (s, value) table and interpolate it onto the grid."""
-    pairs = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise SchemaError("expected a header with at least two columns", line=1,
-                              path=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                pairs.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
-    if not pairs:
-        raise SchemaError("function table has no rows", path=str(path))
-    return interpolate_response(np.array(pairs), quad)
-
-
-def _read_observations(path):
-    """Read `unit,period,s,y` rows into {(unit, period): [(s, y), ...]}."""
-    obs = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["unit", "period", "s", "y"]:
-            raise SchemaError("expected header 'unit,period,s,y'", line=1, path=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                i, t, s, y = int(row[0]), int(row[1]), float(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
-            if not 0.0 <= s <= 1.0:
-                raise SchemaError(f"evaluation point {s} outside [0, 1]", line=lineno,
-                                  path=str(path))
-            obs.setdefault((i, t), []).append((s, y))
-    if not obs:
-        raise SchemaError("observation table is empty", path=str(path))
-    return obs
-
-
-def _read_covariates(path):
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["unit", "period"]:
-            raise SchemaError("expected header 'unit,period,x1,...'", line=1, path=str(path))
-        d_x = len(header) - 2
-        if d_x < 1:
-            raise SchemaError("covariate table needs at least one x column", line=1,
-                              path=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows[(int(row[0]), int(row[1]))] = [float(v) for v in row[2:2 + d_x]]
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
-    return rows, d_x
-
-
-def _read_coords(path):
-    coords = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3:
-            raise SchemaError("expected header 'unit,lon,lat'", line=1, path=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                coords.append((int(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
-    coords.sort()
-    ids = [c[0] for c in coords]
-    if ids != list(range(len(ids))):
-        raise SchemaError("unit ids must be 0..n-1 without gaps", path=str(path))
-    return np.array([(lon, lat) for _, lon, lat in coords])
-
-
-def _build_panel(args) -> FunctionalPanel:
-    obs = _read_observations(args.observations)
-    cov, d_x = _read_covariates(args.covariates)
-    units = sorted({i for i, _ in obs})
-    periods = sorted({t for _, t in obs})
-    n, T = len(units), len(periods)
-    if units != list(range(n)) or periods != list(range(T)):
-        raise SchemaError("unit and period ids must be contiguous from 0")
-    quad = build_quadrature(args.grid_count)
-    y = np.empty((n, T, quad.count))
-    x = np.empty((n, T, d_x))
-    for i in range(n):
-        for t in range(T):
-            if (i, t) not in obs:
-                raise SchemaError(f"no observations for unit {i}, period {t}",
-                                  path=str(args.observations))
-            if (i, t) not in cov:
-                raise SchemaError(f"no covariates for unit {i}, period {t}",
-                                  path=str(args.covariates))
-            y[i, t] = interpolate_response(np.array(obs[(i, t)]), quad)
-            x[i, t] = cov[(i, t)]
-    return FunctionalPanel(y=y, x=x, quad=quad)
+    return interpolate_response(read_function(path), quad)
 
 
 def _build_operator(args, quad):
@@ -201,7 +87,7 @@ def _build_weights(args, n_expected=None):
     elif args.coords is not None:
         if args.threshold is None:
             raise InvalidArgumentError("--threshold is required with --coords")
-        coords = _read_coords(args.coords)
+        coords = read_coords(args.coords)
         w = build_distance_weights(
             coords, args.threshold,
             inverse_distance=not args.binary_weights,
@@ -222,26 +108,11 @@ def cmd_simulate(args) -> int:
         args.n, args.T, args.r, args.seed,
         n_quad=args.grid_count, alpha_scale=args.alpha_scale,
     )
-    s_vals = panel.quad.points
-    obs_rows = (
-        (i, t, repr(float(s_vals[g])), repr(float(panel.y[i, t, g])))
-        for i in range(panel.n) for t in range(panel.T) for g in range(panel.quad.count)
-    )
-    _write_rows(out / "observations.csv", ["unit", "period", "s", "y"], obs_rows)
-    cov_rows = [
-        (i, t, *[repr(float(v)) for v in panel.x[i, t]])
-        for i in range(panel.n) for t in range(panel.T)
-    ]
-    _write_rows(out / "covariates.csv",
-                ["unit", "period"] + [f"x{j + 1}" for j in range(panel.d_x)], cov_rows)
+    write_panel(panel, out / "observations.csv", out / "covariates.csv")
     write_edge_list(truth.weights, out / "weights.csv")
-    truth_rows = [
-        (repr(float(s_vals[g])), repr(float(truth.alpha[g])),
-         *[repr(float(truth.beta[j, g])) for j in range(truth.d_x)])
-        for g in range(panel.quad.count)
-    ]
-    _write_rows(out / "truth_functions.csv",
-                ["s", "alpha"] + [f"beta{j + 1}" for j in range(truth.d_x)], truth_rows)
+    write_table(out / "truth_functions.csv",
+                ["s", "alpha"] + [f"beta{j + 1}" for j in range(truth.d_x)],
+                np.column_stack((panel.quad.points, truth.alpha, truth.beta.T)))
     print(f"wrote panel (n={panel.n}, T={panel.T}) to {out}")
     return EXIT_OK
 
@@ -250,7 +121,7 @@ def cmd_estimate(args) -> int:
     out = Path(args.out)
     if not out.is_dir():
         raise FileNotFoundError(f"output directory {out} does not exist")
-    panel = _build_panel(args)
+    panel = read_panel(args.observations, args.covariates, args.grid_count)
     weights = _build_weights(args, n_expected=panel.n)
     operator = _build_operator(args, panel.quad)
     basis = build_bspline_basis(args.inner_knots, args.degree, panel.quad)
@@ -269,9 +140,9 @@ def cmd_estimate(args) -> int:
 
     (out / "fit_report.txt").write_text(fit_report_text(fit))
     header = ["s", "estimate", "se", "ci_lo", "ci_hi"]
-    _write_rows(out / "alpha_hat.csv", header, functional_estimate_table(fit, "alpha"))
+    write_table(out / "alpha_hat.csv", header, functional_estimate_table(fit, "alpha"))
     for j in range(panel.d_x):
-        _write_rows(out / f"beta{j + 1}_hat.csv", header,
+        write_table(out / f"beta{j + 1}_hat.csv", header,
                     functional_estimate_table(fit, "beta", j=j))
     _write_array(out / "fixed_effects.csv", ["unit", "grid_index"], fit.fixed_effects)
     print(f"estimated {args.estimator} fit written to {out} "
@@ -317,9 +188,8 @@ def cmd_montecarlo(args) -> int:
 
 def _write_array(path, index_names, values, value_name="value"):
     """One row per entry of ``values``: its indices, then the value in full precision."""
-    index = itertools.product(*map(range, values.shape))
-    _write_rows(path, [*index_names, value_name],
-                ((*ix, repr(v)) for ix, v in zip(index, values.ravel().tolist())))
+    write_table(path, [*index_names, value_name], values[..., None],
+                [str(j) for j in range(values.shape[-1])])
 
 
 def _write_propagation(result, out_dir, stem):

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, SchemaError
+from .io import read_edges, write_table
 
 __all__ = [
     "NetworkWeights",
@@ -194,45 +194,26 @@ def build_quadratic_weights(weights: NetworkWeights) -> list[QuadWeightMatrix]:
 
 def read_edge_list(path, n: int | None = None) -> NetworkWeights:
     """Load weights from a text edge list with header ``i,j,weight`` (0-based ids)."""
-    rows, cols, vals = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["i", "j", "weight"]:
-            raise SchemaError("expected header 'i,j,weight'", line=1, path=str(path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"expected 3 fields, got {len(row)}", line=lineno, path=str(path))
-            try:
-                i, j, v = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
-            if i < 0 or j < 0:
-                raise SchemaError("unit ids must be non-negative", line=lineno, path=str(path))
-            if i == j and v != 0.0:
-                raise SchemaError("self-loop weights are not allowed", line=lineno, path=str(path))
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
+    rows, cols, vals = read_edges(path)
+    top = int(max(rows.max(), cols.max())) if rows.size else -1
     if n is None:
-        if not rows:
+        if top < 0:
             raise SchemaError("edge list is empty and no unit count was given", path=str(path))
-        n = max(max(rows), max(cols)) + 1
-    w = sp.csr_array((vals, (rows, cols)), shape=(n, n))
-    return NetworkWeights(w=w)
+        n = top + 1
+    elif top >= n:
+        raise SchemaError(f"unit id {top} out of range for {n} units", path=str(path))
+    return NetworkWeights(w=sp.csr_array((vals, (rows, cols)), shape=(n, n)))
 
 
 def write_edge_list(weights: NetworkWeights, path) -> None:
     """Write weights as a text edge list with header ``i,j,weight``; a last
     unit in no edge gets the row ``n-1,n-1,0.0``, so the file keeps n."""
     coo = weights.w.tocoo()
+    rows, cols, vals = coo.row.tolist(), coo.col.tolist(), coo.data.tolist()
     last = weights.n - 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "weight"])
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            writer.writerow([int(i), int(j), repr(float(v))])
-        if last not in coo.row and last not in coo.col:
-            writer.writerow([last, last, repr(0.0)])
+    if last not in rows and last not in cols:
+        rows.append(last)
+        cols.append(last)
+        vals.append(0.0)
+    write_table(path, ["i", "j", "weight"], np.array(vals)[:, None],
+                [f"{i},{j}" for i, j in zip(rows, cols)])

@@ -3,7 +3,6 @@ lattice design used throughout the simulation experiments."""
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -12,7 +11,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .basis import QuadratureGrid, build_quadrature, interp_on_grid
-from .errors import InvalidArgumentError, NonStationaryDgpError, SchemaError
+from .errors import InvalidArgumentError, NonStationaryDgpError
 from .interaction import InteractionOperator, KernelIntegral, epanechnikov_kernel, network_lag
 from .network import NetworkWeights, build_lattice_weights
 
@@ -26,8 +25,6 @@ __all__ = [
     "mc_alpha",
     "mc_beta",
     "mc_fixed_effects",
-    "export_panel",
-    "load_panel",
 ]
 
 
@@ -245,78 +242,3 @@ def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
         rhs = x[:, t, :] @ cfg.beta + fixed + eps[:, t, :]
         y[:, t, :] = neumann_solve(cfg, rhs).values
     return FunctionalPanel(y=y, x=x, quad=quad), cfg
-
-
-def export_panel(panel: FunctionalPanel, obs_path, cov_path) -> None:
-    """Write the long-format outcome table and the covariate sidecar."""
-    with open(obs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "period", "grid_index", "y"])
-        for i in range(panel.n):
-            for t in range(panel.T):
-                for g in range(panel.quad.count):
-                    writer.writerow([i, t, g, repr(float(panel.y[i, t, g]))])
-    with open(cov_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "period"] + [f"x{j + 1}" for j in range(panel.d_x)])
-        for i in range(panel.n):
-            for t in range(panel.T):
-                writer.writerow([i, t] + [repr(float(v)) for v in panel.x[i, t]])
-
-
-def load_panel(obs_path, cov_path) -> FunctionalPanel:
-    """Read a panel written by :func:`export_panel`; the grid size is inferred."""
-    entries = {}
-    with open(obs_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["unit", "period", "grid_index", "y"]:
-            raise SchemaError("expected header 'unit,period,grid_index,y'", line=1,
-                              path=str(obs_path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                i, t, g, v = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(str(exc), line=lineno, path=str(obs_path)) from exc
-            entries[(i, t, g)] = v
-    if not entries:
-        raise SchemaError("observation table is empty", path=str(obs_path))
-    keys = np.array(list(entries.keys()))
-    n, T, G = keys.max(axis=0) + 1
-    if len(entries) != n * T * G:
-        raise SchemaError(
-            f"panel is not balanced: {len(entries)} rows for {n}x{T}x{G} cells",
-            path=str(obs_path),
-        )
-    y = np.empty((n, T, G))
-    for (i, t, g), v in entries.items():
-        y[i, t, g] = v
-
-    x_rows = {}
-    with open(cov_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["unit", "period"]:
-            raise SchemaError("expected header 'unit,period,x1,...'", line=1, path=str(cov_path))
-        d_x = len(header) - 2
-        if d_x < 1:
-            raise SchemaError("covariate table needs at least one x column", line=1,
-                              path=str(cov_path))
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                i, t = int(row[0]), int(row[1])
-                x_rows[(i, t)] = [float(v) for v in row[2:2 + d_x]]
-            except (ValueError, IndexError) as exc:
-                raise SchemaError(str(exc), line=lineno, path=str(cov_path)) from exc
-    x = np.empty((n, T, d_x))
-    for i in range(n):
-        for t in range(T):
-            if (i, t) not in x_rows:
-                raise SchemaError(f"missing covariate row for unit {i}, period {t}",
-                                  path=str(cov_path))
-            x[i, t] = x_rows[(i, t)]
-    return FunctionalPanel(y=y, x=x, quad=build_quadrature(int(G)))

@@ -136,6 +136,18 @@ class TestEstimate:
         assert code == 4
         assert ":3:" in capsys.readouterr().err
 
+    def test_short_covariate_row_reports_line(self, sim_dir, tmp_path, capsys):
+        cov = tmp_path / "cov.csv"
+        lines = (sim_dir / "covariates.csv").read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:2])  # "0,1": no x1 value
+        cov.write_text("\n".join(lines) + "\n")
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run(["estimate", "--observations", sim_dir / "observations.csv",
+                    "--covariates", cov, "--weights", sim_dir / "weights.csv", "--out", est])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {cov}:3: expected 3 fields, got 2\n"
+
     def test_coords_weights_path(self, sim_dir, tmp_path):
         # distance-band weights built from station coordinates
         coords = tmp_path / "coords.csv"

@@ -5,11 +5,10 @@ from numpy.testing import assert_allclose
 from fnar.basis import build_quadrature
 from fnar.errors import NonStationaryDgpError, SchemaError
 from fnar.interaction import PointEval
+from fnar.io import read_panel, write_panel
 from fnar.simulate import (
     DgpConfig,
-    export_panel,
     gen_mc_errors,
-    load_panel,
     mc_alpha,
     mc_beta,
     neumann_solve,
@@ -169,16 +168,17 @@ class TestMcPanel:
 class TestPanelIo:
     def test_round_trip(self, tmp_path):
         panel, _ = simulate_mc_panel(5, 3, 1.0, seed=4, n_quad=17)
-        export_panel(panel, tmp_path / "obs.csv", tmp_path / "cov.csv")
-        back = load_panel(tmp_path / "obs.csv", tmp_path / "cov.csv")
+        write_panel(panel, tmp_path / "obs.csv", tmp_path / "cov.csv")
+        back = read_panel(tmp_path / "obs.csv", tmp_path / "cov.csv", grid_count=17)
         assert_allclose(back.y, panel.y)
         assert_allclose(back.x, panel.x)
         assert back.quad.count == 17
 
     def test_unbalanced_rejected(self, tmp_path):
         panel, _ = simulate_mc_panel(3, 2, 1.0, seed=4, n_quad=9)
-        export_panel(panel, tmp_path / "obs.csv", tmp_path / "cov.csv")
+        write_panel(panel, tmp_path / "obs.csv", tmp_path / "cov.csv")
         lines = (tmp_path / "obs.csv").read_text().splitlines()
-        (tmp_path / "obs.csv").write_text("\n".join(lines[:-1]) + "\n")
+        # drop the last (unit, period)'s rows: a cell with fewer points is valid
+        (tmp_path / "obs.csv").write_text("\n".join(lines[:-9]) + "\n")
         with pytest.raises(SchemaError):
-            load_panel(tmp_path / "obs.csv", tmp_path / "cov.csv")
+            read_panel(tmp_path / "obs.csv", tmp_path / "cov.csv", grid_count=9)
