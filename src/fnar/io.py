@@ -23,7 +23,7 @@ from .errors import SchemaError
 __all__ = ["write_table", "write_panel", "read_panel", "read_function", "read_coords",
            "read_edges"]
 
-_BLOCK = 1024  # rows per write when a table has no leading index
+_BLOCK = 1024  # rows per write, which bounds the text held at once
 
 
 def write_table(path, header, values, labels=None) -> None:
