@@ -47,10 +47,6 @@ class QuadratureGrid:
         """Integrate grid values over [0, 1] (last axis is the grid axis)."""
         return np.asarray(values) @ self.weights
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Quadrature inner product of two functions given by grid values."""
-        return float(np.sum(np.asarray(f) * np.asarray(g) * self.weights))
-
 
 def build_quadrature(count: int) -> QuadratureGrid:
     """Build the shared grid of ``count`` equally spaced interior points.
@@ -68,18 +64,26 @@ def build_quadrature(count: int) -> QuadratureGrid:
     return QuadratureGrid(points=points, weights=weights)
 
 
+def interp_nodes(grid: QuadratureGrid, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear-interpolation stencil at points s: left node indices and right weights.
+
+    The value at s[i] is ``(1 - frac[i]) v[idx[i]] + frac[i] v[idx[i] + 1]``.
+    Indices are clipped to the end intervals and weights to [0, 1], so the
+    interpolant is constant beyond the end nodes.
+    """
+    x = grid.points
+    idx = np.clip(np.searchsorted(x, s, side="right") - 1, 0, x.size - 2)
+    frac = np.clip((s - x[idx]) / (x[idx + 1] - x[idx]), 0.0, 1.0)
+    return idx, frac
+
+
 def interp_on_grid(values: np.ndarray, grid: QuadratureGrid, s) -> np.ndarray:
     """Linearly interpolate grid values at s, constant beyond the end nodes.
 
     ``values`` may carry leading axes; the last axis must match the grid.
     """
     values = np.asarray(values, dtype=float)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    x = grid.points
-    idx = np.clip(np.searchsorted(x, s_arr, side="right") - 1, 0, x.size - 2)
-    x0 = x[idx]
-    x1 = x[idx + 1]
-    frac = np.clip((s_arr - x0) / (x1 - x0), 0.0, 1.0)
+    idx, frac = interp_nodes(grid, np.atleast_1d(np.asarray(s, dtype=float)))
     out = values[..., idx] * (1.0 - frac) + values[..., idx + 1] * frac
     if np.isscalar(s) or np.asarray(s).ndim == 0:
         return out[..., 0]

@@ -56,14 +56,18 @@ EXIT_MODEL = 3
 EXIT_DATA = 4
 EXIT_NUMERIC = 5
 
-_DATA_ERRORS = (SchemaError, CannotDifferenceError, InvalidArgumentError, MissingDataError)
-_NUMERIC_ERRORS = (
-    NumericalFailureError,
-    UnderidentifiedError,
-    VarianceUnavailableError,
-    IllConditionedBasisError,
-    HarnessError,
+# Exit code of each handled exception; the first matching row wins, so
+# NonStationaryDgpError comes before the FnarError fallback and the data
+# errors (some are ValueErrors) before JSONDecodeError (also a ValueError).
+_EXIT_CODES = (
+    ((NonStationaryDgpError,), EXIT_MODEL),
+    ((SchemaError, CannotDifferenceError, InvalidArgumentError, MissingDataError), EXIT_DATA),
+    ((NumericalFailureError, UnderidentifiedError, VarianceUnavailableError,
+      IllConditionedBasisError, HarnessError, np.linalg.LinAlgError), EXIT_NUMERIC),
+    ((OSError, json.JSONDecodeError), EXIT_IO),
+    ((FnarError,), EXIT_NUMERIC),
 )
+_HANDLED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 
 def _read_function_file(path, quad):
@@ -349,24 +353,9 @@ def main(argv=None) -> int:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except NonStationaryDgpError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except np.linalg.LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FnarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ risk key player, all as truncated propagation sums over walk lengths."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class PropagationResult:
 
     per_order: np.ndarray  # (S+1, n, G)
     quad: QuadratureGrid
-    cumulative: np.ndarray = None
+    cumulative: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.per_order = np.asarray(self.per_order, dtype=float)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .basis import BasisSystem
+from .basis import BasisSystem, interp_nodes
 from .errors import (
     CannotDifferenceError,
     InvalidArgumentError,
@@ -49,6 +49,15 @@ __all__ = [
 ]
 
 _SV_FLOOR = 1e-10
+CI_Z = 1.959963984540054  # two-sided 95% normal quantile
+
+# Optimiser settings of fit_gmm: Gauss-Newton iterations per stage, the
+# gradient-norm tolerance, and the seeded perturbed restarts tried when the
+# run from the 2SLS start does not converge.
+_MAX_ITER = 200
+_GRAD_TOL = 1e-10
+_N_RESTARTS = 3
+_RESTART_SEED = 0
 
 
 @dataclass
@@ -108,10 +117,6 @@ class MomentSpec:
         L = self.n_points
         return np.arange(1, L + 1, dtype=float) / (L + 1)
 
-    @property
-    def n_quad_moments(self) -> int:
-        return len(self.quad_mats)
-
 
 class InstrumentSet(NamedTuple):
     b: np.ndarray  # (n, T, d_q + d_x) instrument rows, network lags first
@@ -148,6 +153,29 @@ def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
     return InstrumentSet(b=np.concatenate([q, panel.x], axis=2), d_q=q.shape[2])
 
 
+class _Aggregates(NamedTuple):
+    """Moment aggregates: linear moments a - A theta, quadratic moments
+    c_m - 2 b_m theta + theta' C_m theta. Leading axes (the moment grid of
+    the per-point aggregates) carry through both methods."""
+
+    a: np.ndarray  # (..., d_z)
+    A: np.ndarray  # (..., d_z, d_theta)
+    c: np.ndarray  # (..., M)
+    b: np.ndarray  # (..., M, d_theta)
+    C: np.ndarray  # (..., M, d_theta, d_theta)
+
+    def moments(self, theta: np.ndarray) -> np.ndarray:
+        lin = self.a - self.A @ theta
+        quad = self.c - 2.0 * self.b @ theta + np.einsum(
+            "...mkj,k,j->...m", self.C, theta, theta
+        )
+        return np.concatenate([lin, quad], axis=-1)
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        quad_rows = -2.0 * (self.b - np.einsum("...mkj,j->...mk", self.C, theta))
+        return np.concatenate([-self.A, quad_rows], axis=-2)
+
+
 class _Design:
     """Per-moment-point arrays and the aggregates the objective needs.
 
@@ -159,9 +187,9 @@ class _Design:
     (instruments only need exogeneity, not grid consistency).
 
     All stored moment pieces carry the 1/(n(T-1)) normalization. The
-    ``lin_*``/``quad_*`` aggregates are additionally averaged over the
-    moment grid; the ``per_point`` variants keep the grid axis. Nothing here
-    depends on the weighting, so fits that differ only in it share a design.
+    ``mean`` aggregates are additionally averaged over the moment grid; the
+    ``per_point`` ones keep the grid axis. Nothing here depends on the
+    weighting, so fits that differ only in it share a design.
     """
 
     def __init__(self, panel: FunctionalPanel, spec: MomentSpec):
@@ -174,11 +202,10 @@ class _Design:
         n, T, d_x = panel.n, panel.T, panel.d_x
         K = spec.basis.size
         instruments = build_instruments(panel, spec.weights, spec)
-        self.d_q = instruments.d_q
         d_b = instruments.b.shape[2]
         self.d_theta = (1 + d_x) * K
         self.d_z = d_b * K
-        self.M = spec.n_quad_moments
+        self.M = len(spec.quad_mats)
         self.d_g = self.d_z + self.M
         points = spec.points
         L = points.size
@@ -188,7 +215,6 @@ class _Design:
         ybar = network_lag(spec.weights, panel.y)
         self.ay_grid = spec.operator.apply_grid(ybar)  # (n, T, G)
         phi = spec.basis.eval_many(points)  # (L, K)
-        self.phi = phi
         phi_nodes = spec.basis.values_on_grid  # (G, K)
 
         # differenced node values, time axis first
@@ -200,11 +226,8 @@ class _Design:
         self.dh = np.empty((L, T - 1, n, self.d_theta))
         self.dy = np.empty((L, T - 1, n))
         db = np.swapaxes(instruments.b[:, 1:] - instruments.b[:, :-1], 0, 1)  # (T-1, n, d_b)
-        nodes = grid.points
-        for l, s in enumerate(points):
-            g0 = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, nodes.size - 2))
+        for l, (g0, lam) in enumerate(zip(*interp_nodes(grid, points))):
             g1 = g0 + 1
-            lam = float(np.clip((s - nodes[g0]) / (nodes[g1] - nodes[g0]), 0.0, 1.0))
             self.dy[l] = (1.0 - lam) * d_y_nodes[..., g0] + lam * d_y_nodes[..., g1]
             h_parts = []
             for weight, g in (((1.0 - lam), g0), (lam, g1)):
@@ -219,49 +242,24 @@ class _Design:
         zf = self.dz.reshape(L, self.n_obs, self.d_z)
         hf = self.dh.reshape(L, self.n_obs, self.d_theta)
         yf = self.dy.reshape(L, self.n_obs)
-        self.a_point = norm * np.einsum("lnz,ln->lz", zf, yf)
-        self.A_point = norm * np.einsum("lnz,lnt->lzt", zf, hf)
         self.s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
 
-        self.c_point = np.zeros((L, self.M))
-        self.b_point = np.zeros((L, self.M, self.d_theta))
-        self.C_point = np.zeros((L, self.M, self.d_theta, self.d_theta))
+        c = np.zeros((L, self.M))
+        b = np.zeros((L, self.M, self.d_theta))
+        C = np.zeros((L, self.M, self.d_theta, self.d_theta))
         for m, mat in enumerate(spec.quad_mats):
             p = mat.p
             for l in range(L):
                 py = np.stack([p @ self.dy[l, t] for t in range(T - 1)])  # (T-1, n)
                 ph = np.stack([p @ self.dh[l, t] for t in range(T - 1)])  # (T-1, n, d_theta)
-                self.c_point[l, m] = norm * np.sum(self.dy[l] * py)
-                self.b_point[l, m] = norm * np.einsum("tnk,tn->k", self.dh[l], py)
-                self.C_point[l, m] = norm * np.einsum("tnk,tnj->kj", self.dh[l], ph)
+                c[l, m] = norm * np.sum(self.dy[l] * py)
+                b[l, m] = norm * np.einsum("tnk,tn->k", self.dh[l], py)
+                C[l, m] = norm * np.einsum("tnk,tnj->kj", self.dh[l], ph)
 
-        self.lin_a = self.a_point.mean(axis=0)
-        self.lin_A = self.A_point.mean(axis=0)
-        self.quad_c = self.c_point.mean(axis=0)
-        self.quad_b = self.b_point.mean(axis=0)
-        self.quad_C = self.C_point.mean(axis=0)
-
-    def moments(self, theta: np.ndarray) -> np.ndarray:
-        lin = self.lin_a - self.lin_A @ theta
-        quad = self.quad_c - 2.0 * self.quad_b @ theta + np.einsum(
-            "mkj,k,j->m", self.quad_C, theta, theta
-        )
-        return np.concatenate([lin, quad])
-
-    def moments_per_point(self, theta: np.ndarray) -> np.ndarray:
-        lin = self.a_point - self.A_point @ theta
-        quad = self.c_point - 2.0 * self.b_point @ theta + np.einsum(
-            "lmkj,k,j->lm", self.C_point, theta, theta
-        )
-        return np.concatenate([lin, quad], axis=1)
-
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        quad_rows = -2.0 * (self.quad_b - np.einsum("mkj,j->mk", self.quad_C, theta))
-        return np.vstack([-self.lin_A, quad_rows])
-
-    def jacobian_per_point(self, theta: np.ndarray) -> np.ndarray:
-        quad_rows = -2.0 * (self.b_point - np.einsum("lmkj,j->lmk", self.C_point, theta))
-        return np.concatenate([-self.A_point, quad_rows], axis=1)
+        self.per_point = _Aggregates(a=norm * np.einsum("lnz,ln->lz", zf, yf),
+                                     A=norm * np.einsum("lnz,lnt->lzt", zf, hf),
+                                     c=c, b=b, C=C)
+        self.mean = _Aggregates(*(part.mean(axis=0) for part in self.per_point))
 
     def _instrument_weight(self) -> np.ndarray:
         try:
@@ -280,7 +278,7 @@ class _Design:
 
     def solve_2sls(self) -> tuple[np.ndarray, float]:
         """Minimize the linear-moment quadratic form; returns (theta, min sv)."""
-        smin = np.linalg.svd(self.lin_A, compute_uv=False)[-1]
+        smin = np.linalg.svd(self.mean.A, compute_uv=False)[-1]
         if smin < _SV_FLOOR:
             raise UnderidentifiedError(
                 f"instrument design is rank deficient (smallest singular value {smin:.3g})"
@@ -291,8 +289,8 @@ class _Design:
             raise UnderidentifiedError(
                 "instrument second-moment matrix is singular (collinear instruments)"
             ) from exc
-        design = sla.solve_triangular(lz, self.lin_A, lower=True)
-        target = sla.solve_triangular(lz, self.lin_a, lower=True)
+        design = sla.solve_triangular(lz, self.mean.A, lower=True)
+        target = sla.solve_triangular(lz, self.mean.a, lower=True)
         theta, *_ = np.linalg.lstsq(design, target, rcond=None)
         return theta, float(smin)
 
@@ -346,7 +344,7 @@ def moment_function(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
         raise InvalidArgumentError(
             f"theta must have length {design.d_theta}, got {theta.shape}"
         )
-    return design.moments_per_point(theta) if per_point else design.moments(theta)
+    return (design.per_point if per_point else design.mean).moments(theta)
 
 
 def moment_jacobian(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
@@ -354,7 +352,7 @@ def moment_jacobian(panel: FunctionalPanel, spec: MomentSpec, theta: np.ndarray,
     """Analytic Jacobian of the (averaged) moment vector in theta."""
     design = _Design(panel, spec)
     theta = np.asarray(theta, dtype=float)
-    return design.jacobian_per_point(theta) if per_point else design.jacobian(theta)
+    return (design.per_point if per_point else design.mean).jacobian(theta)
 
 
 @dataclass
@@ -427,7 +425,7 @@ def fit_2sls(panel: FunctionalPanel, spec: MomentSpec, *, design: _Design | None
     """
     design = _use_design(panel, spec, design)
     theta, smin = design.solve_2sls()
-    resid = design.lin_a - design.lin_A @ theta
+    resid = design.mean.a - design.mean.A @ theta
     omega_z = design._instrument_weight()
     return GmmFit(
         theta=theta,
@@ -447,8 +445,7 @@ def fit_2sls(panel: FunctionalPanel, spec: MomentSpec, *, design: _Design | None
 
 
 def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
-                  theta0: np.ndarray, max_iter: int, grad_tol: float,
-                  box_bound: float | None) -> tuple[np.ndarray, float, int, bool, list]:
+                  theta0: np.ndarray) -> tuple[np.ndarray, float, int, bool, list]:
     """Levenberg-damped Gauss-Newton with an exact-Newton polish.
 
     Gauss-Newton converges only linearly once the (nonzero) moment residual
@@ -456,13 +453,15 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
     stage adds the analytic second-order term of the quadratic moments to
     finish the descent. Both stages keep the objective non-increasing.
     """
+    agg = design.mean
+
     def residual(th):
-        return omega_sqrt @ design.moments(th)
+        return omega_sqrt @ agg.moments(th)
 
     def curvature_fix(th):
         # second-order term: quadratic moment m contributes 2 C_m to its Hessian
-        weighted = omega @ design.moments(th)
-        return 4.0 * np.einsum("m,mkj->kj", weighted[design.d_z:], design.quad_C)
+        weighted = omega @ agg.moments(th)
+        return 4.0 * np.einsum("m,mkj->kj", weighted[design.d_z:], agg.C)
 
     theta = theta0.copy()
     r = residual(theta)
@@ -476,10 +475,10 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
     floor = 4.0 * np.finfo(float).eps
     for stage in ("gauss-newton", "newton"):
         lam = 1e-8
-        for _ in range(max_iter):
-            jac = omega_sqrt @ design.jacobian(theta)
+        for _ in range(_MAX_ITER):
+            jac = omega_sqrt @ agg.jacobian(theta)
             grad = 2.0 * jac.T @ r
-            if np.linalg.norm(grad) <= grad_tol:
+            if np.linalg.norm(grad) <= _GRAD_TOL:
                 converged = True
                 break
             hess = 2.0 * jac.T @ jac
@@ -498,8 +497,6 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
                     converged = True
                     break
                 trial = theta + step
-                if box_bound is not None:
-                    trial = np.clip(trial, -box_bound, box_bound)
                 r_trial = residual(trial)
                 obj_trial = float(r_trial @ r_trial)
                 if np.isfinite(obj_trial) and obj_trial < obj:
@@ -517,15 +514,14 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
     return theta, obj, iterations, converged, path
 
 
-def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, max_iter: int = 200,
-            grad_tol: float = 1e-10, box_bound: float | None = None,
-            n_restarts: int = 3, restart_seed: int = 0,
+def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *,
             design: _Design | None = None) -> GmmFit:
     """Minimize the integrated-GMM objective by damped Gauss-Newton.
 
     The weight matrix is fixed (one-step GMM); optimization starts from the
-    closed-form linear-moments solution, with a few perturbed restarts as a
-    guarded fallback if the first run fails to meet the gradient tolerance.
+    closed-form linear-moments solution and stops at gradient norm 1e-10,
+    with at most 200 iterations per stage. If that run does not converge,
+    up to 3 restarts from perturbations of the start (seed 0) are tried.
     ``design`` is for ``run_mc``, whose fits differ only in the weighting
     and share one moment design; a design built on another panel or with
     other moment settings raises ``InvalidArgumentError``.
@@ -535,16 +531,14 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, max_iter: int = 200,
     omega_sqrt = _omega_sqrt(omega)
     theta0, smin = design.solve_2sls()
 
-    theta, obj, iters, converged, path = _gauss_newton(
-        design, omega, omega_sqrt, theta0, max_iter, grad_tol, box_bound
-    )
+    theta, obj, iters, converged, path = _gauss_newton(design, omega, omega_sqrt, theta0)
     total_iters = iters
-    if not converged and n_restarts > 0:
-        rng = np.random.default_rng(restart_seed)
-        for _ in range(n_restarts):
+    if not converged:
+        rng = np.random.default_rng(_RESTART_SEED)
+        for _ in range(_N_RESTARTS):
             start = theta0 + rng.normal(scale=0.1 * (1.0 + np.abs(theta0)))
             cand, cand_obj, cand_iters, cand_conv, cand_path = _gauss_newton(
-                design, omega, omega_sqrt, start, max_iter, grad_tol, box_bound
+                design, omega, omega_sqrt, start
             )
             total_iters += cand_iters
             if cand_obj < obj:
@@ -605,9 +599,8 @@ def _quad_variance(de: np.ndarray, quad_mats) -> np.ndarray:
     return 2.0 * (pv * s) @ pv.T
 
 
-def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec
-                      ) -> tuple[np.ndarray, Callable, Callable]:
-    """Sandwich covariance of the coefficient block and pointwise sigmas.
+def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec) -> np.ndarray:
+    """Sandwich covariance of the coefficient block, also stored as ``fit.sigma``.
 
     The long-run moment variance is estimated from the differenced residuals
     de[l, t, i] with the one-period band over differenced time indices;
@@ -621,9 +614,8 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec
         v_q = 2 scale (pv * s) @ pv.T,   pv[m, k] = P_m[rows[k], cols[k]]
 
     with scale = 1/(L^2 n (T-1)), at O(nnz L T) time and memory. Returns the
-    positive semidefinite covariance and callables giving the pointwise
-    sigmas of alpha and beta_j (divide by sqrt(n (T-1)) for standard errors,
-    as ``GmmFit.se_alpha``/``se_beta`` do). Negative eigenvalues are set to
+    positive semidefinite covariance; ``GmmFit.se_alpha``/``se_beta`` give
+    the pointwise standard errors from it. Negative eigenvalues are set to
     zero; ``fit.diagnostics`` records their number and summed magnitude as
     ``variance_clipped_count`` and ``variance_clipped_mass``.
     """
@@ -639,10 +631,10 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec
 
     if fit.include_quadratic:
         v_hat = sla.block_diag(v_z, scale * _quad_variance(de, spec.quad_mats))
-        jbar = design.jacobian(fit.theta)
+        jbar = design.mean.jacobian(fit.theta)
     else:
         v_hat = v_z
-        jbar = -design.lin_A
+        jbar = -design.mean.A
 
     omega = fit.omega
     bread = jbar.T @ omega @ jbar
@@ -660,14 +652,7 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec
     fit.diagnostics["variance_clipped_count"] = clipped.size
     fit.diagnostics["variance_clipped_mass"] = float(-clipped.sum())
     fit.sigma = sigma
-
-    def sigma_alpha(s):
-        return fit._pointwise_sigma(0, s)
-
-    def sigma_beta(j, s):
-        return fit._pointwise_sigma(1 + j, s)
-
-    return sigma, sigma_alpha, sigma_beta
+    return sigma
 
 
 def interpolate_response(observations, quad) -> np.ndarray:
@@ -686,11 +671,8 @@ def interpolate_response(observations, quad) -> np.ndarray:
     return np.interp(quad.points, s_obs, y_obs)
 
 
-def functional_estimate_table(fit: GmmFit, target: str, j: int = 0,
-                              level: float = 0.95) -> list[tuple]:
-    """Rows (s, estimate, se, ci_lo, ci_hi) on the quadrature grid."""
-    from scipy.stats import norm as _norm
-
+def functional_estimate_table(fit: GmmFit, target: str, j: int = 0) -> list[tuple]:
+    """Rows (s, estimate, se, ci_lo, ci_hi) on the quadrature grid, 95% intervals."""
     grid = fit.basis.quad
     s = grid.points
     if target == "alpha":
@@ -701,9 +683,8 @@ def functional_estimate_table(fit: GmmFit, target: str, j: int = 0,
         se = fit.se_beta(j, s) if fit.sigma is not None else np.full(s.size, np.nan)
     else:
         raise InvalidArgumentError(f"unknown target {target!r}")
-    z = _norm.ppf(0.5 + level / 2.0)
     return [
-        (float(si), float(ei), float(sei), float(ei - z * sei), float(ei + z * sei))
+        (float(si), float(ei), float(sei), float(ei - CI_Z * sei), float(ei + CI_Z * sei))
         for si, ei, sei in zip(s, est, se)
     ]
 

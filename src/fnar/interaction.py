@@ -72,35 +72,21 @@ class PointEval(InteractionOperator):
 class KernelIntegral(InteractionOperator):
     """Integral interaction A(h, s) = integral of h(u) nu(u, s) du.
 
-    The kernel is tabulated on grid x grid at construction; application is a
-    single matrix product. When built from a callable, off-grid evaluation
-    points use the callable directly; a tabulated-only operator interpolates
-    between its columns.
+    The callable kernel nu(u, s) is tabulated on grid x grid at
+    construction, so grid application is a single matrix product; off-grid
+    evaluation points call the kernel directly.
     """
 
-    def __init__(self, grid: QuadratureGrid, kernel=None, table: np.ndarray | None = None):
+    def __init__(self, grid: QuadratureGrid, kernel):
         super().__init__(grid)
-        if kernel is None and table is None:
-            raise InvalidArgumentError("provide a kernel callable or a table")
         self.kernel = kernel
-        if table is None:
-            u = grid.points
-            table = np.asarray(kernel(u[:, None], u[None, :]), dtype=float)
-        else:
-            table = np.asarray(table, dtype=float)
-            if table.shape != (grid.count, grid.count):
-                raise InvalidArgumentError(
-                    f"kernel table must be {grid.count}x{grid.count}, got {table.shape}"
-                )
-        self.table = table  # [g_u, g_s]
-        self._weighted = table * grid.weights[:, None]
+        u = grid.points
+        self.table = np.asarray(kernel(u[:, None], u[None, :]), dtype=float)  # [g_u, g_s]
+        self._weighted = self.table * grid.weights[:, None]
 
     def apply(self, values, s):
         values = self._check(values)
-        if self.kernel is not None:
-            col = np.asarray(self.kernel(self.grid.points, float(s)), dtype=float)
-        else:
-            col = interp_on_grid(self.table, self.grid, float(s))
+        col = np.asarray(self.kernel(self.grid.points, float(s)), dtype=float)
         return values @ (col * self.grid.weights)
 
     def apply_grid(self, values):

@@ -10,14 +10,12 @@ import numpy as np
 
 from .basis import build_bspline_basis
 from .errors import HarnessError, InvalidArgumentError
-from .estimator import MomentSpec, estimate_variance, fit_2sls, fit_gmm
+from .estimator import CI_Z, MomentSpec, estimate_variance, fit_2sls, fit_gmm
 from .simulate import mc_alpha, mc_beta, simulate_mc_panel
 
 __all__ = ["McConfig", "McReport", "run_mc", "format_report", "PRESETS"]
 
 ESTIMATORS = ("gmm1", "gmm2", "2sls")
-
-CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,8 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[0] < 2:
         raise InvalidArgumentError("coords must be a 2-d array with at least two rows")
+    if not np.all(np.isfinite(coords)):
+        raise InvalidArgumentError("coordinates must be finite")
     if metric == "euclidean":
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1))
@@ -171,25 +173,29 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     return NetworkWeights(w=_row_normalize(sp.csr_array(raw)), coords=coords)
 
 
-def _zero_diagonal(m: sp.csr_array) -> sp.csr_array:
-    m = sp.csr_array(m, copy=True)
-    m.setdiag(0.0)
-    m.eliminate_zeros()
-    return m
+def _symmetric_off_diagonal(m: sp.sparray) -> sp.csr_array:
+    """(m + m')/2 less its diagonal and zero entries, from one COO pass.
 
-
-def _exact_symmetrize(m: sp.csr_array) -> sp.csr_array:
-    # (m + m.T)/2 entrywise; IEEE addition is commutative, so the result is
-    # bitwise symmetric regardless of scipy's internal summation order.
-    return sp.csr_array((m + m.T) * 0.5)
+    Entry (i, j) sums at most the two terms m_ij and m_ji; IEEE addition is
+    commutative, so the result is bitwise symmetric whatever order scipy
+    sums duplicates in.
+    """
+    coo = m.tocoo()
+    off = coo.row != coo.col
+    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
+    p = sp.csr_array((np.concatenate([vals, vals]),
+                      (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                     shape=m.shape)
+    p.data *= 0.5
+    p.eliminate_zeros()
+    return p
 
 
 def build_quadratic_weights(weights: NetworkWeights) -> list[QuadWeightMatrix]:
     """Default quadratic-moment matrices: symmetrized W and W'W less its diagonal."""
     w = weights.w
-    p1 = _zero_diagonal(_exact_symmetrize(w))
-    p2 = _zero_diagonal(_exact_symmetrize(sp.csr_array(w.T @ w)))
-    return [QuadWeightMatrix(p=p1), QuadWeightMatrix(p=p2)]
+    return [QuadWeightMatrix(p=_symmetric_off_diagonal(w)),
+            QuadWeightMatrix(p=_symmetric_off_diagonal(w.T @ w))]
 
 
 def read_edge_list(path, n: int | None = None) -> NetworkWeights:

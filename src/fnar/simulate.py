@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import norm
 
-from .basis import QuadratureGrid, build_quadrature, interp_on_grid
+from .basis import QuadratureGrid, build_quadrature
 from .errors import InvalidArgumentError, NonStationaryDgpError
 from .interaction import InteractionOperator, KernelIntegral, epanechnikov_kernel, network_lag
 from .network import NetworkWeights, build_lattice_weights
@@ -73,10 +73,6 @@ class FunctionalPanel:
     @property
     def d_x(self) -> int:
         return self.x.shape[2]
-
-    def eval_y(self, s: float) -> np.ndarray:
-        """Outcome values at evaluation point s, shape (n, T)."""
-        return interp_on_grid(self.y, self.quad, float(s))
 
 
 @dataclass
@@ -204,15 +200,15 @@ def mc_fixed_effects(n: int, s) -> np.ndarray:
 
 
 def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
-                      alpha_scale: float = 1.0, tol: float = 1e-3,
-                      allow_nonstationary: bool = False
-                      ) -> tuple[FunctionalPanel, DgpConfig]:
+                      alpha_scale: float = 1.0) -> tuple[FunctionalPanel, DgpConfig]:
     """Generate one panel from the benchmark design and return it with its truth.
 
     Lattice network, integral interaction with the 0.75 (1 - (u-s)^2) kernel,
     standard-normal scalar covariate, and the quadratic heteroskedastic
     error paths. ``alpha_scale`` rescales the interaction-effect function
-    (useful for stationarity-violation experiments).
+    (useful for stationarity-violation experiments). The Neumann iteration
+    stops at the ``DgpConfig`` default tolerance, and a non-stationary design
+    raises ``NonStationaryDgpError``.
     """
     if r <= 0:
         raise InvalidArgumentError(f"covariate strength r must be positive, got {r}")
@@ -231,8 +227,6 @@ def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
         fixed_effects=fixed,
         operator=operator,
         weights=weights,
-        tol=tol,
-        allow_nonstationary=allow_nonstationary,
     )
 
     x = np.random.default_rng(seed_x).normal(size=(n, T, 1))

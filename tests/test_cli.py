@@ -166,6 +166,18 @@ class TestEstimate:
         ])
         assert code == 0
 
+    def test_excluding_every_instrument_is_numeric_error(self, sim_dir, tmp_path, capsys):
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run([
+            "estimate", "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv",
+            "--weights", sim_dir / "weights.csv", "--iv-exclude", "0", "--out", est,
+        ])
+        assert code == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestMonteCarlo:
     def test_preset_table(self, tmp_path):
@@ -340,6 +352,18 @@ class TestEffects:
                     "--grid-count", 33, "--out", tmp_path])
         assert code == 4
         assert capsys.readouterr().err == f"error: {effect} needs --shock-file\n"
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_coordinates_are_data_error(self, star_files, tmp_path, capsys, bad):
+        _, alpha, shock = star_files
+        coords = tmp_path / "coords.csv"
+        coords.write_text(f"unit,lon,lat\n0,0,0\n1,0.5,0\n2,{bad},1\n")
+        code = run(["effects", "keyplayer", "--alpha-file", alpha, "--coords", coords,
+                    "--threshold", 1.0, "--shock-file", shock, "--grid-count", 33])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):

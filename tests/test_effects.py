@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from fnar.basis import build_quadrature
 from fnar.effects import (
+    PropagationResult,
     ShockFunction,
     gamma_power,
     impulse_response,
@@ -147,6 +148,11 @@ class TestImpulseResponse:
         res = impulse_response(src, src.weights, 0, np.ones(99), order=5)
         assert_allclose(res.partial(5), res.cumulative, atol=0)
         assert_allclose(res.partial(0), res.per_order[0], atol=0)
+
+    def test_cumulative_is_not_an_argument(self, quad99):
+        with pytest.raises(TypeError):
+            PropagationResult(per_order=np.ones((2, 3, 99)), quad=quad99,
+                              cumulative=np.zeros((3, 99)))
 
 
 class TestTotalImpactAndKeyPlayer:

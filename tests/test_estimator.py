@@ -352,21 +352,21 @@ class TestVariance:
         spec = MomentSpec(basis=basis, operator=truth.operator,
                           weights=truth.weights, n_points=10)
         fit = fit_gmm(panel, spec)
-        sigma, sig_alpha, sig_beta = estimate_variance(fit, panel, spec)
+        sigma = estimate_variance(fit, panel, spec)
         vals = np.linalg.eigvalsh(sigma)
         assert vals.min() >= -1e-10
         assert_allclose(sigma, sigma.T, atol=0)
         assert fit.diagnostics["variance_clipped_count"] == 0
         assert fit.diagnostics["variance_clipped_mass"] == 0.0
+        assert fit.sigma is sigma
         K = basis.size
+        scale = np.sqrt(panel.n * (panel.T - 1))
         for s in (0.25, 0.5, 0.75):
             phi = basis.eval(s)
             manual = np.sqrt(phi @ sigma[:K, :K] @ phi)
-            assert abs(manual - sig_alpha(s)[0]) < 1e-12
-            scale = np.sqrt(panel.n * (panel.T - 1))
-            assert abs(fit.se_alpha(s)[0] - manual / scale) < 1e-12
+            assert abs(manual - fit.se_alpha(s)[0] * scale) < 1e-12
             manual_b = np.sqrt(phi @ sigma[K:, K:] @ phi)
-            assert abs(manual_b - sig_beta(0, s)[0]) < 1e-12
+            assert abs(manual_b - fit.se_beta(0, s)[0] * scale) < 1e-12
 
     def test_2sls_variance_available(self):
         panel, truth = simulate_mc_panel(20, 4, 1.0, seed=32)
@@ -374,7 +374,7 @@ class TestVariance:
         spec = MomentSpec(basis=basis, operator=truth.operator,
                           weights=truth.weights, n_points=8)
         fit = fit_2sls(panel, spec)
-        sigma, _, _ = estimate_variance(fit, panel, spec)
+        sigma = estimate_variance(fit, panel, spec)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-10
         assert np.all(np.isfinite(fit.se_alpha(np.array([0.3, 0.7]))))
 
@@ -393,7 +393,7 @@ class TestVariance:
                      method="2sls", include_quadratic=False,
                      omega=design._instrument_weight(), objective_value=0.0,
                      iterations=0, converged=True, _design=design)
-        sigma, _, _ = estimate_variance(fit, panel, spec)
+        sigma = estimate_variance(fit, panel, spec)
         vals = np.linalg.eigvalsh(dense_variance(panel, spec, fit))
         assert vals.max() < 0.0
         assert fit.diagnostics["variance_clipped_count"] == vals.size
@@ -501,7 +501,7 @@ class TestVarianceDenseOracle:
                           weighting="identity" if estimator == "gmm2" else "2sls-block",
                           **spec_kwargs)
         fit = fit_2sls(panel, spec) if estimator == "2sls" else fit_gmm(panel, spec)
-        sigma, _, _ = estimate_variance(fit, panel, spec)
+        sigma = estimate_variance(fit, panel, spec)
         assert fit.diagnostics["variance_clipped_count"] == 0
         oracle = dense_variance(panel, spec, fit)
         assert np.max(np.abs(sigma - oracle)) <= 1e-12 * np.max(np.abs(sigma))

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from conftest import ring_weights
 from fnar.errors import InvalidArgumentError, SchemaError
 from fnar.network import (
     NetworkWeights,
@@ -42,6 +43,20 @@ def loop_lattice_weights(n, rng_seed):
         shape=(n, n),
     )
     return NetworkWeights(w=_row_normalize(adj), coords=coords)
+
+
+def copying_quadratic_weights(weights):
+    """The quadratic-weights builder before its one-pass COO form, kept as the
+    oracle: sparse (m + m')/2, then a copy with setdiag(0) and eliminate_zeros."""
+    def zero_diagonal(m):
+        m = sp.csr_array(m, copy=True)
+        m.setdiag(0.0)
+        m.eliminate_zeros()
+        return m
+
+    w = weights.w
+    return [zero_diagonal(sp.csr_array((m + m.T) * 0.5))
+            for m in (w, sp.csr_array(w.T @ w))]
 
 
 class TestLattice:
@@ -114,6 +129,13 @@ class TestDistanceWeights:
         w = build_distance_weights(coords, threshold=1.0, inverse_distance=False)
         assert_allclose(w.dense()[0], [0.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("metric", ["euclidean", "greatcircle"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coordinates_rejected(self, metric, bad):
+        coords = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, bad]])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            build_distance_weights(coords, threshold=1.0, metric=metric)
+
     def test_great_circle_metric(self):
         # one degree of longitude at the equator is about 111 km
         coords = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -123,7 +145,39 @@ class TestDistanceWeights:
         assert w2.w.nnz == 0
 
 
+def _signed_cancelling_weights():
+    # w_01 + w_10 and w_02 + w_20 cancel to 0, as do the tiny w_13 + w_31
+    w = np.array([[0.0, 1.5, -2.0, 0.0], [-1.5, 0.0, 0.25, 1e-300],
+                  [2.0, 0.5, 0.0, 0.0], [0.0, -1e-300, 3.0, 0.0]])
+    return NetworkWeights(w=sp.csr_array(w))
+
+
+def _directed_ring(n):
+    return NetworkWeights(w=sp.csr_array(
+        (np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n)))
+
+
 class TestQuadraticWeights:
+    @pytest.mark.parametrize("make", [
+        lambda: build_lattice_weights(2, 0),
+        lambda: build_lattice_weights(40, 1),
+        lambda: build_lattice_weights(3200, 2),
+        lambda: build_distance_weights(np.random.default_rng(3).uniform(size=(60, 2)), 0.2),
+        lambda: build_distance_weights(np.random.default_rng(4).uniform(size=(60, 2)), 0.25,
+                                       inverse_distance=False),
+        lambda: ring_weights(2),
+        lambda: ring_weights(7),
+        lambda: _directed_ring(7),
+        _signed_cancelling_weights,
+    ], ids=["lattice2", "lattice40", "lattice3200", "distance", "distance-binary",
+            "ring2", "ring7", "directed-ring7", "signed-cancelling"])
+    def test_matches_copying_builder(self, make):
+        weights = make()
+        for got, want in zip(build_quadratic_weights(weights), copying_quadratic_weights(weights)):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got.p, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_symmetric_matrix_unchanged(self):
         w = NetworkWeights(w=sp.csr_array(np.array([[0.0, 0.3], [0.3, 0.0]])))
         p1, _ = build_quadratic_weights(w)
