@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import DomainError, IllConditionedBasisError, InvalidArgumentError
 
@@ -90,6 +89,35 @@ def interp_on_grid(values: np.ndarray, grid: QuadratureGrid, s) -> np.ndarray:
     return out
 
 
+def _bspline_design(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
+    """Dense B-spline design matrix, shape (m, K_raw): row i holds every raw
+    B-spline at x[i], which must lie in [knots[degree], knots[-degree - 1]].
+
+    The Cox-de Boor recurrence (de Boor 1972, J. Approx. Theory 6) runs on all
+    points at once, in the operation order of
+    ``scipy.interpolate.BSpline.design_matrix``, so the result equals scipy's
+    bit for bit. Point i falls in the span knots[ell] <= x[i] < knots[ell + 1]
+    (the last span also takes its right end), where only the splines
+    ell - degree .. ell are nonzero; spans must have positive length, as they
+    do for clamped knots with distinct interior knots.
+    """
+    k = degree
+    m, n = x.size, knots.size - k - 1
+    ell = np.clip(np.searchsorted(knots, x, side="right") - 1, k, n - 1)
+    near = knots[ell[:, None] + np.arange(1 - k, k + 1)]  # knots ell-k+1 .. ell+k
+    x = x[:, None]
+    h = np.ones((m, 1))
+    for j in range(1, k + 1):
+        lo, hi = near[:, k - j:k], near[:, k:k + j]
+        w = h / (hi - lo)
+        h = np.zeros((m, j + 1))
+        h[:, :j] = w * (hi - x)
+        h[:, 1:] += w * (x - lo)
+    out = np.zeros((m, n))
+    out[np.arange(m)[:, None], (ell - k)[:, None] + np.arange(k + 1)] = h
+    return out
+
+
 class BasisSystem:
     """K continuous basis functions, orthonormal under the grid inner product.
 
@@ -113,7 +141,7 @@ class BasisSystem:
         return self.coeffs.shape[0]
 
     def _raw_design(self, s: np.ndarray) -> np.ndarray:
-        return BSpline.design_matrix(s, self.knots, self.degree).toarray()
+        return _bspline_design(s, self.knots, self.degree)
 
     def eval_many(self, s: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at an array of points, shape (m, K)."""
@@ -194,6 +222,6 @@ def build_bspline_basis(inner_knots: int, degree: int,
         interior,
         np.ones(degree + 1),
     ])
-    raw = BSpline.design_matrix(quad.points, knots, degree).toarray().T  # (K, G)
+    raw = _bspline_design(quad.points, knots, degree).T  # (K, G)
     coeffs = _gram_schmidt(raw, quad.weights)
     return BasisSystem(knots=knots, degree=degree, coeffs=coeffs, quad=quad)

@@ -58,6 +58,7 @@ _MAX_ITER = 200
 _GRAD_TOL = 1e-10
 _N_RESTARTS = 3
 _RESTART_SEED = 0
+_CONVERGED_STOPS = ("grad_tol", "no_descent")
 
 
 @dataclass
@@ -444,19 +445,43 @@ def fit_2sls(panel: FunctionalPanel, spec: MomentSpec, *, design: _Design | None
     )
 
 
+class _GnRun(NamedTuple):
+    """One Gauss-Newton run of ``fit_gmm`` and why it stopped."""
+
+    theta: np.ndarray
+    objective: float
+    iterations: int
+    path: list  # objective after every accepted step, the start first
+    stop_reason: str  # "grad_tol", "no_descent", "no_accepted_step" or "max_iter"
+    grad_norm: float  # gradient norm at theta
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in _CONVERGED_STOPS
+
+
 def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
-                  theta0: np.ndarray) -> tuple[np.ndarray, float, int, bool, list]:
+                  theta0: np.ndarray) -> _GnRun:
     """Levenberg-damped Gauss-Newton with an exact-Newton polish.
 
     Gauss-Newton converges only linearly once the (nonzero) moment residual
     dominates, which can stall above a tight gradient tolerance; the polish
     stage adds the analytic second-order term of the quadratic moments to
-    finish the descent. Both stages keep the objective non-increasing.
+    finish the descent. Both stages keep the objective non-increasing. The
+    run stops at the gradient tolerance ("grad_tol"), when the predicted
+    decrease is below the objective's resolution ("no_descent"), when 60
+    damping increases find no decrease ("no_accepted_step"), or after
+    ``_MAX_ITER`` steps ("max_iter"); the first two count as converged, and
+    the last two end the Gauss-Newton stage without ending the run.
     """
     agg = design.mean
 
     def residual(th):
         return omega_sqrt @ agg.moments(th)
+
+    def gradient(th, r):
+        jac = omega_sqrt @ agg.jacobian(th)
+        return jac, 2.0 * jac.T @ r
 
     def curvature_fix(th):
         # second-order term: quadratic moment m contributes 2 C_m to its Hessian
@@ -470,16 +495,16 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
         raise NumericalFailureError("objective is not finite at the starting point")
     path = [obj]
     iterations = 0
-    converged = False
     identity = np.eye(design.d_theta)
     floor = 4.0 * np.finfo(float).eps
     for stage in ("gauss-newton", "newton"):
         lam = 1e-8
+        stop = "max_iter"
         for _ in range(_MAX_ITER):
-            jac = omega_sqrt @ agg.jacobian(theta)
-            grad = 2.0 * jac.T @ r
-            if np.linalg.norm(grad) <= _GRAD_TOL:
-                converged = True
+            jac, grad = gradient(theta, r)
+            grad_norm = float(np.linalg.norm(grad))
+            if grad_norm <= _GRAD_TOL:
+                stop = "grad_tol"
                 break
             hess = 2.0 * jac.T @ jac
             if stage == "newton":
@@ -494,7 +519,7 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
                 predicted = -0.5 * float(grad @ step)
                 if 0.0 <= predicted <= floor * (1.0 + obj):
                     # no representable descent remains: numerical stationary point
-                    converged = True
+                    stop = "no_descent"
                     break
                 trial = theta + step
                 r_trial = residual(trial)
@@ -506,12 +531,16 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
                     break
                 lam = max(lam, 1e-12) * 10.0
             if not accepted:
+                if stop != "no_descent":
+                    stop = "no_accepted_step"
                 break
             iterations += 1
             path.append(obj)
-        if converged:
+        if stop in _CONVERGED_STOPS:
             break
-    return theta, obj, iterations, converged, path
+    if stop == "max_iter":  # theta moved after the last gradient
+        grad_norm = float(np.linalg.norm(gradient(theta, r)[1]))
+    return _GnRun(theta, obj, iterations, path, stop, grad_norm)
 
 
 def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *,
@@ -531,23 +560,21 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *,
     omega_sqrt = _omega_sqrt(omega)
     theta0, smin = design.solve_2sls()
 
-    theta, obj, iters, converged, path = _gauss_newton(design, omega, omega_sqrt, theta0)
-    total_iters = iters
-    if not converged:
+    run = _gauss_newton(design, omega, omega_sqrt, theta0)
+    total_iters = run.iterations
+    if not run.converged:
         rng = np.random.default_rng(_RESTART_SEED)
         for _ in range(_N_RESTARTS):
             start = theta0 + rng.normal(scale=0.1 * (1.0 + np.abs(theta0)))
-            cand, cand_obj, cand_iters, cand_conv, cand_path = _gauss_newton(
-                design, omega, omega_sqrt, start
-            )
-            total_iters += cand_iters
-            if cand_obj < obj:
-                theta, obj, converged, path = cand, cand_obj, cand_conv, cand_path
-            if converged:
+            cand = _gauss_newton(design, omega, omega_sqrt, start)
+            total_iters += cand.iterations
+            if cand.objective < run.objective:
+                run = cand
+            if run.converged:
                 break
 
     return GmmFit(
-        theta=theta,
+        theta=run.theta,
         spec=spec,
         n=panel.n,
         T=panel.T,
@@ -555,10 +582,11 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *,
         method="gmm-" + ("custom" if spec.omega is not None else spec.weighting),
         include_quadratic=True,
         omega=omega,
-        objective_value=obj,
+        objective_value=run.objective,
         iterations=total_iters,
-        converged=converged,
-        diagnostics={"min_singular_value": smin, "objective_path": path},
+        converged=run.converged,
+        diagnostics={"min_singular_value": smin, "objective_path": run.path,
+                     "stop_reason": run.stop_reason, "grad_norm": run.grad_norm},
         _design=design,
     )
 

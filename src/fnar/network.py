@@ -78,7 +78,7 @@ class QuadWeightMatrix:
             raise InvalidArgumentError(f"quadratic weight matrix must be square, got {p.shape}")
         if np.any(p.diagonal() != 0.0):
             raise InvalidArgumentError("quadratic weight matrix diagonal must be zero")
-        if (abs(p - p.T)).max() != 0.0:
+        if not _exactly_symmetric(p):
             raise InvalidArgumentError("quadratic weight matrix must be exactly symmetric")
         self.p = p
 
@@ -88,6 +88,30 @@ class QuadWeightMatrix:
 
     def dense(self) -> np.ndarray:
         return self.p.toarray()
+
+
+def _exactly_symmetric(p: sp.csr_array) -> bool:
+    """Whether ``p - p.T`` is exactly zero, from p's COO arrays, without forming p.T.
+
+    As in scipy's subtraction, duplicate entries are summed from 0 in storage
+    order and stored zeros do not count; a non-finite entry leaves inf or nan
+    in ``p - p.T``, so it fails.
+    """
+    n = p.shape[0]
+    key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(p.indptr)) + p.indices
+    vals = p.data
+    if np.any(key[1:] <= key[:-1]):  # unsorted or duplicate entries
+        key, where = np.unique(key, return_inverse=True)
+        vals = np.zeros(key.size, dtype=p.data.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail below
+            np.add.at(vals, where, p.data)
+    stored = vals != 0
+    key, vals = key[stored], vals[stored]
+    if not np.all(np.isfinite(vals)):
+        return False
+    transposed = key % n * n + key // n
+    order = np.argsort(transposed)
+    return np.array_equal(transposed[order], key) and np.array_equal(vals[order], vals)
 
 
 def _round_half_up(x: float) -> int:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fnar.basis import build_bspline_basis, build_quadrature
+from fnar.basis import _bspline_design, build_bspline_basis, build_quadrature
 from fnar.errors import DomainError, IllConditionedBasisError, InvalidArgumentError
 
 
@@ -74,6 +74,24 @@ class TestBSplineBasis:
         target = BSpline(basis.knots, raw_coeffs, basis.degree)(quad99.points)
         recon = basis.values_on_grid @ basis.project(target)
         assert np.max(np.abs(recon - target)) < 1e-10
+
+
+class TestDesignMatrix:
+    """The numpy Cox-de Boor design matrix against scipy's compiled one, bit for bit."""
+
+    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("inner", range(9))
+    def test_equals_scipy_bitwise(self, inner, degree):
+        from scipy.interpolate import BSpline
+
+        knots = build_bspline_basis(inner, degree, build_quadrature(199)).knots
+        rng = np.random.default_rng(10 * inner + degree)
+        for count in (2, 10, 99, 199):
+            grid = build_quadrature(count).points
+            for x in (grid, rng.uniform(size=count), np.array([0.0, 1.0]), knots,
+                      np.concatenate([[0.0], grid, [1.0]])):
+                want = BSpline.design_matrix(x, knots, degree).toarray()
+                assert np.array_equal(_bspline_design(x, knots, degree), want)
 
 
 class TestEvalBasis:

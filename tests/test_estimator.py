@@ -21,6 +21,7 @@ from fnar.estimator import (
     GmmFit,
     MomentSpec,
     _Design,
+    _omega_sqrt,
     _quad_variance,
     build_instruments,
     estimate_fixed_effects,
@@ -306,6 +307,43 @@ class TestFits:
         fit = fit_gmm(panel, spec)
         path = np.array(fit.diagnostics["objective_path"])
         assert np.all(np.diff(path) <= 0)
+
+
+class TestStopReason:
+    """fit_gmm records why the run it keeps stopped, and the gradient norm there."""
+
+    @staticmethod
+    def _grad_norm(fit, panel, spec):
+        # the optimiser's gradient 2 (R J)' (R m), R'R = omega, recomputed at fit.theta
+        root = _omega_sqrt(fit.omega)
+        jac = root @ moment_jacobian(panel, spec, fit.theta)
+        return float(np.linalg.norm(2.0 * jac.T @ (root @ moment_function(panel, spec, fit.theta))))
+
+    def _check(self, fit, panel, spec):
+        reason, norm = fit.diagnostics["stop_reason"], fit.diagnostics["grad_norm"]
+        assert reason in ("grad_tol", "no_descent", "no_accepted_step", "max_iter")
+        assert fit.converged == (reason in ("grad_tol", "no_descent"))
+        assert abs(norm - self._grad_norm(fit, panel, spec)) <= 1e-12 * norm
+        if reason == "grad_tol":
+            assert norm <= 1e-10
+        report = fit_report_text(fit, include_grids=False)
+        assert f"\n  stop_reason: {reason}\n  grad_norm: {norm!r}\n" in report
+        return reason
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_paper_cell_gmm1_and_gmm2(self, seed):
+        panel, spec = _paper_cell_spec(seed)
+        for s in (spec, replace(spec, weighting="identity")):
+            self._check(fit_gmm(panel, s), panel, s)
+
+    def test_iteration_cap_is_max_iter(self, monkeypatch):
+        import fnar.estimator as est
+
+        panel, spec = _paper_cell_spec(1)
+        monkeypatch.setattr(est, "_MAX_ITER", 1)
+        fit = fit_gmm(panel, spec)
+        assert self._check(fit, panel, spec) == "max_iter"
+        assert not fit.converged and fit.iterations == 8  # 2 stages x (1 run + 3 restarts)
 
 
 class TestFixedEffects:

@@ -8,6 +8,7 @@ from fnar.errors import InvalidArgumentError, SchemaError
 from fnar.network import (
     NetworkWeights,
     QuadWeightMatrix,
+    _exactly_symmetric,
     _row_normalize,
     build_distance_weights,
     build_lattice_weights,
@@ -211,6 +212,105 @@ class TestQuadraticWeights:
         bad = sp.csr_array(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(InvalidArgumentError):
             QuadWeightMatrix(p=bad)
+
+
+def copying_symmetry_check(p):
+    """The check QuadWeightMatrix made before it read the COO arrays, kept as the oracle."""
+    return (abs(p - p.T)).max() == 0.0
+
+
+def _csr(n, rows):
+    """csr_array with the given (column, value) entries per row, stored as listed:
+    duplicates, unsorted columns and explicit zeros stay in place."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([c for r in rows for c, _ in r], dtype=np.int32)
+    data = np.array([v for r in rows for _, v in r], dtype=float)
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+
+_ULP = np.nextafter(0.3, 1.0)
+_SYMMETRY_CASES = {
+    "symmetric": _csr(3, [[(1, 0.3), (2, -1.0)], [(0, 0.3)], [(0, -1.0)]]),
+    "one-sided": _csr(2, [[(1, 1.0)], []]),
+    "one-ulp": _csr(2, [[(1, 0.3)], [(0, _ULP)]]),
+    "stored-zero-one-sided": _csr(2, [[(1, 0.0)], []]),
+    "stored-zero-against-value": _csr(2, [[(1, 0.0)], [(0, 1.0)]]),
+    "signed-zeros": _csr(2, [[(1, 0.0)], [(0, -0.0)]]),
+    "duplicates-sum-to-mirror": _csr(2, [[(1, 0.25), (1, 0.25)], [(0, 0.5)]]),
+    "duplicates-cancel": _csr(2, [[(1, 1.0), (1, -1.0)], []]),
+    "duplicates-summed-in-storage-order": _csr(2, [[(1, 0.1), (1, 0.2), (1, 0.3)],
+                                                   [(0, 0.3), (0, 0.2), (0, 0.1)]]),
+    "duplicates-same-order": _csr(2, [[(1, 0.1), (1, 0.2), (1, 0.3)],
+                                      [(0, 0.1), (0, 0.2), (0, 0.3)]]),
+    "unsorted-columns": _csr(3, [[(2, 0.5), (1, 0.25)], [(0, 0.25)], [(0, 0.5)]]),
+    "empty": sp.csr_array((4, 4)),
+    "only-stored-zeros": _csr(2, [[(1, 0.0)], [(0, 0.0)]]),
+    "inf-pair": _csr(2, [[(1, np.inf)], [(0, np.inf)]]),
+    "nan-pair": _csr(2, [[(1, np.nan)], [(0, np.nan)]]),
+    "inf-one-sided": _csr(2, [[(1, np.inf)], []]),
+    "duplicates-overflow": _csr(2, [[(1, 1e308), (1, 1e308)], [(0, np.inf)]]),
+}
+
+
+class TestSymmetryCheck:
+    """_exactly_symmetric accepts and rejects what ``abs(p - p.T).max() != 0`` does."""
+
+    @pytest.mark.parametrize("name", list(_SYMMETRY_CASES))
+    def test_matches_copying_check(self, name):
+        p = _SYMMETRY_CASES[name]
+        stored = [a.copy() for a in (p.indptr, p.indices, p.data)]
+        assert _exactly_symmetric(p) == copying_symmetry_check(p)
+        for before, after in zip(stored, (p.indptr, p.indices, p.data)):
+            assert np.array_equal(before, after, equal_nan=True)
+
+    def test_cases_cover_both_answers(self):
+        answers = {name: copying_symmetry_check(p) for name, p in _SYMMETRY_CASES.items()}
+        assert answers["duplicates-sum-to-mirror"] and answers["stored-zero-one-sided"]
+        assert not answers["one-ulp"] and not answers["duplicates-summed-in-storage-order"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_lattice_weights(40, 1),
+        lambda: build_lattice_weights(3200, 2),
+        lambda: build_distance_weights(np.random.default_rng(3).uniform(size=(60, 2)), 0.2),
+        _signed_cancelling_weights,
+    ], ids=["lattice40", "lattice3200", "distance", "signed-cancelling"])
+    def test_builders_and_one_ulp_perturbations(self, make):
+        for mat in build_quadratic_weights(make()):
+            p = mat.p
+            assert _exactly_symmetric(p) and copying_symmetry_check(p)
+            for k in (0, p.nnz // 2, p.nnz - 1)[:p.nnz]:
+                bumped = p.copy()
+                bumped.data[k] = np.nextafter(bumped.data[k], np.inf)
+                assert not _exactly_symmetric(bumped) and not copying_symmetry_check(bumped)
+
+    def test_random_duplicated_matrices(self):
+        rng = np.random.default_rng(11)
+        answers = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            count = int(rng.integers(0, 12))
+            rows, cols = rng.integers(0, n, count), rng.integers(0, n, count)
+            vals = rng.choice([0.0, -0.0, 0.1, 0.2, 0.3, -0.3, 1.0], count)
+            if rng.random() < 0.5:  # mirror every entry, in a shuffled storage order
+                rows, cols, vals = (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                                    np.concatenate([vals, vals]))
+            off = rows != cols
+            entries = [[] for _ in range(n)]
+            for i in rng.permutation(np.flatnonzero(off)):
+                entries[rows[i]].append((cols[i], vals[i]))
+            p = _csr(n, entries)
+            answer = copying_symmetry_check(p)
+            assert _exactly_symmetric(p) == answer
+            answers.add(bool(answer))
+        assert answers == {True, False}
+
+    def test_zero_by_zero_matrix_is_symmetric(self):
+        # the copying check cannot reduce over a 0 x 0 matrix and raises instead
+        p = sp.csr_array((0, 0))
+        assert _exactly_symmetric(p)
+        assert QuadWeightMatrix(p=p).n == 0
+        with pytest.raises(ValueError):
+            copying_symmetry_check(p)
 
 
 class TestEdgeList:

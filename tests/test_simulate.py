@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from fnar.basis import build_quadrature
 from fnar.errors import NonStationaryDgpError, SchemaError
-from fnar.interaction import PointEval
+from fnar.interaction import PointEval, network_lag
 from fnar.io import read_panel, write_panel
 from fnar.simulate import (
     DgpConfig,
@@ -16,7 +16,20 @@ from fnar.simulate import (
     _poly_error_paths,
 )
 
-from conftest import ring_weights
+from conftest import ring_weights, small_operator
+
+
+def allocating_neumann_solve(cfg, rhs):
+    """The update neumann_solve made before it worked in place, kept as the oracle."""
+    y = rhs.copy()
+    for iteration in range(1, cfg.max_iter + 1):
+        propagated = cfg.alpha[None, :] * network_lag(cfg.weights, cfg.operator.apply_grid(y))
+        y_next = propagated + rhs
+        change = float(np.max(np.abs(y_next - y)))
+        y = y_next
+        if change < cfg.tol:
+            return y, iteration, change
+    raise AssertionError("the oracle did not converge")
 
 
 def _point_eval_config(n=6, alpha_const=0.5, tol=1e-10, **kwargs):
@@ -69,8 +82,6 @@ class TestNeumann:
         cfg, quad, w = _point_eval_config(alpha_const=0.6, tol=1e-3)
         rhs = np.random.default_rng(2).normal(size=(6, 33))
         y = neumann_solve(cfg, rhs).values
-        from fnar.interaction import network_lag
-
         fixed_point = cfg.alpha * network_lag(cfg.weights, cfg.operator.apply_grid(y)) + rhs
         q = cfg.stationarity_margin()
         bound = cfg.tol * (1 + q) / (1 - q)
@@ -100,6 +111,28 @@ class TestNeumann:
         assert cfg.stationarity_margin() == pytest.approx(1.35)
         with pytest.raises(NonStationaryDgpError):
             neumann_solve(cfg, np.ones((2, 33)))
+
+    @pytest.mark.parametrize("kind", ["point", "kernel", "window"])
+    def test_in_place_update_matches_allocating_update(self, kind):
+        quad = build_quadrature(33)
+        cfg = DgpConfig(alpha=0.6 * np.cos(quad.points), beta=np.ones((1, 33)),
+                        fixed_effects=np.zeros((9, 33)), operator=small_operator(kind, quad),
+                        weights=ring_weights(9), tol=1e-12)
+        rhs = np.random.default_rng(4).normal(size=(9, 33))
+        before = rhs.copy()
+        res = neumann_solve(cfg, rhs)
+        values, iterations, change = allocating_neumann_solve(cfg, rhs)
+        assert np.array_equal(res.values, values)
+        assert (res.iterations, res.final_change) == (iterations, change)
+        assert np.array_equal(rhs, before)
+
+    def test_in_place_update_matches_allocating_update_on_mc_design(self):
+        _, cfg = simulate_mc_panel(3200, 1, 1.0, seed=5)
+        rhs = np.random.default_rng(6).normal(size=(3200, cfg.operator.grid.count))
+        res = neumann_solve(cfg, rhs)
+        values, iterations, change = allocating_neumann_solve(cfg, rhs)
+        assert np.array_equal(res.values, values)
+        assert (res.iterations, res.final_change) == (iterations, change)
 
 
 class TestMcErrors:
@@ -137,6 +170,20 @@ class TestMcPanel:
         manual = 1.0 / (0.5 * np.sqrt(2 * np.pi)) + 0.08 - 0.064
         assert mc_alpha(0.4) == pytest.approx(manual, abs=1e-12)
         assert manual == pytest.approx(0.81388, abs=5e-6)
+
+    def test_alpha_equals_scipy_density_bitwise(self):
+        from scipy.stats import norm
+
+        def scipy_alpha(s):  # mc_alpha as it was written on scipy.stats
+            s = np.asarray(s, dtype=float)
+            return norm.pdf(s, loc=0.4, scale=0.5) + 0.2 * s - 0.4 * s**2
+
+        for s in (build_quadrature(99).points, np.linspace(0.0, 1.0, 1001),
+                  np.random.default_rng(7).uniform(-1.0, 2.0, size=(20, 5))):
+            assert np.array_equal(mc_alpha(s), scipy_alpha(s))
+        for s in (0.0, 0.25, 0.4, 0.73, 1.0):
+            got = mc_alpha(s)
+            assert np.ndim(got) == 0 and got == scipy_alpha(s)
 
     def test_beta_truth_value(self):
         assert mc_beta(0.0, 1.0) == pytest.approx(1.0)
