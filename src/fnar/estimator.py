@@ -79,8 +79,6 @@ class MomentSpec:
     quad_mats : list of QuadWeightMatrix
         Matrices of the quadratic moments; default: symmetrized W and
         W'W less its diagonal.
-    iv_orders : tuple of int
-        Network-lag orders of the covariates used as instruments.
     iv_exclude : tuple of int
         Covariate indices excluded from instrument construction (they
         still instrument themselves).
@@ -96,7 +94,6 @@ class MomentSpec:
     weights: NetworkWeights
     n_points: int = 10
     quad_mats: list[QuadWeightMatrix] | None = None
-    iv_orders: tuple[int, ...] = (1, 2)
     iv_exclude: tuple[int, ...] = ()
     weighting: str = "2sls-block"
     omega: np.ndarray | None = None
@@ -126,11 +123,10 @@ class InstrumentSet(NamedTuple):
 
 def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
                       spec: MomentSpec) -> InstrumentSet:
-    """Stack network-lagged covariates and the covariates themselves.
+    """Stack the network lags W X and W^2 X of the covariates, then the covariates.
 
-    Lag orders come from ``spec.iv_orders``; covariates listed in
-    ``spec.iv_exclude`` contribute no lags. The full covariate vector is
-    always appended, so the row layout is (Q_it', X_it')'.
+    Covariates listed in ``spec.iv_exclude`` contribute no lags. The full
+    covariate vector is always appended, so the row layout is (Q_it', X_it')'.
     """
     if weights.n != panel.n:
         raise InvalidArgumentError(
@@ -139,14 +135,9 @@ def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
     included = [j for j in range(panel.d_x) if j not in set(spec.iv_exclude)]
     if not included:
         raise UnderidentifiedError("every covariate is excluded from instrument construction")
-    blocks = []
-    lagged = panel.x[:, :, included]
-    for _ in range(max(spec.iv_orders)):
-        lagged = network_lag(weights, lagged)
-        blocks.append(lagged)
-    q_cols = [blocks[order - 1] for order in spec.iv_orders]
-    q = np.concatenate(q_cols, axis=2) if q_cols else np.empty((panel.n, panel.T, 0))
-    if q.shape[2] > 0 and np.all(q == 0.0):
+    lag1 = network_lag(weights, panel.x[:, :, included])
+    q = np.concatenate([lag1, network_lag(weights, lag1)], axis=2)
+    if np.all(q == 0.0):
         warnings.warn(
             "all network-lagged instruments are identically zero",
             UnderidentificationWarning,
@@ -299,8 +290,8 @@ class _Design:
 def _matches(design: _Design | None, panel: FunctionalPanel, spec: MomentSpec) -> bool:
     """Whether ``design`` was built on ``panel`` with the moment settings of ``spec``."""
     def settings(s):  # ids compare identity: both specs keep every object alive
-        return (id(s.basis), id(s.operator), id(s.weights), s.n_points, s.iv_orders,
-                s.iv_exclude, *map(id, s.quad_mats))
+        return (id(s.basis), id(s.operator), id(s.weights), s.n_points, s.iv_exclude,
+                *map(id, s.quad_mats))
     return design is not None and design.panel is panel and settings(design.spec) == settings(spec)
 
 
@@ -742,17 +733,10 @@ def fit_report_text(fit: GmmFit, include_grids: bool = True) -> str:
         else:
             lines.append(f"  {key}: {value}")
     if include_grids:
-        grid = fit.basis.quad.points
-        targets = [("alpha", fit.alpha(grid),
-                    fit.se_alpha(grid) if fit.sigma is not None else None)]
-        for j in range(fit.d_x):
-            targets.append((f"beta{j + 1}", fit.beta(j, grid),
-                            fit.se_beta(j, grid) if fit.sigma is not None else None))
-        for name, values, ses in targets:
+        targets = [("alpha", "alpha", 0)] + [(f"beta{j + 1}", "beta", j) for j in range(fit.d_x)]
+        for name, target, j in targets:
             lines.append(f"grid_{name}:")
-            for g, s in enumerate(grid):
-                row = f"  {s:.6g}: {values[g]:.12g}"
-                if ses is not None:
-                    row += f" se={ses[g]:.12g}"
-                lines.append(row)
+            for s, est, se, *_ in functional_estimate_table(fit, target, j):
+                se_text = f" se={se:.12g}" if fit.sigma is not None else ""
+                lines.append(f"  {s:.6g}: {est:.12g}{se_text}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 """Interaction functionals A(h, s) and the network-lag aggregation.
 
-Functions live as value arrays on a shared quadrature grid (last axis);
-evaluations between nodes use linear interpolation with constant extension.
-All operators are linear in the function argument by construction and are
-immutable after construction.
+Functions live as value arrays on a shared quadrature grid (last axis).
+Each operator is one (G, G) matrix on that grid; evaluations between nodes
+use linear interpolation with constant extension. All operators are linear
+in the function argument by construction and are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -29,10 +30,18 @@ def epanechnikov_kernel(u, s):
 
 
 class InteractionOperator:
-    """Base class: a known linear functional of a function, indexed by s."""
+    """A known linear functional of a function, indexed by s, held as its grid matrix.
 
-    def __init__(self, grid: QuadratureGrid):
+    ``matrix[g_u, g_s]`` maps grid values of h to A(h, .) at the grid nodes;
+    A(h, s) between nodes is the linear interpolant of those node values,
+    the rule the moment design applies at its moment points. ``bound`` is b
+    with ||A(h, .)||_L2 <= b ||h||_L2.
+    """
+
+    def __init__(self, grid: QuadratureGrid, matrix: np.ndarray | None, bound: float):
         self.grid = grid
+        self.matrix = matrix
+        self._bound = float(bound)
 
     def _check(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -43,57 +52,45 @@ class InteractionOperator:
             )
         return values
 
-    def apply(self, values: np.ndarray, s: float):
+    def apply(self, values: np.ndarray, s):
         """A(h, s) for grid values of h (leading axes broadcast)."""
-        raise NotImplementedError
+        return interp_on_grid(self.apply_grid(values), self.grid, s)
 
     def apply_grid(self, values: np.ndarray) -> np.ndarray:
         """A(h, u_g) at every grid node; same shape as the input."""
-        raise NotImplementedError
+        return self._check(values) @ self.matrix
 
     def contraction_bound(self) -> float:
         """b with ||A(h, .)||_L2 <= b ||h||_L2."""
-        raise NotImplementedError
+        return self._bound
 
 
 class PointEval(InteractionOperator):
-    """Concurrent interaction A(h, s) = h(s)."""
+    """Concurrent interaction A(h, s) = h(s); the identity matrix is never formed."""
 
-    def apply(self, values, s):
-        return interp_on_grid(self._check(values), self.grid, float(s))
+    def __init__(self, grid: QuadratureGrid):
+        super().__init__(grid, None, 1.0)
 
     def apply_grid(self, values):
         return self._check(values).copy()
-
-    def contraction_bound(self):
-        return 1.0
 
 
 class KernelIntegral(InteractionOperator):
     """Integral interaction A(h, s) = integral of h(u) nu(u, s) du.
 
-    The callable kernel nu(u, s) is tabulated on grid x grid at
-    construction, so grid application is a single matrix product; off-grid
-    evaluation points call the kernel directly.
+    The callable kernel nu(u, s) is tabulated once on grid x grid (a table
+    that does not depend on one argument is broadcast) and weighted by the
+    quadrature rule. The bound is max |nu| over the table, which must be
+    finite.
     """
 
     def __init__(self, grid: QuadratureGrid, kernel):
-        super().__init__(grid)
-        self.kernel = kernel
         u = grid.points
-        self.table = np.asarray(kernel(u[:, None], u[None, :]), dtype=float)  # [g_u, g_s]
-        self._weighted = self.table * grid.weights[:, None]
-
-    def apply(self, values, s):
-        values = self._check(values)
-        col = np.asarray(self.kernel(self.grid.points, float(s)), dtype=float)
-        return values @ (col * self.grid.weights)
-
-    def apply_grid(self, values):
-        return self._check(values) @ self._weighted
-
-    def contraction_bound(self):
-        return float(np.max(np.abs(self.table)))
+        table = np.broadcast_to(np.asarray(kernel(u[:, None], u[None, :]), dtype=float),
+                                (grid.count, grid.count))  # [g_u, g_s]
+        if not np.all(np.isfinite(table)):
+            raise InvalidArgumentError("kernel is not finite on the grid")
+        super().__init__(grid, table * grid.weights[:, None], np.max(np.abs(table)))
 
 
 class PastWindow(InteractionOperator):
@@ -101,41 +98,20 @@ class PastWindow(InteractionOperator):
 
     Discretely, the average over the quadrature nodes inside the window
     (weights renormalized), so constants map to constants exactly and the
-    operator is a sup-norm contraction. A window containing no node falls
-    back to point evaluation.
+    operator is a sup-norm contraction. Every node lies in its own window,
+    so no window on the grid is empty.
     """
 
     def __init__(self, grid: QuadratureGrid, width: float):
-        super().__init__(grid)
         if not 0.0 < width <= 1.0:
             raise InvalidArgumentError(f"window width must be in (0, 1], got {width}")
         self.width = float(width)
-        cols = np.zeros((grid.count, grid.count))
-        for g, s in enumerate(grid.points):
-            cols[:, g] = self._window_weights(s)
-        self._matrix = cols
-
-    def _window_weights(self, s: float) -> np.ndarray:
-        lo = max(0.0, s - self.width)
-        mask = (self.grid.points >= lo) & (self.grid.points <= s)
-        w = np.where(mask, self.grid.weights, 0.0)
-        total = w.sum()
-        if total <= 0.0:
-            return np.zeros_like(w)
-        return w / total
-
-    def apply(self, values, s):
-        values = self._check(values)
-        w = self._window_weights(float(s))
-        if w.sum() == 0.0:  # no node in the window: point-evaluation limit
-            return interp_on_grid(values, self.grid, float(s))
-        return values @ w
-
-    def apply_grid(self, values):
-        return self._check(values) @ self._matrix
-
-    def contraction_bound(self):
-        return 1.0
+        u = grid.points
+        matrix = np.zeros((grid.count, grid.count))
+        for g, s in enumerate(u):
+            w = np.where((u >= max(0.0, s - self.width)) & (u <= s), grid.weights, 0.0)
+            matrix[:, g] = w / w.sum()
+        super().__init__(grid, matrix, 1.0)
 
 
 def network_lag(weights, values: np.ndarray) -> np.ndarray:

@@ -1,10 +1,17 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.cli import main
+from fnar.effects import ShockFunction, impulse_response
+from fnar.estimator import MomentSpec, fit_gmm, interpolate_response
+from fnar.interaction import PastWindow
+from fnar.io import read_function, read_panel
+from fnar.network import read_edge_list
 from fnar.simulate import mc_alpha
 
 
@@ -62,6 +69,27 @@ class TestEstimate:
         assert "converged: True" in report
         assert (est / "fixed_effects.csv").exists()
         assert (est / "beta1_hat.csv").exists()
+
+    def test_past_window_matches_library_fit(self, sim_dir, tmp_path):
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run([
+            "estimate", "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv",
+            "--weights", sim_dir / "weights.csv",
+            "--operator", "past-window", "--window-width", 0.3, "--out", est,
+        ])
+        assert code == 0
+        panel = read_panel(sim_dir / "observations.csv", sim_dir / "covariates.csv", 99)
+        spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad),
+                          operator=PastWindow(panel.quad, width=0.3),
+                          weights=read_edge_list(sim_dir / "weights.csv", n=panel.n))
+        fit = fit_gmm(panel, spec)
+        report = (est / "fit_report.txt").read_text()
+        assert "  alpha: " + " ".join(f"{v:.12g}" for v in fit.theta_alpha) + "\n" in report
+        assert "  beta1: " + " ".join(f"{v:.12g}" for v in fit.theta_beta(0)) + "\n" in report
+        table = np.loadtxt(est / "alpha_hat.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 1], fit.alpha(panel.quad.points))
 
     def test_single_period_is_data_error(self, sim_dir, tmp_path):
         rows = []
@@ -293,6 +321,23 @@ class TestEffects:
             rows = list(csv.DictReader(fh))
         orders = {int(r["order"]) for r in rows}
         assert orders == set(range(6))
+
+    def test_past_window_impulse_matches_library(self, star_files, tmp_path):
+        wfile, alpha, shock = star_files
+        out = tmp_path / "eff"
+        out.mkdir()
+        code = run(["effects", "impulse", "--alpha-file", alpha, "--weights", wfile,
+                    "--operator", "past-window", "--window-width", 0.3, "--unit", 1,
+                    "--shock-file", shock, "--orders", 4, "--grid-count", 33, "--out", out])
+        assert code == 0
+        quad = build_quadrature(33)
+        source = SimpleNamespace(alpha=interpolate_response(read_function(alpha), quad),
+                                 beta=None, operator=PastWindow(quad, width=0.3))
+        eta = ShockFunction(interpolate_response(read_function(shock), quad))
+        want = impulse_response(source, read_edge_list(wfile), 1, eta, order=4)
+        for stem, values in (("orders", want.per_order), ("cumulative", want.cumulative)):
+            table = np.loadtxt(out / f"impulse_{stem}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(table[:, -1], values.ravel())
 
     def test_key_player_finds_hub(self, star_files, tmp_path, capsys):
         wfile, alpha, shock = star_files

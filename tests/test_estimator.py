@@ -33,7 +33,7 @@ from fnar.estimator import (
     moment_function,
     moment_jacobian,
 )
-from fnar.interaction import KernelIntegral, epanechnikov_kernel
+from fnar.interaction import KernelIntegral, epanechnikov_kernel, network_lag
 from fnar.network import (
     NetworkWeights,
     QuadWeightMatrix,
@@ -94,6 +94,19 @@ def exact_span_panel(n=20, T=4, seed=3, n_quad=99, noise=0.0, beta_scale=0.5,
     return panel, spec, np.concatenate([theta_a, theta_b])
 
 
+def lag_loop_instruments(panel, weights, exclude, orders=(1, 2)):
+    """Instrument rows from the general loop over lag orders the instruments
+    were first built with: (W^o X for o in orders, then X)."""
+    included = [j for j in range(panel.d_x) if j not in set(exclude)]
+    blocks = []
+    lagged = panel.x[:, :, included]
+    for _ in range(max(orders)):
+        lagged = network_lag(weights, lagged)
+        blocks.append(lagged)
+    q = np.concatenate([blocks[order - 1] for order in orders], axis=2)
+    return np.concatenate([q, panel.x], axis=2)
+
+
 class TestInstruments:
     def test_dimensions_and_dq(self):
         panel = make_panel(n=4, T=3, d_x=2)
@@ -124,6 +137,17 @@ class TestInstruments:
         with pytest.raises(UnderidentifiedError):
             spec = make_spec(panel, iv_exclude=(0,))
             build_instruments(panel, spec.weights, spec)
+
+
+    @pytest.mark.parametrize("exclude", [(), (0,), (1,)])
+    def test_equals_lag_loop_bitwise(self, exclude):
+        panel = make_panel(n=6, T=4, d_x=2, seed=4)
+        spec = make_spec(panel, weights=build_lattice_weights(6, np.random.default_rng(2)),
+                         iv_exclude=exclude)
+        inst = build_instruments(panel, spec.weights, spec)
+        want = lag_loop_instruments(panel, spec.weights, exclude)
+        assert inst.d_q == want.shape[2] - panel.d_x
+        assert np.array_equal(inst.b, want)
 
 
 class TestMomentFunction:
@@ -344,6 +368,45 @@ class TestStopReason:
         fit = fit_gmm(panel, spec)
         assert self._check(fit, panel, spec) == "max_iter"
         assert not fit.converged and fit.iterations == 8  # 2 stages x (1 run + 3 restarts)
+
+
+def grid_section_oracle(fit) -> str:
+    """The report's grid section computed directly from the fit, as first written."""
+    grid = fit.basis.quad.points
+    targets = [("alpha", fit.alpha(grid),
+                fit.se_alpha(grid) if fit.sigma is not None else None)]
+    for j in range(fit.d_x):
+        targets.append((f"beta{j + 1}", fit.beta(j, grid),
+                        fit.se_beta(j, grid) if fit.sigma is not None else None))
+    lines = []
+    for name, values, ses in targets:
+        lines.append(f"grid_{name}:")
+        for g, s in enumerate(grid):
+            row = f"  {s:.6g}: {values[g]:.12g}"
+            if ses is not None:
+                row += f" se={ses[g]:.12g}"
+            lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+class TestReportGrids:
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("d_x", [1, 2])
+    @pytest.mark.parametrize("method", ["gmm1", "2sls"])
+    def test_equals_direct_grid_section(self, seed, d_x, method):
+        panel, spec = _paper_cell_spec(seed)
+        if d_x == 2:
+            extra = np.random.default_rng(seed).normal(size=panel.x.shape)
+            panel = FunctionalPanel(y=panel.y, x=np.concatenate([panel.x, extra], axis=2),
+                                    quad=panel.quad)
+        fit = (fit_2sls if method == "2sls" else fit_gmm)(panel, spec)
+        for with_sigma in (False, True):
+            if with_sigma:
+                estimate_variance(fit, panel, spec)
+            head = fit_report_text(fit, include_grids=False)
+            assert fit_report_text(fit) == head + grid_section_oracle(fit)
+            assert fit_report_text(fit).count(" se=") == (
+                (1 + d_x) * panel.quad.count if with_sigma else 0)
 
 
 class TestFixedEffects:

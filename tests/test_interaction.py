@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fnar.basis import build_quadrature
+from fnar.basis import build_bspline_basis, build_quadrature, interp_on_grid
 from fnar.errors import InvalidArgumentError
+from fnar.estimator import MomentSpec, fit_gmm
 from fnar.interaction import (
     KernelIntegral,
     PastWindow,
@@ -13,8 +14,113 @@ from fnar.interaction import (
     epanechnikov_kernel,
     network_lag,
 )
+from fnar.simulate import simulate_mc_panel
 
-from conftest import ring_weights
+from conftest import ring_weights, small_operator
+
+ORACLE_GRIDS = (2, 13, 15, 21, 33, 99, 999)
+ORACLE_WIDTHS = (1e-3, 0.1, 0.25, 0.3, 0.5, 1.0)
+
+
+def kernel_matrix_oracle(grid, kernel):
+    """The kernel table weighted by the quadrature rule, as first written."""
+    u = grid.points
+    table = np.asarray(kernel(u[:, None], u[None, :]), dtype=float)
+    return table * grid.weights[:, None]
+
+
+def window_weights_oracle(grid, width, s):
+    """Renormalized quadrature weights of the nodes in [max(0, s - width), s];
+    zero when the window holds no node."""
+    lo = max(0.0, s - width)
+    mask = (grid.points >= lo) & (grid.points <= s)
+    w = np.where(mask, grid.weights, 0.0)
+    total = w.sum()
+    if total <= 0.0:
+        return np.zeros_like(w)
+    return w / total
+
+
+def window_matrix_oracle(grid, width):
+    cols = np.zeros((grid.count, grid.count))
+    for g, s in enumerate(grid.points):
+        cols[:, g] = window_weights_oracle(grid, width, s)
+    return cols
+
+
+class TestGridMatrix:
+    @pytest.mark.parametrize("count", ORACLE_GRIDS)
+    def test_kernel_equals_oracle_bitwise(self, count):
+        quad = build_quadrature(count)
+        op = KernelIntegral(quad, kernel=epanechnikov_kernel)
+        assert np.array_equal(op.matrix, kernel_matrix_oracle(quad, epanechnikov_kernel))
+        assert op.contraction_bound() == float(np.max(np.abs(
+            epanechnikov_kernel(quad.points[:, None], quad.points[None, :]))))
+
+    @pytest.mark.parametrize("count", ORACLE_GRIDS)
+    @pytest.mark.parametrize("width", ORACLE_WIDTHS)
+    def test_window_equals_oracle_bitwise(self, count, width):
+        quad = build_quadrature(count)
+        op = PastWindow(quad, width=width)
+        assert np.array_equal(op.matrix, window_matrix_oracle(quad, width))
+        # every node lies in its own window, so no column is empty
+        assert np.all(op.matrix.sum(axis=0) > 0.0)
+
+
+class TestApplyIsInterpolant:
+    """A(h, s) is the linear interpolant of the grid image, everywhere."""
+
+    @staticmethod
+    def _points(quad):
+        nodes = quad.points
+        spec = MomentSpec(basis=build_bspline_basis(2, 3, quad),
+                          operator=PointEval(quad), weights=ring_weights(4))
+        return np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]), [0.0, 1.0],
+                               spec.points])
+
+    @pytest.mark.parametrize("kind", ["point", "kernel", "window"])
+    @pytest.mark.parametrize("count", [13, 99])
+    def test_scalar_and_array_points(self, kind, count):
+        quad = build_quadrature(count)
+        op = small_operator(kind, quad)
+        rng = np.random.default_rng(count)
+        h = rng.normal(size=(3, count))
+        points = self._points(quad)
+        want = interp_on_grid(op.apply_grid(h), quad, points)
+        assert np.array_equal(op.apply(h, points), want)
+        for k, s in enumerate(points):
+            assert np.array_equal(op.apply(h, float(s)), want[:, k])
+
+    @pytest.mark.parametrize("kind", ["point", "kernel", "window"])
+    def test_nodes_give_grid_image(self, kind, quad99):
+        op = small_operator(kind, quad99)
+        h = np.random.default_rng(8).normal(size=99)
+        assert np.array_equal(op.apply(h, quad99.points), op.apply_grid(h))
+
+
+class TestKernelTable:
+    def test_constant_kernel_is_broadcast(self):
+        quad = build_quadrature(99)
+        op = KernelIntegral(quad, kernel=lambda u, s: 0.5)
+        assert op.matrix.shape == (99, 99)
+        assert np.array_equal(op.matrix, np.broadcast_to(0.5 * quad.weights[:, None], (99, 99)))
+        assert op.contraction_bound() == 0.5
+
+    def test_constant_kernel_fits(self):
+        panel, truth = simulate_mc_panel(20, 5, 1.0, seed=3)
+        op = KernelIntegral(panel.quad, kernel=lambda u, s: 0.5)
+        spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad), operator=op,
+                          weights=truth.weights)
+        fit = fit_gmm(panel, spec)
+        assert np.all(np.isfinite(fit.theta))
+
+    @pytest.mark.parametrize("kernel", [lambda u, s: 1.0 / np.abs(u - s),
+                                        lambda u, s: np.where(u > s, np.nan, 1.0)],
+                             ids=["singular", "nan"])
+    def test_non_finite_kernel_rejected(self, kernel):
+        with np.errstate(divide="ignore"):
+            with pytest.raises(InvalidArgumentError, match="not finite"):
+                KernelIntegral(build_quadrature(99), kernel=kernel)
 
 
 class TestApply:
@@ -49,8 +155,6 @@ class TestApply:
 
     @pytest.mark.parametrize("kind", ["point", "kernel", "window"])
     def test_linearity(self, kind, quad99):
-        from conftest import small_operator
-
         op = small_operator(kind, quad99)
         rng = np.random.default_rng(5)
         h = rng.normal(size=99)
