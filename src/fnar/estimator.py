@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -145,6 +146,13 @@ def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
     return InstrumentSet(b=np.concatenate([q, panel.x], axis=2), d_q=q.shape[2])
 
 
+def _period_differences(values: np.ndarray) -> np.ndarray:
+    """Differences of adjacent periods, time axis first: (n, T, ...) to a C-ordered
+    (T-1, n, ...), so products of them come out C-ordered too."""
+    by_period = np.swapaxes(values, 0, 1)
+    return np.subtract(by_period[1:], by_period[:-1], order="C")
+
+
 class _Aggregates(NamedTuple):
     """Moment aggregates: linear moments a - A theta, quadratic moments
     c_m - 2 b_m theta + theta' C_m theta. Leading axes (the moment grid of
@@ -182,6 +190,14 @@ class _Design:
     ``mean`` aggregates are additionally averaged over the moment grid; the
     ``per_point`` ones keep the grid axis. Nothing here depends on the
     weighting, so fits that differ only in it share a design.
+
+    The instrument and regressor rows at every (point, period, unit) exist
+    only while the aggregates are summed. Afterwards the design keeps the
+    outcome differences at the moment points (``dy``) and the factors of the
+    rows: the differenced instruments, the basis at the moment points, the
+    differenced aggregated outcomes at the grid nodes the stencil reads and
+    the covariate differences. ``rows`` rebuilds one point's rows from them,
+    bit for bit.
     """
 
     def __init__(self, panel: FunctionalPanel, spec: MomentSpec):
@@ -193,46 +209,34 @@ class _Design:
         self.spec = spec
         n, T, d_x = panel.n, panel.T, panel.d_x
         K = spec.basis.size
-        instruments = build_instruments(panel, spec.weights, spec)
-        d_b = instruments.b.shape[2]
+        self._db = _period_differences(build_instruments(panel, spec.weights, spec).b)
         self.d_theta = (1 + d_x) * K
-        self.d_z = d_b * K
+        self.d_z = self._db.shape[2] * K
         self.M = len(spec.quad_mats)
         self.d_g = self.d_z + self.M
         points = spec.points
         L = points.size
         self.n_obs = n * (T - 1)
-        grid = panel.quad
 
-        ybar = network_lag(spec.weights, panel.y)
-        self.ay_grid = spec.operator.apply_grid(ybar)  # (n, T, G)
-        phi = spec.basis.eval_many(points)  # (L, K)
-        phi_nodes = spec.basis.values_on_grid  # (G, K)
+        self.ay_grid = spec.operator.apply_grid(network_lag(spec.weights, panel.y))  # (n, T, G)
+        self._phi = spec.basis.eval_many(points)  # (L, K)
+        self._g0, self._lam = interp_nodes(panel.quad, points)
+        # differences at the nodes the stencil reads; g0 and g0 + 1 are adjacent
+        # columns there, and column self._col[l] holds node g0[l]
+        nodes = np.unique(np.concatenate([self._g0, self._g0 + 1]))
+        self._col = np.searchsorted(nodes, self._g0)
+        self._d_ay = _period_differences(self.ay_grid[:, :, nodes])  # (T-1, n, nodes)
+        self._d_x = _period_differences(panel.x)  # (T-1, n, d_x)
+        self.dy = self._at_points(_period_differences(panel.y[:, :, nodes]))  # (L, T-1, n)
 
-        # differenced node values, time axis first
-        d_ay = np.swapaxes(self.ay_grid[:, 1:] - self.ay_grid[:, :-1], 0, 1)  # (T-1, n, G)
-        d_y_nodes = np.swapaxes(panel.y[:, 1:] - panel.y[:, :-1], 0, 1)
-        d_x_arr = np.swapaxes(panel.x[:, 1:] - panel.x[:, :-1], 0, 1)  # (T-1, n, d_x)
-
-        self.dz = np.empty((L, T - 1, n, self.d_z))
-        self.dh = np.empty((L, T - 1, n, self.d_theta))
-        self.dy = np.empty((L, T - 1, n))
-        db = np.swapaxes(instruments.b[:, 1:] - instruments.b[:, :-1], 0, 1)  # (T-1, n, d_b)
-        for l, (g0, lam) in enumerate(zip(*interp_nodes(grid, points))):
-            g1 = g0 + 1
-            self.dy[l] = (1.0 - lam) * d_y_nodes[..., g0] + lam * d_y_nodes[..., g1]
-            h_parts = []
-            for weight, g in (((1.0 - lam), g0), (lam, g1)):
-                dr = np.concatenate([d_ay[..., g][..., None], d_x_arr], axis=2)
-                h_parts.append(
-                    weight * np.einsum("tnr,k->tnrk", dr, phi_nodes[g])
-                )
-            self.dh[l] = (h_parts[0] + h_parts[1]).reshape(T - 1, n, self.d_theta)
-            self.dz[l] = np.einsum("tnb,k->tnbk", db, phi[l]).reshape(T - 1, n, self.d_z)
+        dz = np.empty((L, T - 1, n, self.d_z))
+        dh = np.empty((L, T - 1, n, self.d_theta))
+        for l in range(L):
+            dz[l], dh[l] = self.rows(l)
 
         norm = 1.0 / self.n_obs
-        zf = self.dz.reshape(L, self.n_obs, self.d_z)
-        hf = self.dh.reshape(L, self.n_obs, self.d_theta)
+        zf = dz.reshape(L, self.n_obs, self.d_z)
+        hf = dh.reshape(L, self.n_obs, self.d_theta)
         yf = self.dy.reshape(L, self.n_obs)
         self.s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
 
@@ -243,17 +247,56 @@ class _Design:
             p = mat.p
             for l in range(L):
                 py = np.stack([p @ self.dy[l, t] for t in range(T - 1)])  # (T-1, n)
-                ph = np.stack([p @ self.dh[l, t] for t in range(T - 1)])  # (T-1, n, d_theta)
+                ph = np.stack([p @ dh[l, t] for t in range(T - 1)])  # (T-1, n, d_theta)
                 c[l, m] = norm * np.sum(self.dy[l] * py)
-                b[l, m] = norm * np.einsum("tnk,tn->k", self.dh[l], py)
-                C[l, m] = norm * np.einsum("tnk,tnj->kj", self.dh[l], ph)
+                b[l, m] = norm * np.einsum("tnk,tn->k", dh[l], py)
+                C[l, m] = norm * np.einsum("tnk,tnj->kj", dh[l], ph)
 
         self.per_point = _Aggregates(a=norm * np.einsum("lnz,ln->lz", zf, yf),
                                      A=norm * np.einsum("lnz,lnt->lzt", zf, hf),
                                      c=c, b=b, C=C)
         self.mean = _Aggregates(*(part.mean(axis=0) for part in self.per_point))
 
-    def _instrument_weight(self) -> np.ndarray:
+    def _at_points(self, node_values: np.ndarray) -> np.ndarray:
+        """(L, ...) interpolants at the moment points of (..., nodes) stencil values."""
+        return np.stack([(1.0 - lam) * node_values[..., col] + lam * node_values[..., col + 1]
+                         for col, lam in zip(self._col, self._lam)])
+
+    def rows(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Differenced instrument and regressor rows at moment point l,
+        (T-1, n, d_z) and (T-1, n, d_theta); ``dy[l]`` holds the outcomes."""
+        periods, n = self._db.shape[:2]
+        col, lam = self._col[l], self._lam[l]
+        phi_nodes = self.spec.basis.values_on_grid[self._g0[l]: self._g0[l] + 2]
+        h_parts = []
+        for weight, node, phi in (((1.0 - lam), col, phi_nodes[0]), (lam, col + 1, phi_nodes[1])):
+            dr = np.concatenate([self._d_ay[..., node][..., None], self._d_x], axis=2)
+            h_parts.append(weight * np.einsum("tnr,k->tnrk", dr, phi))
+        dh = (h_parts[0] + h_parts[1]).reshape(periods, n, self.d_theta)
+        dz = np.einsum("tnb,k->tnbk", self._db, self._phi[l]).reshape(periods, n, self.d_z)
+        return dz, dh
+
+    def residual_scores(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Differenced residuals de (L, T-1, n) at theta and instrument scores
+        u (T-1, n, d_z) = sum_l dz[l] de[l], from the factors without the rows.
+
+        With theta as the (1 + d_x, K) matrix Theta, the fitted part
+        ``dh[l] theta`` is (1 - lam) dr_g0 Theta phi_g0 + lam dr_g1 Theta phi_g1,
+        and ``u[t, i, (b, k)] = db[t, i, b] sum_l phi[l, k] de[l, t, i]``.
+        """
+        coef = theta.reshape(-1, self._phi.shape[1])
+        phi_nodes = self.spec.basis.values_on_grid
+        fitted = 0.0  # (T-1, n, L)
+        for weight, node, g in ((1.0 - self._lam, self._col, self._g0),
+                                (self._lam, self._col + 1, self._g0 + 1)):
+            c = phi_nodes[g] @ coef.T  # (L, 1 + d_x)
+            fitted = fitted + weight * (self._d_ay[..., node] * c[:, 0] + self._d_x @ c[:, 1:].T)
+        de = np.subtract(self.dy, np.moveaxis(fitted, -1, 0), order="C")
+        u = self._db[..., :, None] * np.einsum("lk,ltn->tnk", self._phi, de)[..., None, :]
+        return de, u.reshape(*u.shape[:2], self.d_z)
+
+    @cached_property
+    def _s_z_inverse(self) -> np.ndarray:
         try:
             chol = sla.cho_factor(self.s_z)
         except sla.LinAlgError as exc:
@@ -268,8 +311,13 @@ class _Design:
             ) from exc
         return sla.cho_solve(chol, np.eye(self.d_z))
 
-    def solve_2sls(self) -> tuple[np.ndarray, float]:
-        """Minimize the linear-moment quadratic form; returns (theta, min sv)."""
+    def _instrument_weight(self) -> np.ndarray:
+        """Inverse instrument second moment, computed once per design; a copy
+        in the same memory order, which later products depend on bit for bit."""
+        return self._s_z_inverse.copy(order="K")
+
+    @cached_property
+    def _2sls(self) -> tuple[np.ndarray, float]:
         smin = np.linalg.svd(self.mean.A, compute_uv=False)[-1]
         if smin < _SV_FLOOR:
             raise UnderidentifiedError(
@@ -285,6 +333,14 @@ class _Design:
         target = sla.solve_triangular(lz, self.mean.a, lower=True)
         theta, *_ = np.linalg.lstsq(design, target, rcond=None)
         return theta, float(smin)
+
+    def solve_2sls(self) -> tuple[np.ndarray, float]:
+        """Minimize the linear-moment quadratic form; returns (theta, min sv).
+
+        Solved once per design; every call returns a copy of theta.
+        """
+        theta, smin = self._2sls
+        return theta.copy(), smin
 
 
 def _matches(design: _Design | None, panel: FunctionalPanel, spec: MomentSpec) -> bool:
@@ -594,9 +650,9 @@ def estimate_fixed_effects(fit: GmmFit, panel: FunctionalPanel) -> np.ndarray:
           else spec.operator.apply_grid(network_lag(spec.weights, panel.y)))
     alpha_grid = fit.alpha(grid.points)
     beta_grid = np.stack([fit.beta(j, grid.points) for j in range(fit.d_x)])
-    resid = panel.y - alpha_grid[None, None, :] * ay - np.einsum(
-        "ntj,jg->ntg", panel.x, beta_grid
-    )
+    resid = alpha_grid * ay  # y - alpha ay - x beta, formed in one (n, T, G) buffer
+    np.subtract(panel.y, resid, out=resid)
+    resid -= np.einsum("ntj,jg->ntg", panel.x, beta_grid)
     if panel.T == 1:
         warnings.warn(
             "fixed effects from a single period are the raw residual paths",
@@ -641,10 +697,9 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec) -> 
     design = fit._design if _matches(fit._design, panel, spec) else _Design(panel, spec)
     n, T = panel.n, panel.T
     L = spec.n_points
-    de = design.dy - np.einsum("ltnk,k->ltn", design.dh, fit.theta)  # (L, T-1, n)
+    de, u = design.residual_scores(fit.theta)
     scale = 1.0 / (L * L * n * (T - 1))
 
-    u = np.einsum("ltnz,ltn->tnz", design.dz, de)  # (T-1, n, d_z)
     lag = np.einsum("tnz,tnw->zw", u[:-1], u[1:])
     v_z = scale * (np.einsum("tnz,tnw->zw", u, u) + lag + lag.T)
 

@@ -21,6 +21,10 @@ __all__ = [
 ]
 
 _EARTH_RADIUS_KM = 6371.0088
+# Largest unit count an edge list read without n may imply. The count is one
+# more than the largest id, and the matrix's row pointer alone takes 8 bytes
+# a unit, so a stray large id would otherwise allocate without bound.
+MAX_INFERRED_UNITS = 1_000_000
 
 
 @dataclass
@@ -223,12 +227,20 @@ def build_quadratic_weights(weights: NetworkWeights) -> list[QuadWeightMatrix]:
 
 
 def read_edge_list(path, n: int | None = None) -> NetworkWeights:
-    """Load weights from a text edge list with header ``i,j,weight`` (0-based ids)."""
+    """Load weights from a text edge list with header ``i,j,weight`` (0-based ids).
+
+    Without ``n`` the unit count is one more than the largest id, at most
+    ``MAX_INFERRED_UNITS``.
+    """
     rows, cols, vals = read_edges(path)
     top = int(max(rows.max(), cols.max())) if rows.size else -1
     if n is None:
         if top < 0:
             raise SchemaError("edge list is empty and no unit count was given", path=str(path))
+        if top >= MAX_INFERRED_UNITS:
+            raise SchemaError(
+                f"unit id {top} implies more than {MAX_INFERRED_UNITS:,} units "
+                "in an edge list read without a unit count", path=str(path))
         n = top + 1
     elif top >= n:
         raise SchemaError(f"unit id {top} out of range for {n} units", path=str(path))

@@ -4,6 +4,10 @@ Builds the one-period difference matrix D from its elementwise definition,
 stacks outcomes/instruments/regressors as dense period-major matrices, and
 evaluates the moment vector and its Jacobian by plain matrix algebra. Kept
 deliberately naive; the streaming implementation must match it exactly.
+
+``materialised_design`` keeps the moment design as it was built when it held
+its instrument and regressor rows at every point; the factored design must
+match it bit for bit.
 """
 
 import numpy as np
@@ -146,3 +150,85 @@ def dense_variance(panel, spec, fit):
     bread_inv = np.linalg.inv(jac.T @ fit.omega @ jac)
     sigma = bread_inv @ jac.T @ fit.omega @ v_hat @ fit.omega @ jac @ bread_inv
     return 0.5 * (sigma + sigma.T)
+
+
+def materialised_design(panel, spec):
+    """Moment aggregates from instrument and regressor rows held at every point.
+
+    The moment design as it was built before it kept only its factors:
+    differences at all grid nodes, then the full (L, T-1, n, .) row arrays
+    ``dz``, ``dh`` and ``dy``, summed by the same einsums. Returns those three
+    arrays, ``s_z`` and the ``per_point`` and ``mean`` aggregates.
+    """
+    from fnar.basis import interp_nodes
+    from fnar.estimator import _Aggregates, build_instruments
+
+    n, T, d_x = panel.n, panel.T, panel.d_x
+    K = spec.basis.size
+    b_rows = build_instruments(panel, spec.weights, spec).b
+    d_theta, d_z = (1 + d_x) * K, b_rows.shape[2] * K
+    points = spec.points
+    L = points.size
+    n_obs = n * (T - 1)
+
+    ay_grid = spec.operator.apply_grid(network_lag(spec.weights, panel.y))
+    phi = spec.basis.eval_many(points)
+    phi_nodes = spec.basis.values_on_grid
+    d_ay = np.swapaxes(ay_grid[:, 1:] - ay_grid[:, :-1], 0, 1)
+    d_y_nodes = np.swapaxes(panel.y[:, 1:] - panel.y[:, :-1], 0, 1)
+    d_x_arr = np.swapaxes(panel.x[:, 1:] - panel.x[:, :-1], 0, 1)
+
+    dz = np.empty((L, T - 1, n, d_z))
+    dh = np.empty((L, T - 1, n, d_theta))
+    dy = np.empty((L, T - 1, n))
+    db = np.swapaxes(b_rows[:, 1:] - b_rows[:, :-1], 0, 1)
+    for l, (g0, lam) in enumerate(zip(*interp_nodes(panel.quad, points))):
+        g1 = g0 + 1
+        dy[l] = (1.0 - lam) * d_y_nodes[..., g0] + lam * d_y_nodes[..., g1]
+        h_parts = []
+        for weight, g in (((1.0 - lam), g0), (lam, g1)):
+            dr = np.concatenate([d_ay[..., g][..., None], d_x_arr], axis=2)
+            h_parts.append(weight * np.einsum("tnr,k->tnrk", dr, phi_nodes[g]))
+        dh[l] = (h_parts[0] + h_parts[1]).reshape(T - 1, n, d_theta)
+        dz[l] = np.einsum("tnb,k->tnbk", db, phi[l]).reshape(T - 1, n, d_z)
+
+    norm = 1.0 / n_obs
+    zf = dz.reshape(L, n_obs, d_z)
+    hf = dh.reshape(L, n_obs, d_theta)
+    yf = dy.reshape(L, n_obs)
+    s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
+
+    M = len(spec.quad_mats)
+    c = np.zeros((L, M))
+    b = np.zeros((L, M, d_theta))
+    C = np.zeros((L, M, d_theta, d_theta))
+    for m, mat in enumerate(spec.quad_mats):
+        p = mat.p
+        for l in range(L):
+            py = np.stack([p @ dy[l, t] for t in range(T - 1)])
+            ph = np.stack([p @ dh[l, t] for t in range(T - 1)])
+            c[l, m] = norm * np.sum(dy[l] * py)
+            b[l, m] = norm * np.einsum("tnk,tn->k", dh[l], py)
+            C[l, m] = norm * np.einsum("tnk,tnj->kj", dh[l], ph)
+
+    per_point = _Aggregates(a=norm * np.einsum("lnz,ln->lz", zf, yf),
+                            A=norm * np.einsum("lnz,lnt->lzt", zf, hf), c=c, b=b, C=C)
+    mean = _Aggregates(*(part.mean(axis=0) for part in per_point))
+    return {"dz": dz, "dh": dh, "dy": dy, "s_z": s_z, "per_point": per_point, "mean": mean}
+
+
+def materialised_residual_scores(rows, theta):
+    """Differenced residuals and instrument scores from the full row arrays."""
+    de = rows["dy"] - np.einsum("ltnk,k->ltn", rows["dh"], theta)
+    return de, np.einsum("ltnz,ltn->tnz", rows["dz"], de)
+
+
+def fixed_effects_formula(fit, panel, ay):
+    """Per-unit means of y - alpha ay - x beta on the grid, with temporaries."""
+    s = panel.quad.points
+    alpha_grid = fit.alpha(s)
+    beta_grid = np.stack([fit.beta(j, s) for j in range(fit.d_x)])
+    resid = panel.y - alpha_grid[None, None, :] * ay - np.einsum(
+        "ntj,jg->ntg", panel.x, beta_grid
+    )
+    return resid.mean(axis=1)

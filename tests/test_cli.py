@@ -409,6 +409,16 @@ class TestEffects:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
 
+    def test_huge_edge_id_is_data_error(self, star_files, tmp_path, capsys):
+        _, alpha, shock = star_files
+        weights = tmp_path / "weights.csv"
+        weights.write_text("i,j,weight\n0,1,0.5\n1,0,0.5\n123456789012,2,1.0\n")
+        code = run(["effects", "keyplayer", "--alpha-file", alpha, "--weights", weights,
+                    "--shock-file", shock, "--grid-count", 33])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "123456789012" in err[0]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):

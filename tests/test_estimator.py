@@ -43,7 +43,15 @@ from fnar.network import (
 from fnar.simulate import DgpConfig, FunctionalPanel, neumann_solve, simulate_mc_panel
 
 from conftest import ring_weights, small_operator
-from dense_oracle import dense_jacobian, dense_moments, dense_quad_block, dense_variance
+from dense_oracle import (
+    dense_jacobian,
+    dense_moments,
+    dense_quad_block,
+    dense_variance,
+    fixed_effects_formula,
+    materialised_design,
+    materialised_residual_scores,
+)
 
 
 def make_panel(n=3, T=3, n_quad=15, d_x=1, seed=0):
@@ -503,8 +511,8 @@ class TestVariance:
         assert "variance_clipped_count: 4" in fit_report_text(fit, include_grids=False)
 
 
-def _paper_cell_spec(seed):
-    panel, truth = simulate_mc_panel(40, 5, 1.0, seed=seed)
+def _paper_cell_spec(seed, n=40):
+    panel, truth = simulate_mc_panel(n, 5, 1.0, seed=seed)
     spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad), operator=truth.operator,
                       weights=truth.weights, n_points=10)
     return panel, spec
@@ -562,6 +570,32 @@ class TestSharedDesign:
         reused = estimate_fixed_effects(fit, panel)
         assert np.array_equal(reused, recomputed)
 
+    def test_2sls_start_and_weight_solved_once(self, monkeypatch):
+        import fnar.estimator as est
+
+        calls = {"lstsq": 0, "cho_factor": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(est.np.linalg, "lstsq")
+        count(est.sla, "cho_factor")
+        panel, spec = _paper_cell_spec(seed=44)
+        _fits_of_all_estimators(panel, spec)  # gmm1 and gmm2 start from 2SLS; gmm1 and 2SLS weigh
+        assert calls == {"lstsq": 1, "cho_factor": 1}
+
+        design = _Design(panel, spec)
+        for solve in (lambda: design.solve_2sls()[0], design._instrument_weight):
+            first = solve()
+            expected = first.copy()
+            first[...] = np.nan  # a caller's edit must not reach the next caller
+            assert np.array_equal(solve(), expected)
+
     @pytest.mark.parametrize("entry", ["fit_2sls", "fit_gmm"])
     @pytest.mark.parametrize("mismatch", ["panel", "n_points", "quad_mats"])
     def test_mismatched_design_rejected(self, entry, mismatch):
@@ -577,6 +611,102 @@ class TestSharedDesign:
         with pytest.raises(InvalidArgumentError, match="design was built"):
             fit_fn(panel, spec, design=design)
         fit_fn(panel, spec)  # without a design the same call builds its own
+
+
+def _reference_replications():
+    """Panels and specs of the 10 replications of ``run_mc`` at base seed 424242."""
+    for seed in np.random.SeedSequence(424242).spawn(10):
+        yield _paper_cell_spec(seed)
+
+
+class TestFactoredDesign:
+    """The design keeps factors. Its aggregates and rows equal the materialised
+    design's bit for bit; its residuals and scores, summed in another order
+    from the factors, agree to 1e-12 relative."""
+
+    @staticmethod
+    def _check(panel, spec, thetas):
+        design, oracle = _Design(panel, spec), materialised_design(panel, spec)
+        assert np.array_equal(design.s_z, oracle["s_z"])
+        for agg in ("per_point", "mean"):
+            for ours, theirs in zip(getattr(design, agg), oracle[agg]):
+                assert np.array_equal(ours, theirs)
+        assert np.array_equal(design.dy, oracle["dy"])
+        for l in range(spec.n_points):
+            dz, dh = design.rows(l)
+            assert np.array_equal(dz, oracle["dz"][l]) and np.array_equal(dh, oracle["dh"][l])
+        for theta in thetas:
+            for ours, theirs in zip(design.residual_scores(theta),
+                                    materialised_residual_scores(oracle, theta)):
+                assert ours.shape == theirs.shape and ours.flags.c_contiguous
+                assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+
+    def test_reference_replications(self):
+        for panel, spec in _reference_replications():
+            fit = fit_gmm(panel, spec)
+            self._check(panel, spec, [fit.theta, np.linspace(-1.0, 1.0, fit.theta.size)])
+
+    @pytest.mark.parametrize("operator_kind", ["point", "past"])
+    def test_point_eval_and_past_window(self, operator_kind):
+        panel, spec = _paper_cell_spec(np.random.SeedSequence(424242))
+        spec = replace(spec, operator=small_operator(operator_kind, panel.quad))
+        self._check(panel, spec, [fit_gmm(panel, spec).theta])
+
+    @pytest.mark.parametrize("iv_exclude", [(), (0,), (1,)])
+    def test_two_covariates(self, iv_exclude):
+        panel = make_panel(n=30, T=4, n_quad=33, d_x=2, seed=8)
+        spec = make_spec(panel, inner_knots=1, degree=2, n_points=7, iv_exclude=iv_exclude,
+                         weights=build_lattice_weights(30, np.random.default_rng(8)))
+        theta = np.random.default_rng(9).normal(size=3 * spec.basis.size)
+        self._check(panel, spec, [theta])
+
+    def test_large_panel(self):
+        panel, spec = _paper_cell_spec(12, n=3200)
+        self._check(panel, spec, [np.linspace(-0.5, 0.5, 2 * spec.basis.size)])
+
+    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
+    def test_fixed_effects_equal_formula(self, operator_kind):
+        panel, spec = _paper_cell_spec(46)
+        spec = replace(spec, operator=small_operator(operator_kind, panel.quad))
+        fit = fit_gmm(panel, spec)
+        expected = fixed_effects_formula(fit, panel, fit._design.ay_grid)
+        assert np.array_equal(estimate_fixed_effects(fit, panel), expected)
+        assert np.array_equal(estimate_fixed_effects(replace(fit, _design=None), panel),
+                              expected)
+
+    def test_fit_memory(self):
+        # a design that kept its rows for the life of the fit peaked near 85 MB
+        # and held 44.5 MB; the factored one peaks near 53 MB and holds 16 MB
+        panel, spec = _paper_cell_spec(13, n=3200)
+        tracemalloc.start()
+        try:
+            fit = fit_gmm(panel, spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert peak < 65e6
+        assert held < 25e6
+
+
+def _fits_of_all_estimators(panel, spec):
+    design, thetas = None, []
+    for s, fit_fn in ((spec, fit_gmm), (replace(spec, weighting="identity"), fit_gmm),
+                      (spec, fit_2sls)):
+        fit = fit_fn(panel, s, design=design)
+        design = fit._design
+        thetas.append(fit.theta)
+    return thetas
+
+
+@pytest.mark.xfail(strict=True, reason="gmm2 stops on the objective's decrease, which "
+                   "resolves theta only to about sqrt(eps): replication 0 moves 8.2e-8")
+def test_theta_stable_under_tiny_outcome_perturbation():
+    for panel, spec in _reference_replications():
+        nudged = FunctionalPanel(y=panel.y * (1.0 + 1e-15), x=panel.x, quad=panel.quad)
+        for base, moved in zip(_fits_of_all_estimators(panel, spec),
+                               _fits_of_all_estimators(nudged, spec)):
+            assert np.linalg.norm(moved - base) <= 1e-12 * np.linalg.norm(base)
 
 
 def _random_quad_matrix(n, density, seed):

@@ -22,7 +22,7 @@ import csv_oracle
 from fnar import cli, io
 from fnar.basis import build_quadrature
 from fnar.errors import FnarError, SchemaError
-from fnar.network import read_edge_list
+from fnar.network import MAX_INFERRED_UNITS, read_edge_list
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -308,8 +308,7 @@ class TestReaderFuzz:
                                    max_size=10))
         rows = [[(int, i), (int, j), (float, w)] for i, j, w in edges]
         text = data.draw(tables("i,j,weight", rows))
-        # without n, the largest id sets the matrix size: keep it small
-        n = data.draw(st.sampled_from([5] if "123456789012" in text else [None, 5]))
+        n = data.draw(st.sampled_from([None, 5]))
         path = write(tmp_path, "w.csv", text)
 
         def same(new, old):
@@ -346,6 +345,17 @@ class TestReaderRules:
         with pytest.raises(SchemaError, match="unit id 5 out of range for 4 units"):
             read_edge_list(path, n=4)
 
+    def test_unit_count_implied_by_ids_is_capped(self, tmp_path):
+        top = MAX_INFERRED_UNITS - 1
+        path = write(tmp_path, "w.csv", f"i,j,weight\n0,1,0.5\n{top},0,0.5\n")
+        assert read_edge_list(path).n == MAX_INFERRED_UNITS
+        for big in (123456789012, MAX_INFERRED_UNITS):
+            path = write(tmp_path, "w.csv", f"i,j,weight\n0,1,0.5\n1,{big},0.5\n")
+            with pytest.raises(SchemaError, match=f"unit id {big} implies more than"):
+                read_edge_list(path)
+        # a unit count given by the caller is not capped
+        assert read_edge_list(path, n=MAX_INFERRED_UNITS + 1).n == MAX_INFERRED_UNITS + 1
+
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"s,value\n0,\xff\n")
@@ -380,12 +390,12 @@ def small_run(tmp_path_factory):
 
 
 @st.composite
-def mutated(draw, text, garbage=tuple(GARBAGE)):
+def mutated(draw, text):
     """``text`` with one row replaced, dropped, added or edited."""
     lines = text.splitlines()
     k = draw(st.integers(0, len(lines) - 1))
     fields = lines[k].split(",")
-    token = st.sampled_from([*garbage, "0", "1", "0.5", "-3.25", "7", "1e-3", "00"])
+    token = st.sampled_from([*GARBAGE, "0", "1", "0.5", "-3.25", "7", "1e-3", "00"])
     op = draw(st.sampled_from(["edit", "edit", "drop", "insert", "blank"]))
     if op == "edit":
         fields[draw(st.integers(0, len(fields) - 1))] = draw(token)
@@ -428,9 +438,7 @@ class TestCommandLineFuzz:
         files = {"alpha": small_run / "truth_functions.csv", "shock": small_run / "eta.csv",
                  "weights": small_run / "weights.csv", "coords": small_run / "coords.csv"}
         name = data.draw(st.sampled_from(sorted(files)))
-        # an edge list read without n sizes the matrix by its largest id
-        garbage = [g for g in GARBAGE if name != "weights" or g != "123456789012"]
-        text = data.draw(mutated(files[name].read_text(), tuple(garbage)))
+        text = data.draw(mutated(files[name].read_text()))
         files[name] = tmp_path / f"{name}.csv"
         files[name].write_text(text)
         network = (["--coords", files["coords"], "--threshold", 1.5] if name == "coords"
