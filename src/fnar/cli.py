@@ -133,12 +133,12 @@ def cmd_estimate(args) -> int:
     spec = MomentSpec(
         basis=basis, operator=operator, weights=weights,
         n_points=args.moment_points, iv_exclude=iv_exclude,
-        weighting="identity" if args.estimator == "gmm2" else "2sls-block",
     )
     if args.estimator == "2sls":
         fit = fit_2sls(panel, spec)
     else:
-        fit = fit_gmm(panel, spec)
+        fit = fit_gmm(panel, spec,
+                      weighting="identity" if args.estimator == "gmm2" else "2sls-block")
     estimate_variance(fit, panel, spec)
     estimate_fixed_effects(fit, panel)
 
@@ -158,24 +158,21 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    overrides = {"base_seed": args.seed}
+    if args.replications is not None:
+        overrides["replications"] = args.replications
+    if args.workers is not None:
+        overrides["workers"] = args.workers
     if args.preset is not None:
         if args.preset not in montecarlo.PRESETS:
             raise InvalidArgumentError(
                 f"unknown preset {args.preset!r}; choose from {sorted(montecarlo.PRESETS)}"
             )
-        cfg = montecarlo.PRESETS[args.preset]
-        overrides = {"base_seed": args.seed}
-        if args.replications is not None:
-            overrides["replications"] = args.replications
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        cfg = dataclasses.replace(cfg, **overrides)
+        cfg = dataclasses.replace(montecarlo.PRESETS[args.preset], **overrides)
     else:
         cfg = McConfig(
             n=args.n, T=args.T, L=args.moment_points, inner_knots=args.inner_knots,
-            r=args.r, estimators=tuple(args.estimators.split(",")),
-            replications=args.replications or 500, base_seed=args.seed,
-            workers=args.workers or 1,
+            r=args.r, estimators=tuple(args.estimators.split(",")), **overrides,
         )
     report = run_mc(cfg)
     text = format_report(report)

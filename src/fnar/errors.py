@@ -49,17 +49,14 @@ class SchemaError(FnarError):
     """A text-table input violates its schema.
 
     Carries the offending line number (1-based, header = line 1) when known.
+    The message starts with ``path:line: ``, or with whichever one is known.
     """
 
     def __init__(self, message, line=None, path=None):
         self.line = line
         self.path = path
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
-        if line is not None:
-            prefix += f"{line}: "
-        super().__init__(prefix + message)
+        where = ":".join(str(part) for part in (path, line) if part is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 class UnderidentificationWarning(UserWarning):

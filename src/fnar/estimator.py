@@ -36,7 +36,6 @@ from .simulate import FunctionalPanel
 __all__ = [
     "MomentSpec",
     "GmmFit",
-    "InstrumentSet",
     "build_instruments",
     "moment_function",
     "moment_jacobian",
@@ -66,6 +65,9 @@ _CONVERGED_STOPS = ("grad_tol", "no_descent")
 class MomentSpec:
     """Everything the moment conditions need besides the panel itself.
 
+    One spec fixes one moment design; the weight matrix is chosen per fit
+    (``fit_gmm``'s ``weighting``).
+
     Attributes
     ----------
     basis : BasisSystem
@@ -83,11 +85,6 @@ class MomentSpec:
     iv_exclude : tuple of int
         Covariate indices excluded from instrument construction (they
         still instrument themselves).
-    weighting : str
-        "2sls-block" for the block weight with the inverse instrument
-        second moment, or "identity".
-    omega : ndarray or None
-        Custom positive semidefinite weight matrix; overrides ``weighting``.
     """
 
     basis: BasisSystem
@@ -96,14 +93,10 @@ class MomentSpec:
     n_points: int = 10
     quad_mats: list[QuadWeightMatrix] | None = None
     iv_exclude: tuple[int, ...] = ()
-    weighting: str = "2sls-block"
-    omega: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_points < 1:
             raise InvalidArgumentError(f"need at least one moment point, got {self.n_points}")
-        if self.weighting not in ("2sls-block", "identity"):
-            raise InvalidArgumentError(f"unknown weighting {self.weighting!r}")
         if self.quad_mats is None:
             self.quad_mats = build_quadratic_weights(self.weights)
         for mat in self.quad_mats:
@@ -117,14 +110,10 @@ class MomentSpec:
         return np.arange(1, L + 1, dtype=float) / (L + 1)
 
 
-class InstrumentSet(NamedTuple):
-    b: np.ndarray  # (n, T, d_q + d_x) instrument rows, network lags first
-    d_q: int
-
-
 def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
-                      spec: MomentSpec) -> InstrumentSet:
-    """Stack the network lags W X and W^2 X of the covariates, then the covariates.
+                      spec: MomentSpec) -> np.ndarray:
+    """(n, T, d_q + d_x) instrument rows: the network lags W X and W^2 X of the
+    covariates, then the covariates.
 
     Covariates listed in ``spec.iv_exclude`` contribute no lags. The full
     covariate vector is always appended, so the row layout is (Q_it', X_it')'.
@@ -143,7 +132,7 @@ def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
             "all network-lagged instruments are identically zero",
             UnderidentificationWarning,
         )
-    return InstrumentSet(b=np.concatenate([q, panel.x], axis=2), d_q=q.shape[2])
+    return np.concatenate([q, panel.x], axis=2)
 
 
 def _period_differences(values: np.ndarray) -> np.ndarray:
@@ -189,7 +178,7 @@ class _Design:
     All stored moment pieces carry the 1/(n(T-1)) normalization. The
     ``mean`` aggregates are additionally averaged over the moment grid; the
     ``per_point`` ones keep the grid axis. Nothing here depends on the
-    weighting, so fits that differ only in it share a design.
+    weighting, so fits on one spec that differ only in it share a design.
 
     The instrument and regressor rows at every (point, period, unit) exist
     only while the aggregates are summed. Afterwards the design keeps the
@@ -209,7 +198,7 @@ class _Design:
         self.spec = spec
         n, T, d_x = panel.n, panel.T, panel.d_x
         K = spec.basis.size
-        self._db = _period_differences(build_instruments(panel, spec.weights, spec).b)
+        self._db = _period_differences(build_instruments(panel, spec.weights, spec))
         self.d_theta = (1 + d_x) * K
         self.d_z = self._db.shape[2] * K
         self.M = len(spec.quad_mats)
@@ -344,39 +333,20 @@ class _Design:
 
 
 def _matches(design: _Design | None, panel: FunctionalPanel, spec: MomentSpec) -> bool:
-    """Whether ``design`` was built on ``panel`` with the moment settings of ``spec``."""
-    def settings(s):  # ids compare identity: both specs keep every object alive
-        return (id(s.basis), id(s.operator), id(s.weights), s.n_points, s.iv_exclude,
-                *map(id, s.quad_mats))
-    return design is not None and design.panel is panel and settings(design.spec) == settings(spec)
+    """Whether ``design`` was built on this very panel and spec object."""
+    return design is not None and design.panel is panel and design.spec is spec
 
 
 def _use_design(panel: FunctionalPanel, spec: MomentSpec, design: _Design | None) -> _Design:
     """A new design, or the one passed in if it matches; any other raises."""
     if design is not None and not _matches(design, panel, spec):
-        raise InvalidArgumentError("design was built on another panel or other moment settings")
+        raise InvalidArgumentError("design was built on another panel or spec")
     return _Design(panel, spec) if design is None else design
 
 
-def _weight_matrix(design: _Design, spec: MomentSpec) -> np.ndarray:
-    """The weight matrix that ``spec`` asks for, on the design's moments."""
-    if spec.omega is not None:
-        om = np.asarray(spec.omega, dtype=float)
-        if om.shape != (design.d_g, design.d_g):
-            raise InvalidArgumentError(
-                f"custom weight matrix must be {design.d_g}x{design.d_g}, got {om.shape}"
-            )
-        return om
-    if spec.weighting == "identity":
-        return np.eye(design.d_g)
-    return sla.block_diag(design._instrument_weight(), np.eye(design.M))
-
-
 def _omega_sqrt(omega: np.ndarray) -> np.ndarray:
-    """Factor R with R'R = omega, tolerant of semidefinite custom matrices."""
+    """Factor R with R'R = omega; the weights ``fit_gmm`` builds are positive definite."""
     vals, vecs = np.linalg.eigh(0.5 * (omega + omega.T))
-    if vals.min() < -1e-8 * max(1.0, vals.max()):
-        raise InvalidArgumentError("weight matrix must be positive semidefinite")
     return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T
 
 
@@ -590,20 +560,25 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
     return _GnRun(theta, obj, iterations, path, stop, grad_norm)
 
 
-def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *,
+def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, weighting: str = "2sls-block",
             design: _Design | None = None) -> GmmFit:
     """Minimize the integrated-GMM objective by damped Gauss-Newton.
 
-    The weight matrix is fixed (one-step GMM); optimization starts from the
-    closed-form linear-moments solution and stops at gradient norm 1e-10,
-    with at most 200 iterations per stage. If that run does not converge,
-    up to 3 restarts from perturbations of the start (seed 0) are tried.
-    ``design`` is for ``run_mc``, whose fits differ only in the weighting
-    and share one moment design; a design built on another panel or with
-    other moment settings raises ``InvalidArgumentError``.
+    The weight matrix is fixed (one-step GMM): ``weighting`` "2sls-block"
+    (gmm1) pairs the inverse instrument second moment with an identity block
+    for the quadratic moments, and "identity" (gmm2) weighs every moment
+    alike. Optimization starts from the closed-form linear-moments solution
+    and stops at gradient norm 1e-10, with at most 200 iterations per stage.
+    If that run does not converge, up to 3 restarts from perturbations of the
+    start (seed 0) are tried. ``design`` is for ``run_mc``, whose fits on one
+    spec differ only in the weighting and share one moment design; a design
+    built on another panel or spec object raises ``InvalidArgumentError``.
     """
+    if weighting not in ("2sls-block", "identity"):
+        raise InvalidArgumentError(f"unknown weighting {weighting!r}")
     design = _use_design(panel, spec, design)
-    omega = _weight_matrix(design, spec)
+    omega = (np.eye(design.d_g) if weighting == "identity"
+             else sla.block_diag(design._instrument_weight(), np.eye(design.M)))
     omega_sqrt = _omega_sqrt(omega)
     theta0, smin = design.solve_2sls()
 
@@ -626,7 +601,7 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *,
         n=panel.n,
         T=panel.T,
         d_x=panel.d_x,
-        method="gmm-" + ("custom" if spec.omega is not None else spec.weighting),
+        method="gmm-" + weighting,
         include_quadratic=True,
         omega=omega,
         objective_value=run.objective,

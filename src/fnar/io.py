@@ -70,7 +70,7 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
         raise SchemaError("observation table is empty", path=str(obs_path))
     cov = _read(cov_path, _covariate_columns)
     unit, period = obs["unit"], obs["period"]
-    n, T = _id_count(unit), _id_count(period)
+    n, T = _id_count(unit, obs_path), _id_count(period, obs_path)
     quad = build_quadrature(grid_count)
 
     counts = np.bincount(unit * T + period, minlength=n * T)
@@ -166,10 +166,10 @@ def _edge_error(rec):
         return "self-loop weights are not allowed"
 
 
-def _id_count(ids) -> int:
+def _id_count(ids, path) -> int:
     """n for ids that cover 0..n-1, each at least once."""
     if ids.min() < 0 or ids.max() >= ids.size or not np.bincount(ids).all():
-        raise SchemaError("unit and period ids must be contiguous from 0")
+        raise SchemaError("unit and period ids must be contiguous from 0", path=str(path))
     return int(ids.max()) + 1
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class McConfig:
     def __post_init__(self):
         if min(self.n, self.T, self.L, self.r, self.replications) <= 0:
             raise InvalidArgumentError("all design values must be positive")
+        if self.workers < 1:
+            raise InvalidArgumentError(f"need at least one worker, got {self.workers}")
         if not self.estimators:
             raise InvalidArgumentError("at least one estimator is required")
         for name in self.estimators:
@@ -94,11 +96,14 @@ def _run_replication(cfg: McConfig, seed: np.random.SeedSequence) -> dict:
     basis = build_bspline_basis(cfg.inner_knots, cfg.degree, grid)
     spec = MomentSpec(basis=basis, operator=truth.operator, weights=truth.weights,
                       n_points=cfg.L)
-    specs = {"gmm1": spec, "gmm2": replace(spec, weighting="identity"), "2sls": spec}
     design = None  # built by the first fit, shared by the others
     out = {"scores": {}, "nonconverged": [], "covered": None}
     for name in cfg.estimators:
-        fit = (fit_2sls if name == "2sls" else fit_gmm)(panel, specs[name], design=design)
+        if name == "2sls":
+            fit = fit_2sls(panel, spec, design=design)
+        else:
+            fit = fit_gmm(panel, spec, weighting="identity" if name == "gmm2" else "2sls-block",
+                          design=design)
         design = fit._design
         if not fit.converged:
             out["nonconverged"].append(name)

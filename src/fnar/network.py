@@ -35,12 +35,9 @@ class NetworkWeights:
     ----------
     w : scipy.sparse.csr_array
         Weight matrix; ``w[i, j]`` is the influence of unit j on unit i.
-    coords : ndarray or None
-        Optional unit locations used to build the matrix.
     """
 
     w: sp.csr_array
-    coords: np.ndarray | None = None
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -144,7 +141,6 @@ def build_lattice_weights(n: int, rng_seed) -> NetworkWeights:
         raise InvalidArgumentError(f"{n} units exceed the {side}x{side} lattice capacity")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     cells = rng.choice(side * side, size=n, replace=False)
-    coords = np.column_stack([cells // side, cells % side]).astype(float)
     # unit id of every lattice cell, -1 for empty cells and the padding border
     unit_at = np.full((side + 2, side + 2), -1)
     r, c = cells // side + 1, cells % side + 1
@@ -153,7 +149,7 @@ def build_lattice_weights(n: int, rng_seed) -> NetworkWeights:
                               unit_at[r, c - 1], unit_at[r, c + 1]])
     rows, k = np.nonzero(around >= 0)  # csr_array sorts each row's columns
     adj = sp.csr_array((np.ones(rows.size), (rows, around[rows, k])), shape=(n, n))
-    return NetworkWeights(w=_row_normalize(adj), coords=coords)
+    return NetworkWeights(w=_row_normalize(adj))
 
 
 def _great_circle_distances(coords: np.ndarray) -> np.ndarray:
@@ -198,7 +194,7 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
         raw[band] = 1.0 / dist[band]
     else:
         raw[band] = 1.0
-    return NetworkWeights(w=_row_normalize(sp.csr_array(raw)), coords=coords)
+    return NetworkWeights(w=_row_normalize(sp.csr_array(raw)))
 
 
 def _symmetric_off_diagonal(m: sp.sparray) -> sp.csr_array:

@@ -50,7 +50,7 @@ def stacked_matrices(panel, spec, s):
     h_stack = np.zeros((n * T, (1 + panel.d_x) * K))
     from fnar.estimator import build_instruments
 
-    b = build_instruments(panel, spec.weights, spec).b
+    b = build_instruments(panel, spec.weights, spec)
     phi_exact = spec.basis.eval(s)
     z_stack = np.zeros((n * T, b.shape[2] * K))
     for t in range(T):
@@ -165,7 +165,7 @@ def materialised_design(panel, spec):
 
     n, T, d_x = panel.n, panel.T, panel.d_x
     K = spec.basis.size
-    b_rows = build_instruments(panel, spec.weights, spec).b
+    b_rows = build_instruments(panel, spec.weights, spec)
     d_theta, d_z = (1 + d_x) * K, b_rows.shape[2] * K
     points = spec.points
     L = points.size

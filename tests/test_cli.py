@@ -8,7 +8,13 @@ import pytest
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.cli import main
 from fnar.effects import ShockFunction, impulse_response
-from fnar.estimator import MomentSpec, fit_gmm, interpolate_response
+from fnar.estimator import (
+    MomentSpec,
+    estimate_variance,
+    fit_2sls,
+    fit_gmm,
+    interpolate_response,
+)
 from fnar.interaction import PastWindow
 from fnar.io import read_function, read_panel
 from fnar.network import read_edge_list
@@ -70,13 +76,14 @@ class TestEstimate:
         assert (est / "fixed_effects.csv").exists()
         assert (est / "beta1_hat.csv").exists()
 
-    def test_past_window_matches_library_fit(self, sim_dir, tmp_path):
+    @pytest.mark.parametrize("estimator", ["gmm1", "gmm2", "2sls"])
+    def test_past_window_matches_library_fit(self, sim_dir, tmp_path, estimator):
         est = tmp_path / "est"
         est.mkdir()
         code = run([
             "estimate", "--observations", sim_dir / "observations.csv",
             "--covariates", sim_dir / "covariates.csv",
-            "--weights", sim_dir / "weights.csv",
+            "--weights", sim_dir / "weights.csv", "--estimator", estimator,
             "--operator", "past-window", "--window-width", 0.3, "--out", est,
         ])
         assert code == 0
@@ -84,12 +91,19 @@ class TestEstimate:
         spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad),
                           operator=PastWindow(panel.quad, width=0.3),
                           weights=read_edge_list(sim_dir / "weights.csv", n=panel.n))
-        fit = fit_gmm(panel, spec)
+        if estimator == "2sls":
+            fit = fit_2sls(panel, spec)
+        else:
+            fit = fit_gmm(panel, spec,
+                          weighting="identity" if estimator == "gmm2" else "2sls-block")
         report = (est / "fit_report.txt").read_text()
+        assert f"\n  method: {fit.method}\n" in report
         assert "  alpha: " + " ".join(f"{v:.12g}" for v in fit.theta_alpha) + "\n" in report
         assert "  beta1: " + " ".join(f"{v:.12g}" for v in fit.theta_beta(0)) + "\n" in report
         table = np.loadtxt(est / "alpha_hat.csv", delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 1], fit.alpha(panel.quad.points))
+        estimate_variance(fit, panel, spec)  # the weight matrix enters the sandwich
+        assert np.array_equal(table[:, 2], fit.se_alpha(panel.quad.points))
 
     def test_single_period_is_data_error(self, sim_dir, tmp_path):
         rows = []
@@ -228,6 +242,18 @@ class TestMonteCarlo:
                     "--seed", 9, "--out", out])
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("design", [["--preset", "benchmark-table1-row1"],
+                                        ["--n", 16, "--T", 3, "--estimators", "2sls"]])
+    @pytest.mark.parametrize("flag", ["--replications", "--workers"])
+    def test_zero_count_is_data_error(self, tmp_path, capsys, design, flag):
+        # a zero is passed on, not replaced by a default, and nothing runs
+        out = tmp_path / "mc.csv"
+        code = run(["montecarlo", *design, flag, 0, "--seed", 9, "--out", out])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestFailureReports:

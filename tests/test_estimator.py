@@ -21,6 +21,7 @@ from fnar.estimator import (
     GmmFit,
     MomentSpec,
     _Design,
+    _gauss_newton,
     _omega_sqrt,
     _quad_variance,
     build_instruments,
@@ -61,6 +62,14 @@ def make_panel(n=3, T=3, n_quad=15, d_x=1, seed=0):
     y = rng.normal(size=(n, T, n_quad))
     x = rng.normal(size=(n, T, d_x))
     return FunctionalPanel(y=y, x=x, quad=quad)
+
+
+def fit_named(name, panel, spec, design=None):
+    """The fit that ``run_mc`` and ``fnar estimate`` make for estimator ``name``."""
+    if name == "2sls":
+        return fit_2sls(panel, spec, design=design)
+    return fit_gmm(panel, spec, weighting="identity" if name == "gmm2" else "2sls-block",
+                   design=design)
 
 
 def make_spec(panel, *, operator_kind="kernel", inner_knots=0, degree=1, n_points=4,
@@ -120,10 +129,9 @@ class TestInstruments:
         panel = make_panel(n=4, T=3, d_x=2)
         spec = make_spec(panel)
         inst = build_instruments(panel, spec.weights, spec)
-        assert inst.d_q == 4  # two orders, two covariates
-        assert inst.b.shape == (4, 3, 6)
+        assert inst.shape == (4, 3, 6)  # two lag orders of two covariates, then both
         K = spec.basis.size
-        assert (inst.d_q + panel.d_x) * K + len(spec.quad_mats) == 6 * K + 2
+        assert _Design(panel, spec).d_g == 6 * K + 2
 
     def test_zero_network_warns(self):
         panel = make_panel(n=3)
@@ -131,14 +139,14 @@ class TestInstruments:
         spec = make_spec(panel, weights=w)
         with pytest.warns(UnderidentificationWarning):
             inst = build_instruments(panel, w, spec)
-        assert_allclose(inst.b[:, :, :2], 0.0)
+        assert_allclose(inst[:, :, :2], 0.0)
 
     def test_constant_covariate_convexity(self):
         panel = make_panel(n=5)
         panel.x[:] = 1.0
         spec = make_spec(panel)
         inst = build_instruments(panel, spec.weights, spec)
-        assert_allclose(inst.b[:, :, 0], 1.0, atol=1e-14)  # row sums are 1
+        assert_allclose(inst[:, :, 0], 1.0, atol=1e-14)  # row sums are 1
 
     def test_all_excluded_is_underidentified(self):
         panel = make_panel()
@@ -154,8 +162,7 @@ class TestInstruments:
                          iv_exclude=exclude)
         inst = build_instruments(panel, spec.weights, spec)
         want = lag_loop_instruments(panel, spec.weights, exclude)
-        assert inst.d_q == want.shape[2] - panel.d_x
-        assert np.array_equal(inst.b, want)
+        assert np.array_equal(inst, want)
 
 
 class TestMomentFunction:
@@ -295,16 +302,16 @@ class TestFits:
     def test_gmm_with_zeroed_quadratic_weight_equals_2sls(self):
         panel, spec, _ = exact_span_panel(n=12, T=3, noise=0.3, seed=6)
         fit2 = fit_2sls(panel, spec)
-        from fnar.estimator import _Design
-
         design = _Design(panel, spec)
         omega = np.zeros((design.d_g, design.d_g))
         omega[: design.d_z, : design.d_z] = design._instrument_weight()
-        spec_zero = MomentSpec(basis=spec.basis, operator=spec.operator,
-                               weights=spec.weights, n_points=spec.n_points,
-                               omega=omega)
-        fitg = fit_gmm(panel, spec_zero)
-        assert_allclose(fitg.theta, fit2.theta, atol=1e-12)
+        run = _gauss_newton(design, omega, _omega_sqrt(omega), design.solve_2sls()[0])
+        assert_allclose(run.theta, fit2.theta, atol=1e-12)
+
+    def test_unknown_weighting_rejected(self):
+        panel, spec, _ = exact_span_panel(n=12, T=3, noise=0.3, seed=6)
+        with pytest.raises(InvalidArgumentError, match="unknown weighting 'custom'"):
+            fit_gmm(panel, spec, weighting="custom")
 
     def test_objective_at_optimum_below_truth(self):
         panel, truth = simulate_mc_panel(20, 4, 1.0, seed=12)
@@ -365,8 +372,8 @@ class TestStopReason:
     @pytest.mark.parametrize("seed", range(4))
     def test_paper_cell_gmm1_and_gmm2(self, seed):
         panel, spec = _paper_cell_spec(seed)
-        for s in (spec, replace(spec, weighting="identity")):
-            self._check(fit_gmm(panel, s), panel, s)
+        for name in ("gmm1", "gmm2"):
+            self._check(fit_named(name, panel, spec), panel, spec)
 
     def test_iteration_cap_is_max_iter(self, monkeypatch):
         import fnar.estimator as est
@@ -523,15 +530,14 @@ class TestSharedDesign:
 
     @staticmethod
     def _fits(panel, spec, shared):
-        specs = {"gmm1": spec, "gmm2": replace(spec, weighting="identity"), "2sls": spec}
-        if not shared:  # the oracle: a fresh spec, quadratic matrices and design per fit
-            specs = {name: MomentSpec(basis=s.basis, operator=s.operator, weights=s.weights,
-                                      n_points=s.n_points, weighting=s.weighting)
-                     for name, s in specs.items()}
         design, fits = None, {}
-        for name, s in specs.items():
-            fit_fn = fit_2sls if name == "2sls" else fit_gmm
-            fits[name] = fit_fn(panel, s, design=design if shared else None)
+        for name in ("gmm1", "gmm2", "2sls"):
+            s = spec
+            if not shared:  # the oracle: a fresh spec, quadratic matrices and design per fit
+                s = MomentSpec(basis=spec.basis, operator=spec.operator, weights=spec.weights,
+                               n_points=spec.n_points)
+                design = None
+            fits[name] = fit_named(name, panel, s, design)
             design = fits[name]._design
             estimate_variance(fits[name], panel, s)
             estimate_fixed_effects(fits[name], panel)
@@ -554,10 +560,9 @@ class TestSharedDesign:
         import fnar.estimator as est
 
         panel, spec = _paper_cell_spec(seed=42)
-        gmm2_spec = replace(spec, weighting="identity")
-        fit = fit_gmm(panel, gmm2_spec, design=fit_2sls(panel, spec)._design)
+        fit = fit_gmm(panel, spec, weighting="identity", design=fit_2sls(panel, spec)._design)
         monkeypatch.setattr(est, "_Design", None)  # any rebuild would fail
-        estimate_variance(fit, panel, gmm2_spec)
+        estimate_variance(fit, panel, spec)
         assert fit.diagnostics["variance_clipped_count"] == 0
 
     def test_fixed_effects_from_design_bit_identical(self, monkeypatch):
@@ -597,7 +602,7 @@ class TestSharedDesign:
             assert np.array_equal(solve(), expected)
 
     @pytest.mark.parametrize("entry", ["fit_2sls", "fit_gmm"])
-    @pytest.mark.parametrize("mismatch", ["panel", "n_points", "quad_mats"])
+    @pytest.mark.parametrize("mismatch", ["panel", "n_points", "quad_mats", "equal_copy"])
     def test_mismatched_design_rejected(self, entry, mismatch):
         panel, spec = _paper_cell_spec(seed=43)
         design = _Design(panel, spec)
@@ -605,8 +610,10 @@ class TestSharedDesign:
             panel = FunctionalPanel(y=panel.y.copy(), x=panel.x.copy(), quad=panel.quad)
         elif mismatch == "n_points":
             spec = replace(spec, n_points=9)
-        else:
+        elif mismatch == "quad_mats":
             spec = replace(spec, quad_mats=build_quadratic_weights(spec.weights))
+        else:  # every field the same object: a design matches one spec object only
+            spec = replace(spec)
         fit_fn = fit_2sls if entry == "fit_2sls" else fit_gmm
         with pytest.raises(InvalidArgumentError, match="design was built"):
             fit_fn(panel, spec, design=design)
@@ -691,9 +698,8 @@ class TestFactoredDesign:
 
 def _fits_of_all_estimators(panel, spec):
     design, thetas = None, []
-    for s, fit_fn in ((spec, fit_gmm), (replace(spec, weighting="identity"), fit_gmm),
-                      (spec, fit_2sls)):
-        fit = fit_fn(panel, s, design=design)
+    for name in ("gmm1", "gmm2", "2sls"):
+        fit = fit_named(name, panel, spec, design)
         design = fit._design
         thetas.append(fit.theta)
     return thetas
@@ -728,10 +734,8 @@ class TestVarianceDenseOracle:
         panel, truth = simulate_mc_panel(n, 4, 1.0, seed=seed)
         spec = MomentSpec(basis=build_bspline_basis(1, 2, panel.quad),
                           operator=small_operator(operator_kind, panel.quad),
-                          weights=truth.weights, n_points=6,
-                          weighting="identity" if estimator == "gmm2" else "2sls-block",
-                          **spec_kwargs)
-        fit = fit_2sls(panel, spec) if estimator == "2sls" else fit_gmm(panel, spec)
+                          weights=truth.weights, n_points=6, **spec_kwargs)
+        fit = fit_named(estimator, panel, spec)
         sigma = estimate_variance(fit, panel, spec)
         assert fit.diagnostics["variance_clipped_count"] == 0
         oracle = dense_variance(panel, spec, fit)

@@ -356,6 +356,24 @@ class TestReaderRules:
         # a unit count given by the caller is not capped
         assert read_edge_list(path, n=MAX_INFERRED_UNITS + 1).n == MAX_INFERRED_UNITS + 1
 
+    def test_message_names_path_then_line(self, tmp_path):
+        path = write(tmp_path, "w.csv", "i,j,weight\n0,1,0.5\n1,x,0.5\n")
+        with pytest.raises(SchemaError) as err:
+            read_edge_list(path)
+        assert str(err.value).startswith(f"{path}:3: ")
+        path = write(tmp_path, "w.csv", "i,j,weight\n")
+        with pytest.raises(SchemaError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}: edge list is empty and no unit count was given"
+
+    def test_id_gap_names_the_observation_table(self, tmp_path):
+        obs = write(tmp_path, "obs.csv", "unit,period,s,y\n0,0,0.5,1\n2,0,0.5,1\n")
+        cov = write(tmp_path, "cov.csv", "unit,period,x1\n0,0,1\n2,0,1\n")
+        with pytest.raises(SchemaError) as err:
+            io.read_panel(obs, cov)
+        assert (err.value.path, err.value.line) == (str(obs), None)
+        assert str(err.value) == f"{obs}: unit and period ids must be contiguous from 0"
+
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"s,value\n0,\xff\n")

@@ -47,6 +47,11 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             tiny_cfg(estimators=("2sls",), coverage_points=(0.5,))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(InvalidArgumentError, match="at least one worker"):
+            tiny_cfg(workers=workers)
+
 
 class TestRun:
     def test_reproducible(self):
