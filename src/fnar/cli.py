@@ -323,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser, argv):
-    """Pre-scan for --config and install its section as subcommand defaults."""
+    """Pre-scan for --config and install its section as subcommand defaults;
+    that section may name only the running subcommand's options."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, rest = probe.parse_known_args(argv)
@@ -331,16 +332,22 @@ def _apply_config(parser, argv):
         return
     with open(known.config) as fh:
         config = json.load(fh)
-    commands = [a for a in rest if not a.startswith("-")]
-    for action in parser._subparsers._group_actions:
-        for name, subparser in action.choices.items():
-            section = config.get(name)
-            if section and commands and commands[0] == name:
-                keys = {k.replace("-", "_"): v for k, v in section.items()}
-                subparser.set_defaults(**keys)
-                for sub_action in subparser._actions:
-                    if sub_action.dest in keys:
-                        sub_action.required = False
+    if not isinstance(config, dict):
+        raise SchemaError("config must be a JSON object of subcommand sections", path=known.config)
+    name = next((a for a in rest if not a.startswith("-")), None)
+    subparser = parser._subparsers._group_actions[0].choices.get(name)
+    if subparser is None or name not in config:
+        return
+    if not isinstance(config[name], dict):
+        raise SchemaError(f"section {name!r} must be a JSON object", path=known.config)
+    keys = {k.replace("-", "_"): v for k, v in config[name].items()}
+    unknown = sorted(set(keys) - {action.dest for action in subparser._actions} - {"help"})
+    if unknown:
+        raise SchemaError(f"unknown {name} option {unknown[0]!r}", path=known.config)
+    subparser.set_defaults(**keys)
+    for action in subparser._actions:
+        if action.dest in keys:
+            action.required = False
 
 
 def main(argv=None) -> int:

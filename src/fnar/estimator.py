@@ -51,13 +51,11 @@ __all__ = [
 _SV_FLOOR = 1e-10
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
-# Optimiser settings of fit_gmm: Gauss-Newton iterations per stage, the
-# gradient-norm tolerance, and the seeded perturbed restarts tried when the
-# run from the 2SLS start does not converge.
+# Optimiser settings of fit_gmm's one run: Gauss-Newton iterations per stage
+# and the gradient-norm tolerance. A run that ends without converging is
+# reported (``stop_reason``, ``grad_norm``), not restarted.
 _MAX_ITER = 200
 _GRAD_TOL = 1e-10
-_N_RESTARTS = 3
-_RESTART_SEED = 0
 _CONVERGED_STOPS = ("grad_tol", "no_descent")
 
 
@@ -207,14 +205,14 @@ class _Design:
         L = points.size
         self.n_obs = n * (T - 1)
 
-        self.ay_grid = spec.operator.apply_grid(network_lag(spec.weights, panel.y))  # (n, T, G)
         self._phi = spec.basis.eval_many(points)  # (L, K)
         self._g0, self._lam = interp_nodes(panel.quad, points)
         # differences at the nodes the stencil reads; g0 and g0 + 1 are adjacent
         # columns there, and column self._col[l] holds node g0[l]
         nodes = np.unique(np.concatenate([self._g0, self._g0 + 1]))
         self._col = np.searchsorted(nodes, self._g0)
-        self._d_ay = _period_differences(self.ay_grid[:, :, nodes])  # (T-1, n, nodes)
+        ay_nodes = spec.operator.apply_grid(network_lag(spec.weights, panel.y))[:, :, nodes]
+        self._d_ay = _period_differences(ay_nodes)  # (T-1, n, nodes)
         self._d_x = _period_differences(panel.x)  # (T-1, n, d_x)
         self.dy = self._at_points(_period_differences(panel.y[:, :, nodes]))  # (L, T-1, n)
 
@@ -332,16 +330,13 @@ class _Design:
         return theta.copy(), smin
 
 
-def _matches(design: _Design | None, panel: FunctionalPanel, spec: MomentSpec) -> bool:
-    """Whether ``design`` was built on this very panel and spec object."""
-    return design is not None and design.panel is panel and design.spec is spec
-
-
 def _use_design(panel: FunctionalPanel, spec: MomentSpec, design: _Design | None) -> _Design:
-    """A new design, or the one passed in if it matches; any other raises."""
-    if design is not None and not _matches(design, panel, spec):
+    """A new design, or the one passed in if built on this very panel and spec object."""
+    if design is None:
+        return _Design(panel, spec)
+    if design.panel is not panel or design.spec is not spec:
         raise InvalidArgumentError("design was built on another panel or spec")
-    return _Design(panel, spec) if design is None else design
+    return design
 
 
 def _omega_sqrt(omega: np.ndarray) -> np.ndarray:
@@ -567,12 +562,13 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, weighting: str = "2sls-
     The weight matrix is fixed (one-step GMM): ``weighting`` "2sls-block"
     (gmm1) pairs the inverse instrument second moment with an identity block
     for the quadratic moments, and "identity" (gmm2) weighs every moment
-    alike. Optimization starts from the closed-form linear-moments solution
-    and stops at gradient norm 1e-10, with at most 200 iterations per stage.
-    If that run does not converge, up to 3 restarts from perturbations of the
-    start (seed 0) are tried. ``design`` is for ``run_mc``, whose fits on one
-    spec differ only in the weighting and share one moment design; a design
-    built on another panel or spec object raises ``InvalidArgumentError``.
+    alike. One run starts from the closed-form linear-moments solution and
+    stops at gradient norm 1e-10, with at most 200 iterations per stage; a
+    run that ends otherwise is reported through ``converged`` and the
+    ``stop_reason`` and ``grad_norm`` diagnostics, not restarted. ``design``
+    is for ``run_mc``, whose fits on one spec differ only in the weighting
+    and share one moment design; a design built on another panel or spec
+    object raises ``InvalidArgumentError``.
     """
     if weighting not in ("2sls-block", "identity"):
         raise InvalidArgumentError(f"unknown weighting {weighting!r}")
@@ -583,18 +579,6 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, weighting: str = "2sls-
     theta0, smin = design.solve_2sls()
 
     run = _gauss_newton(design, omega, omega_sqrt, theta0)
-    total_iters = run.iterations
-    if not run.converged:
-        rng = np.random.default_rng(_RESTART_SEED)
-        for _ in range(_N_RESTARTS):
-            start = theta0 + rng.normal(scale=0.1 * (1.0 + np.abs(theta0)))
-            cand = _gauss_newton(design, omega, omega_sqrt, start)
-            total_iters += cand.iterations
-            if cand.objective < run.objective:
-                run = cand
-            if run.converged:
-                break
-
     return GmmFit(
         theta=run.theta,
         spec=spec,
@@ -605,7 +589,7 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, weighting: str = "2sls-
         include_quadratic=True,
         omega=omega,
         objective_value=run.objective,
-        iterations=total_iters,
+        iterations=run.iterations,
         converged=run.converged,
         diagnostics={"min_singular_value": smin, "objective_path": run.path,
                      "stop_reason": run.stop_reason, "grad_norm": run.grad_norm},
@@ -616,24 +600,20 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, weighting: str = "2sls-
 def estimate_fixed_effects(fit: GmmFit, panel: FunctionalPanel) -> np.ndarray:
     """Per-unit time averages of the residual functions on the grid.
 
-    Consistency needs many periods; a single-period panel returns the lone
-    residual path with a warning.
+    The residual y - alpha A(W y) - x beta is linear in the panel, so its
+    period mean is ybar - alpha A(W ybar) - xbar beta, formed from the (n, G)
+    and (n, d_x) period means. Consistency needs many periods; a
+    single-period panel returns the lone residual path with a warning.
     """
     spec = fit.spec
-    grid = panel.quad
-    ay = (fit._design.ay_grid if _matches(fit._design, panel, spec)  # (n, T, G)
-          else spec.operator.apply_grid(network_lag(spec.weights, panel.y)))
-    alpha_grid = fit.alpha(grid.points)
-    beta_grid = np.stack([fit.beta(j, grid.points) for j in range(fit.d_x)])
-    resid = alpha_grid * ay  # y - alpha ay - x beta, formed in one (n, T, G) buffer
-    np.subtract(panel.y, resid, out=resid)
-    resid -= np.einsum("ntj,jg->ntg", panel.x, beta_grid)
+    points = panel.quad.points
+    y_bar = panel.y.mean(axis=1)
+    ay_bar = spec.operator.apply_grid(network_lag(spec.weights, y_bar))
+    beta_grid = np.stack([fit.beta(j, points) for j in range(fit.d_x)])
     if panel.T == 1:
-        warnings.warn(
-            "fixed effects from a single period are the raw residual paths",
-            SmallTWarning,
-        )
-    fit.fixed_effects = resid.mean(axis=1)
+        warnings.warn("fixed effects from a single period are the raw residual paths",
+                      SmallTWarning)
+    fit.fixed_effects = y_bar - fit.alpha(points) * ay_bar - panel.x.mean(axis=1) @ beta_grid
     return fit.fixed_effects
 
 
@@ -669,7 +649,7 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec) -> 
     zero; ``fit.diagnostics`` records their number and summed magnitude as
     ``variance_clipped_count`` and ``variance_clipped_mass``.
     """
-    design = fit._design if _matches(fit._design, panel, spec) else _Design(panel, spec)
+    design = _use_design(panel, spec, fit._design)
     n, T = panel.n, panel.T
     L = spec.n_points
     de, u = design.residual_scores(fit.theta)

@@ -43,6 +43,10 @@ class McConfig:
     def __post_init__(self):
         if min(self.n, self.T, self.L, self.r, self.replications) <= 0:
             raise InvalidArgumentError("all design values must be positive")
+        if self.T < 2:
+            raise InvalidArgumentError(f"differencing needs at least 2 periods, got T={self.T}")
+        if self.base_seed < 0:
+            raise InvalidArgumentError(f"base seed must be non-negative, got {self.base_seed}")
         if self.workers < 1:
             raise InvalidArgumentError(f"need at least one worker, got {self.workers}")
         if not self.estimators:

@@ -52,6 +52,15 @@ class TestSimulate:
                     "--alpha-scale", 2.0, "--out", out])
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [["--T", 3, "--seed", -1], ["--T", 0, "--seed", 1],
+                                       ["--T", -2, "--seed", 1]])
+    def test_bad_seed_or_period_count_is_data_error(self, tmp_path, capsys, flags):
+        code = run(["simulate", "--n", 10, *flags, "--out", tmp_path])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "observations.csv").exists()
+
 
 class TestEstimate:
     def test_round_trip_recovers_truth(self, sim_dir, tmp_path):
@@ -250,6 +259,17 @@ class TestMonteCarlo:
         # a zero is passed on, not replaced by a default, and nothing runs
         out = tmp_path / "mc.csv"
         code = run(["montecarlo", *design, flag, 0, "--seed", 9, "--out", out])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", -1], ["--T", 1, "--seed", 9],
+                                       ["--preset", "benchmark-table1-row1", "--seed", -1]])
+    def test_bad_seed_or_period_count_is_data_error(self, tmp_path, capsys, flags):
+        # rejected before any replication runs
+        out = tmp_path / "mc.csv"
+        code = run(["montecarlo", *flags, "--replications", 2, "--out", out])
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
@@ -464,3 +484,38 @@ class TestConfigFile:
         code = run(["--config", cfg, "simulate", "--out", out_b, "--seed", 8])
         assert code == 0
         assert (out_b / "observations.csv").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ([{"simulate": {"n": 12}}], "config must be a JSON object of subcommand sections"),
+        ({"simulate": 3}, "section 'simulate' must be a JSON object"),
+        ({"simulate": {"n": 12, "seeed": 4}}, "unknown simulate option 'seeed'"),
+    ])
+    def test_malformed_config_is_schema_error(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code = run(["--config", cfg, "simulate", "--T", 3, "--seed", 4, "--out", tmp_path])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}: {message}"]
+        assert not (tmp_path / "observations.csv").exists()
+
+    def test_misspelt_estimate_key_is_schema_error(self, sim_dir, tmp_path, capsys):
+        # the misspelt key would otherwise run gmm1 in place of gmm2 and exit 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"estimate": {"estimatr": "gmm2"}}))
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run(["--config", cfg, "estimate", "--observations", sim_dir / "observations.csv",
+                    "--covariates", sim_dir / "covariates.csv",
+                    "--weights", sim_dir / "weights.csv", "--out", est])
+        assert code == 4
+        assert "unknown estimate option 'estimatr'" in capsys.readouterr().err
+        assert not any(est.iterdir())
+
+    def test_other_sections_are_not_checked(self, tmp_path):
+        # only the section of the subcommand being run is read
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"estimate": {"bogus": 1}, "montecarlo": 3}))
+        code = run(["--config", cfg, "simulate", "--n", 12, "--T", 3, "--seed", 4,
+                    "--grid-count", 33, "--out", tmp_path])
+        assert code == 0

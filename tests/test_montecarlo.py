@@ -52,6 +52,15 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match="at least one worker"):
             tiny_cfg(workers=workers)
 
+    @pytest.mark.parametrize("T", [1, 0])
+    def test_rejects_fewer_than_two_periods(self, T):
+        with pytest.raises(InvalidArgumentError):
+            tiny_cfg(T=T)
+
+    def test_rejects_negative_base_seed(self):
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            tiny_cfg(base_seed=-1)
+
 
 class TestRun:
     def test_reproducible(self):

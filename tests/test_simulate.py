@@ -211,6 +211,20 @@ class TestMcPanel:
         with pytest.raises(InvalidArgumentError):
             simulate_mc_panel(10, 2, 0.0, seed=1)
 
+    @pytest.mark.parametrize("T", [0, -2])
+    def test_needs_a_period(self, T):
+        from fnar.errors import InvalidArgumentError
+
+        with pytest.raises(InvalidArgumentError, match="at least one period"):
+            simulate_mc_panel(10, T, 1.0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_negative_seed_rejected(self, seed):
+        from fnar.errors import InvalidArgumentError
+
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            simulate_mc_panel(10, 2, 1.0, seed=seed)
+
 
 class TestPanelIo:
     def test_round_trip(self, tmp_path):
