@@ -54,7 +54,6 @@ from .interaction import (
 from .montecarlo import McConfig, McReport, run_mc
 from .network import (
     NetworkWeights,
-    QuadWeightMatrix,
     build_distance_weights,
     build_lattice_weights,
     build_quadratic_weights,

@@ -129,7 +129,11 @@ def cmd_estimate(args) -> int:
     weights = _build_weights(args, n_expected=panel.n)
     operator = _build_operator(args, panel.quad)
     basis = build_bspline_basis(args.inner_knots, args.degree, panel.quad)
-    iv_exclude = tuple(int(v) for v in args.iv_exclude.split(",")) if args.iv_exclude else ()
+    try:
+        iv_exclude = tuple(int(v) for v in args.iv_exclude.split(",")) if args.iv_exclude else ()
+    except ValueError:
+        raise InvalidArgumentError(
+            f"--iv-exclude must be comma-separated integers, got {args.iv_exclude!r}") from None
     spec = MomentSpec(
         basis=basis, operator=operator, weights=weights,
         n_points=args.moment_points, iv_exclude=iv_exclude,

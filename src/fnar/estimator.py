@@ -30,7 +30,7 @@ from .errors import (
     VarianceUnavailableError,
 )
 from .interaction import InteractionOperator, network_lag
-from .network import NetworkWeights, QuadWeightMatrix, build_quadratic_weights
+from .network import NetworkWeights, build_quadratic_weights
 from .simulate import FunctionalPanel
 
 __all__ = [
@@ -73,33 +73,29 @@ class MomentSpec:
     operator : InteractionOperator
         The known linear functional applied to aggregated outcomes.
     weights : NetworkWeights
-        Interaction matrix, also the source of the default quadratic
-        weight matrices and of the instrument lags.
+        Interaction matrix, the source of the instrument lags and of the
+        quadratic-moment matrices.
     n_points : int
         Number L of moment-grid points l/(L+1), l = 1..L.
-    quad_mats : list of QuadWeightMatrix
-        Matrices of the quadratic moments; default: symmetrized W and
-        W'W less its diagonal.
     iv_exclude : tuple of int
         Covariate indices excluded from instrument construction (they
         still instrument themselves).
+    quad_mats : list of scipy.sparse.csr_array
+        Built from ``weights``, not an argument: the quadratic-moment
+        matrices P1 = (W + W')/2 and P2 = W'W less its diagonal.
     """
 
     basis: BasisSystem
     operator: InteractionOperator
     weights: NetworkWeights
     n_points: int = 10
-    quad_mats: list[QuadWeightMatrix] | None = None
     iv_exclude: tuple[int, ...] = ()
+    quad_mats: list[sp.csr_array] = field(init=False)
 
     def __post_init__(self):
         if self.n_points < 1:
             raise InvalidArgumentError(f"need at least one moment point, got {self.n_points}")
-        if self.quad_mats is None:
-            self.quad_mats = build_quadratic_weights(self.weights)
-        for mat in self.quad_mats:
-            if mat.n != self.weights.n:
-                raise InvalidArgumentError("quadratic weight matrix size differs from network")
+        self.quad_mats = build_quadratic_weights(self.weights)
 
     @property
     def points(self) -> np.ndarray:
@@ -113,13 +109,18 @@ def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
     """(n, T, d_q + d_x) instrument rows: the network lags W X and W^2 X of the
     covariates, then the covariates.
 
-    Covariates listed in ``spec.iv_exclude`` contribute no lags. The full
+    Covariates listed in ``spec.iv_exclude`` contribute no lags; an index
+    outside 0..d_x-1 raises ``InvalidArgumentError``. The full
     covariate vector is always appended, so the row layout is (Q_it', X_it')'.
     """
     if weights.n != panel.n:
         raise InvalidArgumentError(
             f"network has {weights.n} units, panel has {panel.n}"
         )
+    for j in spec.iv_exclude:
+        if not 0 <= j < panel.d_x:
+            raise InvalidArgumentError(
+                f"excluded covariate index {j} is outside 0..{panel.d_x - 1}")
     included = [j for j in range(panel.d_x) if j not in set(spec.iv_exclude)]
     if not included:
         raise UnderidentifiedError("every covariate is excluded from instrument construction")
@@ -230,8 +231,7 @@ class _Design:
         c = np.zeros((L, self.M))
         b = np.zeros((L, self.M, self.d_theta))
         C = np.zeros((L, self.M, self.d_theta, self.d_theta))
-        for m, mat in enumerate(spec.quad_mats):
-            p = mat.p
+        for m, p in enumerate(spec.quad_mats):
             for l in range(L):
                 py = np.stack([p @ self.dy[l, t] for t in range(T - 1)])  # (T-1, n)
                 ph = np.stack([p @ dh[l, t] for t in range(T - 1)])  # (T-1, n, d_theta)
@@ -620,10 +620,10 @@ def estimate_fixed_effects(fit: GmmFit, panel: FunctionalPanel) -> np.ndarray:
 def _quad_variance(de: np.ndarray, quad_mats) -> np.ndarray:
     """Quadratic-moment variance block before scaling, on the union pattern only."""
     n = de.shape[2]
-    rows, cols = sum((abs(mat.p) for mat in quad_mats), sp.csr_array((n, n))).nonzero()
+    rows, cols = sum((abs(p) for p in quad_mats), sp.csr_array((n, n))).nonzero()
     if rows.size == 0:  # an empty fancy index would return a sparse array
         return np.zeros((len(quad_mats), len(quad_mats)))
-    pv = np.array([mat.p[rows, cols] for mat in quad_mats])  # (M, nnz)
+    pv = np.array([p[rows, cols] for p in quad_mats])  # (M, nnz)
     c = np.einsum("ltk,ltk->tk", de[:, :, rows], de[:, :, cols])  # (T-1, nnz)
     s = np.einsum("tk,tk->k", c, c) + 2.0 * np.einsum("tk,tk->k", c[:-1], c[1:])
     return 2.0 * (pv * s) @ pv.T
@@ -718,7 +718,7 @@ def functional_estimate_table(fit: GmmFit, target: str, j: int = 0) -> list[tupl
     ]
 
 
-def fit_report_text(fit: GmmFit, include_grids: bool = True) -> str:
+def fit_report_text(fit: GmmFit) -> str:
     """Nested key-value report of the fit, suitable for plain-text export."""
     lines = [
         "fit:",
@@ -742,11 +742,10 @@ def fit_report_text(fit: GmmFit, include_grids: bool = True) -> str:
             lines.append(f"  {key}_length: {len(value)}")
         else:
             lines.append(f"  {key}: {value}")
-    if include_grids:
-        targets = [("alpha", "alpha", 0)] + [(f"beta{j + 1}", "beta", j) for j in range(fit.d_x)]
-        for name, target, j in targets:
-            lines.append(f"grid_{name}:")
-            for s, est, se, *_ in functional_estimate_table(fit, target, j):
-                se_text = f" se={se:.12g}" if fit.sigma is not None else ""
-                lines.append(f"  {s:.6g}: {est:.12g}{se_text}")
+    targets = [("alpha", "alpha", 0)] + [(f"beta{j + 1}", "beta", j) for j in range(fit.d_x)]
+    for name, target, j in targets:
+        lines.append(f"grid_{name}:")
+        for s, est, se, *_ in functional_estimate_table(fit, target, j):
+            se_text = f" se={se:.12g}" if fit.sigma is not None else ""
+            lines.append(f"  {s:.6g}: {est:.12g}{se_text}")
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from .simulate import mc_alpha, mc_beta, simulate_mc_panel
 __all__ = ["McConfig", "McReport", "run_mc", "format_report", "PRESETS"]
 
 ESTIMATORS = ("gmm1", "gmm2", "2sls")
+SPLINE_DEGREE = 3  # cubic B-splines, as in the simulation design
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,18 @@ class McConfig:
     replications: int = 500
     base_seed: int = 0
     n_quad: int = 99
-    degree: int = 3
     workers: int = 1
     coverage_points: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not np.isfinite(self.r):
+            raise InvalidArgumentError(f"covariate strength r must be finite, got {self.r}")
         if min(self.n, self.T, self.L, self.r, self.replications) <= 0:
             raise InvalidArgumentError("all design values must be positive")
+        if self.inner_knots < 0:
+            raise InvalidArgumentError(f"inner knot count must be >= 0, got {self.inner_knots}")
+        if self.n_quad < 2:
+            raise InvalidArgumentError(f"quadrature needs at least 2 points, got {self.n_quad}")
         if self.T < 2:
             raise InvalidArgumentError(f"differencing needs at least 2 periods, got T={self.T}")
         if self.base_seed < 0:
@@ -97,7 +103,7 @@ def _run_replication(cfg: McConfig, seed: np.random.SeedSequence) -> dict:
     grid = panel.quad
     alpha_true = mc_alpha(grid.points)
     beta_true = mc_beta(grid.points, cfg.r)
-    basis = build_bspline_basis(cfg.inner_knots, cfg.degree, grid)
+    basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, grid)
     spec = MomentSpec(basis=basis, operator=truth.operator, weights=truth.weights,
                       n_points=cfg.L)
     design = None  # built by the first fit, shared by the others

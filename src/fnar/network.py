@@ -12,7 +12,6 @@ from .io import read_edges, write_table
 
 __all__ = [
     "NetworkWeights",
-    "QuadWeightMatrix",
     "build_lattice_weights",
     "build_distance_weights",
     "build_quadratic_weights",
@@ -31,6 +30,9 @@ MAX_INFERRED_UNITS = 1_000_000
 class NetworkWeights:
     """Time-invariant n x n interaction matrix with zero diagonal.
 
+    W is held in canonical form (duplicates summed, columns sorted, no stored
+    zeros), so each entry of a quadratic matrix sums at most w_ij and w_ji.
+
     Attributes
     ----------
     w : scipy.sparse.csr_array
@@ -44,6 +46,7 @@ class NetworkWeights:
         w = sp.csr_array(self.w)
         if w.shape[0] != w.shape[1]:
             raise InvalidArgumentError(f"weight matrix must be square, got {w.shape}")
+        w.sum_duplicates()
         if not np.all(np.isfinite(w.data)):
             raise InvalidArgumentError("weight matrix entries must be finite")
         w.eliminate_zeros()
@@ -65,54 +68,6 @@ class NetworkWeights:
 
     def dense(self) -> np.ndarray:
         return self.w.toarray()
-
-
-@dataclass
-class QuadWeightMatrix:
-    """Symmetric zero-diagonal matrix entering a quadratic moment condition."""
-
-    p: sp.csr_array
-
-    def __post_init__(self):
-        p = sp.csr_array(self.p)
-        if p.shape[0] != p.shape[1]:
-            raise InvalidArgumentError(f"quadratic weight matrix must be square, got {p.shape}")
-        if np.any(p.diagonal() != 0.0):
-            raise InvalidArgumentError("quadratic weight matrix diagonal must be zero")
-        if not _exactly_symmetric(p):
-            raise InvalidArgumentError("quadratic weight matrix must be exactly symmetric")
-        self.p = p
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.p.toarray()
-
-
-def _exactly_symmetric(p: sp.csr_array) -> bool:
-    """Whether ``p - p.T`` is exactly zero, from p's COO arrays, without forming p.T.
-
-    As in scipy's subtraction, duplicate entries are summed from 0 in storage
-    order and stored zeros do not count; a non-finite entry leaves inf or nan
-    in ``p - p.T``, so it fails.
-    """
-    n = p.shape[0]
-    key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(p.indptr)) + p.indices
-    vals = p.data
-    if np.any(key[1:] <= key[:-1]):  # unsorted or duplicate entries
-        key, where = np.unique(key, return_inverse=True)
-        vals = np.zeros(key.size, dtype=p.data.dtype)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail below
-            np.add.at(vals, where, p.data)
-    stored = vals != 0
-    key, vals = key[stored], vals[stored]
-    if not np.all(np.isfinite(vals)):
-        return False
-    transposed = key % n * n + key // n
-    order = np.argsort(transposed)
-    return np.array_equal(transposed[order], key) and np.array_equal(vals[order], vals)
 
 
 def _round_half_up(x: float) -> int:
@@ -200,9 +155,9 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
 def _symmetric_off_diagonal(m: sp.sparray) -> sp.csr_array:
     """(m + m')/2 less its diagonal and zero entries, from one COO pass.
 
-    Entry (i, j) sums at most the two terms m_ij and m_ji; IEEE addition is
-    commutative, so the result is bitwise symmetric whatever order scipy
-    sums duplicates in.
+    m holds no duplicates, so entry (i, j) sums at most m_ij and m_ji; IEEE
+    addition is commutative, so the result is bitwise symmetric whatever
+    order scipy sums duplicates in.
     """
     coo = m.tocoo()
     off = coo.row != coo.col
@@ -215,11 +170,11 @@ def _symmetric_off_diagonal(m: sp.sparray) -> sp.csr_array:
     return p
 
 
-def build_quadratic_weights(weights: NetworkWeights) -> list[QuadWeightMatrix]:
-    """Default quadratic-moment matrices: symmetrized W and W'W less its diagonal."""
+def build_quadratic_weights(weights: NetworkWeights) -> list[sp.csr_array]:
+    """Quadratic-moment matrices: symmetrized W and W'W less its diagonal,
+    each exactly symmetric with a zero diagonal."""
     w = weights.w
-    return [QuadWeightMatrix(p=_symmetric_off_diagonal(w)),
-            QuadWeightMatrix(p=_symmetric_off_diagonal(w.T @ w))]
+    return [_symmetric_off_diagonal(w), _symmetric_off_diagonal(w.T @ w)]
 
 
 def read_edge_list(path, n: int | None = None) -> NetworkWeights:

@@ -215,11 +215,12 @@ def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
     error paths. ``alpha_scale`` rescales the interaction-effect function
     (useful for stationarity-violation experiments). The Neumann iteration
     stops at the ``DgpConfig`` default tolerance, and a non-stationary design
-    raises ``NonStationaryDgpError``. ``T`` must be at least 1 and an integer
-    ``seed`` non-negative; either violation raises ``InvalidArgumentError``.
+    raises ``NonStationaryDgpError``. ``r`` must be positive and finite, ``T``
+    at least 1 and an integer ``seed`` non-negative; a violation raises
+    ``InvalidArgumentError``.
     """
-    if r <= 0:
-        raise InvalidArgumentError(f"covariate strength r must be positive, got {r}")
+    if not (np.isfinite(r) and r > 0):
+        raise InvalidArgumentError(f"covariate strength r must be positive and finite, got {r}")
     if T < 1:
         raise InvalidArgumentError(f"need at least one period, got T={T}")
     if isinstance(seed, (int, np.integer)) and seed < 0:

@@ -68,7 +68,7 @@ def dense_moments(panel, spec, theta):
     """(L, d_g) moment stack computed through the materialized D."""
     n, T = panel.n, panel.T
     d = difference_matrix(n, T)
-    big_p = [np.kron(np.eye(T - 1), mat.dense()) for mat in spec.quad_mats]
+    big_p = [np.kron(np.eye(T - 1), mat.toarray()) for mat in spec.quad_mats]
     scale = 1.0 / (n * (T - 1))
     out = []
     for s in spec.points:
@@ -84,7 +84,7 @@ def dense_jacobian(panel, spec, theta):
     """(L, d_g, d_theta) Jacobian stack through the materialized D."""
     n, T = panel.n, panel.T
     d = difference_matrix(n, T)
-    big_p = [np.kron(np.eye(T - 1), mat.dense()) for mat in spec.quad_mats]
+    big_p = [np.kron(np.eye(T - 1), mat.toarray()) for mat in spec.quad_mats]
     scale = 1.0 / (n * (T - 1))
     out = []
     for s in spec.points:
@@ -105,7 +105,7 @@ def dense_quad_block(de, quad_mats):
     """
     periods = de.shape[1]
     c_mats = [de[:, t, :].T @ de[:, t, :] for t in range(periods)]
-    dense_p = [mat.dense() for mat in quad_mats]
+    dense_p = [mat.toarray() for mat in quad_mats]
     out = np.zeros((len(quad_mats), len(quad_mats)))
     for t in range(periods):
         for t2 in (t - 1, t, t + 1):
@@ -126,7 +126,7 @@ def dense_variance(panel, spec, fit):
     n, T = panel.n, panel.T
     L = spec.n_points
     d = difference_matrix(n, T)
-    big_p = [np.kron(np.eye(T - 1), mat.dense()) for mat in spec.quad_mats]
+    big_p = [np.kron(np.eye(T - 1), mat.toarray()) for mat in spec.quad_mats]
     norm = 1.0 / (n * (T - 1))
     de_all, u, jac = [], 0.0, 0.0
     for s in spec.points:
@@ -202,8 +202,7 @@ def materialised_design(panel, spec):
     c = np.zeros((L, M))
     b = np.zeros((L, M, d_theta))
     C = np.zeros((L, M, d_theta, d_theta))
-    for m, mat in enumerate(spec.quad_mats):
-        p = mat.p
+    for m, p in enumerate(spec.quad_mats):
         for l in range(L):
             py = np.stack([p @ dy[l, t] for t in range(T - 1)])
             ph = np.stack([p @ dh[l, t] for t in range(T - 1)])

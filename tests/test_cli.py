@@ -229,6 +229,21 @@ class TestEstimate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1"])
+    def test_bad_iv_exclude_is_data_error(self, sim_dir, tmp_path, capsys, value):
+        # not integers, or not covariate indices of the one-covariate panel
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run([
+            "estimate", "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv",
+            "--weights", sim_dir / "weights.csv", "--iv-exclude", value, "--out", est,
+        ])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "exclude" in err[0]
+        assert not any(est.iterdir())
+
 
 class TestMonteCarlo:
     def test_preset_table(self, tmp_path):
@@ -270,6 +285,18 @@ class TestMonteCarlo:
         # rejected before any replication runs
         out = tmp_path / "mc.csv"
         code = run(["montecarlo", *flags, "--replications", 2, "--out", out])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--inner-knots", -1], ["--r", "nan"], ["--r", "inf"]])
+    def test_bad_design_value_is_data_error(self, tmp_path, capsys, flags):
+        # rejected by McConfig (exit 4) before any replication runs; a design
+        # that only fails inside the replications exits 5
+        out = tmp_path / "mc.csv"
+        code = run(["montecarlo", "--n", 5, "--T", 3, *flags, "--replications", 1,
+                    "--seed", 1, "--out", out])
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")

@@ -35,12 +35,7 @@ from fnar.estimator import (
     moment_jacobian,
 )
 from fnar.interaction import KernelIntegral, epanechnikov_kernel, network_lag
-from fnar.network import (
-    NetworkWeights,
-    QuadWeightMatrix,
-    build_lattice_weights,
-    build_quadratic_weights,
-)
+from fnar.network import NetworkWeights, build_lattice_weights
 from fnar.simulate import DgpConfig, FunctionalPanel, neumann_solve, simulate_mc_panel
 
 from conftest import ring_weights, small_operator
@@ -152,6 +147,13 @@ class TestInstruments:
         panel = make_panel()
         with pytest.raises(UnderidentifiedError):
             spec = make_spec(panel, iv_exclude=(0,))
+            build_instruments(panel, spec.weights, spec)
+
+    @pytest.mark.parametrize("exclude", [(2,), (-1,), (0, 5)])
+    def test_exclusion_outside_covariates_rejected(self, exclude):
+        panel = make_panel(d_x=2)
+        spec = make_spec(panel, iv_exclude=exclude)
+        with pytest.raises(InvalidArgumentError, match="outside 0..1"):
             build_instruments(panel, spec.weights, spec)
 
 
@@ -365,7 +367,7 @@ class TestStopReason:
         assert abs(norm - self._grad_norm(fit, panel, spec)) <= 1e-12 * norm
         if reason == "grad_tol":
             assert norm <= 1e-10
-        report = fit_report_text(fit, include_grids=False)
+        report = fit_report_text(fit)
         assert f"\n  stop_reason: {reason}\n  grad_norm: {norm!r}\n" in report
         return reason
 
@@ -418,9 +420,10 @@ class TestReportGrids:
         for with_sigma in (False, True):
             if with_sigma:
                 estimate_variance(fit, panel, spec)
-            head = fit_report_text(fit, include_grids=False)
-            assert fit_report_text(fit) == head + grid_section_oracle(fit)
-            assert fit_report_text(fit).count(" se=") == (
+            report, grids = fit_report_text(fit), grid_section_oracle(fit)
+            assert report.endswith("\n" + grids)
+            assert "\ngrid_" not in report[:-len(grids)]
+            assert report.count(" se=") == (
                 (1 + d_x) * panel.quad.count if with_sigma else 0)
 
 
@@ -515,7 +518,7 @@ class TestVariance:
         assert fit.diagnostics["variance_clipped_count"] == vals.size
         assert fit.diagnostics["variance_clipped_mass"] == pytest.approx(-vals.sum(), rel=1e-12)
         assert np.all(sigma == 0.0)
-        assert "variance_clipped_count: 4" in fit_report_text(fit, include_grids=False)
+        assert "variance_clipped_count: 4" in fit_report_text(fit)
 
 
 def _paper_cell_spec(seed, n=40):
@@ -604,7 +607,7 @@ class TestSharedDesign:
             assert np.array_equal(solve(), expected)
 
     @pytest.mark.parametrize("entry", ["fit_2sls", "fit_gmm"])
-    @pytest.mark.parametrize("mismatch", ["panel", "n_points", "quad_mats", "equal_copy"])
+    @pytest.mark.parametrize("mismatch", ["panel", "n_points", "equal_copy"])
     def test_mismatched_design_rejected(self, entry, mismatch):
         panel, spec = _paper_cell_spec(seed=43)
         design = _Design(panel, spec)
@@ -612,14 +615,18 @@ class TestSharedDesign:
             panel = FunctionalPanel(y=panel.y.copy(), x=panel.x.copy(), quad=panel.quad)
         elif mismatch == "n_points":
             spec = replace(spec, n_points=9)
-        elif mismatch == "quad_mats":
-            spec = replace(spec, quad_mats=build_quadratic_weights(spec.weights))
         else:  # every field the same object: a design matches one spec object only
             spec = replace(spec)
         fit_fn = fit_2sls if entry == "fit_2sls" else fit_gmm
         with pytest.raises(InvalidArgumentError, match="design was built"):
             fit_fn(panel, spec, design=design)
         fit_fn(panel, spec)  # without a design the same call builds its own
+
+    def test_quadratic_matrices_are_not_an_argument(self):
+        panel, spec = _paper_cell_spec(seed=43)
+        with pytest.raises(TypeError, match="quad_mats"):
+            MomentSpec(basis=spec.basis, operator=spec.operator, weights=spec.weights,
+                       quad_mats=spec.quad_mats)
 
 
 def _reference_replications():
@@ -693,8 +700,7 @@ class TestFactoredDesign:
         fe = estimate_fixed_effects(fit, panel)
         perm = np.random.default_rng(47).permutation(panel.n)
         moved = FunctionalPanel(y=panel.y[perm], x=panel.x[perm], quad=panel.quad)
-        moved_spec = replace(spec, weights=NetworkWeights(spec.weights.w[perm][:, perm]),
-                             quad_mats=None)
+        moved_spec = replace(spec, weights=NetworkWeights(spec.weights.w[perm][:, perm]))
         moved_fe = estimate_fixed_effects(replace(fit, spec=moved_spec, _design=None), moved)
         assert np.max(np.abs(moved_fe - fe[perm])) <= 1e-12 * np.max(np.abs(fe))
 
@@ -737,23 +743,23 @@ def test_theta_stable_under_tiny_outcome_perturbation():
 def _random_quad_matrix(n, density, seed):
     """Symmetric zero-diagonal matrix on a random pattern unrelated to any network."""
     upper = sp.triu(sp.random_array((n, n), density=density, rng=seed), k=1)
-    return QuadWeightMatrix(p=sp.csr_array(upper + upper.T))
+    return sp.csr_array(upper + upper.T)
 
 
 def _band_quad_matrix(n, offset):
     band = sp.diags_array(np.linspace(1.0, 2.0, n - offset), offsets=offset, shape=(n, n))
-    return QuadWeightMatrix(p=sp.csr_array(band + band.T))
+    return sp.csr_array(band + band.T)
 
 
 class TestVarianceDenseOracle:
     """The pattern-only sandwich against the dense n x n formula, at n <= 200."""
 
     @staticmethod
-    def _check(n, estimator="gmm1", operator_kind="kernel", seed=21, **spec_kwargs):
+    def _check(n, estimator="gmm1", operator_kind="kernel", seed=21):
         panel, truth = simulate_mc_panel(n, 4, 1.0, seed=seed)
         spec = MomentSpec(basis=build_bspline_basis(1, 2, panel.quad),
                           operator=small_operator(operator_kind, panel.quad),
-                          weights=truth.weights, n_points=6, **spec_kwargs)
+                          weights=truth.weights, n_points=6)
         fit = fit_named(estimator, panel, spec)
         sigma = estimate_variance(fit, panel, spec)
         assert fit.diagnostics["variance_clipped_count"] == 0
@@ -768,17 +774,9 @@ class TestVarianceDenseOracle:
     def test_largest_oracle_size(self):
         self._check(200, seed=22)
 
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_custom_quad_mats_off_network_pattern(self, count):
-        n = 60
-        mats = [_random_quad_matrix(n, 0.05, 1), _band_quad_matrix(n, 3),
-                _random_quad_matrix(n, 0.15, 2)][:count]
-        self._check(n, quad_mats=mats)
-
     def test_empty_pattern_gives_zero_quadratic_block(self):
         n = 40
-        empty = QuadWeightMatrix(p=sp.csr_array((n, n)))
-        self._check(n, quad_mats=[empty])
+        empty = sp.csr_array((n, n))
         de = np.random.default_rng(6).normal(size=(6, 3, n))
         assert np.all(_quad_variance(de, [empty]) == 0.0)
         assert _quad_variance(de, []).shape == (0, 0)

@@ -61,6 +61,21 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match="non-negative"):
             tiny_cfg(base_seed=-1)
 
+    def test_rejects_negative_inner_knots(self):
+        with pytest.raises(InvalidArgumentError, match="inner knot count"):
+            tiny_cfg(inner_knots=-1)
+        tiny_cfg(inner_knots=0)
+
+    @pytest.mark.parametrize("n_quad", [1, 0, -3])
+    def test_rejects_fewer_than_two_grid_points(self, n_quad):
+        with pytest.raises(InvalidArgumentError, match="at least 2 points"):
+            tiny_cfg(n_quad=n_quad)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_covariate_strength(self, r):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            tiny_cfg(r=r)
+
 
 class TestRun:
     def test_reproducible(self):

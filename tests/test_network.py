@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from conftest import ring_weights
+from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.errors import InvalidArgumentError, SchemaError
+from fnar.estimator import MomentSpec
+from fnar.interaction import PointEval
 from fnar.network import (
     NetworkWeights,
-    QuadWeightMatrix,
-    _exactly_symmetric,
     _row_normalize,
     build_distance_weights,
     build_lattice_weights,
@@ -175,46 +178,37 @@ class TestQuadraticWeights:
         weights = make()
         for got, want in zip(build_quadratic_weights(weights), copying_quadratic_weights(weights)):
             for name in ("indptr", "indices", "data"):
-                a, b = getattr(got.p, name), getattr(want, name)
+                a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_symmetric_matrix_unchanged(self):
         w = NetworkWeights(w=sp.csr_array(np.array([[0.0, 0.3], [0.3, 0.0]])))
         p1, _ = build_quadratic_weights(w)
-        assert_allclose(p1.dense(), w.dense())
+        assert_allclose(p1.toarray(), w.dense())
 
     def test_symmetrization(self):
         w = NetworkWeights(w=sp.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]])))
         p1, _ = build_quadratic_weights(w)
-        assert_allclose(p1.dense(), [[0.0, 0.5], [0.5, 0.0]])
+        assert_allclose(p1.toarray(), [[0.0, 0.5], [0.5, 0.0]])
 
     def test_two_cycle_second_matrix_vanishes(self):
         w = NetworkWeights(w=sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
         _, p2 = build_quadratic_weights(w)
         # W'W = I for the exchange matrix, so removing the diagonal empties it
-        assert p2.p.nnz == 0
+        assert p2.nnz == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_invariants_on_lattice(self, seed):
         w = build_lattice_weights(25, seed)
         for mat in build_quadratic_weights(w):
-            p = mat.dense()
+            p = mat.toarray()
             assert np.max(np.abs(p - p.T)) == 0.0
             assert np.max(np.abs(np.diag(p))) == 0.0
 
-    def test_constructor_rejects_asymmetry(self):
-        bad = sp.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(InvalidArgumentError):
-            QuadWeightMatrix(p=bad)
-
-    def test_constructor_rejects_nonzero_diagonal(self):
-        bad = sp.csr_array(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(InvalidArgumentError):
-            QuadWeightMatrix(p=bad)
-
 
 def copying_symmetry_check(p):
-    """The check QuadWeightMatrix made before it read the COO arrays, kept as the oracle."""
+    """Whether ``p - p.T``, formed by scipy, is exactly zero: the oracle of the
+    quadratic matrices' symmetry."""
     return (abs(p - p.T)).max() == 0.0
 
 
@@ -227,6 +221,11 @@ def _csr(n, rows):
     return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
+def _exactly_symmetric_zero_diagonal(mats):
+    return all(copying_symmetry_check(p) and np.all(p.diagonal() == 0.0) for p in mats)
+
+
+# stored layouts of W; NetworkWeights gets a copy, as it sums duplicates in place
 _ULP = np.nextafter(0.3, 1.0)
 _SYMMETRY_CASES = {
     "symmetric": _csr(3, [[(1, 0.3), (2, -1.0)], [(0, 0.3)], [(0, -1.0)]]),
@@ -251,36 +250,73 @@ _SYMMETRY_CASES = {
 }
 
 
+def _edge_list_isolated_last(tmp_path):
+    dense = np.zeros((5, 5))
+    dense[0, 1] = dense[1, 2] = dense[2, 0] = dense[3, 1] = 1.0
+    path = tmp_path / "w.csv"
+    write_edge_list(NetworkWeights(w=sp.csr_array(dense)), path)
+    return read_edge_list(path)
+
+
 class TestSymmetryCheck:
-    """_exactly_symmetric accepts and rejects what ``abs(p - p.T).max() != 0`` does."""
+    """The quadratic matrices are exactly symmetric with a zero diagonal by
+    construction, whatever W's stored layout; ``copying_symmetry_check`` is
+    the oracle."""
 
     @pytest.mark.parametrize("name", list(_SYMMETRY_CASES))
     def test_matches_copying_check(self, name):
-        p = _SYMMETRY_CASES[name]
-        stored = [a.copy() for a in (p.indptr, p.indices, p.data)]
-        assert _exactly_symmetric(p) == copying_symmetry_check(p)
-        for before, after in zip(stored, (p.indptr, p.indices, p.data)):
-            assert np.array_equal(before, after, equal_nan=True)
+        layout = _SYMMETRY_CASES[name]
+        if not np.all(np.isfinite(layout.toarray())):  # duplicates summed, as in W
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                NetworkWeights(w=layout.copy())
+            return
+        weights = NetworkWeights(w=layout.copy())
+        assert weights.w.has_canonical_format
+        mats = build_quadratic_weights(weights)
+        assert _exactly_symmetric_zero_diagonal(mats)
+        dense = weights.w.toarray()
+        assert np.array_equal(mats[0].toarray(), (dense + dense.T) * 0.5)
 
     def test_cases_cover_both_answers(self):
+        # W in the table is sometimes symmetric and sometimes not, so P's
+        # symmetry is not inherited from W's
         answers = {name: copying_symmetry_check(p) for name, p in _SYMMETRY_CASES.items()}
         assert answers["duplicates-sum-to-mirror"] and answers["stored-zero-one-sided"]
         assert not answers["one-ulp"] and not answers["duplicates-summed-in-storage-order"]
 
     @pytest.mark.parametrize("make", [
-        lambda: build_lattice_weights(40, 1),
-        lambda: build_lattice_weights(3200, 2),
-        lambda: build_distance_weights(np.random.default_rng(3).uniform(size=(60, 2)), 0.2),
-        _signed_cancelling_weights,
-    ], ids=["lattice40", "lattice3200", "distance", "signed-cancelling"])
-    def test_builders_and_one_ulp_perturbations(self, make):
-        for mat in build_quadratic_weights(make()):
-            p = mat.p
-            assert _exactly_symmetric(p) and copying_symmetry_check(p)
+        lambda tmp: build_lattice_weights(40, 1),
+        lambda tmp: build_lattice_weights(3200, 2),
+        lambda tmp: build_distance_weights(np.random.default_rng(3).uniform(size=(60, 2)), 0.2),
+        lambda tmp: build_distance_weights(
+            np.random.default_rng(5).uniform([-10.0, 40.0], [10.0, 60.0], size=(60, 2)), 400.0,
+            metric="greatcircle"),
+        lambda tmp: build_distance_weights(np.random.default_rng(4).uniform(size=(60, 2)), 0.25,
+                                           inverse_distance=False),
+        lambda tmp: ring_weights(7),
+        lambda tmp: _directed_ring(7),
+        lambda tmp: _signed_cancelling_weights(),
+        _edge_list_isolated_last,
+    ], ids=["lattice40", "lattice3200", "distance", "distance-greatcircle", "distance-binary",
+            "ring7", "directed-ring7", "signed-cancelling", "edge-list-isolated-last"])
+    def test_builders_and_one_ulp_perturbations(self, make, tmp_path):
+        weights = make(tmp_path)
+        quad = build_quadrature(9)
+        spec = MomentSpec(basis=build_bspline_basis(0, 1, quad), operator=PointEval(quad),
+                          weights=weights)
+        assert _exactly_symmetric_zero_diagonal(spec.quad_mats)
+        for p in spec.quad_mats:
             for k in (0, p.nnz // 2, p.nnz - 1)[:p.nnz]:
                 bumped = p.copy()
                 bumped.data[k] = np.nextafter(bumped.data[k], np.inf)
-                assert not _exactly_symmetric(bumped) and not copying_symmetry_check(bumped)
+                assert not copying_symmetry_check(bumped)
+        # a spec copy with other weights builds their matrices, not the old ones
+        other = NetworkWeights(w=2.0 * weights.w)
+        moved = replace(spec, weights=other)
+        for got, want in zip(moved.quad_mats, build_quadratic_weights(other), strict=True):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert not np.array_equal(moved.quad_mats[0].data, spec.quad_mats[0].data)
 
     def test_random_duplicated_matrices(self):
         rng = np.random.default_rng(11)
@@ -297,19 +333,11 @@ class TestSymmetryCheck:
             entries = [[] for _ in range(n)]
             for i in rng.permutation(np.flatnonzero(off)):
                 entries[rows[i]].append((cols[i], vals[i]))
-            p = _csr(n, entries)
-            answer = copying_symmetry_check(p)
-            assert _exactly_symmetric(p) == answer
-            answers.add(bool(answer))
+            layout = _csr(n, entries)
+            answers.add(bool(copying_symmetry_check(layout)))
+            assert _exactly_symmetric_zero_diagonal(
+                build_quadratic_weights(NetworkWeights(w=layout.copy())))
         assert answers == {True, False}
-
-    def test_zero_by_zero_matrix_is_symmetric(self):
-        # the copying check cannot reduce over a 0 x 0 matrix and raises instead
-        p = sp.csr_array((0, 0))
-        assert _exactly_symmetric(p)
-        assert QuadWeightMatrix(p=p).n == 0
-        with pytest.raises(ValueError):
-            copying_symmetry_check(p)
 
 
 class TestEdgeList:

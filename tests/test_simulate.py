@@ -211,6 +211,13 @@ class TestMcPanel:
         with pytest.raises(InvalidArgumentError):
             simulate_mc_panel(10, 2, 0.0, seed=1)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_r_must_be_finite(self, r):
+        from fnar.errors import InvalidArgumentError
+
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            simulate_mc_panel(10, 2, r, seed=1)
+
     @pytest.mark.parametrize("T", [0, -2])
     def test_needs_a_period(self, T):
         from fnar.errors import InvalidArgumentError
