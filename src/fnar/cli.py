@@ -35,6 +35,7 @@ from .errors import (
     VarianceUnavailableError,
 )
 from .estimator import (
+    ESTIMATORS,
     MomentSpec,
     estimate_fixed_effects,
     estimate_variance,
@@ -138,11 +139,8 @@ def cmd_estimate(args) -> int:
         basis=basis, operator=operator, weights=weights,
         n_points=args.moment_points, iv_exclude=iv_exclude,
     )
-    if args.estimator == "2sls":
-        fit = fit_2sls(panel, spec)
-    else:
-        fit = fit_gmm(panel, spec,
-                      weighting="identity" if args.estimator == "gmm2" else "2sls-block")
+    fit = (fit_2sls(panel, spec) if args.estimator == "2sls"
+           else fit_gmm(panel, spec, estimator=args.estimator))
     estimate_variance(fit, panel, spec)
     estimate_fixed_effects(fit, panel)
 
@@ -290,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--inner-knots", type=int, default=2)
     p_est.add_argument("--degree", type=int, default=3)
     p_est.add_argument("--grid-count", type=int, default=99)
-    p_est.add_argument("--estimator", choices=["gmm1", "gmm2", "2sls"], default="gmm1")
+    p_est.add_argument("--estimator", choices=ESTIMATORS, default="gmm1")
     p_est.add_argument("--iv-exclude", default="",
                        help="comma-separated covariate indices kept out of the lags")
     p_est.add_argument("--out", required=True)

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _SV_FLOOR = 1e-10
+ESTIMATORS = ("gmm1", "gmm2", "2sls")  # block-weight GMM, identity-weight GMM, 2SLS
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 # Optimiser settings of fit_gmm's one run: Gauss-Newton iterations per stage
@@ -64,7 +65,7 @@ class MomentSpec:
     """Everything the moment conditions need besides the panel itself.
 
     One spec fixes one moment design; the weight matrix is chosen per fit
-    (``fit_gmm``'s ``weighting``).
+    (``fit_gmm``'s ``estimator``).
 
     Attributes
     ----------
@@ -76,7 +77,8 @@ class MomentSpec:
         Interaction matrix, the source of the instrument lags and of the
         quadratic-moment matrices.
     n_points : int
-        Number L of moment-grid points l/(L+1), l = 1..L.
+        Number L of moment-grid points l/(L+1), l = 1..L; at least the basis
+        size K, since the instrument second moment has rank at most d_b L.
     iv_exclude : tuple of int
         Covariate indices excluded from instrument construction (they
         still instrument themselves).
@@ -93,8 +95,10 @@ class MomentSpec:
     quad_mats: list[sp.csr_array] = field(init=False)
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise InvalidArgumentError(f"need at least one moment point, got {self.n_points}")
+        if self.n_points < self.basis.size:
+            raise InvalidArgumentError(
+                f"need at least as many moment points as basis functions, "
+                f"got L={self.n_points}, K={self.basis.size}")
         self.quad_mats = build_quadratic_weights(self.weights)
 
     @property
@@ -104,19 +108,14 @@ class MomentSpec:
         return np.arange(1, L + 1, dtype=float) / (L + 1)
 
 
-def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
-                      spec: MomentSpec) -> np.ndarray:
+def build_instruments(panel: FunctionalPanel, spec: MomentSpec) -> np.ndarray:
     """(n, T, d_q + d_x) instrument rows: the network lags W X and W^2 X of the
-    covariates, then the covariates.
+    covariates (W is ``spec.weights``), then the covariates.
 
     Covariates listed in ``spec.iv_exclude`` contribute no lags; an index
     outside 0..d_x-1 raises ``InvalidArgumentError``. The full
     covariate vector is always appended, so the row layout is (Q_it', X_it')'.
     """
-    if weights.n != panel.n:
-        raise InvalidArgumentError(
-            f"network has {weights.n} units, panel has {panel.n}"
-        )
     for j in spec.iv_exclude:
         if not 0 <= j < panel.d_x:
             raise InvalidArgumentError(
@@ -124,8 +123,8 @@ def build_instruments(panel: FunctionalPanel, weights: NetworkWeights,
     included = [j for j in range(panel.d_x) if j not in set(spec.iv_exclude)]
     if not included:
         raise UnderidentifiedError("every covariate is excluded from instrument construction")
-    lag1 = network_lag(weights, panel.x[:, :, included])
-    q = np.concatenate([lag1, network_lag(weights, lag1)], axis=2)
+    lag1 = network_lag(spec.weights, panel.x[:, :, included])
+    q = np.concatenate([lag1, network_lag(spec.weights, lag1)], axis=2)
     if np.all(q == 0.0):
         warnings.warn(
             "all network-lagged instruments are identically zero",
@@ -177,7 +176,7 @@ class _Design:
     All stored moment pieces carry the 1/(n(T-1)) normalization. The
     ``mean`` aggregates are additionally averaged over the moment grid; the
     ``per_point`` ones keep the grid axis. Nothing here depends on the
-    weighting, so fits on one spec that differ only in it share a design.
+    weight matrix, so fits on one spec that differ only in it share a design.
 
     The instrument and regressor rows at every (point, period, unit) exist
     only while the aggregates are summed. Afterwards the design keeps the
@@ -188,6 +187,7 @@ class _Design:
     bit for bit.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite aggregates raise below
     def __init__(self, panel: FunctionalPanel, spec: MomentSpec):
         if panel.T < 2:
             raise CannotDifferenceError(
@@ -197,7 +197,7 @@ class _Design:
         self.spec = spec
         n, T, d_x = panel.n, panel.T, panel.d_x
         K = spec.basis.size
-        self._db = _period_differences(build_instruments(panel, spec.weights, spec))
+        self._db = _period_differences(build_instruments(panel, spec))
         self.d_theta = (1 + d_x) * K
         self.d_z = self._db.shape[2] * K
         self.M = len(spec.quad_mats)
@@ -243,6 +243,9 @@ class _Design:
                                      A=norm * np.einsum("lnz,lnt->lzt", zf, hf),
                                      c=c, b=b, C=C)
         self.mean = _Aggregates(*(part.mean(axis=0) for part in self.per_point))
+        if not all(np.isfinite(part).all() for part in (self.s_z, *self.per_point, *self.mean)):
+            raise NumericalFailureError("moment aggregates are not finite (overflow in the "
+                                        "network weights or the data)")
 
     def _at_points(self, node_values: np.ndarray) -> np.ndarray:
         """(L, ...) interpolants at the moment points of (..., nodes) stencil values."""
@@ -287,14 +290,8 @@ class _Design:
         try:
             chol = sla.cho_factor(self.s_z)
         except sla.LinAlgError as exc:
-            hint = (
-                f"; the block weight needs at least as many moment points as basis "
-                f"functions (L={self.spec.n_points}, K={self.spec.basis.size})"
-                if self.spec.n_points < self.spec.basis.size
-                else " (collinear instruments)"
-            )
             raise UnderidentifiedError(
-                "instrument second-moment matrix is singular" + hint
+                "instrument second-moment matrix is singular (collinear instruments)"
             ) from exc
         return sla.cho_solve(chol, np.eye(self.d_z))
 
@@ -377,8 +374,7 @@ class GmmFit:
     n: int
     T: int
     d_x: int
-    method: str
-    include_quadratic: bool
+    method: str  # one of ESTIMATORS
     omega: np.ndarray
     objective_value: float
     iterations: int
@@ -447,7 +443,6 @@ def fit_2sls(panel: FunctionalPanel, spec: MomentSpec, *, design: _Design | None
         T=panel.T,
         d_x=panel.d_x,
         method="2sls",
-        include_quadratic=False,
         omega=omega_z,
         objective_value=float(resid @ omega_z @ resid),
         iterations=0,
@@ -555,25 +550,25 @@ def _gauss_newton(design: _Design, omega: np.ndarray, omega_sqrt: np.ndarray,
     return _GnRun(theta, obj, iterations, path, stop, grad_norm)
 
 
-def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, weighting: str = "2sls-block",
+def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, estimator: str = "gmm1",
             design: _Design | None = None) -> GmmFit:
     """Minimize the integrated-GMM objective by damped Gauss-Newton.
 
-    The weight matrix is fixed (one-step GMM): ``weighting`` "2sls-block"
-    (gmm1) pairs the inverse instrument second moment with an identity block
-    for the quadratic moments, and "identity" (gmm2) weighs every moment
-    alike. One run starts from the closed-form linear-moments solution and
-    stops at gradient norm 1e-10, with at most 200 iterations per stage; a
-    run that ends otherwise is reported through ``converged`` and the
-    ``stop_reason`` and ``grad_norm`` diagnostics, not restarted. ``design``
-    is for ``run_mc``, whose fits on one spec differ only in the weighting
-    and share one moment design; a design built on another panel or spec
-    object raises ``InvalidArgumentError``.
+    The weight matrix is fixed (one-step GMM): ``estimator`` "gmm1" pairs
+    the inverse instrument second moment with an identity block for the
+    quadratic moments, and "gmm2" weighs every moment alike; 2SLS is
+    ``fit_2sls``. One run starts from the closed-form linear-moments
+    solution and stops at gradient norm 1e-10, with at most 200 iterations
+    per stage; a run that ends otherwise is reported through ``converged``
+    and the ``stop_reason`` and ``grad_norm`` diagnostics, not restarted.
+    ``design`` is for ``run_mc``, whose fits on one spec differ only in the
+    weight matrix and share one moment design; a design built on another
+    panel or spec object raises ``InvalidArgumentError``.
     """
-    if weighting not in ("2sls-block", "identity"):
-        raise InvalidArgumentError(f"unknown weighting {weighting!r}")
+    if estimator not in ("gmm1", "gmm2"):
+        raise InvalidArgumentError(f"unknown GMM estimator {estimator!r}; use gmm1 or gmm2")
     design = _use_design(panel, spec, design)
-    omega = (np.eye(design.d_g) if weighting == "identity"
+    omega = (np.eye(design.d_g) if estimator == "gmm2"
              else sla.block_diag(design._instrument_weight(), np.eye(design.M)))
     omega_sqrt = _omega_sqrt(omega)
     theta0, smin = design.solve_2sls()
@@ -585,8 +580,7 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, weighting: str = "2sls-
         n=panel.n,
         T=panel.T,
         d_x=panel.d_x,
-        method="gmm-" + weighting,
-        include_quadratic=True,
+        method=estimator,
         omega=omega,
         objective_value=run.objective,
         iterations=run.iterations,
@@ -658,7 +652,7 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec) -> 
     lag = np.einsum("tnz,tnw->zw", u[:-1], u[1:])
     v_z = scale * (np.einsum("tnz,tnw->zw", u, u) + lag + lag.T)
 
-    if fit.include_quadratic:
+    if fit.method != "2sls":
         v_hat = sla.block_diag(v_z, scale * _quad_variance(de, spec.quad_mats))
         jbar = design.mean.jacobian(fit.theta)
     else:

@@ -9,13 +9,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_bspline_basis
-from .errors import HarnessError, InvalidArgumentError
-from .estimator import CI_Z, MomentSpec, estimate_variance, fit_2sls, fit_gmm
-from .simulate import mc_alpha, mc_beta, simulate_mc_panel
+from .errors import CannotDifferenceError, HarnessError, InvalidArgumentError
+from .estimator import CI_Z, ESTIMATORS, MomentSpec, estimate_variance, fit_2sls, fit_gmm
+from .simulate import mc_alpha, simulate_mc_panel
 
 __all__ = ["McConfig", "McReport", "run_mc", "format_report", "PRESETS"]
 
-ESTIMATORS = ("gmm1", "gmm2", "2sls")
 SPLINE_DEGREE = 3  # cubic B-splines, as in the simulation design
 
 
@@ -25,7 +24,9 @@ class McConfig:
 
     ``coverage_points`` lists evaluation points at which the pointwise 95%
     confidence interval for the interaction-effect function is checked
-    against the truth (gmm1 fits only).
+    against the truth (gmm1 fits only). Only the harness's own values are
+    checked here; a design value that the simulation, basis or moment
+    design rejects stops ``run_mc`` at the first replication.
     """
 
     n: int = 40
@@ -41,25 +42,15 @@ class McConfig:
     coverage_points: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not np.isfinite(self.r):
-            raise InvalidArgumentError(f"covariate strength r must be finite, got {self.r}")
-        if min(self.n, self.T, self.L, self.r, self.replications) <= 0:
-            raise InvalidArgumentError("all design values must be positive")
-        if self.inner_knots < 0:
-            raise InvalidArgumentError(f"inner knot count must be >= 0, got {self.inner_knots}")
-        if self.n_quad < 2:
-            raise InvalidArgumentError(f"quadrature needs at least 2 points, got {self.n_quad}")
-        if self.T < 2:
-            raise InvalidArgumentError(f"differencing needs at least 2 periods, got T={self.T}")
+        if self.replications < 1:
+            raise InvalidArgumentError(f"need at least one replication, got {self.replications}")
         if self.base_seed < 0:
             raise InvalidArgumentError(f"base seed must be non-negative, got {self.base_seed}")
         if self.workers < 1:
             raise InvalidArgumentError(f"need at least one worker, got {self.workers}")
-        if not self.estimators:
-            raise InvalidArgumentError("at least one estimator is required")
-        for name in self.estimators:
-            if name not in ESTIMATORS:
-                raise InvalidArgumentError(f"unknown estimator {name!r}")
+        if not self.estimators or not set(self.estimators) <= set(ESTIMATORS):
+            raise InvalidArgumentError(
+                f"estimators must be a non-empty selection of {ESTIMATORS}, got {self.estimators}")
         if self.coverage_points and "gmm1" not in self.estimators:
             raise InvalidArgumentError("coverage tracking requires the gmm1 estimator")
 
@@ -100,25 +91,19 @@ class McReport:
 def _run_replication(cfg: McConfig, seed: np.random.SeedSequence) -> dict:
     """Simulate one panel and fit every estimator on its one moment design."""
     panel, truth = simulate_mc_panel(cfg.n, cfg.T, cfg.r, seed, n_quad=cfg.n_quad)
-    grid = panel.quad
-    alpha_true = mc_alpha(grid.points)
-    beta_true = mc_beta(grid.points, cfg.r)
-    basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, grid)
+    basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, panel.quad)
     spec = MomentSpec(basis=basis, operator=truth.operator, weights=truth.weights,
                       n_points=cfg.L)
     design = None  # built by the first fit, shared by the others
     out = {"scores": {}, "nonconverged": [], "covered": None}
     for name in cfg.estimators:
-        if name == "2sls":
-            fit = fit_2sls(panel, spec, design=design)
-        else:
-            fit = fit_gmm(panel, spec, weighting="identity" if name == "gmm2" else "2sls-block",
-                          design=design)
+        fit = (fit_2sls(panel, spec, design=design) if name == "2sls"
+               else fit_gmm(panel, spec, estimator=name, design=design))
         design = fit._design
         if not fit.converged:
             out["nonconverged"].append(name)
-        err_alpha = basis.values_on_grid @ fit.theta_alpha - alpha_true
-        err_beta = basis.values_on_grid @ fit.theta_beta(0) - beta_true
+        err_alpha = basis.values_on_grid @ fit.theta_alpha - truth.alpha
+        err_beta = basis.values_on_grid @ fit.theta_beta(0) - truth.beta[0]
         out["scores"][name] = (
             float(err_alpha.mean()), float(np.sqrt(np.mean(err_alpha**2))),
             float(err_beta.mean()), float(np.sqrt(np.mean(err_beta**2))),
@@ -136,6 +121,8 @@ def _worker(payload):
     cfg, seed = payload
     try:
         return _run_replication(cfg, seed)
+    except (InvalidArgumentError, CannotDifferenceError):
+        raise  # a design error, the same in every replication
     except Exception as exc:  # scored as a failure, not fatal to the harness
         return {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -145,7 +132,8 @@ def run_mc(cfg: McConfig) -> McReport:
 
     Per-replication seeds are spawned from the base seed up front, so the
     report is identical for any worker count. Failed replications are kept
-    in ``errors`` and skipped; more than 10% of them abort.
+    in ``errors`` and skipped; more than 10% of them abort. A design error
+    (``InvalidArgumentError``, ``CannotDifferenceError``) is raised as is.
     """
     started = time.perf_counter()
     seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)

@@ -43,7 +43,7 @@ class NetworkWeights:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = sp.csr_array(self.w)
+        w = sp.csr_array(self.w, copy=True)  # canonicalised in place below
         if w.shape[0] != w.shape[1]:
             raise InvalidArgumentError(f"weight matrix must be square, got {w.shape}")
         w.sum_duplicates()

@@ -50,7 +50,7 @@ def stacked_matrices(panel, spec, s):
     h_stack = np.zeros((n * T, (1 + panel.d_x) * K))
     from fnar.estimator import build_instruments
 
-    b = build_instruments(panel, spec.weights, spec)
+    b = build_instruments(panel, spec)
     phi_exact = spec.basis.eval(s)
     z_stack = np.zeros((n * T, b.shape[2] * K))
     for t in range(T):
@@ -143,7 +143,7 @@ def dense_variance(panel, spec, fit):
         for t2 in (t - 1, t, t + 1):
             if 0 <= t2 < T - 1:
                 v_hat += scale * u[t].T @ u[t2]
-    if fit.include_quadratic:
+    if fit.method != "2sls":
         v_hat = block_diag(v_hat, scale * dense_quad_block(np.array(de_all), spec.quad_mats))
     else:
         jac = jac[:d_z]
@@ -165,7 +165,7 @@ def materialised_design(panel, spec):
 
     n, T, d_x = panel.n, panel.T, panel.d_x
     K = spec.basis.size
-    b_rows = build_instruments(panel, spec.weights, spec)
+    b_rows = build_instruments(panel, spec)
     d_theta, d_z = (1 + d_x) * K, b_rows.shape[2] * K
     points = spec.points
     L = points.size

@@ -100,13 +100,11 @@ class TestEstimate:
         spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad),
                           operator=PastWindow(panel.quad, width=0.3),
                           weights=read_edge_list(sim_dir / "weights.csv", n=panel.n))
-        if estimator == "2sls":
-            fit = fit_2sls(panel, spec)
-        else:
-            fit = fit_gmm(panel, spec,
-                          weighting="identity" if estimator == "gmm2" else "2sls-block")
+        fit = (fit_2sls(panel, spec) if estimator == "2sls"
+               else fit_gmm(panel, spec, estimator=estimator))
+        assert fit.method == estimator
         report = (est / "fit_report.txt").read_text()
-        assert f"\n  method: {fit.method}\n" in report
+        assert f"\n  method: {estimator}\n" in report
         assert "  alpha: " + " ".join(f"{v:.12g}" for v in fit.theta_alpha) + "\n" in report
         assert "  beta1: " + " ".join(f"{v:.12g}" for v in fit.theta_beta(0)) + "\n" in report
         table = np.loadtxt(est / "alpha_hat.csv", delimiter=",", skiprows=1)
@@ -229,6 +227,41 @@ class TestEstimate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_fewer_moment_points_than_basis_functions_is_data_error(self, sim_dir, tmp_path,
+                                                                    capsys):
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run([
+            "estimate", "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv",
+            "--weights", sim_dir / "weights.csv", "--moment-points", 3, "--out", est,
+        ])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need at least as many moment points as basis functions, "
+                       "got L=3, K=6"]
+        assert not any(est.iterdir())
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_overflowing_weights_are_numeric_error(self, sim_dir, tmp_path, capsys, scale):
+        # the moment aggregates overflow: a typed error, not a scipy traceback
+        edges = np.loadtxt(sim_dir / "weights.csv", delimiter=",", skiprows=1)
+        wfile = tmp_path / "w.csv"
+        with open(wfile, "w") as fh:
+            fh.write("i,j,weight\n")
+            for i, j, w in edges:
+                fh.write(f"{int(i)},{int(j)},{float(w * scale)!r}\n")
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run([
+            "estimate", "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv", "--weights", wfile, "--out", est,
+        ])
+        assert code == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
+        assert not any(est.iterdir())
+
     @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1"])
     def test_bad_iv_exclude_is_data_error(self, sim_dir, tmp_path, capsys, value):
         # not integers, or not covariate indices of the one-covariate panel
@@ -290,10 +323,12 @@ class TestMonteCarlo:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--inner-knots", -1], ["--r", "nan"], ["--r", "inf"]])
+    @pytest.mark.parametrize("flags", [["--inner-knots", -1], ["--r", "nan"], ["--r", "inf"],
+                                       ["--n", 1], ["--moment-points", 3],
+                                       ["--moment-points", 0, "--workers", 2]])
     def test_bad_design_value_is_data_error(self, tmp_path, capsys, flags):
-        # rejected by McConfig (exit 4) before any replication runs; a design
-        # that only fails inside the replications exits 5
+        # the first replication raises the design error (exit 4), before any
+        # replication is scored; only other failures are counted (exit 5 if many)
         out = tmp_path / "mc.csv"
         code = run(["montecarlo", "--n", 5, "--T", 3, *flags, "--replications", 1,
                     "--seed", 1, "--out", out])

@@ -283,7 +283,7 @@ class TestTruncationDecay:
                     basis.project(truth.alpha), basis.project(truth.beta[0])
                 ])
                 pseudo = GmmFit(theta=theta_star, spec=spec, n=n, T=T, d_x=1,
-                                method="projected-truth", include_quadratic=True,
+                                method="projected-truth",
                                 omega=np.eye(1), objective_value=0.0,
                                 iterations=0, converged=True)
                 unit = int(np.argmax(truth.weights.degrees))

@@ -13,6 +13,7 @@ from fnar.errors import (
     CannotDifferenceError,
     InvalidArgumentError,
     MissingDataError,
+    NumericalFailureError,
     SmallTWarning,
     UnderidentificationWarning,
     UnderidentifiedError,
@@ -61,10 +62,8 @@ def make_panel(n=3, T=3, n_quad=15, d_x=1, seed=0):
 
 def fit_named(name, panel, spec, design=None):
     """The fit that ``run_mc`` and ``fnar estimate`` make for estimator ``name``."""
-    if name == "2sls":
-        return fit_2sls(panel, spec, design=design)
-    return fit_gmm(panel, spec, weighting="identity" if name == "gmm2" else "2sls-block",
-                   design=design)
+    return (fit_2sls(panel, spec, design=design) if name == "2sls"
+            else fit_gmm(panel, spec, estimator=name, design=design))
 
 
 def make_spec(panel, *, operator_kind="kernel", inner_knots=0, degree=1, n_points=4,
@@ -123,7 +122,7 @@ class TestInstruments:
     def test_dimensions_and_dq(self):
         panel = make_panel(n=4, T=3, d_x=2)
         spec = make_spec(panel)
-        inst = build_instruments(panel, spec.weights, spec)
+        inst = build_instruments(panel, spec)
         assert inst.shape == (4, 3, 6)  # two lag orders of two covariates, then both
         K = spec.basis.size
         assert _Design(panel, spec).d_g == 6 * K + 2
@@ -133,38 +132,53 @@ class TestInstruments:
         w = NetworkWeights(w=sp.csr_array((3, 3)))
         spec = make_spec(panel, weights=w)
         with pytest.warns(UnderidentificationWarning):
-            inst = build_instruments(panel, w, spec)
+            inst = build_instruments(panel, spec)
         assert_allclose(inst[:, :, :2], 0.0)
 
     def test_constant_covariate_convexity(self):
         panel = make_panel(n=5)
         panel.x[:] = 1.0
         spec = make_spec(panel)
-        inst = build_instruments(panel, spec.weights, spec)
+        inst = build_instruments(panel, spec)
         assert_allclose(inst[:, :, 0], 1.0, atol=1e-14)  # row sums are 1
 
     def test_all_excluded_is_underidentified(self):
         panel = make_panel()
         with pytest.raises(UnderidentifiedError):
             spec = make_spec(panel, iv_exclude=(0,))
-            build_instruments(panel, spec.weights, spec)
+            build_instruments(panel, spec)
 
     @pytest.mark.parametrize("exclude", [(2,), (-1,), (0, 5)])
     def test_exclusion_outside_covariates_rejected(self, exclude):
         panel = make_panel(d_x=2)
         spec = make_spec(panel, iv_exclude=exclude)
         with pytest.raises(InvalidArgumentError, match="outside 0..1"):
-            build_instruments(panel, spec.weights, spec)
+            build_instruments(panel, spec)
 
+    def test_network_of_other_size_rejected(self):
+        panel = make_panel(n=4)
+        spec = make_spec(panel, weights=ring_weights(5))
+        with pytest.raises(InvalidArgumentError, match="network has 5 units"):
+            build_instruments(panel, spec)
 
     @pytest.mark.parametrize("exclude", [(), (0,), (1,)])
     def test_equals_lag_loop_bitwise(self, exclude):
         panel = make_panel(n=6, T=4, d_x=2, seed=4)
         spec = make_spec(panel, weights=build_lattice_weights(6, np.random.default_rng(2)),
                          iv_exclude=exclude)
-        inst = build_instruments(panel, spec.weights, spec)
+        inst = build_instruments(panel, spec)
         want = lag_loop_instruments(panel, spec.weights, exclude)
         assert np.array_equal(inst, want)
+
+
+class TestMomentSpec:
+    @pytest.mark.parametrize("n_points", [0, 1, 5])
+    def test_fewer_moment_points_than_basis_functions_rejected(self, n_points):
+        # with L < K the instrument second moment is singular, so no fit exists
+        panel = make_panel()
+        with pytest.raises(InvalidArgumentError, match=f"got L={n_points}, K=6"):
+            make_spec(panel, inner_knots=2, degree=3, n_points=n_points)
+        assert make_spec(panel, inner_knots=2, degree=3, n_points=6).n_points == 6
 
 
 class TestMomentFunction:
@@ -310,10 +324,23 @@ class TestFits:
         run = _gauss_newton(design, omega, _omega_sqrt(omega), design.solve_2sls()[0])
         assert_allclose(run.theta, fit2.theta, atol=1e-12)
 
-    def test_unknown_weighting_rejected(self):
+    @pytest.mark.parametrize("name", ["custom", "2sls"])
+    def test_unknown_estimator_rejected(self, name):
         panel, spec, _ = exact_span_panel(n=12, T=3, noise=0.3, seed=6)
-        with pytest.raises(InvalidArgumentError, match="unknown weighting 'custom'"):
-            fit_gmm(panel, spec, weighting="custom")
+        with pytest.raises(InvalidArgumentError, match=f"unknown GMM estimator '{name}'"):
+            fit_gmm(panel, spec, estimator=name)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    @pytest.mark.parametrize("fit", [fit_2sls, fit_gmm])
+    def test_non_finite_aggregates_are_numerical_failure(self, fit, scale):
+        # at 1e150 the instrument second moment overflows (W^2 X is about 1e300);
+        # at 1e200 W^2 X and the quadratic-moment matrix W'W overflow themselves
+        panel, truth = simulate_mc_panel(12, 3, 1.0, seed=8)
+        weights = NetworkWeights(w=truth.weights.w * scale)
+        spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad),
+                          operator=truth.operator, weights=weights)
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            fit(panel, spec)
 
     def test_objective_at_optimum_below_truth(self):
         panel, truth = simulate_mc_panel(20, 4, 1.0, seed=12)
@@ -456,7 +483,7 @@ class TestFixedEffects:
         mse = {}
         for label, pan in (("T5", panel5), ("T10", panel10)):
             fit = GmmFit(theta=theta_proj, spec=spec, n=pan.n, T=pan.T, d_x=1,
-                         method="truth", include_quadratic=True,
+                         method="truth",
                          omega=np.eye(1), objective_value=0.0, iterations=0,
                          converged=True)
             fe = estimate_fixed_effects(fit, pan)
@@ -509,7 +536,7 @@ class TestVariance:
         spec = make_spec(panel, weights=build_lattice_weights(n, rng))
         design = _Design(panel, spec)
         fit = GmmFit(theta=np.zeros(design.d_theta), spec=spec, n=n, T=T, d_x=1,
-                     method="2sls", include_quadratic=False,
+                     method="2sls",
                      omega=design._instrument_weight(), objective_value=0.0,
                      iterations=0, converged=True, _design=design)
         sigma = estimate_variance(fit, panel, spec)
@@ -563,7 +590,7 @@ class TestSharedDesign:
         import fnar.estimator as est
 
         panel, spec = _paper_cell_spec(seed=42)
-        fit = fit_gmm(panel, spec, weighting="identity", design=fit_2sls(panel, spec)._design)
+        fit = fit_gmm(panel, spec, estimator="gmm2", design=fit_2sls(panel, spec)._design)
         monkeypatch.setattr(est, "_Design", None)  # any rebuild would fail
         estimate_variance(fit, panel, spec)
         assert fit.diagnostics["variance_clipped_count"] == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fnar.montecarlo as mc
-from fnar.errors import HarnessError, InvalidArgumentError
+from fnar.errors import CannotDifferenceError, HarnessError, InvalidArgumentError
 from fnar.montecarlo import McConfig, format_report, run_mc
 
 
@@ -35,6 +35,9 @@ GOLDEN_COVERAGE = (0.9, 0.8, 0.8)
 
 
 class TestConfig:
+    """McConfig checks the harness's own values; the builders check the
+    design values when ``run_mc`` reaches them, at the first replication."""
+
     def test_rejects_empty_estimators(self):
         with pytest.raises(InvalidArgumentError):
             tiny_cfg(estimators=())
@@ -54,8 +57,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("T", [1, 0])
     def test_rejects_fewer_than_two_periods(self, T):
-        with pytest.raises(InvalidArgumentError):
-            tiny_cfg(T=T)
+        # one period simulates but cannot be differenced; zero cannot be simulated
+        error = CannotDifferenceError if T == 1 else InvalidArgumentError
+        with pytest.raises(error, match="period"):
+            run_mc(tiny_cfg(T=T))
 
     def test_rejects_negative_base_seed(self):
         with pytest.raises(InvalidArgumentError, match="non-negative"):
@@ -63,18 +68,29 @@ class TestConfig:
 
     def test_rejects_negative_inner_knots(self):
         with pytest.raises(InvalidArgumentError, match="inner knot count"):
-            tiny_cfg(inner_knots=-1)
-        tiny_cfg(inner_knots=0)
+            run_mc(tiny_cfg(inner_knots=-1))
+        assert run_mc(tiny_cfg(inner_knots=0, replications=1)).failures == 0
 
     @pytest.mark.parametrize("n_quad", [1, 0, -3])
     def test_rejects_fewer_than_two_grid_points(self, n_quad):
         with pytest.raises(InvalidArgumentError, match="at least 2 points"):
-            tiny_cfg(n_quad=n_quad)
+            run_mc(tiny_cfg(n_quad=n_quad))
 
     @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_covariate_strength(self, r):
         with pytest.raises(InvalidArgumentError, match="finite"):
-            tiny_cfg(r=r)
+            run_mc(tiny_cfg(r=r))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("design,message", [
+        ({"n": 1}, "at least 2 units"),
+        ({"L": 3}, "as many moment points as basis functions"),
+        ({"L": 0}, "as many moment points as basis functions"),
+    ], ids=["n=1", "L=3", "L=0"])
+    def test_design_error_stops_the_run(self, design, message, workers):
+        # the same error in every replication, so it is raised, not counted
+        with pytest.raises(InvalidArgumentError, match=message):
+            run_mc(tiny_cfg(workers=workers, **design))
 
 
 class TestRun:

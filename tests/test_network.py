@@ -63,6 +63,19 @@ def copying_quadratic_weights(weights):
             for m in (w, sp.csr_array(w.T @ w))]
 
 
+class TestNetworkWeights:
+    def test_callers_matrix_left_as_given(self):
+        # a stored zero in row 0 and a duplicated entry in row 1
+        given = sp.csr_array((np.array([0.0, 0.25, 0.25]), np.array([1, 0, 0]),
+                              np.array([0, 1, 3])), shape=(2, 2))
+        weights = NetworkWeights(w=given)
+        assert given.indptr.tolist() == [0, 1, 3]
+        assert given.indices.tolist() == [1, 0, 0]
+        assert given.data.tolist() == [0.0, 0.25, 0.25]
+        assert weights.w.indptr.tolist() == [0, 0, 1]
+        assert weights.w.data.tolist() == [0.5]
+
+
 class TestLattice:
     @pytest.mark.parametrize("n", [2, 40, 401, 3200])
     @pytest.mark.parametrize("seed_kind", ["int", "generator"])
