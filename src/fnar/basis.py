@@ -146,7 +146,7 @@ class BasisSystem:
     def eval_many(self, s: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at an array of points, shape (m, K)."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0) or np.any(s > 1.0):
+        if not np.all((s >= 0.0) & (s <= 1.0)):  # NaN fails both
             raise DomainError("basis evaluation points must lie in [0, 1]")
         return self._raw_design(np.atleast_1d(s)) @ self.coeffs.T
 

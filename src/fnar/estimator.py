@@ -220,7 +220,7 @@ class _Design:
         dz = np.empty((L, T - 1, n, self.d_z))
         dh = np.empty((L, T - 1, n, self.d_theta))
         for l in range(L):
-            dz[l], dh[l] = self.rows(l)
+            self.rows(l, out=(dz[l], dh[l]))
 
         norm = 1.0 / self.n_obs
         zf = dz.reshape(L, self.n_obs, self.d_z)
@@ -231,10 +231,16 @@ class _Design:
         c = np.zeros((L, self.M))
         b = np.zeros((L, self.M, self.d_theta))
         C = np.zeros((L, self.M, self.d_theta, self.d_theta))
-        for m, p in enumerate(spec.quad_mats):
-            for l in range(L):
-                py = np.stack([p @ self.dy[l, t] for t in range(T - 1)])  # (T-1, n)
-                ph = np.stack([p @ dh[l, t] for t in range(T - 1)])  # (T-1, n, d_theta)
+        for l in range(L):
+            # point l's outcomes and rows of all periods, unit-major, so one product
+            # covers every period and sums each entry as a product per period would;
+            # the einsums read C-ordered (T-1, n, .) copies, which fixes their order
+            y_units = np.ascontiguousarray(self.dy[l].T)  # (n, T-1)
+            h_units = np.ascontiguousarray(dh[l].transpose(1, 0, 2)).reshape(n, -1)
+            for m, p in enumerate(spec.quad_mats):
+                py = np.ascontiguousarray((p @ y_units).T)  # (T-1, n)
+                ph = np.ascontiguousarray(  # (T-1, n, d_theta)
+                    (p @ h_units).reshape(n, T - 1, self.d_theta).transpose(1, 0, 2))
                 c[l, m] = norm * np.sum(self.dy[l] * py)
                 b[l, m] = norm * np.einsum("tnk,tn->k", dh[l], py)
                 C[l, m] = norm * np.einsum("tnk,tnj->kj", dh[l], ph)
@@ -252,18 +258,28 @@ class _Design:
         return np.stack([(1.0 - lam) * node_values[..., col] + lam * node_values[..., col + 1]
                          for col, lam in zip(self._col, self._lam)])
 
-    def rows(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, l: int, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Differenced instrument and regressor rows at moment point l,
-        (T-1, n, d_z) and (T-1, n, d_theta); ``dy[l]`` holds the outcomes."""
+        (T-1, n, d_z) and (T-1, n, d_theta), written into ``out`` (two
+        C-contiguous arrays) when given; ``dy[l]`` holds the outcomes. Each
+        regressor entry is (1 - lam) (dr_g0 phi_g0) + lam (dr_g1 phi_g1),
+        with dr = [d(Ay), dx]."""
         periods, n = self._db.shape[:2]
+        K = self._phi.shape[1]
+        dz, dh = out or (np.empty((periods, n, self.d_z)), np.empty((periods, n, self.d_theta)))
         col, lam = self._col[l], self._lam[l]
         phi_nodes = self.spec.basis.values_on_grid[self._g0[l]: self._g0[l] + 2]
-        h_parts = []
-        for weight, node, phi in (((1.0 - lam), col, phi_nodes[0]), (lam, col + 1, phi_nodes[1])):
-            dr = np.concatenate([self._d_ay[..., node][..., None], self._d_x], axis=2)
-            h_parts.append(weight * np.einsum("tnr,k->tnrk", dr, phi))
-        dh = (h_parts[0] + h_parts[1]).reshape(periods, n, self.d_theta)
-        dz = np.einsum("tnb,k->tnbk", self._db, self._phi[l]).reshape(periods, n, self.d_z)
+        h = dh.reshape(periods, n, -1, K)  # (T-1, n, 1 + d_x, K) views of the buffers
+        part = np.empty_like(h)
+        dr = np.empty(h.shape[:3])
+        dr[..., 1:] = self._d_x
+        for buf, weight, node, phi in ((h, 1.0 - lam, col, phi_nodes[0]),
+                                       (part, lam, col + 1, phi_nodes[1])):
+            dr[..., 0] = self._d_ay[..., node]
+            np.einsum("tnr,k->tnrk", dr, phi, out=buf)
+            buf *= weight
+        h += part
+        np.einsum("tnb,k->tnbk", self._db, self._phi[l], out=dz.reshape(periods, n, -1, K))
         return dz, dh
 
     def residual_scores(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -611,13 +627,29 @@ def estimate_fixed_effects(fit: GmmFit, panel: FunctionalPanel) -> np.ndarray:
     return fit.fixed_effects
 
 
+def _union_pattern(quad_mats, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union sparsity pattern (rows, cols) of the n x n quadratic matrices in
+    row-major order, and their values pv (M, nnz) on it, zero off a matrix's
+    own pattern.
+
+    Entries are keyed row * n + col, so the sorted union of the keys runs in
+    row-major order. Each matrix is canonical and stores no zeros, as
+    ``build_quadratic_weights`` makes them, so its keys are one sorted run,
+    and a stable sort (a merge of the runs) finds the union.
+    """
+    keys = [np.repeat(np.arange(n), np.diff(p.indptr)) * n + p.indices for p in quad_mats]
+    union = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *keys]), kind="stable")
+    union = union[np.diff(union, prepend=-1) != 0]
+    pv = np.zeros((len(quad_mats), union.size))
+    for m, (p, k) in enumerate(zip(quad_mats, keys)):
+        pv[m, np.searchsorted(union, k)] = p.data
+    rows, cols = np.divmod(union, n)
+    return rows, cols, pv
+
+
 def _quad_variance(de: np.ndarray, quad_mats) -> np.ndarray:
     """Quadratic-moment variance block before scaling, on the union pattern only."""
-    n = de.shape[2]
-    rows, cols = sum((abs(p) for p in quad_mats), sp.csr_array((n, n))).nonzero()
-    if rows.size == 0:  # an empty fancy index would return a sparse array
-        return np.zeros((len(quad_mats), len(quad_mats)))
-    pv = np.array([p[rows, cols] for p in quad_mats])  # (M, nnz)
+    rows, cols, pv = _union_pattern(quad_mats, de.shape[2])
     c = np.einsum("ltk,ltk->tk", de[:, :, rows], de[:, :, cols])  # (T-1, nnz)
     s = np.einsum("tk,tk->k", c, c) + 2.0 * np.einsum("tk,tk->k", c[:-1], c[1:])
     return 2.0 * (pv * s) @ pv.T

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import build_bspline_basis
+from .basis import BasisSystem, build_bspline_basis, build_quadrature
 from .errors import CannotDifferenceError, HarnessError, InvalidArgumentError
 from .estimator import CI_Z, ESTIMATORS, MomentSpec, estimate_variance, fit_2sls, fit_gmm
 from .simulate import mc_alpha, simulate_mc_panel
@@ -24,9 +24,10 @@ class McConfig:
 
     ``coverage_points`` lists evaluation points at which the pointwise 95%
     confidence interval for the interaction-effect function is checked
-    against the truth (gmm1 fits only). Only the harness's own values are
-    checked here; a design value that the simulation, basis or moment
-    design rejects stops ``run_mc`` at the first replication.
+    against the truth (gmm1 fits only); each must lie in [0, 1]. Only the
+    harness's own values are checked here; a design value that the basis
+    rejects stops ``run_mc`` before the first replication, and one that the
+    simulation or moment design rejects stops it at the first.
     """
 
     n: int = 40
@@ -53,6 +54,10 @@ class McConfig:
                 f"estimators must be a non-empty selection of {ESTIMATORS}, got {self.estimators}")
         if self.coverage_points and "gmm1" not in self.estimators:
             raise InvalidArgumentError("coverage tracking requires the gmm1 estimator")
+        points = np.asarray(self.coverage_points, dtype=float)
+        if not np.all((points >= 0.0) & (points <= 1.0)):  # NaN fails both
+            raise InvalidArgumentError(
+                f"coverage points must lie in [0, 1], got {self.coverage_points}")
 
 
 @dataclass
@@ -88,10 +93,9 @@ class McReport:
         return rows
 
 
-def _run_replication(cfg: McConfig, seed: np.random.SeedSequence) -> dict:
+def _run_replication(cfg: McConfig, basis: BasisSystem, seed: np.random.SeedSequence) -> dict:
     """Simulate one panel and fit every estimator on its one moment design."""
     panel, truth = simulate_mc_panel(cfg.n, cfg.T, cfg.r, seed, n_quad=cfg.n_quad)
-    basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, panel.quad)
     spec = MomentSpec(basis=basis, operator=truth.operator, weights=truth.weights,
                       n_points=cfg.L)
     design = None  # built by the first fit, shared by the others
@@ -118,9 +122,9 @@ def _run_replication(cfg: McConfig, seed: np.random.SeedSequence) -> dict:
 
 
 def _worker(payload):
-    cfg, seed = payload
+    cfg, basis, seed = payload
     try:
-        return _run_replication(cfg, seed)
+        return _run_replication(cfg, basis, seed)
     except (InvalidArgumentError, CannotDifferenceError):
         raise  # a design error, the same in every replication
     except Exception as exc:  # scored as a failure, not fatal to the harness
@@ -131,13 +135,17 @@ def run_mc(cfg: McConfig) -> McReport:
     """Run the replication loop and aggregate bias/RMSE per estimator and target.
 
     Per-replication seeds are spawned from the base seed up front, so the
-    report is identical for any worker count. Failed replications are kept
-    in ``errors`` and skipped; more than 10% of them abort. A design error
+    report is identical for any worker count. The basis depends only on the
+    design, so it is built once, before the first replication, and handed
+    to every replication (to workers in their payload); a basis the grid
+    cannot carry raises here. Failed replications are kept in ``errors``
+    and skipped; more than 10% of them abort. A design error
     (``InvalidArgumentError``, ``CannotDifferenceError``) is raised as is.
     """
     started = time.perf_counter()
+    basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, build_quadrature(cfg.n_quad))
     seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)
-    payloads = [(cfg, seed) for seed in seeds]
+    payloads = [(cfg, basis, seed) for seed in seeds]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_worker, payloads, chunksize=8))

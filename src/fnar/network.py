@@ -86,8 +86,9 @@ def build_lattice_weights(n: int, rng_seed) -> NetworkWeights:
 
     The side is the nearest integer to sqrt(2 n); units occupy distinct
     cells chosen uniformly at random, and two units are linked when their
-    Euclidean distance is exactly 1. Rows are then normalized, so the
-    matrix infinity norm is at most one and isolated units keep zero rows.
+    Euclidean distance is exactly 1. Row i holds 1/degree(i) at each of its
+    neighbours, so rows are normalized: the matrix infinity norm is at most
+    one and isolated units keep zero rows.
     """
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 units, got {n}")
@@ -100,11 +101,16 @@ def build_lattice_weights(n: int, rng_seed) -> NetworkWeights:
     unit_at = np.full((side + 2, side + 2), -1)
     r, c = cells // side + 1, cells % side + 1
     unit_at[r, c] = np.arange(n)
-    around = np.column_stack([unit_at[r - 1, c], unit_at[r + 1, c],
-                              unit_at[r, c - 1], unit_at[r, c + 1]])
-    rows, k = np.nonzero(around >= 0)  # csr_array sorts each row's columns
-    adj = sp.csr_array((np.ones(rows.size), (rows, around[rows, k])), shape=(n, n))
-    return NetworkWeights(w=_row_normalize(adj))
+    # each unit's neighbour ids in increasing order, the empty slots (-1) first
+    around = np.sort(np.column_stack([unit_at[r - 1, c], unit_at[r + 1, c],
+                                      unit_at[r, c - 1], unit_at[r, c + 1]]), axis=1)
+    linked = around >= 0
+    if not linked.any():  # every unit isolated: scipy's empty matrix, int32 indices
+        return NetworkWeights(w=sp.csr_array((n, n)))
+    degree = linked.sum(axis=1)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    data = np.repeat(1.0 / np.maximum(degree, 1), degree)
+    return NetworkWeights(w=sp.csr_array((data, around[linked], indptr), shape=(n, n)))
 
 
 def _great_circle_distances(coords: np.ndarray) -> np.ndarray:

@@ -79,10 +79,11 @@ class DgpConfig:
     """Ground-truth configuration of the data-generating process.
 
     ``alpha``, ``beta`` and ``fixed_effects`` are grid values on
-    ``operator.grid``. Construction verifies the stationarity margin
-    max|alpha| * ||W||_inf * contraction_bound < 1; pass
-    ``allow_nonstationary=True`` to downgrade the failure to a warning for
-    divergence experiments.
+    ``operator.grid``. ``tol`` (positive and finite) and ``max_iter`` (at
+    least 1) set ``neumann_solve``'s stopping rule. Construction verifies
+    the stationarity margin max|alpha| * ||W||_inf * contraction_bound < 1;
+    pass ``allow_nonstationary=True`` to downgrade the failure to a warning
+    for divergence experiments.
     """
 
     alpha: np.ndarray
@@ -95,6 +96,10 @@ class DgpConfig:
     allow_nonstationary: bool = False
 
     def __post_init__(self):
+        if self.max_iter < 1:
+            raise InvalidArgumentError(f"need at least one iteration, got max_iter={self.max_iter}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise InvalidArgumentError(f"tolerance must be positive and finite, got {self.tol}")
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
         self.fixed_effects = np.asarray(self.fixed_effects, dtype=float)

@@ -11,6 +11,7 @@ match it bit for bit.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import block_diag
 
 from fnar.interaction import network_lag
@@ -115,6 +116,20 @@ def dense_quad_block(de, quad_mats):
                     for b, pb in enumerate(dense_p):
                         out[a, b] += np.sum(pa * pb * cc)
     return 2.0 * out
+
+
+def fancy_index_quad_variance(de, quad_mats):
+    """The quadratic variance block as it was summed before the keyed union
+    pattern: the pattern from the nonzeros of a sum of absolute values, each
+    matrix's values from a fancy index. Returns (rows, cols, pv, block)."""
+    n, M = de.shape[2], len(quad_mats)
+    rows, cols = sum((abs(p) for p in quad_mats), sp.csr_array((n, n))).nonzero()
+    if rows.size == 0:  # an empty fancy index would return a sparse array
+        return rows, cols, np.zeros((M, 0)), np.zeros((M, M))
+    pv = np.array([p[rows, cols] for p in quad_mats])  # (M, nnz)
+    c = np.einsum("ltk,ltk->tk", de[:, :, rows], de[:, :, cols])  # (T-1, nnz)
+    s = np.einsum("tk,tk->k", c, c) + 2.0 * np.einsum("tk,tk->k", c[:-1], c[1:])
+    return rows, cols, pv, 2.0 * (pv * s) @ pv.T
 
 
 def dense_variance(panel, spec, fit):

@@ -106,6 +106,11 @@ class TestEvalBasis:
         with pytest.raises(DomainError):
             cubic_basis.eval(1.01)
 
+    @pytest.mark.parametrize("points", [[np.nan], [0.5, np.nan], [0.5, -np.inf], [np.inf]])
+    def test_nan_and_infinite_points_rejected(self, cubic_basis, points):
+        with pytest.raises(DomainError):
+            cubic_basis.eval_many(np.array(points))
+
     def test_gram_trace_equals_size(self, cubic_basis):
         assert np.trace(cubic_basis.gram_matrix()) == pytest.approx(6.0, abs=1e-8)
 

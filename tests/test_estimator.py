@@ -25,6 +25,7 @@ from fnar.estimator import (
     _gauss_newton,
     _omega_sqrt,
     _quad_variance,
+    _union_pattern,
     build_instruments,
     estimate_fixed_effects,
     estimate_variance,
@@ -36,7 +37,7 @@ from fnar.estimator import (
     moment_jacobian,
 )
 from fnar.interaction import KernelIntegral, epanechnikov_kernel, network_lag
-from fnar.network import NetworkWeights, build_lattice_weights
+from fnar.network import NetworkWeights, build_lattice_weights, build_quadratic_weights
 from fnar.simulate import DgpConfig, FunctionalPanel, neumann_solve, simulate_mc_panel
 
 from conftest import ring_weights, small_operator
@@ -45,6 +46,7 @@ from dense_oracle import (
     dense_moments,
     dense_quad_block,
     dense_variance,
+    fancy_index_quad_variance,
     fixed_effects_formula,
     materialised_design,
     materialised_residual_scores,
@@ -816,6 +818,40 @@ class TestVarianceDenseOracle:
             de = rng.normal(size=(4, periods, n))
             fast, dense = _quad_variance(de, mats), dense_quad_block(de, mats)
             assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+class TestUnionPattern:
+    """The keyed union pattern against the abs-sum pattern and fancy index it
+    replaced: the same pattern, values and variance block, bit for bit."""
+
+    @staticmethod
+    def _check(de, mats):
+        rows, cols, pv, block = fancy_index_quad_variance(de, mats)
+        got = _union_pattern(mats, de.shape[2])
+        for ours, theirs in zip(got, (rows, cols, pv)):
+            assert np.array_equal(ours, theirs)
+        assert got[2].dtype == pv.dtype
+        assert np.array_equal(_quad_variance(de, mats), block)
+
+    @pytest.mark.parametrize("n", [2, 40, 401])
+    def test_lattice_quadratic_matrices(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(5):
+            mats = build_quadratic_weights(build_lattice_weights(n, seed))
+            self._check(rng.normal(size=(3, 4, n)), mats)
+
+    def test_unrelated_patterns(self):
+        rng = np.random.default_rng(7)
+        n = 50
+        mats = [_random_quad_matrix(n, 0.1, 3), _band_quad_matrix(n, 1), _band_quad_matrix(n, 4)]
+        for periods in (1, 2, 5):
+            self._check(rng.normal(size=(4, periods, n)), mats)
+            self._check(rng.normal(size=(4, periods, n)), mats[:1])
+
+    def test_empty_patterns(self):
+        de = np.random.default_rng(8).normal(size=(3, 2, 10))
+        self._check(de, [sp.csr_array((10, 10))])
+        self._check(de, [sp.csr_array((10, 10)), _band_quad_matrix(10, 2)])
 
 
 def test_variance_memory_grows_with_edges_not_n_squared():

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import fnar.montecarlo as mc
-from fnar.errors import CannotDifferenceError, HarnessError, InvalidArgumentError
+from fnar.errors import (
+    CannotDifferenceError,
+    HarnessError,
+    IllConditionedBasisError,
+    InvalidArgumentError,
+)
 from fnar.montecarlo import McConfig, format_report, run_mc
 
 
@@ -36,7 +41,8 @@ GOLDEN_COVERAGE = (0.9, 0.8, 0.8)
 
 class TestConfig:
     """McConfig checks the harness's own values; the builders check the
-    design values when ``run_mc`` reaches them, at the first replication."""
+    design values when ``run_mc`` reaches them, the basis before the first
+    replication and the rest at it."""
 
     def test_rejects_empty_estimators(self):
         with pytest.raises(InvalidArgumentError):
@@ -49,6 +55,15 @@ class TestConfig:
     def test_coverage_needs_gmm1(self):
         with pytest.raises(InvalidArgumentError):
             tiny_cfg(estimators=("2sls",), coverage_points=(0.5,))
+
+    @pytest.mark.parametrize("points", [(1.5,), (-0.1, 0.5), (np.nan, 0.5), (0.5, np.inf)])
+    def test_rejects_coverage_points_outside_unit_interval(self, points):
+        with pytest.raises(InvalidArgumentError, match="coverage points"):
+            tiny_cfg(estimators=("gmm1",), coverage_points=points)
+
+    def test_coverage_at_the_end_points(self):
+        rep = run_mc(tiny_cfg(estimators=("gmm1",), coverage_points=(0.0, 1.0), replications=1))
+        assert set(rep.coverage) == {0.0, 1.0}
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_fewer_than_one_worker(self, workers):
@@ -91,6 +106,33 @@ class TestConfig:
         # the same error in every replication, so it is raised, not counted
         with pytest.raises(InvalidArgumentError, match=message):
             run_mc(tiny_cfg(workers=workers, **design))
+
+
+class TestSharedBasis:
+    """The basis depends on the design alone: one ``run_mc`` call builds it once."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        original, calls = getattr(mc, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, name, counting)
+        return calls
+
+    def test_one_run_builds_the_basis_once(self, monkeypatch):
+        builds = self._count_calls(monkeypatch, "build_bspline_basis")
+        rep = run_mc(tiny_cfg(replications=5, coverage_points=(0.5,)))
+        assert len(builds) == 1 and rep.failures == 0
+
+    def test_basis_too_fine_stops_before_the_first_replication(self, monkeypatch):
+        simulations = self._count_calls(monkeypatch, "simulate_mc_panel")
+        # K = 24 + 4 spline functions need at least 56 grid points, not 33
+        with pytest.raises(IllConditionedBasisError, match="cannot resolve"):
+            run_mc(tiny_cfg(inner_knots=24))
+        assert simulations == []
 
 
 class TestRun:

@@ -49,6 +49,23 @@ def loop_lattice_weights(n, rng_seed):
     return NetworkWeights(w=_row_normalize(adj))
 
 
+def coo_lattice_weights(n, rng_seed):
+    """The lattice builder before it wrote the normalised csr arrays itself,
+    kept as the oracle: the same cell lookup, a COO adjacency of ones, then
+    ``_row_normalize``."""
+    side = int(np.floor(np.sqrt(2.0 * n) + 0.5))
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    cells = rng.choice(side * side, size=n, replace=False)
+    unit_at = np.full((side + 2, side + 2), -1)
+    r, c = cells // side + 1, cells % side + 1
+    unit_at[r, c] = np.arange(n)
+    around = np.column_stack([unit_at[r - 1, c], unit_at[r + 1, c],
+                              unit_at[r, c - 1], unit_at[r, c + 1]])
+    rows, k = np.nonzero(around >= 0)
+    adj = sp.csr_array((np.ones(rows.size), (rows, around[rows, k])), shape=(n, n))
+    return NetworkWeights(w=_row_normalize(adj))
+
+
 def copying_quadratic_weights(weights):
     """The quadratic-weights builder before its one-pass COO form, kept as the
     oracle: sparse (m + m')/2, then a copy with setdiag(0) and eliminate_zeros."""
@@ -88,6 +105,15 @@ class TestLattice:
             got, want = getattr(fast.w, name), getattr(slow.w, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 401, 3200])
+    def test_direct_csr_matches_coo_and_normalise(self, n):
+        # seeds 0..19 at n=2 include lattices with no edge at all
+        for seed in range(20):
+            fast, slow = build_lattice_weights(n, seed), coo_lattice_weights(n, seed)
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(fast.w, name), getattr(slow.w, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_adjacent_pair_is_symmetric_exchange(self):
         w = _find_seed(2, lambda w: w.w.nnz == 2)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fnar.basis import build_quadrature
-from fnar.errors import NonStationaryDgpError, SchemaError
+from fnar.errors import InvalidArgumentError, NonStationaryDgpError, SchemaError
 from fnar.interaction import PointEval, network_lag
 from fnar.io import read_panel, write_panel
 from fnar.simulate import (
@@ -133,6 +133,26 @@ class TestNeumann:
         values, iterations, change = allocating_neumann_solve(cfg, rhs)
         assert np.array_equal(res.values, values)
         assert (res.iterations, res.final_change) == (iterations, change)
+
+
+class TestSolverSettings:
+    """DgpConfig rejects a Neumann stopping rule that cannot work: no
+    iteration at all, or a tolerance that no change can fall below."""
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, max_iter):
+        with pytest.raises(InvalidArgumentError, match="max_iter"):
+            _point_eval_config(max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            _point_eval_config(tol=tol)
+
+    def test_one_iteration_suffices_without_interaction(self):
+        cfg, _, _ = _point_eval_config(alpha_const=0.0, max_iter=1)
+        rhs = np.random.default_rng(3).normal(size=(6, 33))
+        assert neumann_solve(cfg, rhs).iterations == 1
 
 
 class TestMcErrors:
