@@ -40,7 +40,6 @@ from .estimator import (
     estimate_variance,
     fit_2sls,
     fit_gmm,
-    interpolate_response,
     moment_function,
     moment_jacobian,
 )
@@ -51,14 +50,13 @@ from .interaction import (
     epanechnikov_kernel,
     network_lag,
 )
+from .io import interpolate_response, read_edge_list, write_edge_list
 from .montecarlo import McConfig, McReport, run_mc
 from .network import (
     NetworkWeights,
     build_distance_weights,
     build_lattice_weights,
     build_quadratic_weights,
-    read_edge_list,
-    write_edge_list,
 )
 from .simulate import (
     DgpConfig,

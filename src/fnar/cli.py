@@ -43,12 +43,12 @@ from .estimator import (
     fit_gmm,
     fit_report_text,
     functional_estimate_table,
-    interpolate_response,
 )
 from .interaction import KernelIntegral, PastWindow, PointEval, epanechnikov_kernel
-from .io import read_coords, read_function, read_panel, write_panel, write_table
+from .io import (read_coords, read_edge_list, read_function, read_panel, write_edge_list,
+                 write_panel, write_table)
 from .montecarlo import McConfig, format_report, run_mc
-from .network import build_distance_weights, read_edge_list, write_edge_list
+from .network import build_distance_weights
 from .simulate import simulate_mc_panel
 
 EXIT_OK = 0
@@ -69,11 +69,6 @@ _EXIT_CODES = (
     ((FnarError,), EXIT_NUMERIC),
 )
 _HANDLED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
-
-
-def _read_function_file(path, quad):
-    """Read a two-column (s, value) table and interpolate it onto the grid."""
-    return interpolate_response(read_function(path), quad)
 
 
 def _build_operator(args, quad):
@@ -216,8 +211,8 @@ def cmd_effects(args) -> int:
     quad = build_quadrature(args.grid_count)
     weights = _build_weights(args)
     operator = _build_operator(args, quad)
-    alpha = _read_function_file(args.alpha_file, quad)
-    beta = None if args.beta_file is None else _read_function_file(args.beta_file, quad)[None, :]
+    alpha = read_function(args.alpha_file, quad)
+    beta = None if args.beta_file is None else read_function(args.beta_file, quad)[None, :]
     source = SimpleNamespace(alpha=alpha, beta=beta, operator=operator)
 
     if args.effect == "marginal":
@@ -226,7 +221,7 @@ def cmd_effects(args) -> int:
         print(f"marginal effects for unit {args.unit} written to {out}")
         return EXIT_OK
 
-    shock = ShockFunction(_read_function_file(args.shock_file, quad))
+    shock = ShockFunction(read_function(args.shock_file, quad))
     if args.effect == "impulse":
         result = impulse_response(source, weights, args.unit, shock, order=args.orders)
         _write_propagation(result, out, "impulse")

@@ -22,7 +22,6 @@ from .basis import BasisSystem, interp_nodes
 from .errors import (
     CannotDifferenceError,
     InvalidArgumentError,
-    MissingDataError,
     NumericalFailureError,
     SmallTWarning,
     UnderidentificationWarning,
@@ -43,7 +42,6 @@ __all__ = [
     "fit_gmm",
     "estimate_fixed_effects",
     "estimate_variance",
-    "interpolate_response",
     "fit_report_text",
     "functional_estimate_table",
 ]
@@ -708,22 +706,6 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec) -> 
     fit.diagnostics["variance_clipped_mass"] = float(-clipped.sum())
     fit.sigma = sigma
     return sigma
-
-
-def interpolate_response(observations, quad) -> np.ndarray:
-    """Piecewise-linear interpolant of scattered (s, y) pairs on the grid.
-
-    Outside the observed range the first/last value is extended; a single
-    observation yields a constant function.
-    """
-    obs = np.asarray(observations, dtype=float)
-    if obs.size == 0:
-        raise MissingDataError("no observations to interpolate")
-    if obs.ndim != 2 or obs.shape[1] != 2:
-        raise InvalidArgumentError("observations must be (s, y) pairs")
-    order = np.argsort(obs[:, 0], kind="stable")
-    s_obs, y_obs = obs[order, 0], obs[order, 1]
-    return np.interp(quad.points, s_obs, y_obs)
 
 
 def functional_estimate_table(fit: GmmFit, target: str, j: int = 0) -> list[tuple]:

@@ -1,5 +1,6 @@
 """Every comma-separated table fnar reads or writes, one reader and one
-writer per table, both vectorised.
+writer per table, both vectorised. This module alone knows a table's layout
+and rules.
 
 A reader checks the header with ``csv``, then parses the body in one
 ``np.loadtxt`` call. Only if that fails, or a row breaks a rule of the table,
@@ -17,13 +18,22 @@ import csv
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import SchemaError
+from .basis import build_quadrature
+from .errors import InvalidArgumentError, MissingDataError, SchemaError
+from .network import NetworkWeights
+from .simulate import FunctionalPanel
 
-__all__ = ["write_table", "write_panel", "read_panel", "read_function", "read_coords",
-           "read_edges"]
+__all__ = ["write_table", "write_panel", "read_panel", "read_function",
+           "interpolate_response", "read_coords", "read_edge_list", "write_edge_list",
+           "MAX_INFERRED_UNITS"]
 
 _BLOCK = 1024  # rows per write, which bounds the text held at once
+# Largest unit count an edge list read without n may imply. The count is one
+# more than the largest id, and the matrix's row pointer alone takes 8 bytes
+# a unit, so a stray large id would otherwise allocate without bound.
+MAX_INFERRED_UNITS = 1_000_000
 
 
 def write_table(path, header, values, labels=None) -> None:
@@ -61,10 +71,6 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     linearly onto ``grid_count`` grid points. Ids run from 0 without gaps, and
     each (unit, period) needs observations and a covariate row (the last counts).
     """
-    # imported here, not above: simulate imports network, which imports this module
-    from .basis import build_quadrature
-    from .simulate import FunctionalPanel
-
     obs = _read(obs_path, _observation_columns, _s_outside)
     if obs.size == 0:
         raise SchemaError("observation table is empty", path=str(obs_path))
@@ -98,12 +104,29 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     return FunctionalPanel(y=y.reshape(n, T, -1), x=x.reshape(n, T, len(names)), quad=quad)
 
 
-def read_function(path) -> np.ndarray:
-    """(m, 2) array of the (s, value) rows of a two-column function table."""
-    rec = _read(path, _function_columns)
+def read_function(path, quad) -> np.ndarray:
+    """Values on ``quad``'s grid of the function a two-column ``s,value`` table
+    samples, by :func:`interpolate_response`; both columns must be finite."""
+    rec = _read(path, _function_columns, _non_finite)
     if rec.size == 0:
         raise SchemaError("function table has no rows", path=str(path))
-    return np.column_stack((rec["s"], rec["value"]))
+    return interpolate_response(np.column_stack((rec["s"], rec["value"])), quad)
+
+
+def interpolate_response(observations, quad) -> np.ndarray:
+    """Piecewise-linear interpolant of scattered (s, y) pairs on the grid.
+
+    Outside the observed range the first/last value is extended; a single
+    observation yields a constant function.
+    """
+    obs = np.asarray(observations, dtype=float)
+    if obs.size == 0:
+        raise MissingDataError("no observations to interpolate")
+    if obs.ndim != 2 or obs.shape[1] != 2:
+        raise InvalidArgumentError("observations must be (s, y) pairs")
+    order = np.argsort(obs[:, 0], kind="stable")
+    s_obs, y_obs = obs[order, 0], obs[order, 1]
+    return np.interp(quad.points, s_obs, y_obs)
 
 
 def read_coords(path) -> np.ndarray:
@@ -115,10 +138,41 @@ def read_coords(path) -> np.ndarray:
     return np.column_stack((rec["lon"], rec["lat"]))[order]
 
 
-def read_edges(path):
-    """(i, j, weight) arrays of an ``i,j,weight`` edge list: three fields a row."""
+def read_edge_list(path, n: int | None = None) -> NetworkWeights:
+    """Load weights from a text edge list with header ``i,j,weight`` (0-based
+    ids), exactly three fields a row.
+
+    Without ``n`` the unit count is one more than the largest id, at most
+    ``MAX_INFERRED_UNITS``.
+    """
     rec = _read(path, _edge_columns, _edge_error, exact=True)
-    return rec["i"], rec["j"], rec["weight"]
+    rows, cols, vals = rec["i"], rec["j"], rec["weight"]
+    top = int(max(rows.max(), cols.max())) if rows.size else -1
+    if n is None:
+        if top < 0:
+            raise SchemaError("edge list is empty and no unit count was given", path=str(path))
+        if top >= MAX_INFERRED_UNITS:
+            raise SchemaError(
+                f"unit id {top} implies more than {MAX_INFERRED_UNITS:,} units "
+                "in an edge list read without a unit count", path=str(path))
+        n = top + 1
+    elif top >= n:
+        raise SchemaError(f"unit id {top} out of range for {n} units", path=str(path))
+    return NetworkWeights(w=sp.csr_array((vals, (rows, cols)), shape=(n, n)))
+
+
+def write_edge_list(weights: NetworkWeights, path) -> None:
+    """Write weights as a text edge list with header ``i,j,weight``; a last
+    unit in no edge gets the row ``n-1,n-1,0.0``, so the file keeps n."""
+    coo = weights.w.tocoo()
+    rows, cols, vals = coo.row.tolist(), coo.col.tolist(), coo.data.tolist()
+    last = weights.n - 1
+    if last not in rows and last not in cols:
+        rows.append(last)
+        cols.append(last)
+        vals.append(0.0)
+    write_table(path, ["i", "j", "weight"], np.array(vals)[:, None],
+                [f"{i},{j}" for i, j in zip(rows, cols)])
 
 
 def _observation_columns(header, path):
@@ -157,6 +211,13 @@ def _s_outside(rec):
     bad = ~((rec["s"] >= 0.0) & (rec["s"] <= 1.0))
     if bad.any():
         return f"evaluation point {float(rec['s'][bad.argmax()])} outside [0, 1]"
+
+
+def _non_finite(rec):
+    bad = ~(np.isfinite(rec["s"]) & np.isfinite(rec["value"]))
+    if bad.any():
+        i = bad.argmax()
+        return f"non-finite point (s={float(rec['s'][i])}, value={float(rec['value'][i])})"
 
 
 def _edge_error(rec):

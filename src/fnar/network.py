@@ -7,23 +7,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError, SchemaError
-from .io import read_edges, write_table
+from .errors import InvalidArgumentError
 
 __all__ = [
     "NetworkWeights",
     "build_lattice_weights",
     "build_distance_weights",
     "build_quadratic_weights",
-    "read_edge_list",
-    "write_edge_list",
 ]
 
 _EARTH_RADIUS_KM = 6371.0088
-# Largest unit count an edge list read without n may imply. The count is one
-# more than the largest id, and the matrix's row pointer alone takes 8 bytes
-# a unit, so a stray large id would otherwise allocate without bound.
-MAX_INFERRED_UNITS = 1_000_000
 
 
 @dataclass
@@ -131,13 +124,16 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     Raw weights are 1/distance inside the band (or 1 when
     ``inverse_distance`` is off), then each row is normalized by its sum.
     ``metric`` is "euclidean" for planar coordinates or "greatcircle" for
-    (lon, lat) in degrees with distances in km.
+    (lon, lat) in degrees with distances in km. ``threshold`` must be
+    positive; ``inf`` links every pair.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[0] < 2:
         raise InvalidArgumentError("coords must be a 2-d array with at least two rows")
     if not np.all(np.isfinite(coords)):
         raise InvalidArgumentError("coordinates must be finite")
+    if not threshold > 0.0:  # also NaN
+        raise InvalidArgumentError(f"distance threshold must be positive, got {threshold}")
     if metric == "euclidean":
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1))
@@ -181,38 +177,3 @@ def build_quadratic_weights(weights: NetworkWeights) -> list[sp.csr_array]:
     each exactly symmetric with a zero diagonal."""
     w = weights.w
     return [_symmetric_off_diagonal(w), _symmetric_off_diagonal(w.T @ w)]
-
-
-def read_edge_list(path, n: int | None = None) -> NetworkWeights:
-    """Load weights from a text edge list with header ``i,j,weight`` (0-based ids).
-
-    Without ``n`` the unit count is one more than the largest id, at most
-    ``MAX_INFERRED_UNITS``.
-    """
-    rows, cols, vals = read_edges(path)
-    top = int(max(rows.max(), cols.max())) if rows.size else -1
-    if n is None:
-        if top < 0:
-            raise SchemaError("edge list is empty and no unit count was given", path=str(path))
-        if top >= MAX_INFERRED_UNITS:
-            raise SchemaError(
-                f"unit id {top} implies more than {MAX_INFERRED_UNITS:,} units "
-                "in an edge list read without a unit count", path=str(path))
-        n = top + 1
-    elif top >= n:
-        raise SchemaError(f"unit id {top} out of range for {n} units", path=str(path))
-    return NetworkWeights(w=sp.csr_array((vals, (rows, cols)), shape=(n, n)))
-
-
-def write_edge_list(weights: NetworkWeights, path) -> None:
-    """Write weights as a text edge list with header ``i,j,weight``; a last
-    unit in no edge gets the row ``n-1,n-1,0.0``, so the file keeps n."""
-    coo = weights.w.tocoo()
-    rows, cols, vals = coo.row.tolist(), coo.col.tolist(), coo.data.tolist()
-    last = weights.n - 1
-    if last not in rows and last not in cols:
-        rows.append(last)
-        cols.append(last)
-        vals.append(0.0)
-    write_table(path, ["i", "j", "weight"], np.array(vals)[:, None],
-                [f"{i},{j}" for i, j in zip(rows, cols)])

@@ -16,7 +16,8 @@ import scipy.sparse as sp
 
 from fnar.basis import build_quadrature
 from fnar.errors import SchemaError
-from fnar.estimator import functional_estimate_table, interpolate_response
+from fnar.estimator import functional_estimate_table
+from fnar.io import interpolate_response
 from fnar.network import NetworkWeights
 from fnar.simulate import FunctionalPanel
 

@@ -8,16 +8,9 @@ import pytest
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.cli import main
 from fnar.effects import ShockFunction, impulse_response
-from fnar.estimator import (
-    MomentSpec,
-    estimate_variance,
-    fit_2sls,
-    fit_gmm,
-    interpolate_response,
-)
+from fnar.estimator import MomentSpec, estimate_variance, fit_2sls, fit_gmm
 from fnar.interaction import PastWindow
-from fnar.io import read_function, read_panel
-from fnar.network import read_edge_list
+from fnar.io import read_edge_list, read_function, read_panel
 from fnar.simulate import mc_alpha
 
 
@@ -439,9 +432,9 @@ class TestEffects:
                     "--shock-file", shock, "--orders", 4, "--grid-count", 33, "--out", out])
         assert code == 0
         quad = build_quadrature(33)
-        source = SimpleNamespace(alpha=interpolate_response(read_function(alpha), quad),
+        source = SimpleNamespace(alpha=read_function(alpha, quad),
                                  beta=None, operator=PastWindow(quad, width=0.3))
-        eta = ShockFunction(interpolate_response(read_function(shock), quad))
+        eta = ShockFunction(read_function(shock, quad))
         want = impulse_response(source, read_edge_list(wfile), 1, eta, order=4)
         for stem, values in (("orders", want.per_order), ("cumulative", want.cumulative)):
             table = np.loadtxt(out / f"impulse_{stem}.csv", delimiter=",", skiprows=1)
@@ -516,6 +509,43 @@ class TestEffects:
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "nan,0.4", "-inf,0.4"])
+    def test_non_finite_alpha_file_is_data_error(self, star_files, tmp_path, capsys, row):
+        wfile, _, shock = star_files
+        alpha = tmp_path / "alpha-bad.csv"
+        alpha.write_text(f"s,value\n0,0.4\n{row}\n1,0.4\n")
+        code = run(["effects", "keyplayer", "--alpha-file", alpha, "--weights", wfile,
+                    "--shock-file", shock, "--grid-count", 33])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {alpha}:3: non-finite point")
+        assert err.count("\n") == 1
+
+    def test_non_finite_beta_file_is_data_error(self, star_files, tmp_path, capsys):
+        wfile, alpha, _ = star_files
+        beta = tmp_path / "beta.csv"
+        beta.write_text("s,value\n0,1\n0.5,1\n1,nan\n")
+        out = tmp_path / "eff"
+        out.mkdir()
+        code = run(["effects", "marginal", "--alpha-file", alpha, "--beta-file", beta,
+                    "--weights", wfile, "--unit", 1, "--grid-count", 33, "--out", out])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"error: {beta}:4: non-finite point")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+    def test_non_positive_threshold_is_data_error(self, star_files, tmp_path, capsys,
+                                                  threshold):
+        _, alpha, shock = star_files
+        coords = tmp_path / "coords.csv"
+        coords.write_text("unit,lon,lat\n0,0,0\n1,0.5,0\n2,1,1\n")
+        code = run(["effects", "keyplayer", "--alpha-file", alpha, "--coords", coords,
+                    "--threshold", threshold, "--shock-file", shock, "--grid-count", 33])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: distance threshold must be positive, got {float(threshold)}\n"
 
     def test_huge_edge_id_is_data_error(self, star_files, tmp_path, capsys):
         _, alpha, shock = star_files

@@ -32,11 +32,11 @@ from fnar.estimator import (
     fit_2sls,
     fit_gmm,
     fit_report_text,
-    interpolate_response,
     moment_function,
     moment_jacobian,
 )
 from fnar.interaction import KernelIntegral, epanechnikov_kernel, network_lag
+from fnar.io import interpolate_response
 from fnar.network import NetworkWeights, build_lattice_weights, build_quadratic_weights
 from fnar.simulate import DgpConfig, FunctionalPanel, neumann_solve, simulate_mc_panel
 

@@ -22,7 +22,7 @@ import csv_oracle
 from fnar import cli, io
 from fnar.basis import build_quadrature
 from fnar.errors import FnarError, SchemaError
-from fnar.network import MAX_INFERRED_UNITS, read_edge_list
+from fnar.io import MAX_INFERRED_UNITS, read_edge_list
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -237,6 +237,19 @@ def write(tmp_path, name, text):
     return path
 
 
+def first_non_finite_row(path):
+    """Line of the first row whose ``s`` and ``value`` read as numbers, not both finite."""
+    with open(path, newline="") as fh:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            try:
+                pair = float(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                continue
+            if line > 1 and not np.all(np.isfinite(pair)):
+                return line
+    return None
+
+
 def first_short_row(path, width):
     """Line of the first non-blank row with fewer than ``width`` fields."""
     with open(path, newline="") as fh:
@@ -275,13 +288,18 @@ class TestReaderFuzz:
     def test_function_file(self, tmp_path, data):
         rows = data.draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-5, 5)),
                                   max_size=8))
+        if rows and data.draw(st.integers(0, 3)) == 0:  # one non-finite s or value
+            k = data.draw(st.integers(0, len(rows) - 1))
+            bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            rows[k] = (bad, rows[k][1]) if data.draw(st.booleans()) else (rows[k][0], bad)
         text = data.draw(tables("s,value", [[(float, s), (float, v)] for s, v in rows]))
         path = write(tmp_path, "f.csv", text)
         quad = build_quadrature(9)
-        check_against_oracle(lambda: cli._read_function_file(path, quad),
+        # a non-finite s or value fails at its line; the oracle read it
+        check_against_oracle(lambda: io.read_function(path, quad),
                              lambda: csv_oracle._read_function_file(blank_rows_emptied(path),
                                                                     quad),
-                             same_bytes)
+                             same_bytes, first_non_finite_row(path))
 
     @FUZZ
     @given(data=st.data())
@@ -325,9 +343,11 @@ class TestReaderRules:
 
     def test_whitespace_only_rows_skipped(self, tmp_path):
         path = write(tmp_path, "f.csv", "s,value\n0,1\n  \n\t\n1,2\n")
-        np.testing.assert_array_equal(io.read_function(path), [[0.0, 1.0], [1.0, 2.0]])
+        quad = build_quadrature(9)
+        np.testing.assert_array_equal(io.read_function(path, quad),
+                                      np.interp(quad.points, [0.0, 1.0], [1.0, 2.0]))
         with pytest.raises(SchemaError) as err:
-            csv_oracle._read_function_file(path, build_quadrature(9))
+            csv_oracle._read_function_file(path, quad)
         assert err.value.line == 3
 
     def test_python_only_spellings_read_by_the_scan(self, tmp_path):
@@ -378,17 +398,25 @@ class TestReaderRules:
         path = tmp_path / "f.csv"
         path.write_bytes(b"s,value\n0,\xff\n")
         with pytest.raises(SchemaError):
-            io.read_function(path)
+            io.read_function(path, build_quadrature(9))
 
     def test_oversized_field(self, tmp_path):
         path = write(tmp_path, "f.csv", "s,value\n0," + "x" * (csv.field_size_limit() + 1))
         with pytest.raises(SchemaError):
-            io.read_function(path)
+            io.read_function(path, build_quadrature(9))
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,-inf", "nan,1", "inf,1", '" NaN ",1'])
+    def test_non_finite_function_rows_rejected_at_their_line(self, tmp_path, row):
+        path = write(tmp_path, "f.csv", f"s,value\n0,1\n{row}\n1,2\n")
+        with pytest.raises(SchemaError) as err:
+            io.read_function(path, build_quadrature(9))
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}:3: non-finite point (s=")
 
     def test_error_line_counts_records(self, tmp_path):
         path = write(tmp_path, "f.csv", 's,value\n"0\n",1\n\n0,x\n')
         with pytest.raises(SchemaError) as err:
-            io.read_function(path)
+            io.read_function(path, build_quadrature(9))
         assert err.value.line == 4
 
 

@@ -10,14 +10,13 @@ from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.errors import InvalidArgumentError, SchemaError
 from fnar.estimator import MomentSpec
 from fnar.interaction import PointEval
+from fnar.io import read_edge_list, write_edge_list
 from fnar.network import (
     NetworkWeights,
     _row_normalize,
     build_distance_weights,
     build_lattice_weights,
     build_quadratic_weights,
-    read_edge_list,
-    write_edge_list,
 )
 
 
@@ -152,9 +151,22 @@ class TestDistanceWeights:
         assert_allclose(w.dense()[1], [0.5, 0.0, 0.5])
 
     def test_zero_threshold(self):
+        # distinct units are never 0 apart, so a zero band would link no pair
         coords = np.array([[0.0, 0.0], [1.0, 0.0]])
-        w = build_distance_weights(coords, threshold=0.0)
-        assert w.w.nnz == 0
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            build_distance_weights(coords, threshold=0.0)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "greatcircle"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
+    def test_nan_or_negative_threshold_rejected(self, metric, bad):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(InvalidArgumentError, match="threshold must be positive"):
+            build_distance_weights(coords, threshold=bad, metric=metric)
+
+    def test_infinite_threshold_links_every_pair(self):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+        w = build_distance_weights(coords, threshold=np.inf, inverse_distance=False)
+        assert_allclose(w.dense(), (1.0 - np.eye(3)) / 2.0)
 
     def test_single_neighbour_normalizes_to_one(self):
         coords = np.array([[0.0, 0.0], [0.4, 0.0]])
