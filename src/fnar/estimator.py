@@ -229,19 +229,22 @@ class _Design:
         c = np.zeros((L, self.M))
         b = np.zeros((L, self.M, self.d_theta))
         C = np.zeros((L, self.M, self.d_theta, self.d_theta))
+        units = np.empty((n, T - 1, 1 + self.d_theta))
         for l in range(L):
-            # point l's outcomes and rows of all periods, unit-major, so one product
-            # covers every period and sums each entry as a product per period would;
-            # the einsums read C-ordered (T-1, n, .) copies, which fixes their order
-            y_units = np.ascontiguousarray(self.dy[l].T)  # (n, T-1)
-            h_units = np.ascontiguousarray(dh[l].transpose(1, 0, 2)).reshape(n, -1)
+            # point l's outcome and regressor row of every period side by side,
+            # unit-major, so one product covers them all and sums each column as a
+            # product of that column alone would; the einsums read C-ordered
+            # (T-1, n, .) copies, which fixes their order
+            units[..., 0] = self.dy[l].T
+            units[..., 1:] = dh[l].transpose(1, 0, 2)
             for m, p in enumerate(spec.quad_mats):
-                py = np.ascontiguousarray((p @ y_units).T)  # (T-1, n)
-                ph = np.ascontiguousarray(  # (T-1, n, d_theta)
-                    (p @ h_units).reshape(n, T - 1, self.d_theta).transpose(1, 0, 2))
+                prod = (p @ units.reshape(n, -1)).reshape(units.shape)
+                py = np.ascontiguousarray(prod[..., 0].T)  # (T-1, n)
+                ph = np.ascontiguousarray(prod[..., 1:].transpose(1, 0, 2))  # (T-1, n, d_theta)
                 c[l, m] = norm * np.sum(self.dy[l] * py)
                 b[l, m] = norm * np.einsum("tnk,tn->k", dh[l], py)
                 C[l, m] = norm * np.einsum("tnk,tnj->kj", dh[l], ph)
+                del prod, py, ph  # freed before the next product: a lower peak
 
         self.per_point = _Aggregates(a=norm * np.einsum("lnz,ln->lz", zf, yf),
                                      A=norm * np.einsum("lnz,lnt->lzt", zf, hf),
@@ -420,23 +423,25 @@ class GmmFit:
         """Coefficient estimate for covariate j at one or many points."""
         return self.basis.eval_many(np.atleast_1d(s)) @ self.theta_beta(j)
 
-    def _pointwise_sigma(self, block: int, s) -> np.ndarray:
+    def _pointwise_se(self, block: int, phi: np.ndarray) -> np.ndarray:
+        """Standard errors of function ``block`` (0 alpha, 1 + j beta_j) at the
+        points whose basis rows are ``phi``; ``run_mc`` passes rows it built once."""
         if self.sigma is None:
             raise VarianceUnavailableError("run estimate_variance first")
         K = self.basis.size
         sub = self.sigma[block * K: (block + 1) * K, block * K: (block + 1) * K]
-        phi = self.basis.eval_many(np.atleast_1d(s))
-        return np.sqrt(np.maximum(np.einsum("ik,kj,ij->i", phi, sub, phi), 0.0))
+        sd = np.sqrt(np.maximum(np.einsum("ik,kj,ij->i", phi, sub, phi), 0.0))
+        return sd / np.sqrt(self.n * (self.T - 1))
 
     def se_alpha(self, s) -> np.ndarray:
         """Pointwise standard error of the interaction-effect estimate."""
-        return self._pointwise_sigma(0, s) / np.sqrt(self.n * (self.T - 1))
+        return self._pointwise_se(0, self.basis.eval_many(np.atleast_1d(s)))
 
     def se_beta(self, j: int, s) -> np.ndarray:
         """Pointwise standard error of the j-th coefficient estimate."""
         if not 0 <= j < self.d_x:
             raise InvalidArgumentError(f"covariate index {j} out of range")
-        return self._pointwise_sigma(1 + j, s) / np.sqrt(self.n * (self.T - 1))
+        return self._pointwise_se(1 + j, self.basis.eval_many(np.atleast_1d(s)))
 
 
 def fit_2sls(panel: FunctionalPanel, spec: MomentSpec, *, design: _Design | None = None) -> GmmFit:
@@ -582,8 +587,9 @@ def fit_gmm(panel: FunctionalPanel, spec: MomentSpec, *, estimator: str = "gmm1"
     if estimator not in ("gmm1", "gmm2"):
         raise InvalidArgumentError(f"unknown GMM estimator {estimator!r}; use gmm1 or gmm2")
     design = _use_design(panel, spec, design)
-    omega = (np.eye(design.d_g) if estimator == "gmm2"
-             else sla.block_diag(design._instrument_weight(), np.eye(design.M)))
+    omega = np.eye(design.d_g)  # gmm2 weighs every moment alike
+    if estimator == "gmm1":  # the inverse instrument second moment, then the identity
+        omega[:design.d_z, :design.d_z] = design._s_z_inverse
     omega_sqrt = _omega_sqrt(omega)
     theta0, smin = design.solve_2sls()
 
@@ -683,7 +689,9 @@ def estimate_variance(fit: GmmFit, panel: FunctionalPanel, spec: MomentSpec) -> 
     v_z = scale * (np.einsum("tnz,tnw->zw", u, u) + lag + lag.T)
 
     if fit.method != "2sls":
-        v_hat = sla.block_diag(v_z, scale * _quad_variance(de, spec.quad_mats))
+        v_hat = np.zeros((design.d_g, design.d_g))  # no linear-quadratic cross block
+        v_hat[:design.d_z, :design.d_z] = v_z
+        v_hat[design.d_z:, design.d_z:] = scale * _quad_variance(de, spec.quad_mats)
         jbar = design.mean.jacobian(fit.theta)
     else:
         v_hat = v_z

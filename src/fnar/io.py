@@ -70,11 +70,13 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     Each (unit, period)'s points, which may be irregular, are interpolated
     linearly onto ``grid_count`` grid points. Ids run from 0 without gaps, and
     each (unit, period) needs observations and a covariate row (the last counts).
+    Every ``y`` and covariate must be finite; a bad row raises ``SchemaError``
+    naming its line.
     """
-    obs = _read(obs_path, _observation_columns, _s_outside)
+    obs = _read(obs_path, _observation_columns, _observation_error)
     if obs.size == 0:
         raise SchemaError("observation table is empty", path=str(obs_path))
-    cov = _read(cov_path, _covariate_columns)
+    cov = _read(cov_path, _covariate_columns, _non_finite)
     unit, period = obs["unit"], obs["period"]
     n, T = _id_count(unit, obs_path), _id_count(period, obs_path)
     quad = build_quadrature(grid_count)
@@ -186,7 +188,7 @@ def _covariate_columns(header, path):
         raise SchemaError("expected header 'unit,period,x1,...'", line=1, path=str(path))
     if len(header) < 3:
         raise SchemaError("covariate table needs at least one x column", line=1, path=str(path))
-    return [("unit", int), ("period", int)] + [(f"x{j}", float) for j in range(len(header) - 2)]
+    return [("unit", int), ("period", int)] + [(f"x{j + 1}", float) for j in range(len(header) - 2)]
 
 
 def _function_columns(header, path):
@@ -207,17 +209,21 @@ def _edge_columns(header, path):
     return [("i", int), ("j", int), ("weight", float)]
 
 
-def _s_outside(rec):
+def _observation_error(rec):
     bad = ~((rec["s"] >= 0.0) & (rec["s"] <= 1.0))
     if bad.any():
         return f"evaluation point {float(rec['s'][bad.argmax()])} outside [0, 1]"
+    return _non_finite(rec)
 
 
 def _non_finite(rec):
-    bad = ~(np.isfinite(rec["s"]) & np.isfinite(rec["value"]))
+    """The first row with a non-finite value, named by the row's float fields."""
+    names = [name for name in rec.dtype.names if rec.dtype[name].kind == "f"]
+    bad = ~np.logical_and.reduce([np.isfinite(rec[name]) for name in names])
     if bad.any():
         i = bad.argmax()
-        return f"non-finite point (s={float(rec['s'][i])}, value={float(rec['value'][i])})"
+        return "non-finite point (" + ", ".join(
+            f"{name}={float(rec[name][i])}" for name in names) + ")"
 
 
 def _edge_error(rec):

@@ -11,7 +11,7 @@ import numpy as np
 from .basis import BasisSystem, build_bspline_basis, build_quadrature
 from .errors import CannotDifferenceError, HarnessError, InvalidArgumentError
 from .estimator import CI_Z, ESTIMATORS, MomentSpec, estimate_variance, fit_2sls, fit_gmm
-from .simulate import mc_alpha, simulate_mc_panel
+from .simulate import _draw_mc_panel, _mc_parts, _McParts, mc_alpha
 
 __all__ = ["McConfig", "McReport", "run_mc", "format_report", "PRESETS"]
 
@@ -25,9 +25,10 @@ class McConfig:
     ``coverage_points`` lists evaluation points at which the pointwise 95%
     confidence interval for the interaction-effect function is checked
     against the truth (gmm1 fits only); each must lie in [0, 1]. Only the
-    harness's own values are checked here; a design value that the basis
-    rejects stops ``run_mc`` before the first replication, and one that the
-    simulation or moment design rejects stops it at the first.
+    harness's own values are checked here, and an estimator may not repeat; a
+    design value that the basis or the simulation's config-only parts reject
+    stops ``run_mc`` before the first replication, and one that the lattice
+    or the moment design rejects stops it at the first.
     """
 
     n: int = 40
@@ -52,6 +53,8 @@ class McConfig:
         if not self.estimators or not set(self.estimators) <= set(ESTIMATORS):
             raise InvalidArgumentError(
                 f"estimators must be a non-empty selection of {ESTIMATORS}, got {self.estimators}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise InvalidArgumentError(f"estimators must not repeat, got {self.estimators}")
         if self.coverage_points and "gmm1" not in self.estimators:
             raise InvalidArgumentError("coverage tracking requires the gmm1 estimator")
         points = np.asarray(self.coverage_points, dtype=float)
@@ -93,9 +96,12 @@ class McReport:
         return rows
 
 
-def _run_replication(cfg: McConfig, basis: BasisSystem, seed: np.random.SeedSequence) -> dict:
-    """Simulate one panel and fit every estimator on its one moment design."""
-    panel, truth = simulate_mc_panel(cfg.n, cfg.T, cfg.r, seed, n_quad=cfg.n_quad)
+def _run_replication(cfg: McConfig, basis: BasisSystem, dgp: _McParts,
+                     cover: tuple[np.ndarray, np.ndarray],
+                     seed: np.random.SeedSequence) -> dict:
+    """Simulate one panel of ``dgp`` and fit every estimator on its one moment
+    design; ``cover`` holds the basis rows and true alpha at the coverage points."""
+    panel, truth = _draw_mc_panel(dgp, seed)
     spec = MomentSpec(basis=basis, operator=truth.operator, weights=truth.weights,
                       n_points=cfg.L)
     design = None  # built by the first fit, shared by the others
@@ -114,17 +120,16 @@ def _run_replication(cfg: McConfig, basis: BasisSystem, seed: np.random.SeedSequ
         )
         if name == "gmm1" and cfg.coverage_points and fit.converged:
             estimate_variance(fit, panel, spec)
-            points = np.array(cfg.coverage_points)
-            half = CI_Z * fit.se_alpha(points)
-            gap = np.abs(fit.alpha(points) - mc_alpha(points))
+            phi, alpha = cover
+            half = CI_Z * fit._pointwise_se(0, phi)
+            gap = np.abs(phi @ fit.theta_alpha - alpha)
             out["covered"] = (gap <= half).tolist()
     return out
 
 
 def _worker(payload):
-    cfg, basis, seed = payload
     try:
-        return _run_replication(cfg, basis, seed)
+        return _run_replication(*payload)
     except (InvalidArgumentError, CannotDifferenceError):
         raise  # a design error, the same in every replication
     except Exception as exc:  # scored as a failure, not fatal to the harness
@@ -135,17 +140,22 @@ def run_mc(cfg: McConfig) -> McReport:
     """Run the replication loop and aggregate bias/RMSE per estimator and target.
 
     Per-replication seeds are spawned from the base seed up front, so the
-    report is identical for any worker count. The basis depends only on the
-    design, so it is built once, before the first replication, and handed
-    to every replication (to workers in their payload); a basis the grid
-    cannot carry raises here. Failed replications are kept in ``errors``
-    and skipped; more than 10% of them abort. A design error
+    report is identical for any worker count. What depends only on the
+    config is built once, before the first replication, and handed to every
+    replication (to workers in their payload): the basis, the simulation's
+    grid, operator and true functions, and the basis rows and true alpha at
+    the coverage points. A basis the grid cannot carry, or a simulation
+    value the design rejects, raises here. Failed replications are kept in
+    ``errors`` and skipped; more than 10% of them abort. A design error
     (``InvalidArgumentError``, ``CannotDifferenceError``) is raised as is.
     """
     started = time.perf_counter()
     basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, build_quadrature(cfg.n_quad))
+    dgp = _mc_parts(cfg.n, cfg.T, cfg.r, n_quad=cfg.n_quad)
+    points = np.array(cfg.coverage_points)
+    cover = (basis.eval_many(np.atleast_1d(points)), mc_alpha(points))
     seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)
-    payloads = [(cfg, basis, seed) for seed in seeds]
+    payloads = [(cfg, basis, dgp, cover, seed) for seed in seeds]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_worker, payloads, chunksize=8))

@@ -55,9 +55,12 @@ class NetworkWeights:
     @property
     def row_sup(self) -> float:
         """Maximum absolute row sum, the matrix infinity norm."""
-        if self.w.nnz == 0:
+        w = self.w
+        if w.nnz == 0:
             return 0.0
-        return float(np.max(np.abs(self.w).sum(axis=1)))
+        # the row sums of ``abs(w).sum(axis=1)``, from the same reduceat over w's rows
+        starts = w.indptr[:-1][np.diff(w.indptr) > 0]
+        return float(np.max(np.add.reduceat(np.abs(w.data), starts)))
 
     def dense(self) -> np.ndarray:
         return self.w.toarray()
@@ -154,26 +157,81 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     return NetworkWeights(w=_row_normalize(sp.csr_array(raw)))
 
 
-def _symmetric_off_diagonal(m: sp.sparray) -> sp.csr_array:
-    """(m + m')/2 less its diagonal and zero entries, from one COO pass.
-
-    m holds no duplicates, so entry (i, j) sums at most m_ij and m_ji; IEEE
-    addition is commutative, so the result is bitwise symmetric whatever
-    order scipy sums duplicates in.
-    """
-    coo = m.tocoo()
-    off = coo.row != coo.col
-    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
-    p = sp.csr_array((np.concatenate([vals, vals]),
-                      (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-                     shape=m.shape)
-    p.data *= 0.5
-    p.eliminate_zeros()
-    return p
+# W'W's entries are summed from a listing of their terms w_ki w_kj (there are
+# sum_k degree_k^2 of them) up to this many; beyond it scipy's sparse product,
+# which sums in the same order without holding the terms, is faster, and a
+# dense W would list n^3 terms
+_LISTED_TERMS = 4096
 
 
+def _summed(keys: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the sum of each key's terms, added one by one
+    in listing order from 0.0 (``np.bincount`` does not sum pairwise)."""
+    union, inverse = np.unique(keys, return_inverse=True)
+    return union, np.bincount(inverse, weights=terms, minlength=union.size)
+
+
+def _gram_listed(w: sp.csr_array, rows: np.ndarray, cols: np.ndarray):
+    """Sorted keys i * n + j and sums m_ij of W'W's off-diagonal entries, from
+    a listing of the terms w_ki w_kj with k ascending within each entry."""
+    by_col = np.argsort(cols, kind="stable")  # k ascending within each column i
+    i, k = cols[by_col], rows[by_col]
+    count = np.diff(w.indptr)[k]  # terms per (i, k): the degree of row k
+    entry = np.repeat(np.arange(k.size), count)
+    first = np.cumsum(count) - count
+    pos = np.repeat(w.indptr[k] - first, count) + np.arange(entry.size)  # w_kj's slot
+    i, j = i[entry], cols[pos]
+    off = i != j
+    return _summed((i * w.shape[0] + j)[off], (w.data[by_col][entry] * w.data[pos])[off])
+
+
+def _gram_product(w: sp.csr_array):
+    """The same from scipy's sparse product W'W. Its compressed arrays are
+    those of a bitwise symmetric matrix, so they read as CSR arrays whichever
+    format it returns; the columns of a row come unsorted."""
+    m = w.T @ w
+    n = w.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    off = rows != m.indices
+    keys = (rows * n + m.indices)[off]
+    order = np.argsort(keys)
+    return keys[order], m.data[off][order]
+
+
+def _csr_from_sorted(keys: np.ndarray, data: np.ndarray, n: int, dtype) -> sp.csr_array:
+    """csr_array of the nonzero ``data`` at sorted keys row * n + col, indexed in ``dtype``."""
+    keep = data != 0.0
+    keys = keys[keep]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(dtype)
+    return sp.csr_array((data[keep], (keys % n).astype(dtype), indptr), shape=(n, n))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # W'W may overflow, as scipy's product does
 def build_quadratic_weights(weights: NetworkWeights) -> list[sp.csr_array]:
-    """Quadratic-moment matrices: symmetrized W and W'W less its diagonal,
-    each exactly symmetric with a zero diagonal."""
+    """Quadratic-moment matrices P1 = (W + W')/2 and P2 = W'W less its
+    diagonal, each exactly symmetric with a zero diagonal, no stored zeros
+    and W's index dtype.
+
+    Both are built from W's CSR arrays, each entry's terms added one by one
+    in a fixed order. A P1 entry adds w_ij and w_ji and halves the sum. A P2
+    entry m_ij adds w_ki w_kj with k ascending: listed and summed by
+    ``np.bincount`` for a W with few terms (``_LISTED_TERMS``), by scipy's
+    sparse product W'W otherwise, which sums in that same order. So m_ij and
+    m_ji are the same bits, and the entry (m_ij + m_ji) / 2 is
+    (m + m) * 0.5, which overflows where that sum does. The order is kept
+    because the fits turn a one-ulp change in P2 into a visible change of
+    the gmm2 estimate: a pairwise sum (``np.add.reduceat``) rounds otherwise
+    once an entry has more than eight terms.
+    """
     w = weights.w
-    return [_symmetric_off_diagonal(w), _symmetric_off_diagonal(w.T @ w)]
+    n = w.shape[0]
+    degrees = np.diff(w.indptr).astype(np.int64)
+    rows = np.repeat(np.arange(n), degrees)
+    cols = w.indices.astype(np.int64)
+    keys, sums = _summed(np.concatenate([rows * n + cols, cols * n + rows]),
+                         np.concatenate([w.data, w.data]))
+    p1 = _csr_from_sorted(keys, sums * 0.5, n, w.indices.dtype)
+    keys, sums = (_gram_listed(w, rows, cols) if degrees @ degrees <= _LISTED_TERMS
+                  else _gram_product(w))
+    gram_dtype = w.indices.dtype if w.nnz else np.int32  # scipy's empty product
+    return [p1, _csr_from_sorted(keys, (sums + sums) * 0.5, n, gram_dtype)]

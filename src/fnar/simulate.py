@@ -211,6 +211,62 @@ def mc_fixed_effects(n: int, s) -> np.ndarray:
     return 1.0 + np.cos(labels[:, None] * s[None, :])
 
 
+class _McParts(NamedTuple):
+    """What every draw of one benchmark design shares: its grid, operator and
+    truth. A draw only reads them."""
+
+    n: int
+    T: int
+    quad: QuadratureGrid
+    operator: KernelIntegral
+    alpha: np.ndarray
+    beta: np.ndarray  # (1, G)
+    fixed_effects: np.ndarray
+
+
+def _mc_parts(n: int, T: int, r: float, *, n_quad: int = 99,
+              alpha_scale: float = 1.0) -> _McParts:
+    """The draw-independent parts of ``simulate_mc_panel``'s design, checked."""
+    if not (np.isfinite(r) and r > 0):
+        raise InvalidArgumentError(f"covariate strength r must be positive and finite, got {r}")
+    if not np.isfinite(alpha_scale):
+        raise InvalidArgumentError(f"alpha scale must be finite, got {alpha_scale}")
+    if T < 1:
+        raise InvalidArgumentError(f"need at least one period, got T={T}")
+    quad = build_quadrature(n_quad)
+    return _McParts(n=n, T=T, quad=quad,
+                    operator=KernelIntegral(quad, kernel=epanechnikov_kernel),
+                    alpha=alpha_scale * mc_alpha(quad.points),
+                    beta=mc_beta(quad.points, r)[None, :],
+                    fixed_effects=mc_fixed_effects(n, quad.points))
+
+
+def _draw_mc_panel(parts: _McParts, seed) -> tuple[FunctionalPanel, DgpConfig]:
+    """One panel of the design ``parts`` from ``seed``'s lattice and shocks."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    seed_net, seed_x, seed_eps = seq.spawn(3)
+    n, T, quad = parts.n, parts.T, parts.quad
+
+    weights = build_lattice_weights(n, np.random.default_rng(seed_net))
+    cfg = DgpConfig(
+        alpha=parts.alpha,
+        beta=parts.beta,
+        fixed_effects=parts.fixed_effects,
+        operator=parts.operator,
+        weights=weights,
+    )
+
+    x = np.random.default_rng(seed_x).normal(size=(n, T, 1))
+    eps = gen_mc_errors(n, T, weights, quad, np.random.default_rng(seed_eps))
+    y = np.empty((n, T, quad.count))
+    for t in range(T):
+        rhs = x[:, t, :] @ cfg.beta + cfg.fixed_effects + eps[:, t, :]
+        y[:, t, :] = neumann_solve(cfg, rhs).values
+    return FunctionalPanel(y=y, x=x, quad=quad), cfg
+
+
 def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
                       alpha_scale: float = 1.0) -> tuple[FunctionalPanel, DgpConfig]:
     """Generate one panel from the benchmark design and return it with its truth.
@@ -220,37 +276,8 @@ def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
     error paths. ``alpha_scale`` rescales the interaction-effect function
     (useful for stationarity-violation experiments). The Neumann iteration
     stops at the ``DgpConfig`` default tolerance, and a non-stationary design
-    raises ``NonStationaryDgpError``. ``r`` must be positive and finite, ``T``
-    at least 1 and an integer ``seed`` non-negative; a violation raises
-    ``InvalidArgumentError``.
+    raises ``NonStationaryDgpError``. ``r`` must be positive and finite,
+    ``alpha_scale`` finite, ``T`` at least 1 and an integer ``seed``
+    non-negative; a violation raises ``InvalidArgumentError``.
     """
-    if not (np.isfinite(r) and r > 0):
-        raise InvalidArgumentError(f"covariate strength r must be positive and finite, got {r}")
-    if T < 1:
-        raise InvalidArgumentError(f"need at least one period, got T={T}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seed_net, seed_x, seed_eps = seq.spawn(3)
-
-    quad = build_quadrature(n_quad)
-    weights = build_lattice_weights(n, np.random.default_rng(seed_net))
-    operator = KernelIntegral(quad, kernel=epanechnikov_kernel)
-    alpha = alpha_scale * mc_alpha(quad.points)
-    beta = mc_beta(quad.points, r)[None, :]
-    fixed = mc_fixed_effects(n, quad.points)
-    cfg = DgpConfig(
-        alpha=alpha,
-        beta=beta,
-        fixed_effects=fixed,
-        operator=operator,
-        weights=weights,
-    )
-
-    x = np.random.default_rng(seed_x).normal(size=(n, T, 1))
-    eps = gen_mc_errors(n, T, weights, quad, np.random.default_rng(seed_eps))
-    y = np.empty((n, T, n_quad))
-    for t in range(T):
-        rhs = x[:, t, :] @ cfg.beta + fixed + eps[:, t, :]
-        y[:, t, :] = neumann_solve(cfg, rhs).values
-    return FunctionalPanel(y=y, x=x, quad=quad), cfg
+    return _draw_mc_panel(_mc_parts(n, T, r, n_quad=n_quad, alpha_scale=alpha_scale), seed)

@@ -2,7 +2,8 @@
 
 These are the per-row readers and ``csv.writer`` writers that the vectorised
 ``fnar.io`` layer replaced, kept as they were (the dict-based panel build
-included). A vectorised reader must give bit-identical arrays wherever these
+included), with one rule added since: a panel row's ``y`` and covariates
+must be finite. A vectorised reader must give bit-identical arrays wherever these
 accept an input, and a ``SchemaError`` with the same ``.line`` wherever these
 reject it; a writer must give the same bytes.
 """
@@ -68,6 +69,8 @@ def _read_observations(path):
             if not 0.0 <= s <= 1.0:
                 raise SchemaError(f"evaluation point {s} outside [0, 1]", line=lineno,
                                   path=str(path))
+            if not np.isfinite(y):
+                raise SchemaError(f"non-finite y {y}", line=lineno, path=str(path))
             obs.setdefault((i, t), []).append((s, y))
     if not obs:
         raise SchemaError("observation table is empty", path=str(path))
@@ -92,6 +95,8 @@ def _read_covariates(path):
                 rows[(int(row[0]), int(row[1]))] = [float(v) for v in row[2:2 + d_x]]
             except (ValueError, IndexError) as exc:
                 raise SchemaError(str(exc), line=lineno, path=str(path)) from exc
+            if not np.all(np.isfinite(rows[(int(row[0]), int(row[1]))])):
+                raise SchemaError("non-finite covariate", line=lineno, path=str(path))
     return rows, d_x
 
 
@@ -123,7 +128,8 @@ def _build_panel(args) -> FunctionalPanel:
     periods = sorted({t for _, t in obs})
     n, T = len(units), len(periods)
     if units != list(range(n)) or periods != list(range(T)):
-        raise SchemaError("unit and period ids must be contiguous from 0")
+        raise SchemaError("unit and period ids must be contiguous from 0",
+                          path=str(args.observations))
     quad = build_quadrature(args.grid_count)
     y = np.empty((n, T, quad.count))
     x = np.empty((n, T, d_x))

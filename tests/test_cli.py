@@ -54,6 +54,15 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not (tmp_path / "observations.csv").exists()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_scale_is_data_error(self, tmp_path, capsys, scale):
+        # not a model error: a NaN scale used to diverge in the Neumann iteration
+        code = run(["simulate", "--n", 10, "--T", 3, "--seed", 1,
+                    f"--alpha-scale={scale}", "--out", tmp_path])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: alpha scale must be finite, got {scale}\n"
+        assert not (tmp_path / "observations.csv").exists()
+
 
 class TestEstimate:
     def test_round_trip_recovers_truth(self, sim_dir, tmp_path):
@@ -177,6 +186,26 @@ class TestEstimate:
                     "--weights", obs, "--out", est])
         assert code == 4
         assert ":3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table,column,value", [
+        ("observations", 3, "nan"), ("observations", 3, "inf"), ("covariates", 2, "-inf")])
+    def test_non_finite_panel_value_reports_line(self, sim_dir, tmp_path, capsys,
+                                                 table, column, value):
+        files = {name: sim_dir / f"{name}.csv" for name in ("observations", "covariates")}
+        lines = files[table].read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = value
+        lines[3] = ",".join(fields)
+        files[table] = tmp_path / f"{table}.csv"
+        files[table].write_text("\n".join(lines) + "\n")
+        est = tmp_path / "est"
+        est.mkdir()
+        code = run(["estimate", "--observations", files["observations"],
+                    "--covariates", files["covariates"], "--weights", sim_dir / "weights.csv",
+                    "--out", est])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[table]}:4: non-finite point (") and value in err
 
     def test_short_covariate_row_reports_line(self, sim_dir, tmp_path, capsys):
         cov = tmp_path / "cov.csv"
@@ -316,6 +345,15 @@ class TestMonteCarlo:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    def test_repeated_estimator_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "mc.csv"
+        code = run(["montecarlo", "--n", 16, "--T", 3, "--moment-points", 8,
+                    "--estimators", "gmm1,gmm1", "--replications", 1, "--seed", 9,
+                    "--out", out])
+        assert code == 4
+        assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--inner-knots", -1], ["--r", "nan"], ["--r", "inf"],
                                        ["--n", 1], ["--moment-points", 3],
                                        ["--moment-points", 0, "--workers", 2]])
@@ -335,7 +373,7 @@ class TestFailureReports:
     def test_montecarlo_reports_first_failure(self, tmp_path, monkeypatch, capsys):
         import fnar.montecarlo as mc
 
-        original = mc.simulate_mc_panel
+        original = mc._draw_mc_panel
         calls = {"i": 0}
 
         def flaky(*args, **kwargs):
@@ -344,7 +382,7 @@ class TestFailureReports:
                 raise RuntimeError("synthetic failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "simulate_mc_panel", flaky)
+        monkeypatch.setattr(mc, "_draw_mc_panel", flaky)
         code = run(["montecarlo", "--n", 16, "--T", 3, "--moment-points", 8,
                     "--estimators", "gmm1", "--replications", 10, "--seed", 1,
                     "--out", tmp_path / "mc.csv"])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,6 +326,17 @@ class TestFits:
         omega[: design.d_z, : design.d_z] = design._instrument_weight()
         run = _gauss_newton(design, omega, _omega_sqrt(omega), design.solve_2sls()[0])
         assert_allclose(run.theta, fit2.theta, atol=1e-12)
+
+    @pytest.mark.parametrize("estimator", ["gmm1", "gmm2"])
+    def test_weight_is_the_block_diagonal(self, estimator):
+        # filled in place; scipy's block_diag is the oracle, bit for bit
+        panel, spec, _ = exact_span_panel(n=12, T=3, noise=0.3, seed=6)
+        fit = fit_gmm(panel, spec, estimator=estimator)
+        design = fit._design
+        first = design._instrument_weight() if estimator == "gmm1" else np.eye(design.d_z)
+        want = sla.block_diag(first, np.eye(design.M))
+        assert fit.omega.flags.c_contiguous and want.flags.c_contiguous
+        assert np.array_equal(fit.omega.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("name", ["custom", "2sls"])
     def test_unknown_estimator_rejected(self, name):

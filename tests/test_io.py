@@ -180,6 +180,10 @@ def panels(draw):
     copies = st.sampled_from([1, 1, 2, 0])  # covariate rows a cell gets
     cov = [[(int, i), (int, t), (float, draw(y_values)), (float, draw(y_values))]
            for i in range(n) for t in range(T) for _ in range(draw(copies))]
+    for rows, column in ((obs, 3), (cov, draw(st.sampled_from([2, 3])))):
+        if rows and draw(st.integers(0, 7)) == 0:  # one non-finite y or covariate
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[column] = (float, draw(st.sampled_from([np.nan, np.inf, -np.inf])))
     obs, cov = shuffled(draw, obs), shuffled(draw, cov)
     return (draw(tables("unit,period,s,y", obs)),
             draw(tables(draw(st.sampled_from(["unit,period,x1,x2", "unit,period,x1,x2,x3"])),
@@ -412,6 +416,18 @@ class TestReaderRules:
             io.read_function(path, build_quadrature(9))
         assert err.value.line == 3
         assert str(err.value).startswith(f"{path}:3: non-finite point (s=")
+
+    @pytest.mark.parametrize("obs_row,cov_row,bad", [
+        ("0,0,0.5,nan", "0,0,1.0", "obs"), ("0,0,0.5,-inf", "0,0,1.0", "obs"),
+        ("0,0,0.5,2.0", "0,0,inf", "cov"), ("0,0,0.5,2.0", '0,0," NaN "', "cov")])
+    def test_non_finite_panel_rows_rejected_at_their_line(self, tmp_path, obs_row, cov_row,
+                                                           bad):
+        paths = {"obs": write(tmp_path, "obs.csv", f"unit,period,s,y\n0,0,0,1\n{obs_row}\n"),
+                 "cov": write(tmp_path, "cov.csv", f"unit,period,x1\n0,0,1.0\n{cov_row}\n")}
+        with pytest.raises(SchemaError) as err:
+            io.read_panel(paths["obs"], paths["cov"], 9)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{paths[bad]}:3: non-finite point (")
 
     def test_error_line_counts_records(self, tmp_path):
         path = write(tmp_path, "f.csv", 's,value\n"0\n",1\n\n0,x\n')

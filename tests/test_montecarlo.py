@@ -52,6 +52,12 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             tiny_cfg(estimators=("ols",))
 
+    @pytest.mark.parametrize("estimators", [("gmm1", "gmm1"), ("gmm1", "2sls", "gmm1")])
+    def test_rejects_repeated_estimator(self, estimators):
+        # a repeat would score, and report, the same fits twice
+        with pytest.raises(InvalidArgumentError, match="must not repeat"):
+            tiny_cfg(estimators=estimators)
+
     def test_coverage_needs_gmm1(self):
         with pytest.raises(InvalidArgumentError):
             tiny_cfg(estimators=("2sls",), coverage_points=(0.5,))
@@ -127,8 +133,14 @@ class TestSharedBasis:
         rep = run_mc(tiny_cfg(replications=5, coverage_points=(0.5,)))
         assert len(builds) == 1 and rep.failures == 0
 
+    def test_one_run_builds_the_simulation_parts_once(self, monkeypatch):
+        parts = self._count_calls(monkeypatch, "_mc_parts")
+        draws = self._count_calls(monkeypatch, "_draw_mc_panel")
+        rep = run_mc(tiny_cfg(replications=5, coverage_points=(0.5,)))
+        assert len(parts) == 1 and len(draws) == 5 and rep.failures == 0
+
     def test_basis_too_fine_stops_before_the_first_replication(self, monkeypatch):
-        simulations = self._count_calls(monkeypatch, "simulate_mc_panel")
+        simulations = self._count_calls(monkeypatch, "_draw_mc_panel")
         # K = 24 + 4 spline functions need at least 56 grid points, not 33
         with pytest.raises(IllConditionedBasisError, match="cannot resolve"):
             run_mc(tiny_cfg(inner_knots=24))
@@ -150,6 +162,19 @@ class TestRun:
         assert serial.bias == parallel.bias
         assert serial.rmse == parallel.rmse
 
+    def test_worker_count_invariance_of_the_whole_report(self):
+        # the workers get the config-only values in their payload, pickled
+        serial = run_mc(paper_cell(replications=6, base_seed=21))
+        parallel = run_mc(paper_cell(replications=6, base_seed=21, workers=2))
+        assert serial.coverage_count > 0
+        for name in ("bias", "rmse", "coverage", "coverage_count", "failures", "errors",
+                     "nonconverged"):
+            assert getattr(serial, name) == getattr(parallel, name), name
+        for name in ("per_rep_err", "per_rep_rmse"):
+            got, want = getattr(parallel, name), getattr(serial, name)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[key], want[key]) for key in want), name
+
     def test_single_replication_identity(self):
         rep = run_mc(tiny_cfg(replications=1))
         for key in rep.rmse:
@@ -166,7 +191,7 @@ class TestRun:
         assert 0.0 <= rep.coverage[0.5] <= 1.0
 
     def test_failures_counted_and_capped(self, monkeypatch):
-        original = mc.simulate_mc_panel
+        original = mc._draw_mc_panel
         calls = {"i": 0}
 
         def flaky(*args, **kwargs):
@@ -175,12 +200,12 @@ class TestRun:
                 raise RuntimeError("synthetic failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "simulate_mc_panel", flaky)
+        monkeypatch.setattr(mc, "_draw_mc_panel", flaky)
         with pytest.raises(HarnessError, match="RuntimeError: synthetic failure"):
             run_mc(tiny_cfg(replications=4))
 
     def test_failure_messages_kept(self, monkeypatch):
-        original = mc.simulate_mc_panel
+        original = mc._draw_mc_panel
         calls = {"i": 0}
 
         def flaky(*args, **kwargs):
@@ -189,7 +214,7 @@ class TestRun:
                 raise RuntimeError("synthetic failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mc, "simulate_mc_panel", flaky)
+        monkeypatch.setattr(mc, "_draw_mc_panel", flaky)
         rep = run_mc(tiny_cfg(replications=10))
         assert rep.failures == 1
         assert rep.errors == ["replication 2: RuntimeError: synthetic failure"]

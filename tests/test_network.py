@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import ring_weights
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.errors import InvalidArgumentError, SchemaError
+import fnar.network as network
 from fnar.estimator import MomentSpec
 from fnar.interaction import PointEval
 from fnar.io import read_edge_list, write_edge_list
@@ -65,6 +66,36 @@ def coo_lattice_weights(n, rng_seed):
     return NetworkWeights(w=_row_normalize(adj))
 
 
+def _symmetric_off_diagonal(m):
+    """(m + m')/2 less its diagonal and zero entries, from one COO pass."""
+    coo = m.tocoo()
+    off = coo.row != coo.col
+    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off]
+    p = sp.csr_array((np.concatenate([vals, vals]),
+                      (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                     shape=m.shape)
+    p.data *= 0.5
+    p.eliminate_zeros()
+    return p
+
+
+def coo_quadratic_weights(weights):
+    """The quadratic-weights builder before it summed W's CSR arrays itself,
+    kept as the oracle: scipy's W'W, then one COO-to-CSR pass per matrix."""
+    w = weights.w
+    return [_symmetric_off_diagonal(w), _symmetric_off_diagonal(w.T @ w)]
+
+
+def assert_same_csr(got, want):
+    """Equal index arrays and dtypes, and data equal bit for bit (int64 views)."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        if name == "data":
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b), name
+
+
 def copying_quadratic_weights(weights):
     """The quadratic-weights builder before its one-pass COO form, kept as the
     oracle: sparse (m + m')/2, then a copy with setdiag(0) and eliminate_zeros."""
@@ -80,6 +111,19 @@ def copying_quadratic_weights(weights):
 
 
 class TestNetworkWeights:
+    @pytest.mark.parametrize("make", [
+        lambda: build_lattice_weights(40, 1),
+        lambda: ring_weights(5),
+        lambda: build_distance_weights(np.random.default_rng(3).uniform(size=(60, 2)), 0.4),
+        lambda: _signed_dense_weights(30, 8),
+        lambda: NetworkWeights(w=sp.csr_array((4, 4))),
+        lambda: NetworkWeights(w=sp.csr_array(np.array([[0.0, 0.0], [-2.0, 0.0]]))),
+    ], ids=["lattice", "ring", "distance", "signed-dense", "empty", "one-row"])
+    def test_row_sup_matches_scipy_row_sums(self, make):
+        weights = make()
+        want = float(np.max(np.abs(weights.w).sum(axis=1))) if weights.w.nnz else 0.0
+        assert weights.row_sup == want
+
     def test_callers_matrix_left_as_given(self):
         # a stored zero in row 0 and a duplicated entry in row 1
         given = sp.csr_array((np.array([0.0, 0.25, 0.25]), np.array([1, 0, 0]),
@@ -389,6 +433,91 @@ class TestSymmetryCheck:
             assert _exactly_symmetric_zero_diagonal(
                 build_quadratic_weights(NetworkWeights(w=layout.copy())))
         assert answers == {True, False}
+
+
+def _signed_dense_weights(n, seed, scale=1.0):
+    """Signed random W with every off-diagonal entry set, so each P2 entry sums
+    n - 2 terms (the eight and more that a pairwise sum would round otherwise)."""
+    w = scale * np.random.default_rng(seed).normal(size=(n, n))
+    np.fill_diagonal(w, 0.0)
+    return NetworkWeights(w=sp.csr_array(w))
+
+
+def _edgeless_edge_list(tmp_path):
+    """W read from an edge list with no edge: int64 indices, nothing stored."""
+    path = tmp_path / "w.csv"
+    path.write_text("i,j,weight\n3,3,0.0\n")
+    return read_edge_list(path)
+
+
+_CSR_BUILDER_CASES = {
+    "lattice2": lambda tmp: build_lattice_weights(2, 0),
+    "lattice40": lambda tmp: build_lattice_weights(40, 1),
+    "lattice1600": lambda tmp: build_lattice_weights(1600, 3),
+    "lattice-edgeless": lambda tmp: _find_seed(2, lambda w: w.w.nnz == 0),
+    "ring2": lambda tmp: ring_weights(2),
+    "ring9": lambda tmp: ring_weights(9),
+    "directed-ring7": lambda tmp: _directed_ring(7),
+    "signed-cancelling": lambda tmp: _signed_cancelling_weights(),
+    "euclidean": lambda tmp: build_distance_weights(
+        np.random.default_rng(3).uniform(size=(60, 2)), 0.2),
+    "euclidean-binary": lambda tmp: build_distance_weights(
+        np.random.default_rng(4).uniform(size=(60, 2)), 0.25, inverse_distance=False),
+    "euclidean-inf": lambda tmp: build_distance_weights(
+        np.random.default_rng(6).uniform(size=(40, 2)), np.inf),
+    "greatcircle": lambda tmp: build_distance_weights(
+        np.random.default_rng(5).uniform([-10.0, 40.0], [10.0, 60.0], size=(60, 2)), 400.0,
+        metric="greatcircle"),
+    "greatcircle-inf": lambda tmp: build_distance_weights(
+        np.random.default_rng(7).uniform([-10.0, 40.0], [10.0, 60.0], size=(40, 2)), np.inf,
+        metric="greatcircle"),
+    "signed-dense": lambda tmp: _signed_dense_weights(30, 8),
+    "signed-dense-overflowing": lambda tmp: _signed_dense_weights(12, 9, scale=1e160),
+    "edge-list-isolated-last": _edge_list_isolated_last,
+    "edge-list-edgeless": _edgeless_edge_list,
+    "empty": lambda tmp: NetworkWeights(w=sp.csr_array((4, 4))),
+}
+
+
+class TestCsrQuadraticWeights:
+    """``build_quadratic_weights`` sums W's CSR arrays itself; the COO builder
+    it replaced is the oracle, bit for bit, index dtypes included, whether
+    W'W's terms are listed or summed by scipy's product."""
+
+    @pytest.mark.parametrize("path", ["listed", "product"])
+    @pytest.mark.parametrize("name", list(_CSR_BUILDER_CASES))
+    def test_matches_coo_builder(self, name, path, tmp_path, monkeypatch):
+        weights = _CSR_BUILDER_CASES[name](tmp_path)
+        monkeypatch.setattr(network, "_LISTED_TERMS", 10**9 if path == "listed" else -1)
+        for got, want in zip(build_quadratic_weights(weights), coo_quadratic_weights(weights),
+                             strict=True):
+            assert_same_csr(got, want)
+
+    def test_paper_cell_lists_and_large_lattice_multiplies(self, monkeypatch):
+        paths = []
+        for name in ("_gram_listed", "_gram_product"):
+            original = getattr(network, name)
+
+            def counted(*args, _name=name, _original=original):
+                paths.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(network, name, counted)
+        build_quadratic_weights(build_lattice_weights(40, 1))
+        build_quadratic_weights(build_lattice_weights(3200, 1))
+        assert paths == ["_gram_listed", "_gram_product"]
+
+    def test_signed_case_sums_many_terms_an_entry(self):
+        # the case where summation order shows: P2 entries of 28 signed terms
+        w = _signed_dense_weights(30, 8).w
+        terms = (w != 0).astype(float)
+        assert (terms.T @ terms).toarray().max() >= 28
+
+    def test_overflow_as_in_the_sparse_product(self):
+        weights = _signed_dense_weights(12, 9, scale=1e160)
+        with np.errstate(all="raise"):  # W'W overflows without a warning
+            _, p2 = build_quadratic_weights(weights)
+        assert not np.all(np.isfinite(p2.data))
 
 
 class TestEdgeList:

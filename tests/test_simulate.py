@@ -8,12 +8,14 @@ from fnar.interaction import PointEval, network_lag
 from fnar.io import read_panel, write_panel
 from fnar.simulate import (
     DgpConfig,
+    _draw_mc_panel,
+    _mc_parts,
+    _poly_error_paths,
     gen_mc_errors,
     mc_alpha,
     mc_beta,
     neumann_solve,
     simulate_mc_panel,
-    _poly_error_paths,
 )
 
 from conftest import ring_weights, small_operator
@@ -237,6 +239,27 @@ class TestMcPanel:
 
         with pytest.raises(InvalidArgumentError, match="finite"):
             simulate_mc_panel(10, 2, r, seed=1)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_alpha_scale_must_be_finite(self, scale):
+        # a NaN scale passes the stationarity check and diverges in the iteration
+        with pytest.raises(InvalidArgumentError, match="alpha scale must be finite"):
+            simulate_mc_panel(10, 2, 1.0, seed=1, alpha_scale=scale)
+
+    def test_draws_share_the_parts_unchanged(self):
+        parts = _mc_parts(12, 3, 0.4, n_quad=17)
+        before = [np.copy(parts.alpha), np.copy(parts.beta), np.copy(parts.fixed_effects),
+                  np.copy(parts.operator.matrix)]
+        first, truth = _draw_mc_panel(parts, 5)
+        _draw_mc_panel(parts, 6)
+        again, _ = _draw_mc_panel(parts, 5)
+        public, public_truth = simulate_mc_panel(12, 3, 0.4, seed=5, n_quad=17)
+        for got in (again, public):
+            assert np.array_equal(got.y, first.y) and np.array_equal(got.x, first.x)
+        after = [parts.alpha, parts.beta, parts.fixed_effects, parts.operator.matrix]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
+        assert truth.alpha is parts.alpha
+        assert np.array_equal(public_truth.alpha, truth.alpha)
 
     @pytest.mark.parametrize("T", [0, -2])
     def test_needs_a_period(self, T):
