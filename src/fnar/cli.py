@@ -235,6 +235,8 @@ def cmd_effects(args) -> int:
     if out is not None:
         _write_array(out, ["unit"], impacts, "total_impact")
     print(f"risk key player: unit {star}")
+    if (ties := int(np.count_nonzero(impacts == impacts[star]))) > 1:
+        print(f"warning: {ties} units tie at the largest total impact", file=sys.stderr)
     return EXIT_OK
 
 

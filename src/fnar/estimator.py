@@ -176,13 +176,14 @@ class _Design:
     ``per_point`` ones keep the grid axis. Nothing here depends on the
     weight matrix, so fits on one spec that differ only in it share a design.
 
-    The instrument and regressor rows at every (point, period, unit) exist
-    only while the aggregates are summed. Afterwards the design keeps the
-    outcome differences at the moment points (``dy``) and the factors of the
-    rows: the differenced instruments, the basis at the moment points, the
-    differenced aggregated outcomes at the grid nodes the stencil reads and
-    the covariate differences. ``rows`` rebuilds one point's rows from them,
-    bit for bit.
+    The aggregates are summed one moment point at a time, so one point's
+    regressor rows exist at a time. The instrument rows of every (point,
+    period, unit) are kept only to sum ``s_z``, one sequential sum over all
+    of them. Afterwards the design keeps the outcome differences at the
+    moment points (``dy``) and the factors of the rows: the differenced
+    instruments, the basis at the moment points, the differenced aggregated
+    outcomes at the grid nodes the stencil reads and the covariate
+    differences. ``rows`` rebuilds one point's rows from them, bit for bit.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite aggregates raise below
@@ -215,40 +216,37 @@ class _Design:
         self._d_x = _period_differences(panel.x)  # (T-1, n, d_x)
         self.dy = self._at_points(_period_differences(panel.y[:, :, nodes]))  # (L, T-1, n)
 
-        dz = np.empty((L, T - 1, n, self.d_z))
-        dh = np.empty((L, T - 1, n, self.d_theta))
-        for l in range(L):
-            self.rows(l, out=(dz[l], dh[l]))
-
         norm = 1.0 / self.n_obs
-        zf = dz.reshape(L, self.n_obs, self.d_z)
-        hf = dh.reshape(L, self.n_obs, self.d_theta)
-        yf = self.dy.reshape(L, self.n_obs)
-        self.s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
-
-        c = np.zeros((L, self.M))
-        b = np.zeros((L, self.M, self.d_theta))
-        C = np.zeros((L, self.M, self.d_theta, self.d_theta))
+        dz = np.empty((L, T - 1, n, self.d_z))
+        dh = np.empty((T - 1, n, self.d_theta))  # point l's regressor rows
         units = np.empty((n, T - 1, 1 + self.d_theta))
+        self.per_point = agg = _Aggregates(
+            a=np.empty((L, self.d_z)), A=np.empty((L, self.d_z, self.d_theta)),
+            c=np.empty((L, self.M)), b=np.empty((L, self.M, self.d_theta)),
+            C=np.empty((L, self.M, self.d_theta, self.d_theta)))
         for l in range(L):
-            # point l's outcome and regressor row of every period side by side,
-            # unit-major, so one product covers them all and sums each column as a
-            # product of that column alone would; the einsums read C-ordered
-            # (T-1, n, .) copies, which fixes their order
+            self.rows(l, out=(dz[l], dh))
+            # each entry of a and A is one sequential sum over point l's (t, n) rows
+            zf = dz[l].reshape(self.n_obs, self.d_z)
+            agg.a[l] = norm * np.einsum("nz,n->z", zf, self.dy[l].reshape(self.n_obs))
+            agg.A[l] = norm * np.einsum("nz,nt->zt", zf, dh.reshape(self.n_obs, self.d_theta))
+            # point l's outcome and regressor rows of every period side by side, unit-major:
+            # one product sums each column as a product of that column alone would; the
+            # einsums read C-ordered (T-1, n, .) copies, which fixes their order
             units[..., 0] = self.dy[l].T
-            units[..., 1:] = dh[l].transpose(1, 0, 2)
+            units[..., 1:] = dh.transpose(1, 0, 2)
             for m, p in enumerate(spec.quad_mats):
                 prod = (p @ units.reshape(n, -1)).reshape(units.shape)
                 py = np.ascontiguousarray(prod[..., 0].T)  # (T-1, n)
                 ph = np.ascontiguousarray(prod[..., 1:].transpose(1, 0, 2))  # (T-1, n, d_theta)
-                c[l, m] = norm * np.sum(self.dy[l] * py)
-                b[l, m] = norm * np.einsum("tnk,tn->k", dh[l], py)
-                C[l, m] = norm * np.einsum("tnk,tnj->kj", dh[l], ph)
+                agg.c[l, m] = norm * np.sum(self.dy[l] * py)
+                agg.b[l, m] = norm * np.einsum("tnk,tn->k", dh, py)
+                agg.C[l, m] = norm * np.einsum("tnk,tnj->kj", dh, ph)
                 del prod, py, ph  # freed before the next product: a lower peak
-
-        self.per_point = _Aggregates(a=norm * np.einsum("lnz,ln->lz", zf, yf),
-                                     A=norm * np.einsum("lnz,lnt->lzt", zf, hf),
-                                     c=c, b=b, C=C)
+        # s_z is one sequential sum over (point, obs), which fixes its bits; per-point
+        # partial sums would change them, so every point's instrument rows are kept
+        zf = dz.reshape(L, self.n_obs, self.d_z)
+        self.s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
         self.mean = _Aggregates(*(part.mean(axis=0) for part in self.per_point))
         if not all(np.isfinite(part).all() for part in (self.s_z, *self.per_point, *self.mean)):
             raise NumericalFailureError("moment aggregates are not finite (overflow in the "

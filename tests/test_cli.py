@@ -506,6 +506,27 @@ class TestEffects:
         star = int(impacts[np.argmax(impacts[:, 1]), 0])
         assert f"risk key player: unit {star}" in capsys.readouterr().out
 
+    def test_tied_key_player_warns(self, star_files, tmp_path, capsys):
+        # a band shorter than every distance links no pair: all units tie
+        _, alpha, shock = star_files
+        coords = tmp_path / "coords.csv"
+        coords.write_text("unit,lon,lat\n0,0,0\n1,0.5,0\n2,1,1\n")
+        code = run(["effects", "keyplayer", "--alpha-file", alpha, "--coords", coords,
+                    "--threshold", 0.1, "--shock-file", shock, "--grid-count", 33])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out == "risk key player: unit 0\n"
+        assert err == "warning: 3 units tie at the largest total impact\n"
+
+    def test_lattice_key_player_has_no_tie(self, sim_dir, star_files, capsys):
+        _, _, shock = star_files
+        capsys.readouterr()
+        code = run(["effects", "keyplayer", "--alpha-file", sim_dir / "truth_functions.csv",
+                    "--weights", sim_dir / "weights.csv", "--shock-file", shock])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("risk key player: unit ") and err == ""
+
     def test_marginal_requires_beta(self, star_files, tmp_path):
         wfile, alpha, shock = star_files
         out = tmp_path / "eff"
