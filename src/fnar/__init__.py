@@ -10,7 +10,6 @@ uncertainty, and computes network multiplier effects.
 from .basis import BasisSystem, QuadratureGrid, build_bspline_basis, build_quadrature
 from .effects import (
     PropagationResult,
-    ShockFunction,
     gamma_power,
     impulse_response,
     marginal_effects,

@@ -140,15 +140,12 @@ class BasisSystem:
         """Number of basis functions K."""
         return self.coeffs.shape[0]
 
-    def _raw_design(self, s: np.ndarray) -> np.ndarray:
-        return _bspline_design(s, self.knots, self.degree)
-
     def eval_many(self, s: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at an array of points, shape (m, K)."""
         s = np.asarray(s, dtype=float)
         if not np.all((s >= 0.0) & (s <= 1.0)):  # NaN fails both
             raise DomainError("basis evaluation points must lie in [0, 1]")
-        return self._raw_design(np.atleast_1d(s)) @ self.coeffs.T
+        return _bspline_design(np.atleast_1d(s), self.knots, self.degree) @ self.coeffs.T
 
     def eval(self, s: float) -> np.ndarray:
         """Evaluate all basis functions at one point, shape (K,)."""

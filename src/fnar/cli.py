@@ -8,19 +8,12 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import montecarlo
 from .basis import build_bspline_basis, build_quadrature
-from .effects import (
-    ShockFunction,
-    impulse_response,
-    marginal_effects,
-    total_impact,
-    total_impacts,
-)
+from .effects import impulse_response, marginal_effects, total_impact, total_impacts
 from .errors import (
     CannotDifferenceError,
     FnarError,
@@ -212,25 +205,24 @@ def cmd_effects(args) -> int:
     weights = _build_weights(args)
     operator = _build_operator(args, quad)
     alpha = read_function(args.alpha_file, quad)
-    beta = None if args.beta_file is None else read_function(args.beta_file, quad)[None, :]
-    source = SimpleNamespace(alpha=alpha, beta=beta, operator=operator)
 
     if args.effect == "marginal":
-        result = marginal_effects(source, weights, args.unit, 0, order=args.orders)
+        beta = read_function(args.beta_file, quad)
+        result = marginal_effects(alpha, operator, weights, args.unit, beta, order=args.orders)
         _write_propagation(result, out, "marginal")
         print(f"marginal effects for unit {args.unit} written to {out}")
         return EXIT_OK
 
-    shock = ShockFunction(read_function(args.shock_file, quad))
+    shock = read_function(args.shock_file, quad)
     if args.effect == "impulse":
-        result = impulse_response(source, weights, args.unit, shock, order=args.orders)
+        result = impulse_response(alpha, operator, weights, args.unit, shock, order=args.orders)
         _write_propagation(result, out, "impulse")
         print(f"impulse responses for unit {args.unit} written to {out} "
               f"(total impact {total_impact(result):.6g})")
         return EXIT_OK
 
     # key player: the argmax of the per-unit total impacts that are written
-    impacts = total_impacts(source, weights, shock, order=args.orders)
+    impacts = total_impacts(alpha, operator, weights, shock, order=args.orders)
     star = int(np.argmax(impacts))
     if out is not None:
         _write_array(out, ["unit"], impacts, "total_impact")

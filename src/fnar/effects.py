@@ -1,5 +1,8 @@
 """Network multiplier analysis: marginal effects, impulse responses, and the
-risk key player, all as truncated propagation sums over walk lengths."""
+risk key player, all as truncated propagation sums over walk lengths.
+
+Each function takes alpha, a coefficient beta or a shock eta as finite values
+on ``operator.grid``; for a fit, ``fit.alpha(operator.grid.points)``."""
 
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from .interaction import InteractionOperator
 from .network import NetworkWeights
 
 __all__ = [
-    "ShockFunction",
     "PropagationResult",
     "gamma_power",
     "marginal_effects",
@@ -22,18 +24,6 @@ __all__ = [
     "total_impacts",
     "risk_key_player",
 ]
-
-
-@dataclass
-class ShockFunction:
-    """An external shock path on the quadrature grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidArgumentError("shock values must be finite")
 
 
 @dataclass
@@ -72,41 +62,29 @@ def _iterates(step, start: np.ndarray, order: int) -> np.ndarray:
     return np.stack(out)
 
 
+def _grid_values(name: str, values: np.ndarray, operator: InteractionOperator) -> np.ndarray:
+    """``values`` as floats, checked to be one finite value per grid point."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != (operator.grid.count,):
+        raise InvalidArgumentError(
+            f"{name} must have {operator.grid.count} grid values, got shape {out.shape}"
+        )
+    if not np.all(np.isfinite(out)):
+        raise InvalidArgumentError(f"{name} grid values must be finite")
+    return out
+
+
 def _gammas(alpha: np.ndarray, operator: InteractionOperator, h: np.ndarray,
             order: int) -> np.ndarray:
     """Rows Gamma^0(h), ..., Gamma^order(h) of the map h -> alpha(s) A(h, s)."""
+    alpha = _grid_values("alpha", alpha, operator)
     return _iterates(lambda g: alpha * operator.apply_grid(g), h, order)
 
 
 def gamma_power(alpha: np.ndarray, operator: InteractionOperator,
                 h: np.ndarray, ell: int) -> np.ndarray:
     """Iterate h -> alpha(s) A(h, s) on the grid, ell times."""
-    return _gammas(np.asarray(alpha, dtype=float), operator, h, ell)[-1]
-
-
-def _source_functions(source) -> tuple[np.ndarray, np.ndarray, InteractionOperator]:
-    """Pull (alpha grid values, beta grid values, operator) from a fit or a truth config."""
-    operator = getattr(source, "operator", None)
-    if operator is not None:  # ground-truth configuration
-        return source.alpha, source.beta, operator
-    spec = getattr(source, "spec", None)
-    if spec is None:
-        raise InvalidArgumentError(
-            "source must be a GmmFit or a DgpConfig-like object"
-        )
-    grid = spec.operator.grid
-    alpha = source.alpha(grid.points)
-    beta = np.stack([source.beta(j, grid.points) for j in range(source.d_x)])
-    return alpha, beta, spec.operator
-
-
-def _shock_values(eta, operator: InteractionOperator) -> np.ndarray:
-    shock = eta.values if isinstance(eta, ShockFunction) else np.asarray(eta, dtype=float)
-    if shock.shape != (operator.grid.count,):
-        raise InvalidArgumentError(
-            f"shock must have {operator.grid.count} grid values, got {shock.shape}"
-        )
-    return shock
+    return _gammas(alpha, operator, _grid_values("h", h, operator), ell)[-1]
 
 
 def _propagate(alpha: np.ndarray, operator: InteractionOperator,
@@ -122,25 +100,25 @@ def _propagate(alpha: np.ndarray, operator: InteractionOperator,
                              quad=operator.grid)
 
 
-def marginal_effects(source, weights: NetworkWeights, unit: int,
-                     cov_index: int, order: int = 5) -> PropagationResult:
-    """Effect of raising covariate ``cov_index`` of ``unit`` by one, by walk length.
-
-    Order 0 is the direct effect on the unit itself; order ell reaches its
-    ell-step neighbours through repeated sparse products, never forming
-    matrix powers.
-    """
-    alpha, beta, operator = _source_functions(source)
-    if beta is None or not 0 <= cov_index < beta.shape[0]:
-        raise InvalidArgumentError(f"covariate index {cov_index} out of range")
-    return _propagate(alpha, operator, weights, unit, beta[cov_index], order)
-
-
-def impulse_response(source, weights: NetworkWeights, unit: int, eta,
+def marginal_effects(alpha: np.ndarray, operator: InteractionOperator,
+                     weights: NetworkWeights, unit: int, beta: np.ndarray,
                      order: int = 5) -> PropagationResult:
-    """Response of all outcome functions to an error shock at one unit."""
-    alpha, _, operator = _source_functions(source)
-    return _propagate(alpha, operator, weights, unit, _shock_values(eta, operator), order)
+    """Effect of raising one covariate of ``unit`` by one, by walk length.
+
+    ``beta`` is that covariate's coefficient. Order 0 is the direct effect on
+    the unit itself; order ell reaches its ell-step neighbours through
+    repeated sparse products, never forming matrix powers.
+    """
+    beta = _grid_values("beta", beta, operator)
+    return _propagate(alpha, operator, weights, unit, beta, order)
+
+
+def impulse_response(alpha: np.ndarray, operator: InteractionOperator,
+                     weights: NetworkWeights, unit: int, eta: np.ndarray,
+                     order: int = 5) -> PropagationResult:
+    """Response of all outcome functions to an error shock ``eta`` at one unit."""
+    eta = _grid_values("eta", eta, operator)
+    return _propagate(alpha, operator, weights, unit, eta, order)
 
 
 def total_impact(result: PropagationResult) -> float:
@@ -148,7 +126,8 @@ def total_impact(result: PropagationResult) -> float:
     return float(result.quad.integrate(result.cumulative).sum())
 
 
-def total_impacts(source, weights: NetworkWeights, eta, order: int = 5) -> np.ndarray:
+def total_impacts(alpha: np.ndarray, operator: InteractionOperator,
+                  weights: NetworkWeights, eta: np.ndarray, order: int = 5) -> np.ndarray:
     """Total impact of a shock ``eta`` at each unit, all units in one propagation.
 
     Unit i's order-ell term is (W^ell e_i) x Gamma^ell(eta), so its total impact
@@ -156,16 +135,16 @@ def total_impacts(source, weights: NetworkWeights, eta, order: int = 5) -> np.nd
     shared by every unit. Entry i is ``total_impact(impulse_response(...))``
     for unit i, up to rounding.
     """
-    alpha, _, operator = _source_functions(source)
-    gammas = _gammas(alpha, operator, _shock_values(eta, operator), order)
+    gammas = _gammas(alpha, operator, _grid_values("eta", eta, operator), order)
     walks = _iterates(weights.w.T.__matmul__, np.ones(weights.n), order)
     return operator.grid.integrate(gammas) @ walks
 
 
-def risk_key_player(source, weights: NetworkWeights, eta, order: int = 5) -> int:
+def risk_key_player(alpha: np.ndarray, operator: InteractionOperator,
+                    weights: NetworkWeights, eta: np.ndarray, order: int = 5) -> int:
     """Unit whose shock maximizes the total impact: the argmax of ``total_impacts``.
 
     Ties are broken on the computed values (lowest index among exactly equal
     ones); impacts equal up to rounding are not snapped to a tolerance.
     """
-    return int(np.argmax(total_impacts(source, weights, eta, order)))
+    return int(np.argmax(total_impacts(alpha, operator, weights, eta, order)))

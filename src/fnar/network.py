@@ -91,8 +91,7 @@ def build_lattice_weights(n: int, rng_seed) -> NetworkWeights:
     side = _round_half_up(np.sqrt(2.0 * n))
     if n > side * side:
         raise InvalidArgumentError(f"{n} units exceed the {side}x{side} lattice capacity")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    cells = rng.choice(side * side, size=n, replace=False)
+    cells = np.random.default_rng(rng_seed).choice(side * side, size=n, replace=False)
     # unit id of every lattice cell, -1 for empty cells and the padding border
     unit_at = np.full((side + 2, side + 2), -1)
     r, c = cells // side + 1, cells % side + 1

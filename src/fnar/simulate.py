@@ -181,8 +181,7 @@ def gen_mc_errors(n: int, T: int, weights: NetworkWeights, quad: QuadratureGrid,
     Coefficients are N(0, 0.4^2) and each unit's path is scaled by
     sqrt(1 + degree), with degrees read off the adjacency pattern.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    draws = rng.normal(0.0, 0.4, size=(n, T, 3))
+    draws = np.random.default_rng(rng_seed).normal(0.0, 0.4, size=(n, T, 3))
     return _poly_error_paths(draws, weights.degrees.astype(float), quad.points)
 
 

@@ -172,8 +172,8 @@ def test_criterion_08_concurrent_closed_forms():
     eta = np.cos(3 * quad.points)
     basis_vec = np.zeros(n)
     basis_vec[0] = 1.0
-    res_m = marginal_effects(cfg, weights, 0, 0, order=order)
-    res_i = impulse_response(cfg, weights, 0, eta, order=order)
+    res_m = marginal_effects(alpha, operator, weights, 0, beta[0], order=order)
+    res_i = impulse_response(alpha, operator, weights, 0, eta, order=order)
     worst_m = worst_i = 0.0
     for g in range(33):
         inv = np.linalg.solve(np.eye(n) - alpha[g] * dense_w, basis_vec)
@@ -236,13 +236,10 @@ def test_criterion_12_geometric_truncation_decay():
     operator = small_operator("kernel", quad)
     weights = build_lattice_weights(40, 5)
     alpha = mc_alpha(quad.points)
-    cfg = DgpConfig(alpha=alpha, beta=np.ones((1, 99)),
-                    fixed_effects=np.zeros((40, 99)), operator=operator,
-                    weights=weights)
     rate = float(np.max(np.abs(alpha))) * operator.contraction_bound() * weights.row_sup
     unit = int(np.argmax(weights.degrees))
     eta = 1.0 + 0.5 * np.sin(3 * quad.points)
-    res = impulse_response(cfg, weights, unit, eta, order=11)
+    res = impulse_response(alpha, operator, weights, unit, eta, order=11)
     sups = np.array([np.max(np.abs(res.per_order[ell])) for ell in range(12)])
     ratios = sups[2:12] / sups[1:11]
     ok = np.all(ratios <= rate + 0.05)

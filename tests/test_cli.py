@@ -1,13 +1,12 @@
 import csv
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.cli import main
-from fnar.effects import ShockFunction, impulse_response
+from fnar.effects import impulse_response
 from fnar.estimator import MomentSpec, estimate_variance, fit_2sls, fit_gmm
 from fnar.interaction import PastWindow
 from fnar.io import read_edge_list, read_function, read_panel
@@ -470,10 +469,8 @@ class TestEffects:
                     "--shock-file", shock, "--orders", 4, "--grid-count", 33, "--out", out])
         assert code == 0
         quad = build_quadrature(33)
-        source = SimpleNamespace(alpha=read_function(alpha, quad),
-                                 beta=None, operator=PastWindow(quad, width=0.3))
-        eta = ShockFunction(read_function(shock, quad))
-        want = impulse_response(source, read_edge_list(wfile), 1, eta, order=4)
+        want = impulse_response(read_function(alpha, quad), PastWindow(quad, width=0.3),
+                                read_edge_list(wfile), 1, read_function(shock, quad), order=4)
         for stem, values in (("orders", want.per_order), ("cumulative", want.cumulative)):
             table = np.loadtxt(out / f"impulse_{stem}.csv", delimiter=",", skiprows=1)
             assert np.array_equal(table[:, -1], values.ravel())

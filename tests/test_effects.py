@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from fnar.basis import build_quadrature
 from fnar.effects import (
     PropagationResult,
-    ShockFunction,
     gamma_power,
     impulse_response,
     marginal_effects,
@@ -17,19 +16,15 @@ from fnar.effects import (
 from fnar.errors import InvalidArgumentError
 from fnar.interaction import PastWindow, PointEval
 from fnar.network import NetworkWeights, build_lattice_weights
-from fnar.simulate import DgpConfig, mc_alpha, mc_beta, simulate_mc_panel
+from fnar.simulate import mc_alpha, mc_beta, simulate_mc_panel
 
 from conftest import ring_weights, small_operator
 
 
-def truth_source(n, quad, operator, alpha=None, beta=None, weights=None):
-    return DgpConfig(
-        alpha=alpha if alpha is not None else 0.5 * np.ones(quad.count),
-        beta=beta if beta is not None else np.ones((1, quad.count)),
-        fixed_effects=np.zeros((n, quad.count)),
-        operator=operator,
-        weights=weights if weights is not None else ring_weights(n),
-    )
+def truth_source(n, quad, operator, alpha=None, weights=None):
+    """(alpha, operator, weights): alpha 0.5 on the grid and an n-unit ring by default."""
+    return (alpha if alpha is not None else 0.5 * np.ones(quad.count), operator,
+            weights if weights is not None else ring_weights(n))
 
 
 def star_weights(n):
@@ -71,14 +66,14 @@ class TestGammaPower:
 
 class TestMarginalEffects:
     def test_zero_coefficient(self, quad99, epa_op):
-        src = truth_source(4, quad99, epa_op, beta=np.zeros((1, 99)))
-        res = marginal_effects(src, src.weights, 1, 0, order=4)
+        src = truth_source(4, quad99, epa_op)
+        res = marginal_effects(*src, 1, np.zeros(99), order=4)
         assert_allclose(res.cumulative, 0.0)
 
     def test_order_zero_is_direct_effect(self, quad99, epa_op):
         beta = mc_beta(quad99.points, 1.0)[None, :]
-        src = truth_source(4, quad99, epa_op, beta=beta)
-        res = marginal_effects(src, src.weights, 2, 0, order=0)
+        src = truth_source(4, quad99, epa_op)
+        res = marginal_effects(*src, 2, beta[0], order=0)
         assert_allclose(res.cumulative[2], beta[0])
         assert_allclose(np.delete(res.cumulative, 2, axis=0), 0.0)
 
@@ -89,8 +84,7 @@ class TestMarginalEffects:
         w = ring_weights(n)
         alpha = 0.55 + 0.1 * np.sin(6 * quad.points)
         beta = mc_beta(quad.points, 1.0)[None, :]
-        src = truth_source(n, quad, op, alpha=alpha, beta=beta, weights=w)
-        res = marginal_effects(src, w, 0, 0, order=30)
+        res = marginal_effects(alpha, op, w, 0, beta[0], order=30)
         dense = w.dense()
         a_bar = np.max(np.abs(alpha))
         tail = a_bar**31 / (1 - a_bar) * np.max(np.abs(beta))
@@ -103,13 +97,13 @@ class TestMarginalEffects:
     def test_bad_unit_rejected(self, quad99, epa_op):
         src = truth_source(3, quad99, epa_op)
         with pytest.raises(InvalidArgumentError):
-            marginal_effects(src, src.weights, 5, 0)
+            marginal_effects(*src, 5, np.ones(99))
 
 
 class TestImpulseResponse:
     def test_zero_shock(self, quad99, epa_op):
         src = truth_source(4, quad99, epa_op)
-        res = impulse_response(src, src.weights, 1, np.zeros(99), order=5)
+        res = impulse_response(*src, 1, np.zeros(99), order=5)
         assert_allclose(res.cumulative, 0.0)
 
     def test_concurrent_response_vanishes_off_support(self):
@@ -117,7 +111,7 @@ class TestImpulseResponse:
         op = PointEval(quad)
         src = truth_source(4, quad, op)
         eta = np.where(quad.points < 0.5, 1.0, 0.0)
-        res = impulse_response(src, src.weights, 0, eta, order=6)
+        res = impulse_response(*src, 0, eta, order=6)
         on = quad.points < 0.5
         assert np.max(np.abs(res.cumulative[:, ~on])) == 0.0
         assert np.max(np.abs(res.cumulative[:, on])) > 0.0
@@ -127,7 +121,7 @@ class TestImpulseResponse:
         op = PastWindow(quad, width=0.5)
         src = truth_source(4, quad, op)
         eta = np.where(quad.points <= 0.2, 1.0, 0.0)  # shock before s' = 0.3
-        res = impulse_response(src, src.weights, 0, ShockFunction(eta), order=4)
+        res = impulse_response(*src, 0, eta, order=4)
         later = (quad.points > 0.3) & (quad.points < 0.6)
         neighbour = res.cumulative[1]
         assert np.max(np.abs(neighbour[later])) > 1e-4
@@ -137,15 +131,15 @@ class TestImpulseResponse:
         rng = np.random.default_rng(3)
         e1, e2 = rng.normal(size=(2, 99))
         a, b = 1.3, -2.1
-        r1 = impulse_response(src, src.weights, 2, e1, order=5)
-        r2 = impulse_response(src, src.weights, 2, e2, order=5)
-        r12 = impulse_response(src, src.weights, 2, a * e1 + b * e2, order=5)
+        r1 = impulse_response(*src, 2, e1, order=5)
+        r2 = impulse_response(*src, 2, e2, order=5)
+        r12 = impulse_response(*src, 2, a * e1 + b * e2, order=5)
         combo = a * r1.cumulative + b * r2.cumulative
         assert np.max(np.abs(r12.cumulative - combo)) < 1e-12
 
     def test_partial_sums_reconstruct(self, quad99, epa_op):
         src = truth_source(4, quad99, epa_op)
-        res = impulse_response(src, src.weights, 0, np.ones(99), order=5)
+        res = impulse_response(*src, 0, np.ones(99), order=5)
         assert_allclose(res.partial(5), res.cumulative, atol=0)
         assert_allclose(res.partial(0), res.per_order[0], atol=0)
 
@@ -158,12 +152,12 @@ class TestImpulseResponse:
 class TestTotalImpactAndKeyPlayer:
     def test_zero_shock_ties_to_first_unit(self, quad99, epa_op):
         src = truth_source(4, quad99, epa_op)
-        assert risk_key_player(src, src.weights, np.zeros(99), order=4) == 0
+        assert risk_key_player(*src, np.zeros(99), order=4) == 0
 
     def test_symmetric_cycle_ties_to_lower_index(self, quad99, epa_op):
         src = truth_source(2, quad99, epa_op, weights=ring_weights(2))
         eta = np.exp(-quad99.points)
-        assert risk_key_player(src, src.weights, eta, order=5) == 0
+        assert risk_key_player(*src, eta, order=5) == 0
 
     def test_star_hub_dominates(self):
         quad = build_quadrature(33)
@@ -174,21 +168,21 @@ class TestTotalImpactAndKeyPlayer:
         eta = np.ones(33)
         # brute-force winner among all candidate units
         impacts = [
-            total_impact(impulse_response(src, w, i, eta, order=8)) for i in range(n)
+            total_impact(impulse_response(*src, i, eta, order=8)) for i in range(n)
         ]
         assert int(np.argmax(impacts)) == 0
-        assert risk_key_player(src, w, eta, order=8) == 0
+        assert risk_key_player(*src, eta, order=8) == 0
 
     def test_total_impact_integrates_cumulative(self, quad99, epa_op):
         src = truth_source(3, quad99, epa_op)
-        res = impulse_response(src, src.weights, 1, np.ones(99), order=3)
+        res = impulse_response(*src, 1, np.ones(99), order=3)
         manual = sum(quad99.integrate(res.cumulative[i]) for i in range(3))
         assert total_impact(res) == pytest.approx(manual, abs=1e-12)
 
 
-def impact_oracle(src, weights, eta, order, units):
+def impact_oracle(alpha, operator, weights, eta, order, units):
     """Per-unit loop: one full propagation for each unit's shock."""
-    return np.array([total_impact(impulse_response(src, weights, i, eta, order))
+    return np.array([total_impact(impulse_response(alpha, operator, weights, i, eta, order))
                      for i in units])
 
 
@@ -210,29 +204,29 @@ class TestTotalImpacts:
         src = truth_source(w.n, quad, small_operator(kind, quad), alpha=alpha, weights=w)
         eta = 1.0 + 0.5 * np.cos(4 * quad.points)
         for order in (0, 1, 5):
-            impacts = total_impacts(src, w, eta, order)
-            oracle = impact_oracle(src, w, eta, order, range(w.n))
+            impacts = total_impacts(*src, eta, order)
+            oracle = impact_oracle(*src, eta, order, range(w.n))
             assert impacts.shape == (w.n,)
             assert np.max(np.abs(impacts - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-            assert risk_key_player(src, w, eta, order) == int(np.argmax(impacts))
+            assert risk_key_player(*src, eta, order) == int(np.argmax(impacts))
 
     def test_order_zero_is_the_shock_integral(self, quad99, epa_op):
         src = truth_source(5, quad99, epa_op)
         eta = np.exp(-quad99.points)
-        impacts = total_impacts(src, src.weights, ShockFunction(eta), order=0)
+        impacts = total_impacts(*src, eta, order=0)
         assert_allclose(impacts, quad99.integrate(eta), rtol=1e-15)
 
     def test_zero_shock_is_exactly_zero(self, quad99, epa_op):
         src = truth_source(6, quad99, epa_op)
-        impacts = total_impacts(src, src.weights, np.zeros(99), order=5)
+        impacts = total_impacts(*src, np.zeros(99), order=5)
         assert np.array_equal(impacts, np.zeros(6))
 
     def test_bad_shock_and_order_rejected(self, quad99, epa_op):
         src = truth_source(4, quad99, epa_op)
         with pytest.raises(InvalidArgumentError):
-            total_impacts(src, src.weights, np.ones(98))
+            total_impacts(*src, np.ones(98))
         with pytest.raises(InvalidArgumentError):
-            total_impacts(src, src.weights, np.ones(99), order=-1)
+            total_impacts(*src, np.ones(99), order=-1)
 
     def test_near_tie_reports_one_of_the_tied_units(self):
         # units 1233 and 1447 of this panel have impacts equal to within one
@@ -240,24 +234,68 @@ class TestTotalImpacts:
         panel, truth = simulate_mc_panel(1600, 2, 1.0, 3)
         eta = np.ones(panel.quad.count)
         tied = (1233, 1447)
-        impacts = total_impacts(truth, truth.weights, eta, order=5)
-        star = risk_key_player(truth, truth.weights, eta, order=5)
+        src = truth.alpha, truth.operator, truth.weights
+        impacts = total_impacts(*src, eta, order=5)
+        star = risk_key_player(*src, eta, order=5)
         assert star in tied
         assert star == int(np.argmax(impacts))
-        oracle = impact_oracle(truth, truth.weights, eta, 5, tied)
+        oracle = impact_oracle(*src, eta, 5, tied)
         assert abs(oracle[0] - oracle[1]) <= np.spacing(oracle.max())
         assert np.max(np.abs(impacts[list(tied)] - oracle)) <= 1e-12 * oracle.max()
+
+
+def _with_entry(values, value):
+    out = values.copy()
+    out[3] = value
+    return out
+
+
+# each effects function, called with alpha and the function it propagates
+EFFECTS = {
+    "gamma_power": lambda alpha, op, w, h: gamma_power(alpha, op, h, 2),
+    "marginal_effects": lambda alpha, op, w, h: marginal_effects(alpha, op, w, 0, h),
+    "impulse_response": lambda alpha, op, w, h: impulse_response(alpha, op, w, 0, h),
+    "total_impacts": total_impacts,
+}
+BAD_GRID_VALUES = {
+    "short": lambda good: good[:-1],
+    "scalar": lambda good: good[0],
+    "row": lambda good: good[None, :],
+    "nan": lambda good: _with_entry(good, np.nan),
+    "inf": lambda good: _with_entry(good, -np.inf),
+}
+
+
+class TestGridValuesChecked:
+    @pytest.mark.parametrize("effect", sorted(EFFECTS))
+    @pytest.mark.parametrize("bad", sorted(BAD_GRID_VALUES))
+    @pytest.mark.parametrize("which", ["alpha", "propagated"])
+    def test_bad_values_rejected(self, quad99, epa_op, effect, bad, which):
+        alpha, h = 0.5 * np.ones(99), np.ones(99)
+        if which == "alpha":
+            alpha = BAD_GRID_VALUES[bad](alpha)
+        else:
+            h = BAD_GRID_VALUES[bad](h)
+        with pytest.raises(InvalidArgumentError):
+            EFFECTS[effect](alpha, epa_op, ring_weights(4), h)
+
+    def test_error_names_the_function(self, quad99, epa_op):
+        w = ring_weights(4)
+        with pytest.raises(InvalidArgumentError, match="alpha must have 99 grid values"):
+            total_impacts(np.ones(98), epa_op, w, np.ones(99))
+        with pytest.raises(InvalidArgumentError, match="beta grid values must be finite"):
+            marginal_effects(np.ones(99), epa_op, w, 0, _with_entry(np.ones(99), np.nan))
+        with pytest.raises(InvalidArgumentError, match="eta must have 99 grid values"):
+            impulse_response(np.ones(99), epa_op, w, 0, 1.0)
 
 
 class TestTruncationDecay:
     def test_geometric_decay_on_benchmark_operator(self, quad99, epa_op):
         w = build_lattice_weights(40, 5)
         alpha = mc_alpha(quad99.points)
-        src = truth_source(40, quad99, epa_op, alpha=alpha,
-                           beta=mc_beta(quad99.points, 1.0)[None, :], weights=w)
         unit = int(np.argmax(w.degrees))
         eta = 1.0 + 0.5 * np.sin(3 * quad99.points)
-        res = impulse_response(src, w, unit, eta, order=11)
+        res = impulse_response(alpha, epa_op, w, unit, eta, order=11)
         rate = np.max(np.abs(alpha)) * epa_op.contraction_bound() * w.row_sup
         sups = np.array([np.max(np.abs(res.per_order[ell])) for ell in range(12)])
         ratios = sups[2:] / sups[1:-1]  # orders 1..10 against their successors
@@ -288,7 +326,10 @@ class TestTruncationDecay:
                                 iterations=0, converged=True)
                 unit = int(np.argmax(truth.weights.degrees))
                 eta = np.ones(panel.quad.count)
-                r_fit = impulse_response(fit, truth.weights, unit, eta, order=5)
-                r_ref = impulse_response(pseudo, truth.weights, unit, eta, order=5)
+                points = truth.operator.grid.points
+                r_fit = impulse_response(fit.alpha(points), truth.operator, truth.weights,
+                                         unit, eta, order=5)
+                r_ref = impulse_response(pseudo.alpha(points), truth.operator, truth.weights,
+                                         unit, eta, order=5)
                 gaps[label].append(np.max(np.abs(r_fit.cumulative - r_ref.cumulative)))
         assert np.mean(gaps["large"]) < np.mean(gaps["small"])

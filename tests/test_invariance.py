@@ -90,7 +90,8 @@ def fit_all(name, panel, weights, operator):
     fit = fit_2sls(panel, spec) if name == "2sls" else fit_gmm(panel, spec, estimator=name)
     estimate_variance(fit, panel, spec)
     estimate_fixed_effects(fit, panel)
-    impacts = total_impacts(fit, weights, np.ones(panel.quad.count))
+    impacts = total_impacts(fit.alpha(operator.grid.points), operator, weights,
+                            np.ones(panel.quad.count))
     return fit, impacts
 
 
