@@ -191,11 +191,21 @@ def _write_propagation(result, out_dir, stem):
                  result.cumulative)
 
 
+# the options each effect reads no value from
+_IGNORED_EFFECT_OPTIONS = {"keyplayer": ("unit", "beta_file"), "impulse": ("beta_file",),
+                           "marginal": ("shock_file",)}
+
+
 def cmd_effects(args) -> int:
     if args.effect != "marginal" and args.shock_file is None:
         raise InvalidArgumentError(f"{args.effect} needs --shock-file")
     if args.effect == "marginal" and args.beta_file is None:
         raise InvalidArgumentError("marginal effects need --beta-file")
+    for dest in _IGNORED_EFFECT_OPTIONS[args.effect]:
+        if getattr(args, dest) is not None:
+            print(f"warning: --{dest.replace('_', '-')} does not apply to {args.effect}; "
+                  "ignored", file=sys.stderr)
+    unit = 0 if args.unit is None else args.unit
     out = None if args.out is None else Path(args.out)
     if args.effect != "keyplayer" and out is None:
         raise InvalidArgumentError(f"{args.effect} needs --out (an output directory)")
@@ -208,16 +218,16 @@ def cmd_effects(args) -> int:
 
     if args.effect == "marginal":
         beta = read_function(args.beta_file, quad)
-        result = marginal_effects(alpha, operator, weights, args.unit, beta, order=args.orders)
+        result = marginal_effects(alpha, operator, weights, unit, beta, order=args.orders)
         _write_propagation(result, out, "marginal")
-        print(f"marginal effects for unit {args.unit} written to {out}")
+        print(f"marginal effects for unit {unit} written to {out}")
         return EXIT_OK
 
     shock = read_function(args.shock_file, quad)
     if args.effect == "impulse":
-        result = impulse_response(alpha, operator, weights, args.unit, shock, order=args.orders)
+        result = impulse_response(alpha, operator, weights, unit, shock, order=args.orders)
         _write_propagation(result, out, "impulse")
-        print(f"impulse responses for unit {args.unit} written to {out} "
+        print(f"impulse responses for unit {unit} written to {out} "
               f"(total impact {total_impact(result):.6g})")
         return EXIT_OK
 
@@ -305,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("--shock-file", help="two-column s,value table of the shock")
     _add_weight_args(p_eff)
     _add_operator_args(p_eff)
-    p_eff.add_argument("--unit", type=int, default=0)
+    p_eff.add_argument("--unit", type=int, help="unit of impulse and marginal (default 0)")
     p_eff.add_argument("--orders", type=int, default=5)
     p_eff.add_argument("--grid-count", type=int, default=99)
     p_eff.add_argument("--out")

@@ -52,14 +52,30 @@ class PropagationResult:
         return self.per_order[: upto + 1].sum(axis=0)
 
 
-def _iterates(step, start: np.ndarray, order: int) -> np.ndarray:
-    """Rows start, step(start), ..., step applied ``order`` times to start."""
+def _by_order(order: int, shape: tuple) -> np.ndarray:
+    """An empty (order + 1, *shape) array, one row per walk length 0..order.
+
+    It is allocated before any term is computed, so an order whose terms
+    cannot be held fails at once instead of after a long run.
+    """
     if order < 0:
         raise InvalidArgumentError(f"truncation order must be non-negative, got {order}")
-    out = [np.asarray(start, dtype=float)]
-    for _ in range(order):
-        out.append(step(out[-1]))
-    return np.stack(out)
+    try:
+        return np.empty((order + 1, *shape))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"truncation order {order} needs more memory than can be allocated"
+        ) from exc
+
+
+def _iterates(step, start: np.ndarray, order: int) -> np.ndarray:
+    """Rows start, step(start), ..., step applied ``order`` times to start."""
+    start = np.asarray(start, dtype=float)
+    out = _by_order(order, start.shape)
+    out[0] = start
+    for ell in range(order):
+        out[ell + 1] = step(out[ell])
+    return out
 
 
 def _grid_values(name: str, values: np.ndarray, operator: InteractionOperator) -> np.ndarray:
@@ -94,10 +110,11 @@ def _propagate(alpha: np.ndarray, operator: InteractionOperator,
     n = weights.n
     if not 0 <= unit < n:
         raise InvalidArgumentError(f"unit {unit} out of range for {n} units")
+    per_order = _by_order(order, (n, operator.grid.count))
     gammas = _gammas(alpha, operator, h, order)
     reach = _iterates(weights.w.__matmul__, np.eye(1, n, unit)[0], order)
-    return PropagationResult(per_order=reach[:, :, None] * gammas[:, None, :],
-                             quad=operator.grid)
+    np.multiply(reach[:, :, None], gammas[:, None, :], out=per_order)
+    return PropagationResult(per_order=per_order, quad=operator.grid)
 
 
 def marginal_effects(alpha: np.ndarray, operator: InteractionOperator,

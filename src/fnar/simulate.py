@@ -3,6 +3,7 @@ lattice design used throughout the simulation experiments."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -11,7 +12,7 @@ import numpy as np
 
 from .basis import QuadratureGrid, build_quadrature
 from .errors import InvalidArgumentError, NonStationaryDgpError
-from .interaction import InteractionOperator, KernelIntegral, epanechnikov_kernel, network_lag
+from .interaction import InteractionOperator, KernelIntegral, epanechnikov_kernel
 from .network import NetworkWeights, build_lattice_weights
 
 __all__ = [
@@ -140,25 +141,45 @@ class NeumannResult(NamedTuple):
     final_change: float
 
 
+# Rows per block of the Neumann update: the alpha scaling, the rhs add and the
+# change run over one block of units at a time, so that a block's values stay
+# in cache between these passes (512 rows of a 99-point grid are 0.4 MB).
+_ROW_BLOCK = 512
+
+
 def neumann_solve(cfg: DgpConfig, rhs: np.ndarray) -> NeumannResult:
     """Solve Y = alpha(s) W A(Y, s) + rhs by fixed-point iteration.
 
     Iterates the partial sums of the Neumann series until the maximum
-    change over units and grid points falls below ``cfg.tol``.
+    change over units and grid points falls below ``cfg.tol``. ``rhs`` is
+    only read; the returned values never share its memory.
     """
     rhs = np.asarray(rhs, dtype=float)
-    y = rhs.copy()
-    diff = np.empty_like(y)
+    w, apply_grid, alpha = cfg.weights.w, cfg.operator.apply_grid, cfg.alpha
+    n = w.shape[0]
+    if rhs.shape != (n, alpha.shape[0]):
+        raise InvalidArgumentError(
+            f"right-hand side must be (units, grid) = {(n, alpha.shape[0])}, got {rhs.shape}"
+        )
+    diff = np.empty((min(n, _ROW_BLOCK), rhs.shape[1]))
+    blocks = [(slice(start, start + _ROW_BLOCK), rhs[start:start + _ROW_BLOCK],
+               diff[: min(_ROW_BLOCK, n - start)]) for start in range(0, n, _ROW_BLOCK)]
+    y = rhs
     for iteration in range(1, cfg.max_iter + 1):
-        y_next = network_lag(cfg.weights, cfg.operator.apply_grid(y))  # a fresh array
-        y_next *= cfg.alpha
-        y_next += rhs
-        change = float(np.abs(np.subtract(y_next, y, out=diff), out=diff).max())
+        y_next = w @ apply_grid(y)  # a fresh array
+        change = 0.0
+        for rows, rhs_rows, step in blocks:
+            block = y_next[rows]
+            block *= alpha
+            block += rhs_rows
+            block_change = float(np.abs(np.subtract(block, y[rows], out=step), out=step).max())
+            if not math.isfinite(block_change):
+                raise NonStationaryDgpError(
+                    f"iteration diverged to non-finite values at step {iteration}"
+                )
+            if block_change > change:
+                change = block_change
         y = y_next
-        if not np.isfinite(change):
-            raise NonStationaryDgpError(
-                f"iteration diverged to non-finite values at step {iteration}"
-            )
         if change < cfg.tol:
             return NeumannResult(values=y, iterations=iteration, final_change=change)
     raise NonStationaryDgpError(
@@ -168,10 +189,21 @@ def neumann_solve(cfg: DgpConfig, rhs: np.ndarray) -> NeumannResult:
 
 def _poly_error_paths(draws: np.ndarray, degrees: np.ndarray,
                       points: np.ndarray) -> np.ndarray:
-    """Map coefficient draws (n, T, 3) to paths sqrt(1+deg) (e1 + e2 s + e3 s^2)."""
+    """Map coefficient draws (n, ..., 3) to paths sqrt(1+deg) (e1 + e2 s + e3 s^2).
+
+    The unit axis comes first; a period's slice (n, 3) gives that period's
+    (n, G) paths, the same values as its slice of the whole (n, T, G).
+    """
     powers = np.vander(points, 3, increasing=True)  # (G, 3): 1, s, s^2
-    paths = draws @ powers.T  # (n, T, G)
-    return np.sqrt(1.0 + degrees)[:, None, None] * paths
+    paths = draws @ powers.T  # (n, ..., G)
+    scale = np.sqrt(1.0 + degrees)
+    paths *= scale.reshape(scale.shape + (1,) * (paths.ndim - 1))
+    return paths
+
+
+def _error_coefficients(n: int, T: int, rng_seed) -> np.ndarray:
+    """The (n, T, 3) N(0, 0.4^2) coefficient draws of the error paths."""
+    return np.random.default_rng(rng_seed).normal(0.0, 0.4, size=(n, T, 3))
 
 
 def gen_mc_errors(n: int, T: int, weights: NetworkWeights, quad: QuadratureGrid,
@@ -181,7 +213,7 @@ def gen_mc_errors(n: int, T: int, weights: NetworkWeights, quad: QuadratureGrid,
     Coefficients are N(0, 0.4^2) and each unit's path is scaled by
     sqrt(1 + degree), with degrees read off the adjacency pattern.
     """
-    draws = np.random.default_rng(rng_seed).normal(0.0, 0.4, size=(n, T, 3))
+    draws = _error_coefficients(n, T, rng_seed)
     return _poly_error_paths(draws, weights.degrees.astype(float), quad.points)
 
 
@@ -258,10 +290,14 @@ def _draw_mc_panel(parts: _McParts, seed) -> tuple[FunctionalPanel, DgpConfig]:
     )
 
     x = np.random.default_rng(seed_x).normal(size=(n, T, 1))
-    eps = gen_mc_errors(n, T, weights, quad, np.random.default_rng(seed_eps))
+    # gen_mc_errors' paths, made one period at a time
+    draws = _error_coefficients(n, T, seed_eps)
+    degrees = weights.degrees.astype(float)
     y = np.empty((n, T, quad.count))
     for t in range(T):
-        rhs = x[:, t, :] @ cfg.beta + cfg.fixed_effects + eps[:, t, :]
+        rhs = x[:, t, :] @ cfg.beta
+        rhs += cfg.fixed_effects
+        rhs += _poly_error_paths(draws[:, t, :], degrees, quad.points)
         y[:, t, :] = neumann_solve(cfg, rhs).values
     return FunctionalPanel(y=y, x=x, quad=quad), cfg
 

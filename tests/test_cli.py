@@ -524,6 +524,57 @@ class TestEffects:
         out, err = capsys.readouterr()
         assert out.startswith("risk key player: unit ") and err == ""
 
+    @pytest.mark.parametrize("effect, given, ignored", [
+        ("keyplayer", ["--unit", 2, "--beta-file", "does-not-exist.csv"],
+         ["--unit", "--beta-file"]),
+        ("impulse", ["--beta-file", "does-not-exist.csv"], ["--beta-file"]),
+        ("marginal", ["--shock-file", "does-not-exist.csv"], ["--shock-file"]),
+    ])
+    def test_ignored_options_warn(self, star_files, tmp_path, capsys, effect, given,
+                                  ignored):
+        wfile, alpha, shock = star_files
+        needs = {"keyplayer": ["--shock-file", shock], "impulse": ["--shock-file", shock],
+                 "marginal": ["--beta-file", alpha]}[effect]
+        out = tmp_path / "eff"
+        out.mkdir()
+        code = run(["effects", effect, "--alpha-file", alpha, "--weights", wfile,
+                    *needs, *given, "--grid-count", 33,
+                    "--out", out / "impacts.csv" if effect == "keyplayer" else out])
+        assert code == 0
+        stdout, err = capsys.readouterr()
+        assert err.splitlines() == [f"warning: {option} does not apply to {effect}; ignored"
+                                    for option in ignored]
+        if effect != "keyplayer":
+            # without --unit, impulse and marginal take unit 0
+            assert f" for unit 0 written to {out}" in stdout
+
+    def test_applicable_options_do_not_warn(self, star_files, tmp_path, capsys):
+        wfile, alpha, shock = star_files
+        out = tmp_path / "eff"
+        out.mkdir()
+        code = run(["effects", "impulse", "--alpha-file", alpha, "--weights", wfile,
+                    "--unit", 2, "--shock-file", shock, "--grid-count", 33, "--out", out])
+        assert code == 0
+        stdout, err = capsys.readouterr()
+        assert err == "" and f"for unit 2 written to {out}" in stdout
+
+    @pytest.mark.parametrize("effect", ["impulse", "marginal", "keyplayer"])
+    def test_order_too_large_to_allocate_is_data_error(self, star_files, tmp_path, capsys,
+                                                       effect):
+        # 10**12 orders of 33 grid values are refused outright as 240 TiB
+        wfile, alpha, shock = star_files
+        inputs = {"marginal": ["--beta-file", alpha]}.get(effect, ["--shock-file", shock])
+        out = tmp_path / "eff"
+        out.mkdir()
+        code = run(["effects", effect, "--alpha-file", alpha, "--weights", wfile, *inputs,
+                    "--orders", 10**12, "--grid-count", 33,
+                    "--out", out / "impacts.csv" if effect == "keyplayer" else out])
+        assert code == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == (
+            "error: truncation order 1000000000000 needs more memory than can be allocated\n")
+        assert list(out.iterdir()) == []
+
     def test_marginal_requires_beta(self, star_files, tmp_path):
         wfile, alpha, shock = star_files
         out = tmp_path / "eff"

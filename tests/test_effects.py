@@ -289,6 +289,55 @@ class TestGridValuesChecked:
             impulse_response(np.ones(99), epa_op, w, 0, 1.0)
 
 
+def stacked_terms(alpha, operator, weights, unit, h, order):
+    """The propagation terms as the effects layer built them before it
+    allocated them up front: lists of iterates, stacked, then multiplied."""
+    def iterates(step, start):
+        out = [np.asarray(start, dtype=float)]
+        for _ in range(order):
+            out.append(step(out[-1]))
+        return np.stack(out)
+
+    gammas = iterates(lambda g: alpha * operator.apply_grid(g), h)
+    reach = iterates(weights.w.__matmul__, np.eye(1, weights.n, unit)[0])
+    walks = iterates(weights.w.T.__matmul__, np.ones(weights.n))
+    return reach[:, :, None] * gammas[:, None, :], operator.grid.integrate(gammas) @ walks
+
+
+class TestOrderAllocation:
+    """Each propagation allocates its (order + 1)-row arrays before the first
+    step: the values do not change, and an order whose arrays cannot be held
+    fails at once."""
+
+    @pytest.mark.parametrize("kind", ["point", "kernel", "window"])
+    def test_terms_match_stacked_oracle(self, kind):
+        quad = build_quadrature(33)
+        w = build_lattice_weights(60, 4)
+        alpha = 0.55 + 0.1 * np.sin(6 * quad.points)
+        src = alpha, small_operator(kind, quad), w
+        h = 1.0 + 0.5 * np.cos(4 * quad.points)
+        for order in (0, 1, 5, 12):
+            per_order, impacts = stacked_terms(*src, 7, h, order)
+            assert np.array_equal(impulse_response(*src, 7, h, order).per_order, per_order)
+            assert np.array_equal(marginal_effects(*src, 7, h, order).per_order, per_order)
+            assert np.array_equal(total_impacts(*src, h, order), impacts)
+
+    # 10**12 + 1 rows of 99 grid values are 720 TiB, an allocation the OS
+    # refuses outright; a smaller huge order could be granted and filled
+    @pytest.mark.parametrize("effect", sorted(EFFECTS))
+    def test_order_too_large_to_allocate_rejected(self, quad99, epa_op, effect):
+        src = truth_source(5, quad99, epa_op)
+        call = {
+            "gamma_power": lambda: gamma_power(src[0], epa_op, np.ones(99), 10**12),
+            "marginal_effects": lambda: marginal_effects(*src, 0, np.ones(99), 10**12),
+            "impulse_response": lambda: impulse_response(*src, 0, np.ones(99), 10**12),
+            "total_impacts": lambda: total_impacts(*src, np.ones(99), 10**12),
+        }[effect]
+        with pytest.raises(InvalidArgumentError,
+                           match="truncation order 1000000000000 needs more memory"):
+            call()
+
+
 class TestTruncationDecay:
     def test_geometric_decay_on_benchmark_operator(self, quad99, epa_op):
         w = build_lattice_weights(40, 5)

@@ -6,8 +6,10 @@ from fnar.basis import build_quadrature
 from fnar.errors import InvalidArgumentError, NonStationaryDgpError, SchemaError
 from fnar.interaction import PointEval, network_lag
 from fnar.io import read_panel, write_panel
+from fnar.network import build_lattice_weights
 from fnar.simulate import (
     DgpConfig,
+    _ROW_BLOCK,
     _draw_mc_panel,
     _mc_parts,
     _poly_error_paths,
@@ -22,16 +24,41 @@ from conftest import ring_weights, small_operator
 
 
 def allocating_neumann_solve(cfg, rhs):
-    """The update neumann_solve made before it worked in place, kept as the oracle."""
+    """The update neumann_solve made before it worked in place and in row
+    blocks, kept as the oracle: whole arrays, with the same errors."""
     y = rhs.copy()
     for iteration in range(1, cfg.max_iter + 1):
         propagated = cfg.alpha[None, :] * network_lag(cfg.weights, cfg.operator.apply_grid(y))
         y_next = propagated + rhs
         change = float(np.max(np.abs(y_next - y)))
         y = y_next
+        if not np.isfinite(change):
+            raise NonStationaryDgpError(
+                f"iteration diverged to non-finite values at step {iteration}"
+            )
         if change < cfg.tol:
             return y, iteration, change
-    raise AssertionError("the oracle did not converge")
+    raise NonStationaryDgpError(
+        f"no convergence within {cfg.max_iter} iterations (last change {change:.3g})"
+    )
+
+
+def allocating_draw_mc_panel(parts, seed):
+    """The draw _draw_mc_panel made before it streamed the error paths one
+    period at a time: the whole (n, T, G) error array, then each period."""
+    seq = np.random.SeedSequence(seed)
+    seed_net, seed_x, seed_eps = seq.spawn(3)
+    n, T, quad = parts.n, parts.T, parts.quad
+    weights = build_lattice_weights(n, np.random.default_rng(seed_net))
+    cfg = DgpConfig(alpha=parts.alpha, beta=parts.beta, fixed_effects=parts.fixed_effects,
+                    operator=parts.operator, weights=weights)
+    x = np.random.default_rng(seed_x).normal(size=(n, T, 1))
+    eps = gen_mc_errors(n, T, weights, quad, np.random.default_rng(seed_eps))
+    y = np.empty((n, T, quad.count))
+    for t in range(T):
+        rhs = x[:, t, :] @ cfg.beta + cfg.fixed_effects + eps[:, t, :]
+        y[:, t, :] = allocating_neumann_solve(cfg, rhs)[0]
+    return y, x
 
 
 def _point_eval_config(n=6, alpha_const=0.5, tol=1e-10, **kwargs):
@@ -55,6 +82,7 @@ class TestNeumann:
         res = neumann_solve(cfg, rhs)
         assert_allclose(res.values, rhs)
         assert res.iterations == 1
+        assert not np.shares_memory(res.values, rhs)
 
     def test_point_eval_matches_direct_solve(self):
         cfg, quad, w = _point_eval_config(alpha_const=0.6, tol=1e-3)
@@ -127,10 +155,69 @@ class TestNeumann:
         assert np.array_equal(res.values, values)
         assert (res.iterations, res.final_change) == (iterations, change)
         assert np.array_equal(rhs, before)
+        assert not np.shares_memory(res.values, rhs)
 
     def test_in_place_update_matches_allocating_update_on_mc_design(self):
         _, cfg = simulate_mc_panel(3200, 1, 1.0, seed=5)
         rhs = np.random.default_rng(6).normal(size=(3200, cfg.operator.grid.count))
+        before = rhs.copy()
+        res = neumann_solve(cfg, rhs)
+        values, iterations, change = allocating_neumann_solve(cfg, rhs)
+        assert np.array_equal(res.values, values)
+        assert (res.iterations, res.final_change) == (iterations, change)
+        assert np.array_equal(rhs, before)
+        assert not np.shares_memory(res.values, rhs)
+
+    def test_rhs_of_wrong_shape_rejected(self):
+        cfg, _, _ = _point_eval_config()
+        for shape in ((5, 33), (6, 32), (6,)):
+            with pytest.raises(InvalidArgumentError, match="right-hand side"):
+                neumann_solve(cfg, np.zeros(shape))
+
+
+def _oracle_error(solve, cfg, rhs):
+    with pytest.raises(NonStationaryDgpError) as err, np.errstate(over="ignore",
+                                                                   invalid="ignore"):
+        solve(cfg, rhs)
+    return str(err.value)
+
+
+class TestRowBlocks:
+    """neumann_solve updates _ROW_BLOCK rows at a time; every size, error
+    and message must be those of the whole-array oracle."""
+
+    def _ring_config(self, n, **kwargs):
+        quad = build_quadrature(33)
+        return DgpConfig(alpha=np.full(33, 0.5), beta=np.ones((1, 33)),
+                         fixed_effects=np.zeros((n, 33)), operator=PointEval(quad),
+                         weights=ring_weights(n), **kwargs)
+
+    def test_divergence_first_in_a_later_block(self):
+        # near-overflow values in the third block reach inf at step 2, while
+        # every other block stays finite
+        n = 2 * _ROW_BLOCK + 76
+        cfg = self._ring_config(n, tol=1e-12)
+        rhs = np.random.default_rng(7).normal(size=(n, 33))
+        rhs[2 * _ROW_BLOCK + 26] = 1.7e308
+        message = _oracle_error(neumann_solve, cfg, rhs)
+        assert message == "iteration diverged to non-finite values at step 2"
+        assert message == _oracle_error(allocating_neumann_solve, cfg, rhs)
+
+    def test_max_iter_exhausted_reports_the_same_last_change(self):
+        # the largest change sits in the ragged last block
+        n = 2 * _ROW_BLOCK + 1
+        cfg = self._ring_config(n, tol=1e-300, max_iter=3)
+        rhs = np.random.default_rng(8).normal(size=(n, 33))
+        rhs[n - 1] *= 100.0
+        message = _oracle_error(neumann_solve, cfg, rhs)
+        assert message.startswith("no convergence within 3 iterations (last change ")
+        assert message == _oracle_error(allocating_neumann_solve, cfg, rhs)
+
+    @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                   2 * _ROW_BLOCK, 3 * _ROW_BLOCK + 1])
+    def test_block_edges_match_oracle(self, n):
+        cfg = self._ring_config(n, tol=1e-9)
+        rhs = np.random.default_rng(n).normal(size=(n, 33))
         res = neumann_solve(cfg, rhs)
         values, iterations, change = allocating_neumann_solve(cfg, rhs)
         assert np.array_equal(res.values, values)
@@ -158,6 +245,15 @@ class TestSolverSettings:
 
 
 class TestMcErrors:
+    def test_period_slices_give_the_whole_array(self):
+        quad = build_quadrature(17)
+        draws = np.random.default_rng(9).normal(0.0, 0.4, size=(7, 4, 3))
+        degrees = np.arange(7, dtype=float)
+        whole = _poly_error_paths(draws, degrees, quad.points)
+        for t in range(4):
+            assert np.array_equal(_poly_error_paths(draws[:, t, :], degrees, quad.points),
+                                  whole[:, t, :])
+
     def test_forced_unit_coefficients(self):
         points = build_quadrature(33).points
         draws = np.zeros((1, 1, 3))
@@ -260,6 +356,14 @@ class TestMcPanel:
         assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
         assert truth.alpha is parts.alpha
         assert np.array_equal(public_truth.alpha, truth.alpha)
+
+    @pytest.mark.parametrize("n", [2, 40, 513, 1025, 3200])
+    def test_streamed_draw_matches_allocating_draw(self, n):
+        # one block, several blocks and a ragged last block
+        parts = _mc_parts(n, 3, 1.0)
+        panel, _ = _draw_mc_panel(parts, 424242)
+        y, x = allocating_draw_mc_panel(parts, 424242)
+        assert np.array_equal(panel.y, y) and np.array_equal(panel.x, x)
 
     @pytest.mark.parametrize("T", [0, -2])
     def test_needs_a_period(self, T):
