@@ -79,7 +79,7 @@ class MomentSpec:
         size K, since the instrument second moment has rank at most d_b L.
     iv_exclude : tuple of int
         Covariate indices excluded from instrument construction (they
-        still instrument themselves).
+        still instrument themselves), each at most once.
     quad_mats : list of scipy.sparse.csr_array
         Built from ``weights``, not an argument: the quadratic-moment
         matrices P1 = (W + W')/2 and P2 = W'W less its diagonal.
@@ -97,6 +97,10 @@ class MomentSpec:
             raise InvalidArgumentError(
                 f"need at least as many moment points as basis functions, "
                 f"got L={self.n_points}, K={self.basis.size}")
+        repeated = [j for k, j in enumerate(self.iv_exclude) if j in self.iv_exclude[:k]]
+        if repeated:
+            raise InvalidArgumentError(
+                f"excluded covariate index {repeated[0]} is repeated, got {self.iv_exclude}")
         self.quad_mats = build_quadratic_weights(self.weights)
 
     @property

@@ -7,9 +7,12 @@ A reader checks the header with ``csv``, then parses the body in one
 does a row-by-row scan with Python's ``int`` and ``float`` run: it names the
 first bad line, or reads what only Python accepts (``1_000``). Blank and
 whitespace-only lines are skipped, quoted fields are accepted and columns
-after the ones a table needs are ignored. A writer streams blocks of rows,
-one ``%`` format each, as shortest round-trip text (``repr``) with the
-``\\r\\n`` line ends of ``csv.writer``.
+after the ones a table needs are ignored. The panel reader sorts observation
+rows only if they are out of (unit, period, s) order, and copies a cell whose
+points are exactly the grid's, since ``np.interp`` at its own points returns
+their values bit for bit; it interpolates the other cells. A writer streams
+blocks of rows, one ``%`` format each, as shortest round-trip text (``repr``)
+with the ``\\r\\n`` line ends of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -67,9 +70,12 @@ def write_panel(panel, obs_path, cov_path) -> None:
 def read_panel(obs_path, cov_path, grid_count: int = 99):
     """Read the tables of :func:`write_panel` into a ``FunctionalPanel``.
 
-    Each (unit, period)'s points, which may be irregular, are interpolated
-    linearly onto ``grid_count`` grid points. Ids run from 0 without gaps, and
-    each (unit, period) needs observations and a covariate row (the last counts).
+    Each (unit, period)'s points, which may be irregular and come in any row
+    order, are interpolated linearly onto ``grid_count`` grid points. Rows
+    already in (unit, period, s) order are not sorted, and a cell whose points
+    are exactly the grid's has its values copied, which is what interpolation
+    at those points returns. Ids run from 0 without gaps, and each
+    (unit, period) needs observations and a covariate row (the last counts).
     Every ``y`` and covariate must be finite; a bad row raises ``SchemaError``
     naming its line.
     """
@@ -77,29 +83,37 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     if obs.size == 0:
         raise SchemaError("observation table is empty", path=str(obs_path))
     cov = _read(cov_path, _covariate_columns, _non_finite)
-    unit, period = obs["unit"], obs["period"]
+    unit, period, s, y_obs = obs["unit"], obs["period"], obs["s"], obs["y"]
     n, T = _id_count(unit, obs_path), _id_count(period, obs_path)
     quad = build_quadrature(grid_count)
 
-    counts = np.bincount(unit * T + period, minlength=n * T)
+    cells, key = n * T, unit * T + period
     inside = (cov["unit"] >= 0) & (cov["unit"] < n) & (cov["period"] >= 0) & (cov["period"] < T)
-    last_row = np.full(n * T, -1)
-    np.maximum.at(last_row, cov["unit"][inside] * T + cov["period"][inside],
-                  np.flatnonzero(inside))
-    missing = (counts == 0) | (last_row < 0)
-    if missing.any():
-        cell = int(missing.argmax())
-        i, t = divmod(cell, T)
-        if counts[cell] == 0:
-            raise SchemaError(f"no observations for unit {i}, period {t}", path=str(obs_path))
-        raise SchemaError(f"no covariates for unit {i}, period {t}", path=str(cov_path))
+    cov_key = cov["unit"][inside] * T + cov["period"][inside]
+    if cells > obs.size:  # some cell has no rows; find it without per-cell arrays
+        _missing_cell(np.unique(key), np.unique(cov_key), T, obs_path, cov_path)
+    counts = np.bincount(key, minlength=cells)
+    last_row = np.full(cells, -1)
+    np.maximum.at(last_row, cov_key, np.flatnonzero(inside))
+    if not counts.all() or last_row.min() < 0:
+        _missing_cell(np.flatnonzero(counts), np.flatnonzero(last_row >= 0), T,
+                      obs_path, cov_path)
 
-    # stable: points at the same s keep their file order, as interpolation sees them
-    order = np.lexsort((obs["s"], period, unit))
-    s, y_obs = obs["s"][order], obs["y"][order]
-    y = np.empty((n * T, quad.count))
-    ends = np.cumsum(counts).tolist()
-    for cell, (start, end) in enumerate(zip([0] + ends[:-1], ends)):
+    # stable: points at the same s keep their file order, as interpolation sees
+    # them; rows already in that order are left as they are
+    if not np.all((key[1:] > key[:-1]) | ((key[1:] == key[:-1]) & (s[1:] >= s[:-1]))):
+        order = np.lexsort((s, period, unit))
+        s, y_obs = s[order], y_obs[order]
+    y = np.empty((cells, quad.count))
+    on_grid = np.zeros(cells, dtype=bool)
+    if np.all(counts == quad.count):
+        # np.interp at its own points returns their values bit for bit
+        on_grid = np.all(s.reshape(cells, -1) == quad.points, axis=1)
+        np.copyto(y, y_obs.reshape(cells, -1), where=on_grid[:, None])
+    ends = np.cumsum(counts)
+    starts, ends = (ends - counts).tolist(), ends.tolist()
+    for cell in np.flatnonzero(~on_grid).tolist():
+        start, end = starts[cell], ends[cell]
         y[cell] = np.interp(quad.points, s[start:end], y_obs[start:end])
     names = cov.dtype.names[2:]
     x = np.column_stack([cov[name][last_row] for name in names])
@@ -231,6 +245,22 @@ def _edge_error(rec):
         return "unit ids must be non-negative"
     if np.any((rec["i"] == rec["j"]) & (rec["weight"] != 0.0)):
         return "self-loop weights are not allowed"
+
+
+def _missing_cell(obs_cells, cov_cells, T, obs_path, cov_path):
+    """Raise for the first (unit, period) cell missing from the sorted, distinct
+    cell ids of the observations or of the covariates (observations first)."""
+    obs_gap, cov_gap = _first_gap(obs_cells), _first_gap(cov_cells)
+    i, t = divmod(min(obs_gap, cov_gap), T)
+    if obs_gap <= cov_gap:
+        raise SchemaError(f"no observations for unit {i}, period {t}", path=str(obs_path))
+    raise SchemaError(f"no covariates for unit {i}, period {t}", path=str(cov_path))
+
+
+def _first_gap(ids) -> int:
+    """The smallest non-negative integer missing from sorted, distinct ``ids``."""
+    gaps = ids != np.arange(ids.size)
+    return int(gaps.argmax()) if gaps.any() else ids.size
 
 
 def _id_count(ids, path) -> int:

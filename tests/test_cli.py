@@ -283,9 +283,9 @@ class TestEstimate:
         assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
         assert not any(est.iterdir())
 
-    @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1"])
+    @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1", "0,0"])
     def test_bad_iv_exclude_is_data_error(self, sim_dir, tmp_path, capsys, value):
-        # not integers, or not covariate indices of the one-covariate panel
+        # not integers, not covariate indices of the one-covariate panel, or repeated
         est = tmp_path / "est"
         est.mkdir()
         code = run([

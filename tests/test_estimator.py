@@ -183,6 +183,13 @@ class TestMomentSpec:
             make_spec(panel, inner_knots=2, degree=3, n_points=n_points)
         assert make_spec(panel, inner_knots=2, degree=3, n_points=6).n_points == 6
 
+    @pytest.mark.parametrize("exclude,index", [((0, 0), 0), ((1, 0, 1), 1), ((2, 0, 0, 2), 0)])
+    def test_repeated_exclusion_rejected(self, exclude, index):
+        panel = make_panel(d_x=3)
+        with pytest.raises(InvalidArgumentError) as err:
+            make_spec(panel, iv_exclude=exclude)
+        assert str(err.value) == f"excluded covariate index {index} is repeated, got {exclude}"
+
 
 class TestMomentFunction:
     def test_zero_at_truth_for_exact_span(self):

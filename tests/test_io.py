@@ -10,6 +10,7 @@ Writers: the bytes equal ``csv.writer`` given ``repr`` text.
 import csv
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +40,12 @@ def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+def same_panel(new, old):
+    same_bytes(new.y, old.y)
+    same_bytes(new.x, old.x)
+    assert new.quad.count == old.quad.count
 
 
 # -- writers ----------------------------------------------------------------
@@ -126,8 +133,9 @@ GARBAGE = ["", " ", "banana", "1.5", "-1", "2", "nan", "inf", "-0", '"', '""', "
 BLANK = ["", " ", "\t", " \t "]
 
 
-def spellings(kind, value):
-    """Ways to write ``value``: numpy reads the first ones, only Python the last."""
+def spellings(kind, value, exact=False):
+    """Ways to write ``value``: numpy reads the first ones, only Python the last.
+    With ``exact``, only ways that read back as ``value`` itself."""
     if kind is int:
         text = str(value)
         ways = [text, f" {text} ", f"+{text}", f'"{text}"', f"0{text}"]
@@ -136,7 +144,7 @@ def spellings(kind, value):
             ways.append(f"{text[0]}_{text[1:]}")
         return st.sampled_from(ways)
     text = repr(value)
-    ways = [text, f" {text}\t", f'"{text}"', f"{value:.4e}", f"{value:.3f}"]
+    ways = [text, f" {text}\t", f'"{text}"'] + ([] if exact else [f"{value:.4e}", f"{value:.3f}"])
     pair = re.search(r"\d\d", text)
     if pair:
         ways.append(text[:pair.start() + 1] + "_" + text[pair.start() + 1:])
@@ -144,18 +152,20 @@ def spellings(kind, value):
 
 
 @st.composite
-def tables(draw, header, rows):
+def tables(draw, header, rows, exact=False):
     """Table text: ``rows`` of (kind, value) pairs with random spellings, some
-    garbage, missing and extra fields, blank lines and either line end."""
+    garbage, missing and extra fields, blank lines and either line end. With
+    ``exact``, every field reads back as its value and no row is broken."""
     lines = [header]
     for row in rows:
-        fields = [draw(spellings(kind, value)) for kind, value in row]
-        if draw(st.integers(0, 9)) == 0:
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(GARBAGE))
-        if draw(st.integers(0, 19)) == 0:
-            fields.pop()
-        if draw(st.integers(0, 19)) == 0:
-            fields.append(draw(st.sampled_from(["", "extra", "1"])))
+        fields = [draw(spellings(kind, value, exact)) for kind, value in row]
+        if not exact:
+            if draw(st.integers(0, 9)) == 0:
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(GARBAGE))
+            if draw(st.integers(0, 19)) == 0:
+                fields.pop()
+            if draw(st.integers(0, 19)) == 0:
+                fields.append(draw(st.sampled_from(["", "extra", "1"])))
         lines.append(",".join(fields))
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(BLANK)))
@@ -171,23 +181,56 @@ s_values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0, 1))
 y_values = st.floats(-5, 5)
 
 
+GRID = build_quadrature(9).points.tolist()  # the grid of grid_count=9
+
+
+@st.composite
+def grid_cell(draw):
+    """(s, y) pairs of a cell at the 9 grid points: in order, shuffled, one
+    point moved by an ulp, one point a copy of its neighbour, or one y -0.0."""
+    points = [(s, draw(y_values)) for s in GRID]
+    k = draw(st.integers(0, len(GRID) - 2))
+    how = draw(st.sampled_from(["in order", "in order", "shuffled", "ulp", "copy", "-0.0"]))
+    if how == "shuffled":
+        points = draw(st.permutations(points))
+    elif how == "ulp":
+        points[k] = (float(np.nextafter(GRID[k], draw(st.sampled_from([0.0, 1.0])))), points[k][1])
+    elif how == "copy":
+        points[k + 1] = points[k]
+    elif how == "-0.0":
+        points[k] = (GRID[k], -0.0)
+    return points
+
+
 @st.composite
 def panels(draw):
-    """(observation text, covariate text) of a small, mostly complete panel."""
+    """(observation text, covariate text) of a small, mostly complete panel.
+
+    A cell has 1-3 random points or the grid's 9. In an on-grid panel every
+    cell has the 9 and a covariate row, and both tables are spelt exactly.
+    Observation rows come shuffled, or cell by cell in (unit, period) order
+    with each cell's points in their drawn order."""
     n, T = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    obs = [[(int, i), (int, t), (float, draw(s_values)), (float, draw(y_values))]
-           for i in range(n) for t in range(T) for _ in range(draw(st.integers(1, 3)))]
-    copies = st.sampled_from([1, 1, 2, 0])  # covariate rows a cell gets
+    on_grid = draw(st.booleans())
+    obs = []
+    for i in range(n):
+        for t in range(T):
+            points = (draw(grid_cell()) if on_grid or draw(st.integers(0, 3)) == 0 else
+                      [(draw(s_values), draw(y_values)) for _ in range(draw(st.integers(1, 3)))])
+            obs += [[(int, i), (int, t), (float, s), (float, y)] for s, y in points]
+    copies = st.sampled_from([1, 2] if on_grid else [1, 1, 2, 0])  # a cell's covariate rows
     cov = [[(int, i), (int, t), (float, draw(y_values)), (float, draw(y_values))]
            for i in range(n) for t in range(T) for _ in range(draw(copies))]
     for rows, column in ((obs, 3), (cov, draw(st.sampled_from([2, 3])))):
         if rows and draw(st.integers(0, 7)) == 0:  # one non-finite y or covariate
             row = rows[draw(st.integers(0, len(rows) - 1))]
             row[column] = (float, draw(st.sampled_from([np.nan, np.inf, -np.inf])))
-    obs, cov = shuffled(draw, obs), shuffled(draw, cov)
-    return (draw(tables("unit,period,s,y", obs)),
+    if draw(st.booleans()):
+        obs = shuffled(draw, obs)
+    cov = shuffled(draw, cov)
+    return (draw(tables("unit,period,s,y", obs, exact=on_grid)),
             draw(tables(draw(st.sampled_from(["unit,period,x1,x2", "unit,period,x1,x2,x3"])),
-                        cov)))
+                        cov, exact=on_grid)))
 
 
 def blank_rows_emptied(path):
@@ -271,12 +314,6 @@ class TestReaderFuzz:
         obs, cov = write(tmp_path, "obs.csv", texts[0]), write(tmp_path, "cov.csv", texts[1])
         oracle_args = SimpleNamespace(observations=blank_rows_emptied(obs),
                                       covariates=blank_rows_emptied(cov), grid_count=9)
-
-        def same(new, old):
-            same_bytes(new.y, old.y)
-            same_bytes(new.x, old.x)
-            assert new.quad.count == old.quad.count
-
         # a covariate row missing values fails at its line; the oracle read it
         short = None
         try:
@@ -285,7 +322,24 @@ class TestReaderFuzz:
         except SchemaError:
             pass
         check_against_oracle(lambda: io.read_panel(obs, cov, 9),
-                             lambda: csv_oracle._build_panel(oracle_args), same, short)
+                             lambda: csv_oracle._build_panel(oracle_args), same_panel, short)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_panel_missing_cells(self, tmp_path, data):
+        # fewer rows than cells: the first gap is found from the distinct cell ids
+        n, T = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cells = [(i, t) for i in range(n) for t in range(T)]
+        obs = [[(int, i), (int, t), (float, 0.5), (float, 1.0)]
+               for i, t in data.draw(st.lists(st.sampled_from(cells), min_size=1))]
+        cov = [[(int, i), (int, t), (float, 2.0)]
+               for i, t in data.draw(st.lists(st.sampled_from(cells)))]
+        obs_path = write(tmp_path, "obs.csv", data.draw(tables("unit,period,s,y", obs, True)))
+        cov_path = write(tmp_path, "cov.csv", data.draw(tables("unit,period,x1", cov, True)))
+        oracle_args = SimpleNamespace(observations=blank_rows_emptied(obs_path),
+                                      covariates=blank_rows_emptied(cov_path), grid_count=9)
+        check_against_oracle(lambda: io.read_panel(obs_path, cov_path, 9),
+                             lambda: csv_oracle._build_panel(oracle_args), same_panel)
 
     @FUZZ
     @given(data=st.data())
@@ -398,6 +452,27 @@ class TestReaderRules:
         assert (err.value.path, err.value.line) == (str(obs), None)
         assert str(err.value) == f"{obs}: unit and period ids must be contiguous from 0"
 
+    def test_sparse_ids_fail_without_per_cell_arrays(self, tmp_path):
+        # 3,999 rows whose ids reach 2,000 in both columns name 4,000,000 cells
+        cells = [(i, 0) for i in range(2000)] + [(0, t) for t in range(1, 2000)]
+        obs = write(tmp_path, "obs.csv", "unit,period,s,y\n" + "".join(
+            f"{i},{t},0.5,1.0\n" for i, t in cells))
+        cov = write(tmp_path, "cov.csv", "unit,period,x1\n" + "".join(
+            f"{i},{t},1.0\n" for i, t in cells if (i, t) != (0, 5)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as err:
+                io.read_panel(obs, cov, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{cov}: no covariates for unit 0, period 5"
+        assert peak < 4 * 2**20, peak
+        cov.write_text("unit,period,x1\n" + "".join(f"{i},{t},1.0\n" for i, t in cells))
+        with pytest.raises(SchemaError) as err:
+            io.read_panel(obs, cov, 9)
+        assert str(err.value) == f"{obs}: no observations for unit 1, period 1"
+
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"s,value\n0,\xff\n")
@@ -434,6 +509,33 @@ class TestReaderRules:
         with pytest.raises(SchemaError) as err:
             io.read_function(path, build_quadrature(9))
         assert err.value.line == 4
+
+
+class TestPanelShortcuts:
+    """Rows already in order are not sorted, and cells at the grid points are
+    copied, not interpolated; both must give what sorting and ``np.interp`` give."""
+
+    @pytest.mark.parametrize("count", [2, 9, 99])
+    def test_interp_at_its_own_points_returns_values_bitwise(self, count):
+        rng = np.random.default_rng(count)
+        grids = [build_quadrature(count).points,
+                 np.sort(rng.uniform(-1e300, 1e300, count)),
+                 np.cumsum(rng.uniform(1e-300, 1e-290, count))]
+        for _ in range(200):
+            fp = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-300, 300, count)
+            fp[rng.integers(0, count, 2)] = rng.choice([-0.0, 0.0, 5e-324, -2.5e-320], 2)
+            for grid in grids:
+                same_bytes(np.interp(grid, grid, fp), fp)
+
+    def test_reversed_rows_give_the_same_panel(self, tmp_path):
+        assert run(["simulate", "--n", 40, "--T", 5, "--seed", 7, "--out", tmp_path]) == 0
+        obs, cov = tmp_path / "observations.csv", tmp_path / "covariates.csv"
+        header, *body = obs.read_text().splitlines(keepends=True)
+        reversed_obs = write(tmp_path, "reversed.csv", header + "".join(body[::-1]))
+        panel = io.read_panel(obs, cov)
+        same_panel(io.read_panel(reversed_obs, cov), panel)
+        same_panel(csv_oracle._build_panel(SimpleNamespace(
+            observations=reversed_obs, covariates=cov, grid_count=99)), panel)
 
 
 # -- the command line under fuzzed files -----------------------------------
