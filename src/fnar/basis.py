@@ -54,12 +54,17 @@ def build_quadrature(count: int) -> QuadratureGrid:
     ----------
     count : int
         Number of nodes G, at least 2. Nodes are l/(G+1) for l = 1..G with
-        uniform weights 1/G.
+        uniform weights 1/G. A count whose grid cannot be allocated raises
+        ``InvalidArgumentError`` at once.
     """
     if count < 2:
         raise InvalidArgumentError(f"quadrature needs at least 2 points, got {count}")
-    points = np.arange(1, count + 1, dtype=float) / (count + 1)
-    weights = np.full(count, 1.0 / count)
+    try:
+        points = np.arange(1, count + 1, dtype=float) / (count + 1)
+        weights = np.full(count, 1.0 / count)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"grid count {count} needs more memory than can be allocated") from exc
     return QuadratureGrid(points=points, weights=weights)
 
 

@@ -75,6 +75,17 @@ class PointEval(InteractionOperator):
         return self._check(values).copy()
 
 
+def _table(grid: QuadratureGrid) -> np.ndarray:
+    """An empty (G, G) operator table, allocated before any entry is computed,
+    so a grid whose table cannot be held fails at once."""
+    try:
+        return np.empty((grid.count, grid.count))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"grid count {grid.count} needs a {grid.count} x {grid.count} operator "
+            "table, more memory than can be allocated") from exc
+
+
 class KernelIntegral(InteractionOperator):
     """Integral interaction A(h, s) = integral of h(u) nu(u, s) du.
 
@@ -85,12 +96,14 @@ class KernelIntegral(InteractionOperator):
     """
 
     def __init__(self, grid: QuadratureGrid, kernel):
+        matrix = _table(grid)
         u = grid.points
         table = np.broadcast_to(np.asarray(kernel(u[:, None], u[None, :]), dtype=float),
                                 (grid.count, grid.count))  # [g_u, g_s]
         if not np.all(np.isfinite(table)):
             raise InvalidArgumentError("kernel is not finite on the grid")
-        super().__init__(grid, table * grid.weights[:, None], np.max(np.abs(table)))
+        np.multiply(table, grid.weights[:, None], out=matrix)
+        super().__init__(grid, matrix, np.max(np.abs(table)))
 
 
 class PastWindow(InteractionOperator):
@@ -107,7 +120,7 @@ class PastWindow(InteractionOperator):
             raise InvalidArgumentError(f"window width must be in (0, 1], got {width}")
         self.width = float(width)
         u = grid.points
-        matrix = np.zeros((grid.count, grid.count))
+        matrix = _table(grid)  # every column is set below
         for g, s in enumerate(u):
             w = np.where((u >= max(0.0, s - self.width)) & (u <= s), grid.weights, 0.0)
             matrix[:, g] = w / w.sum()

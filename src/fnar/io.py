@@ -3,16 +3,17 @@ writer per table, both vectorised. This module alone knows a table's layout
 and rules.
 
 A reader checks the header with ``csv``, then parses the body in one
-``np.loadtxt`` call. Only if that fails, or a row breaks a rule of the table,
-does a row-by-row scan with Python's ``int`` and ``float`` run: it names the
-first bad line, or reads what only Python accepts (``1_000``). Blank and
-whitespace-only lines are skipped, quoted fields are accepted and columns
-after the ones a table needs are ignored. The panel reader sorts observation
-rows only if they are out of (unit, period, s) order, and copies a cell whose
-points are exactly the grid's, since ``np.interp`` at its own points returns
-their values bit for bit; it interpolates the other cells. A writer streams
-blocks of rows, one ``%`` format each, as shortest round-trip text (``repr``)
-with the ``\\r\\n`` line ends of ``csv.writer``.
+``np.loadtxt`` call, which stores observation ids in 32 bits. Only if that
+fails, or a row breaks a rule of the table, does a row-by-row scan with
+Python's ``int`` and ``float`` run: it names the first bad line, or reads what
+only Python accepts (``1_000``) and a table with a wider id, ids as int64.
+Blank and whitespace-only lines are skipped, quoted fields are accepted and
+columns after the ones a table needs are ignored. The panel reader sorts
+observation rows only if they are out of (unit, period, s) order, and copies
+a cell whose points are exactly the grid's, since ``np.interp`` at its own
+points returns their values bit for bit; it interpolates the other cells. A
+writer streams blocks of rows, one ``%`` format each, as shortest round-trip
+text (``repr``) with the ``\\r\\n`` line ends of ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     n, T = _id_count(unit, obs_path), _id_count(period, obs_path)
     quad = build_quadrature(grid_count)
 
-    cells, key = n * T, unit * T + period
+    # int64 cell keys, built in place: np.bincount would copy int32 ones
+    cells, key = n * T, np.multiply(unit, T, dtype=np.int64)
+    key += period
     inside = (cov["unit"] >= 0) & (cov["unit"] < n) & (cov["period"] >= 0) & (cov["period"] < T)
     cov_key = cov["unit"][inside] * T + cov["period"][inside]
     if cells > obs.size:  # some cell has no rows; find it without per-cell arrays
@@ -104,6 +107,7 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     if not np.all((key[1:] > key[:-1]) | ((key[1:] == key[:-1]) & (s[1:] >= s[:-1]))):
         order = np.lexsort((s, period, unit))
         s, y_obs = s[order], y_obs[order]
+    del key  # before the (cells, G) values
     y = np.empty((cells, quad.count))
     on_grid = np.zeros(cells, dtype=bool)
     if np.all(counts == quad.count):
@@ -194,7 +198,8 @@ def write_edge_list(weights: NetworkWeights, path) -> None:
 def _observation_columns(header, path):
     if [h.strip() for h in header] != ["unit", "period", "s", "y"]:
         raise SchemaError("expected header 'unit,period,s,y'", line=1, path=str(path))
-    return [("unit", int), ("period", int), ("s", float), ("y", float)]
+    # 32-bit ids make a parsed row 24 bytes; the scan reads a wider id
+    return [("unit", np.int32), ("period", np.int32), ("s", float), ("y", float)]
 
 
 def _covariate_columns(header, path):
@@ -274,13 +279,15 @@ def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
     """The body of a table as a structured array, one field per needed column.
 
     ``columns(header, path)`` checks the header and returns the needed columns as
-    (name, int | float) pairs; with ``exact`` a row must have no others.
+    (name, int | float | np.int32) pairs; with ``exact`` a row must have no others.
     ``row_error(records)`` names the first row that breaks a rule of the table.
+    The ``np.loadtxt`` parse stores an ``np.int32`` column in 32 bits, so a
+    wider id fails it; the scan reads every int column as int64.
     """
     try:
         with open(path, newline="") as fh:
             fields = columns(next(csv.reader(fh), []), path)
-            dtype = np.dtype([(name, np.int64 if kind is int else np.float64)
+            dtype = np.dtype([(name, {int: np.int64, float: np.float64}.get(kind, kind))
                               for name, kind in fields])
             try:
                 with warnings.catch_warnings():
@@ -291,15 +298,18 @@ def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
             except ValueError:
                 rec = None
         if rec is None or (row_error is not None and row_error(rec) is not None):
-            rec = _scan(path, fields, dtype, row_error, exact)
+            rec = _scan(path, dtype, row_error, exact)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc), path=str(path)) from exc
     return rec
 
 
-def _scan(path, fields, dtype, row_error, exact) -> np.ndarray:
-    """Row-by-row reading: raise at the first bad line, or return the records."""
-    kinds = [kind for _, kind in fields]
+def _scan(path, dtype, row_error, exact) -> np.ndarray:
+    """Row-by-row reading, ints as int64: raise at the first bad line, or
+    return the records."""
+    kinds = [int if dtype[name].kind == "i" else float for name in dtype.names]
+    dtype = np.dtype([(name, np.int64 if kind is int else np.float64)
+                      for name, kind in zip(dtype.names, kinds)])
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +156,8 @@ def run_mc(cfg: McConfig) -> McReport:
     seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)
     payloads = [(cfg, basis, dgp, cover, seed) for seed in seeds]
     if cfg.workers > 1:
+        # only here: it loads multiprocessing, which the serial path never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_worker, payloads, chunksize=8))
     else:

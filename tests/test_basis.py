@@ -22,6 +22,13 @@ class TestQuadrature:
         with pytest.raises(InvalidArgumentError):
             build_quadrature(1)
 
+    @pytest.mark.parametrize("count", [10**12, 10**30])
+    def test_count_too_large_to_allocate_rejected(self, count):
+        # 7.3 TiB is refused by the allocator, 10**30 by numpy's size check
+        with pytest.raises(InvalidArgumentError,
+                           match=f"grid count {count} needs more memory than can be"):
+            build_quadrature(count)
+
     def test_integrate_linear_exactly(self):
         quad = build_quadrature(99)
         assert quad.integrate(2.0 + 3.0 * quad.points) == pytest.approx(3.5, abs=1e-12)

@@ -62,6 +62,20 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: alpha scale must be finite, got {scale}\n"
         assert not (tmp_path / "observations.csv").exists()
 
+    @pytest.mark.parametrize("count,message", [
+        (10**12, "grid count 1000000000000 needs more memory than can be allocated"),
+        (2 * 10**6, "grid count 2000000 needs a 2000000 x 2000000 operator table, "
+                    "more memory than can be allocated")])
+    def test_grid_count_too_large_to_allocate_is_data_error(self, tmp_path, capsys, count,
+                                                            message):
+        # a 7.3 TiB grid, and the 29 TiB kernel table of a 16 MB grid, are
+        # refused by the allocator at once, so nothing beyond that grid is held
+        code = run(["simulate", "--n", 10, "--T", 3, "--seed", 1,
+                    "--grid-count", count, "--out", tmp_path])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEstimate:
     def test_round_trip_recovers_truth(self, sim_dir, tmp_path):

@@ -2,7 +2,9 @@
 
 A fresh interpreter imports fnar and its CLI, runs an n=40
 simulate -> estimate -> effects keyplayer pipeline and a 2-replication
-Monte Carlo study, and reports which scipy subpackages were loaded.
+Monte Carlo study on one worker, and reports which scipy subpackages and
+whether ``multiprocessing`` were loaded; only a study on several workers
+needs the process pool.
 """
 
 import json
@@ -42,7 +44,8 @@ with tempfile.TemporaryDirectory() as tmp:
 report = run_mc(McConfig(replications=2, base_seed=3, estimators=("gmm1", "gmm2", "2sls"),
                          coverage_points=(0.5,)))
 assert report.failures == 0, report.errors
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+print(json.dumps({prefix: sorted(name for name in sys.modules if name.startswith(prefix))
+                  for prefix in ("scipy", "multiprocessing")}))
 """
 
 
@@ -52,5 +55,6 @@ def test_pipeline_loads_no_other_scipy_subpackage(tmp_path):
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert "scipy.sparse" in loaded and "scipy.linalg" in loaded
-    assert [name for name in loaded if name.startswith(NOT_LOADED)] == []
+    assert "scipy.sparse" in loaded["scipy"] and "scipy.linalg" in loaded["scipy"]
+    assert [name for name in loaded["scipy"] if name.startswith(NOT_LOADED)] == []
+    assert loaded["multiprocessing"] == []

@@ -66,6 +66,14 @@ class TestGridMatrix:
         # every node lies in its own window, so no column is empty
         assert np.all(op.matrix.sum(axis=0) > 0.0)
 
+    @pytest.mark.parametrize("build", [lambda quad: KernelIntegral(quad, epanechnikov_kernel),
+                                       lambda quad: PastWindow(quad, width=0.25)])
+    def test_table_too_large_to_allocate_rejected(self, build):
+        # a 16 MB grid whose 29 TiB table is refused before any entry is computed
+        with pytest.raises(InvalidArgumentError,
+                           match="grid count 2000000 needs a 2000000 x 2000000 operator table"):
+            build(build_quadrature(2 * 10**6))
+
 
 class TestApplyIsInterpolant:
     """A(h, s) is the linear interpolant of the grid image, everywhere."""

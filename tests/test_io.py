@@ -24,6 +24,7 @@ from fnar import cli, io
 from fnar.basis import build_quadrature
 from fnar.errors import FnarError, SchemaError
 from fnar.io import MAX_INFERRED_UNITS, read_edge_list
+from fnar.simulate import FunctionalPanel
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -473,6 +474,27 @@ class TestReaderRules:
             io.read_panel(obs, cov, 9)
         assert str(err.value) == f"{obs}: no observations for unit 1, period 1"
 
+    @pytest.mark.parametrize("column", ["unit", "period"])
+    @pytest.mark.parametrize("top,scanned", [(2**31 - 1, False), (2**31, True),
+                                             (-2**31, False), (-2**31 - 1, True)])
+    def test_ids_at_the_int32_limit(self, tmp_path, monkeypatch, column, top, scanned):
+        # the parse holds 32-bit ids; a wider one is read by the scan, and
+        # either way the table fails as the int64 reader failed it
+        scans, scan = [], io._scan
+        monkeypatch.setattr(io, "_scan", lambda path, *rest: scans.append(path)
+                            or scan(path, *rest))
+        row = f"{top},0" if column == "unit" else f"0,{top}"
+        obs = write(tmp_path, "obs.csv", f"unit,period,s,y\n0,0,0.5,1\n{row},0.5,1\n")
+        cov = write(tmp_path, "cov.csv", "unit,period,x1\n0,0,1.0\n")
+        with pytest.raises(SchemaError) as err:
+            io.read_panel(obs, cov, 9)
+        assert str(err.value) == f"{obs}: unit and period ids must be contiguous from 0"
+        assert err.value.line is None and scans == [obs] * scanned
+        obs.write_text(f"unit,period,s,y\n0,0,0.5,1\n{row},0.5,1\n1,0,1.5,1\n")
+        with pytest.raises(SchemaError) as err:
+            io.read_panel(obs, cov, 9)
+        assert str(err.value) == f"{obs}:4: evaluation point 1.5 outside [0, 1]"
+
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_bytes(b"s,value\n0,\xff\n")
@@ -513,7 +535,26 @@ class TestReaderRules:
 
 class TestPanelShortcuts:
     """Rows already in order are not sorted, and cells at the grid points are
-    copied, not interpolated; both must give what sorting and ``np.interp`` give."""
+    copied, not interpolated; both must give what sorting and ``np.interp`` give.
+    Such a panel is read in under 40 bytes a row."""
+
+    def test_in_order_panel_read_in_under_40_bytes_a_row(self, tmp_path):
+        # 24-byte records, then the values; the int64 cell keys are gone by then
+        rng = np.random.default_rng(21)
+        quad = build_quadrature(99)
+        panel = FunctionalPanel(y=rng.normal(size=(224, 5, quad.count)),
+                                x=rng.normal(size=(224, 5, 2)), quad=quad)
+        obs, cov = tmp_path / "obs.csv", tmp_path / "cov.csv"
+        io.write_panel(panel, obs, cov)
+        tracemalloc.start()
+        try:
+            read = io.read_panel(obs, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        same_panel(read, panel)
+        rows = panel.y.size  # 110,880
+        assert peak < 40 * rows, peak / rows
 
     @pytest.mark.parametrize("count", [2, 9, 99])
     def test_interp_at_its_own_points_returns_values_bitwise(self, count):
