@@ -114,9 +114,11 @@ def cmd_estimate(args) -> int:
     out = Path(args.out)
     if not out.is_dir():
         raise FileNotFoundError(f"output directory {out} does not exist")
+    # the operator's G x G table first: a grid count it cannot take fails
+    # before the panel's values on that grid are allocated
+    operator = _build_operator(args, build_quadrature(args.grid_count))
     panel = read_panel(args.observations, args.covariates, args.grid_count)
     weights = _build_weights(args, n_expected=panel.n)
-    operator = _build_operator(args, panel.quad)
     basis = build_bspline_basis(args.inner_knots, args.degree, panel.quad)
     try:
         iv_exclude = tuple(int(v) for v in args.iv_exclude.split(",")) if args.iv_exclude else ()

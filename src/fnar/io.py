@@ -3,7 +3,10 @@ writer per table, both vectorised. This module alone knows a table's layout
 and rules.
 
 A reader checks the header with ``csv``, then parses the body in one
-``np.loadtxt`` call, which stores observation ids in 32 bits. Only if that
+``np.loadtxt`` call, which stores observation ids in 32 bits. A regular file's
+line ends are counted first, so that call allocates its records once, at
+their final size, rather than growing and copying them; a pipe, which can be
+read only once, is parsed without the count. Only if the parse
 fails, or a row breaks a rule of the table, does a row-by-row scan with
 Python's ``int`` and ``float`` run: it names the first bad line, or reads what
 only Python accepts (``1_000``) and a table with a wider id, ids as int64.
@@ -19,6 +22,8 @@ text (``repr``) with the ``\\r\\n`` line ends of ``csv.writer``.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -34,6 +39,7 @@ __all__ = ["write_table", "write_panel", "read_panel", "read_function",
            "MAX_INFERRED_UNITS"]
 
 _BLOCK = 1024  # rows per write, which bounds the text held at once
+_COUNT_CHUNK = 1 << 16  # bytes per read of the line count, which bounds its temporaries
 # Largest unit count an edge list read without n may imply. The count is one
 # more than the largest id, and the matrix's row pointer alone takes 8 bytes
 # a unit, so a stray large id would otherwise allocate without bound.
@@ -282,26 +288,63 @@ def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
     (name, int | float | np.int32) pairs; with ``exact`` a row must have no others.
     ``row_error(records)`` names the first row that breaks a rule of the table.
     The ``np.loadtxt`` parse stores an ``np.int32`` column in 32 bits, so a
-    wider id fails it; the scan reads every int column as int64.
+    wider id fails it; the scan reads every int column as int64. A regular
+    file is parsed into records allocated once for its counted lines, or, if
+    that many records cannot be allocated, as a pipe is: into records that
+    grow as rows are read.
     """
     try:
         with open(path, newline="") as fh:
+            lines = _line_count(fh)
             fields = columns(next(csv.reader(fh), []), path)
             dtype = np.dtype([(name, {int: np.int64, float: np.float64}.get(kind, kind))
                               for name, kind in fields])
+            usecols = None if exact else range(len(fields))
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # an empty body
-                    rec = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                     comments=None, ndmin=1,
-                                     usecols=None if exact else range(len(fields)))
-            except ValueError:
-                rec = None
+                # a row takes at least one line end, bar an unended last line
+                rec = _loadtxt(fh, dtype, usecols, None if lines is None else lines + 1)
+            except MemoryError:
+                if lines is None:
+                    raise
+                fh.seek(0)
+                next(csv.reader(fh))
+                rec = _loadtxt(fh, dtype, usecols, None)
         if rec is None or (row_error is not None and row_error(rec) is not None):
             rec = _scan(path, dtype, row_error, exact)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc), path=str(path)) from exc
     return rec
+
+
+def _line_count(fh) -> int | None:
+    """The line ends (``\\n``, ``\\r\\n`` or a lone ``\\r``, as ``np.loadtxt``
+    takes them) of the regular file open as ``fh``, which is left at its start;
+    None for a pipe or any other file that cannot be read twice."""
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return None
+    count, cr_end = 0, False
+    while chunk := fh.buffer.read(_COUNT_CHUNK):
+        data = np.frombuffer(chunk, np.uint8)
+        cr, lf = data == 13, data == 10
+        count += np.count_nonzero(cr) + np.count_nonzero(lf) - np.count_nonzero(cr[:-1] & lf[1:])
+        if cr_end and lf[0]:  # a \r\n split between two chunks
+            count -= 1
+        cr_end = cr[-1]
+    fh.seek(0)
+    return count
+
+
+def _loadtxt(fh, dtype, usecols, max_rows) -> np.ndarray | None:
+    """``np.loadtxt`` of the rest of ``fh``, at most ``max_rows`` rows; None if
+    a row does not parse."""
+    try:
+        with warnings.catch_warnings():
+            # an empty body, or a blank line under max_rows
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                              ndmin=1, usecols=usecols, max_rows=max_rows)
+    except ValueError:
+        return None
 
 
 def _scan(path, dtype, row_error, exact) -> np.ndarray:

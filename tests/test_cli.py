@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fnar import cli
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.cli import main
 from fnar.effects import impulse_response
@@ -296,6 +297,23 @@ class TestEstimate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
         assert not any(est.iterdir())
+
+    @pytest.mark.parametrize("operator", ["epanechnikov", "past-window"])
+    def test_grid_count_too_large_for_the_operator_fails_before_the_panel_is_read(
+            self, sim_dir, tmp_path, capsys, monkeypatch, operator):
+        # the 29 TiB table is refused before 2.98 GiB of panel values are filled
+        read = []
+        monkeypatch.setattr(cli, "read_panel", lambda *args: read.append(args))
+        code = run([
+            "estimate", "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv", "--weights", sim_dir / "weights.csv",
+            "--operator", operator, "--grid-count", 2 * 10**6, "--out", tmp_path,
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: grid count 2000000 needs a 2000000 x 2000000 operator table, "
+            "more memory than can be allocated\n")
+        assert read == []
 
     @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1", "0,0"])
     def test_bad_iv_exclude_is_data_error(self, sim_dir, tmp_path, capsys, value):

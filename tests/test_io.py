@@ -8,9 +8,12 @@ Writers: the bytes equal ``csv.writer`` given ``repr`` text.
 """
 
 import csv
+import os
 import re
 import shutil
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -577,6 +580,113 @@ class TestPanelShortcuts:
         same_panel(io.read_panel(reversed_obs, cov), panel)
         same_panel(csv_oracle._build_panel(SimpleNamespace(
             observations=reversed_obs, covariates=cov, grid_count=99)), panel)
+
+
+# -- line count -------------------------------------------------------------
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def line_ended_tables(draw):
+    """A two-column table whose lines end in any mix of ``\\n``, ``\\r\\n`` and
+    ``\\r``, with blank lines, quoted fields that hold line ends, and maybe no
+    final line end."""
+    quoted = st.lists(st.sampled_from(["a", "\n", "\r\n", "\r"]), max_size=4).map(
+        lambda parts: '"' + "".join(parts) + '"')
+    field = st.one_of(st.sampled_from(["0", "1.5", "-2"]), quoted)
+    line = st.one_of(st.tuples(field, field).map(",".join), st.just(""))
+    text = "s,value" + draw(LINE_ENDS) + "".join(
+        draw(st.lists(st.builds(str.__add__, line, LINE_ENDS), max_size=30)))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def fifo_of(tmp_path, source):
+    """A named pipe that a thread fills with the bytes of ``source``, and the thread."""
+    pipe = tmp_path / f"{source.name}.fifo"
+    os.mkfifo(pipe)
+
+    def feed():
+        with open(pipe, "wb") as fh:
+            fh.write(source.read_bytes())
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    return pipe, thread
+
+
+@pytest.fixture()
+def max_rows_given(monkeypatch):
+    """The ``max_rows`` of every ``np.loadtxt`` call, in call order."""
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("max_rows"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+class TestLineCount:
+    """A regular file's records are allocated once, for its counted line ends;
+    the count may exceed the rows but never fall below them. A pipe, which can
+    be read only once, is parsed uncounted."""
+
+    @FUZZ
+    @given(text=line_ended_tables(), chunk=st.integers(1, 9))
+    def test_count_is_every_line_end(self, tmp_path, monkeypatch, text, chunk):
+        # chunks of a few bytes split many \r\n pairs between two reads
+        monkeypatch.setattr(io, "_COUNT_CHUNK", chunk)
+        path = write(tmp_path, "t.csv", text)
+        with open(path, newline="") as fh:
+            count = io._line_count(fh)
+            assert fh.read() == text  # the count leaves the file at its start
+            fh.seek(0)
+            next(csv.reader(fh))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # blank lines, an empty body
+                rows = np.loadtxt(fh, dtype=str, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=2)
+        assert count == len(re.split(r"\r\n|\r|\n", text)) - 1
+        assert count >= len(rows)
+
+    def test_line_end_split_between_chunks_counted_once(self, tmp_path):
+        text = "s,value\n" + " " * (io._COUNT_CHUNK - 9) + "\r\n0,1\n"
+        assert text[io._COUNT_CHUNK - 1:io._COUNT_CHUNK + 1] == "\r\n"
+        with open(write(tmp_path, "t.csv", text), newline="") as fh:
+            assert io._line_count(fh) == 3
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_panel_through_pipes_equals_the_file_read(self, tmp_path):
+        assert run(["simulate", "--n", 40, "--T", 5, "--seed", 7, "--out", tmp_path]) == 0
+        obs, cov = tmp_path / "observations.csv", tmp_path / "covariates.csv"
+        (obs_pipe, obs_feed), (cov_pipe, cov_feed) = fifo_of(tmp_path, obs), fifo_of(tmp_path, cov)
+        from_pipes = io.read_panel(obs_pipe, cov_pipe)
+        obs_feed.join()
+        cov_feed.join()
+        same_panel(from_pipes, io.read_panel(obs, cov))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_loadtxt_sized_for_a_regular_file_only(self, tmp_path, max_rows_given):
+        path = write(tmp_path, "f.csv", "s,value\r\n0,1\r\n1,2\r\n")
+        quad = build_quadrature(9)
+        values = io.read_function(path, quad)
+        pipe, feed = fifo_of(tmp_path, path)
+        same_bytes(io.read_function(pipe, quad), values)
+        feed.join()
+        assert max_rows_given == [4, None]
+
+    def test_count_too_large_to_allocate_falls_back_to_growing_records(
+            self, tmp_path, monkeypatch, max_rows_given):
+        # as for a huge run of blank lines: 10**13 records are refused at once
+        assert run(["simulate", "--n", 12, "--T", 3, "--seed", 2, "--out", tmp_path]) == 0
+        obs, cov = tmp_path / "observations.csv", tmp_path / "covariates.csv"
+        panel = io.read_panel(obs, cov)
+        max_rows_given.clear()
+        monkeypatch.setattr(io, "_line_count", lambda fh: 10**13)
+        same_panel(io.read_panel(obs, cov), panel)
+        assert max_rows_given == [10**13 + 1, None] * 2
 
 
 # -- the command line under fuzzed files -----------------------------------
