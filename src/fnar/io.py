@@ -6,25 +6,34 @@ A reader checks the header with ``csv``, then parses the body in one
 ``np.loadtxt`` call, which stores observation ids in 32 bits. A regular file's
 line ends are counted first, so that call allocates its records once, at
 their final size, rather than growing and copying them; a pipe, which can be
-read only once, is parsed without the count. Only if the parse
-fails, or a row breaks a rule of the table, does a row-by-row scan with
-Python's ``int`` and ``float`` run: it names the first bad line, or reads what
-only Python accepts (``1_000``) and a table with a wider id, ids as int64.
+read only once, is copied to a temporary file and parsed without the count.
+Only if the parse fails, or a row breaks a rule of the table, does a
+row-by-row scan of the same bytes with Python's ``int`` and ``float`` run: it
+names the first bad line, or reads what only Python accepts (``1_000``) and a
+table with a wider id, ids as int64.
 Blank and whitespace-only lines are skipped, quoted fields are accepted and
 columns after the ones a table needs are ignored. The panel reader sorts
 observation rows only if they are out of (unit, period, s) order, and copies
 a cell whose points are exactly the grid's, since ``np.interp`` at its own
 points returns their values bit for bit; it interpolates the other cells. A
-writer streams blocks of rows, one ``%`` format each, as shortest round-trip
-text (``repr``) with the ``\\r\\n`` line ends of ``csv.writer``.
+writer writes each value as its shortest round-trip text, byte for byte what
+``repr`` writes, with the ``\\r\\n`` line ends of ``csv.writer``. A block of
+values at a time goes through a vectorised shortest-digit kernel (Schubfach,
+in numpy uint64) and a table of text layouts; the block's rows are assembled
+as NUL-padded slots of a byte matrix (leading indices, label, values) and
+written without the NULs, so a label must hold no NUL.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
+import shutil
 import stat
+import tempfile
 import warnings
+from io import TextIOWrapper
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +47,7 @@ __all__ = ["write_table", "write_panel", "read_panel", "read_function",
            "interpolate_response", "read_coords", "read_edge_list", "write_edge_list",
            "MAX_INFERRED_UNITS"]
 
-_BLOCK = 1024  # rows per write, which bounds the text held at once
+_BLOCK = 8192  # values formatted at once, which bounds a write's temporaries
 _COUNT_CHUNK = 1 << 16  # bytes per read of the line count, which bounds its temporaries
 # Largest unit count an edge list read without n may imply. The count is one
 # more than the largest id, and the matrix's row pointer alone takes 8 bytes
@@ -50,26 +59,47 @@ def write_table(path, header, values, labels=None) -> None:
     """Write ``values`` of shape (*lead, rows, k) as a comma-separated table.
 
     Each row holds its leading indices, then its entry of ``labels`` (one
-    preformatted field per row, free of ``%``, if given), then its k values.
+    preformatted field per row, free of NUL, if given), then its k values as
+    ``repr`` writes them, with ``\\r\\n`` line ends. ``float_rows`` formats
+    ``_BLOCK`` values at a time into NUL-padded slots of a byte matrix, one
+    matrix row per table row and every slot whole 8-byte words; the matrix is
+    written without its NULs.
     """
+    # imported here, so that a process that writes no table builds none of its tables
+    from .floattext import float_rows
+
     values = np.asarray(values, dtype=float)
     *lead, n_rows, k = values.shape
-    cells = ",".join(["%r"] * k)
-    rows = [cells] * n_rows if labels is None else [f"{label},{cells}" for label in labels]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for index in np.ndindex(*lead):
-            prefix = "".join(f"{i}," for i in index)
-            block = values[index]
-            for start in range(0, n_rows, _BLOCK):
-                template = prefix + ("\r\n" + prefix).join(rows[start:start + _BLOCK]) + "\r\n"
-                fh.write(template % tuple(block[start:start + _BLOCK].ravel().tolist()))
+    if labels is not None and len(labels) != n_rows:
+        raise InvalidArgumentError(f"{len(labels)} labels for {n_rows} rows")
+    flat = values.reshape(math.prod(values.shape[:-1]), k)
+    indices = [_field_table([str(i) for i in range(size)]) for size in lead]
+    label_words = None if labels is None else _words(_field_table(labels))
+    rows = max(_BLOCK // max(k, 1), 1)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, len(flat), rows):
+            stop = min(start + rows, len(flat))
+            row = np.arange(start, stop)
+            pieces = []
+            if lead:  # the leading indices of the runs of n_rows rows the block meets
+                first, run = start // n_rows, row // n_rows
+                index = np.unravel_index(np.arange(first, run[-1] + 1), lead)
+                text = np.concatenate([t.take(i, axis=0) for t, i in zip(indices, index)], axis=1)
+                pieces.append(_words(text).take(run - first, axis=0))
+            if label_words is not None:
+                pieces.append(label_words.take(row % n_rows, axis=0))
+            pieces.append(float_rows(flat[start:stop]).view(np.uint64))
+            block = np.concatenate(pieces, axis=1).view(np.uint8)
+            fh.write(block[block != 0])
 
 
 def write_panel(panel, obs_path, cov_path) -> None:
     """Write ``unit,period,s,y`` observations and ``unit,period,x1,...`` covariates."""
+    from .floattext import float_texts
+
     write_table(obs_path, ["unit", "period", "s", "y"], panel.y[..., None],
-                [repr(s) for s in panel.quad.points.tolist()])
+                float_texts(panel.quad.points))
     write_table(cov_path, ["unit", "period"] + [f"x{j + 1}" for j in range(panel.d_x)],
                 panel.x, [str(t) for t in range(panel.T)])
 
@@ -291,37 +321,45 @@ def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
     wider id fails it; the scan reads every int column as int64. A regular
     file is parsed into records allocated once for its counted lines, or, if
     that many records cannot be allocated, as a pipe is: into records that
-    grow as rows are read.
+    grow as rows are read. A pipe, which can be read only once, is first
+    copied to a temporary file, so that the scan reads the bytes the parse read.
     """
     try:
         with open(path, newline="") as fh:
-            lines = _line_count(fh)
-            fields = columns(next(csv.reader(fh), []), path)
-            dtype = np.dtype([(name, {int: np.int64, float: np.float64}.get(kind, kind))
-                              for name, kind in fields])
-            usecols = None if exact else range(len(fields))
-            try:
-                # a row takes at least one line end, bar an unended last line
-                rec = _loadtxt(fh, dtype, usecols, None if lines is None else lines + 1)
-            except MemoryError:
-                if lines is None:
-                    raise
-                fh.seek(0)
-                next(csv.reader(fh))
-                rec = _loadtxt(fh, dtype, usecols, None)
-        if rec is None or (row_error is not None and row_error(rec) is not None):
-            rec = _scan(path, dtype, row_error, exact)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return _parse(fh, path, columns, row_error, exact, _line_count(fh))
+            with tempfile.TemporaryFile() as copy, TextIOWrapper(copy, newline="") as text:
+                shutil.copyfileobj(fh.buffer, copy)
+                copy.seek(0)
+                return _parse(text, path, columns, row_error, exact, None)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc), path=str(path)) from exc
+
+
+def _parse(fh, path, columns, row_error, exact, lines) -> np.ndarray:
+    """:func:`_read` of the open, seekable ``fh``, given its line ends, if counted."""
+    fields = columns(next(csv.reader(fh), []), path)
+    dtype = np.dtype([(name, {int: np.int64, float: np.float64}.get(kind, kind))
+                      for name, kind in fields])
+    usecols = None if exact else range(len(fields))
+    try:
+        # a row takes at least one line end, bar an unended last line
+        rec = _loadtxt(fh, dtype, usecols, None if lines is None else lines + 1)
+    except MemoryError:
+        if lines is None:
+            raise
+        fh.seek(0)
+        next(csv.reader(fh))
+        rec = _loadtxt(fh, dtype, usecols, None)
+    if rec is None or (row_error is not None and row_error(rec) is not None):
+        fh.seek(0)
+        rec = _scan(path, fh, dtype, row_error, exact)
     return rec
 
 
-def _line_count(fh) -> int | None:
+def _line_count(fh) -> int:
     """The line ends (``\\n``, ``\\r\\n`` or a lone ``\\r``, as ``np.loadtxt``
-    takes them) of the regular file open as ``fh``, which is left at its start;
-    None for a pipe or any other file that cannot be read twice."""
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        return None
+    takes them) of the regular file open as ``fh``, which is left at its start."""
     count, cr_end = 0, False
     while chunk := fh.buffer.read(_COUNT_CHUNK):
         data = np.frombuffer(chunk, np.uint8)
@@ -347,27 +385,41 @@ def _loadtxt(fh, dtype, usecols, max_rows) -> np.ndarray | None:
         return None
 
 
-def _scan(path, dtype, row_error, exact) -> np.ndarray:
-    """Row-by-row reading, ints as int64: raise at the first bad line, or
-    return the records."""
+def _scan(path, fh, dtype, row_error, exact) -> np.ndarray:
+    """Row-by-row reading of ``path``, open as ``fh`` at its start, ints as
+    int64: raise at the first bad line, or return the records."""
     kinds = [int if dtype[name].kind == "i" else float for name in dtype.names]
     dtype = np.dtype([(name, np.int64 if kind is int else np.float64)
                       for name, kind in zip(dtype.names, kinds)])
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                if len(row) < len(kinds) or (exact and len(row) > len(kinds)):
-                    raise ValueError(f"expected {len(kinds)} fields, got {len(row)}")
-                record = np.array([tuple(kind(v) for kind, v in zip(kinds, row))], dtype)
-            except (ValueError, OverflowError) as exc:
-                raise SchemaError(str(exc), line=line, path=str(path)) from exc
-            message = None if row_error is None else row_error(record)
-            if message is not None:
-                raise SchemaError(message, line=line, path=str(path))
-            records.append(record)
+    reader = csv.reader(fh)
+    next(reader, None)
+    for line, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            if len(row) < len(kinds) or (exact and len(row) > len(kinds)):
+                raise ValueError(f"expected {len(kinds)} fields, got {len(row)}")
+            record = np.array([tuple(kind(v) for kind, v in zip(kinds, row))], dtype)
+        except (ValueError, OverflowError) as exc:
+            raise SchemaError(str(exc), line=line, path=str(path)) from exc
+        message = None if row_error is None else row_error(record)
+        if message is not None:
+            raise SchemaError(message, line=line, path=str(path))
+        records.append(record)
     return np.concatenate(records) if records else np.empty(0, dtype)
+
+
+def _field_table(texts) -> np.ndarray:
+    """Each text then ",", encoded, as a row of bytes NUL-padded on the left."""
+    fields = [f"{text},".encode() for text in texts]
+    width = max(map(len, fields), default=0)
+    table = np.array([field.rjust(width, b"\0") for field in fields], dtype=bytes)
+    return table.view(np.uint8).reshape(len(fields), table.itemsize)
+
+
+def _words(table) -> np.ndarray:
+    """A byte table's rows, NUL-padded on the left to whole uint64 words."""
+    words = np.zeros((len(table), -(-table.shape[1] // 8)), np.uint64)
+    words.view(np.uint8)[:, words.shape[1] * 8 - table.shape[1]:] = table
+    return words

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 import csv_oracle
 from fnar import cli, io
 from fnar.basis import build_quadrature
-from fnar.errors import FnarError, SchemaError
+from fnar.errors import FnarError, InvalidArgumentError, SchemaError
+from fnar.floattext import float_texts
 from fnar.io import MAX_INFERRED_UNITS, read_edge_list
 from fnar.simulate import FunctionalPanel
 
@@ -128,6 +129,93 @@ class TestWriters:
         assert len(files) == 12
         for name in files:
             assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+def texts_match_repr(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got, want = float_texts(values), [repr(v) for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad and len(got) == len(want), bad[:5]
+
+
+class TestFloatText:
+    """The vectorised shortest-digit kernel writes each float as ``repr`` does."""
+
+    @FUZZ
+    @given(values=st.lists(st.floats(), min_size=1, max_size=200))
+    def test_fuzzed_floats(self, values):
+        texts_match_repr(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(23).integers(0, 2**64, 200_000, dtype=np.uint64,
+                                                  endpoint=False)
+        texts_match_repr(bits.view(np.float64))
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                                 [float(f"1e{e}") for e in range(-323, 309)],
+                                 10.0 ** np.arange(-323, 309)])
+        for values in (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)):
+            texts_match_repr(values)
+            texts_match_repr(-values)
+
+    def test_subnormals(self):
+        texts_match_repr(np.arange(1, 100_001) * 5e-324)
+
+    def test_integers_near_2_53(self):
+        texts_match_repr(np.arange(2**53 - 100_000, 2**53 + 100_000, dtype=np.int64)
+                         .astype(float))
+        texts_match_repr(np.arange(-100_000, 100_000, dtype=float))
+
+    def test_fixed_and_exponent_thresholds(self):
+        edges = np.array([1e16, 9999999999999998.0, 1e-05, 0.0001, 0.001])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        texts_match_repr(np.concatenate([values, -values]))
+        assert float_texts([1e16, 9999999999999998.0, 1e-05, 0.0001, 0.001]) == [
+            "1e+16", "9999999999999998.0", "1e-05", "0.0001", "0.001"]
+
+    def test_zero_nan_and_infinity(self):
+        assert float_texts([0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+                            -float("inf")]) == ["0.0", "-0.0", "nan", "nan", "inf", "-inf"]
+        assert float_texts([]) == []
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
+    def test_blocks_that_split_a_row_or_a_run(self, tmp_path, monkeypatch, block):
+        # a block of fewer values than a row holds still writes whole rows
+        monkeypatch.setattr(io, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        values = rng.normal(size=(2, 3, 7, 3)) * 10.0 ** rng.integers(-8, 20, (2, 3, 7, 3))
+        values.ravel()[:len(SPECIAL)] = SPECIAL
+        labels = [f"r{j}" for j in range(7)]
+        io.write_table(tmp_path / "new.csv", ["i", "t", "r", "a", "b", "c"], values, labels)
+        rows = [[i, t, labels[j], *map(repr, values[i, t, j].tolist())]
+                for i, t, j in np.ndindex(2, 3, 7)]
+        csv_oracle._write_rows(tmp_path / "old.csv", ["i", "t", "r", "a", "b", "c"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_a_label_for_each_row(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="2 labels for 3 rows"):
+            io.write_table(tmp_path / "t.csv", ["label", "a"], np.zeros((3, 1)), ["x", "y"])
+
+    def test_rows_without_values(self, tmp_path):
+        io.write_table(tmp_path / "t.csv", ["i", "label"], np.empty((2, 3, 0)), ["a", "b", "c"])
+        assert (tmp_path / "t.csv").read_bytes() == b"i,label\r\n" + b"".join(
+            b"%d,%s,\r\n" % (i, label) for i in range(2) for label in (b"a", b"b", b"c"))
+
+    @pytest.mark.parametrize("n", [400, 1600])
+    def test_panel_write_holds_a_block_not_the_panel(self, tmp_path, n):
+        # the observation table has n * 495 rows; the writer's peak is its
+        # block's temporaries, the same at both n
+        rng = np.random.default_rng(n)
+        panel = FunctionalPanel(y=rng.normal(size=(n, 5, 99)), x=rng.normal(size=(n, 5, 2)),
+                                quad=build_quadrature(99))
+        tracemalloc.start()
+        try:
+            io.write_panel(panel, tmp_path / "obs.csv", tmp_path / "cov.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
 
 # -- fuzzed tables ------------------------------------------------------------
@@ -666,6 +754,35 @@ class TestLineCount:
         obs_feed.join()
         cov_feed.join()
         same_panel(from_pipes, io.read_panel(obs, cov))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_malformed_panel_through_a_pipe_fails_at_the_line_the_file_read_names(
+            self, tmp_path):
+        # the scan reads the bytes the parse read; a re-opened pipe is empty,
+        # or, as here, waits for a writer that never comes
+        assert run(["simulate", "--n", 12, "--T", 3, "--seed", 2, "--out", tmp_path]) == 0
+        cov = tmp_path / "covariates.csv"
+        lines = (tmp_path / "observations.csv").read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3] + ["nan"])
+        bad = write(tmp_path, "bad.csv", "\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as from_file:
+            io.read_panel(bad, cov)
+        pipe, feed = fifo_of(tmp_path, bad)
+        failures = []
+
+        def read():
+            try:
+                io.read_panel(pipe, cov)
+            except SchemaError as exc:
+                failures.append(exc)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(60)
+        assert not reader.is_alive(), "the pipe was opened again"
+        feed.join()
+        assert from_file.value.line == failures[0].line == 3
+        assert str(failures[0]) == str(from_file.value).replace(str(bad), str(pipe))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_loadtxt_sized_for_a_regular_file_only(self, tmp_path, max_rows_given):
