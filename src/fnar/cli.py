@@ -176,6 +176,13 @@ def cmd_montecarlo(args) -> int:
           f"{report.wall_clock:.1f}s", file=sys.stderr)
     if report.errors:
         print(f"# first failure: {report.errors[0]}", file=sys.stderr)
+    if report.nonconverged:
+        counts = ", ".join(f"{name} {report.nonconverged[name]}" for name in cfg.estimators
+                           if name in report.nonconverged)
+        print(f"# fits not converged, still scored in bias and rmse: {counts}", file=sys.stderr)
+    if report.coverage_skipped:
+        print(f"# coverage skipped {report.coverage_skipped} non-converged gmm1 fits",
+              file=sys.stderr)
     return EXIT_OK
 
 

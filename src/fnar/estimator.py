@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _SV_FLOOR = 1e-10
+_UNIT_BLOCK = 512  # units whose A(W y) a design forms at once, which bounds its temporaries
 ESTIMATORS = ("gmm1", "gmm2", "2sls")  # block-weight GMM, identity-weight GMM, 2SLS
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -181,13 +182,15 @@ class _Design:
     weight matrix, so fits on one spec that differ only in it share a design.
 
     The aggregates are summed one moment point at a time, so one point's
-    regressor rows exist at a time. The instrument rows of every (point,
-    period, unit) are kept only to sum ``s_z``, one sequential sum over all
-    of them. Afterwards the design keeps the outcome differences at the
-    moment points (``dy``) and the factors of the rows: the differenced
-    instruments, the basis at the moment points, the differenced aggregated
-    outcomes at the grid nodes the stencil reads and the covariate
-    differences. ``rows`` rebuilds one point's rows from them, bit for bit.
+    instrument and regressor rows exist at a time. The instrument rows of
+    every (point, period, unit) are built only to sum ``s_z``, one sequential
+    sum over all of them, and freed before those per-point sums. A(W y) is
+    formed ``_UNIT_BLOCK`` units at a time. Afterwards the design keeps the
+    outcome differences at the moment points (``dy``) and the factors of the
+    rows: the differenced instruments, the basis at the moment points, the
+    differenced aggregated outcomes at the grid nodes the stencil reads and
+    the covariate differences. ``rows`` rebuilds one point's rows from them,
+    bit for bit.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite aggregates raise below
@@ -210,28 +213,46 @@ class _Design:
         self.n_obs = n * (T - 1)
 
         self._phi = spec.basis.eval_many(points)  # (L, K)
+        norm = 1.0 / self.n_obs
+        # s_z is one sequential sum over (point, obs), which fixes its bits; per-point
+        # partial sums would change them, so the instrument rows of every point are
+        # built for it alone, first, and freed before the loop below rebuilds them
+        # point by point
+        zf = np.empty((L, self.n_obs, self.d_z))
+        np.einsum("m,lk->lmk", self._db.reshape(-1), self._phi, out=zf.reshape(L, -1, K))
+        self.s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
+        del zf
+
         self._g0, self._lam = interp_nodes(panel.quad, points)
         # differences at the nodes the stencil reads; g0 and g0 + 1 are adjacent
         # columns there, and column self._col[l] holds node g0[l]
         nodes = np.unique(np.concatenate([self._g0, self._g0 + 1]))
         self._col = np.searchsorted(nodes, self._g0)
-        ay_nodes = spec.operator.apply_grid(network_lag(spec.weights, panel.y))[:, :, nodes]
-        self._d_ay = _period_differences(ay_nodes)  # (T-1, n, nodes)
+        self._d_ay = np.empty((T - 1, n, nodes.size))
+        # A(W y) a block of units at a time: each row of W y is its own sum, and the
+        # operator's (units, T, G) @ (G, G) product runs one GEMM per unit, so the
+        # blocks give the bits of the whole product
+        w, flat = spec.weights.w, panel.y.reshape(n, -1)
+        for start in range(0, n, _UNIT_BLOCK):
+            stop = min(start + _UNIT_BLOCK, n)
+            lag = (w if stop - start == n else w[start:stop]) @ flat
+            ay = spec.operator.apply_grid(lag.reshape(stop - start, T, -1))
+            self._d_ay[:, start:stop] = _period_differences(ay[:, :, nodes])
+        del lag, ay
         self._d_x = _period_differences(panel.x)  # (T-1, n, d_x)
         self.dy = self._at_points(_period_differences(panel.y[:, :, nodes]))  # (L, T-1, n)
 
-        norm = 1.0 / self.n_obs
-        dz = np.empty((L, T - 1, n, self.d_z))
-        dh = np.empty((T - 1, n, self.d_theta))  # point l's regressor rows
+        dz = np.empty((T - 1, n, self.d_z))  # point l's instrument rows
+        dh = np.empty((T - 1, n, self.d_theta))  # and its regressor rows
         units = np.empty((n, T - 1, 1 + self.d_theta))
         self.per_point = agg = _Aggregates(
             a=np.empty((L, self.d_z)), A=np.empty((L, self.d_z, self.d_theta)),
             c=np.empty((L, self.M)), b=np.empty((L, self.M, self.d_theta)),
             C=np.empty((L, self.M, self.d_theta, self.d_theta)))
         for l in range(L):
-            self.rows(l, out=(dz[l], dh))
+            self.rows(l, out=(dz, dh))
             # each entry of a and A is one sequential sum over point l's (t, n) rows
-            zf = dz[l].reshape(self.n_obs, self.d_z)
+            zf = dz.reshape(self.n_obs, self.d_z)
             agg.a[l] = norm * np.einsum("nz,n->z", zf, self.dy[l].reshape(self.n_obs))
             agg.A[l] = norm * np.einsum("nz,nt->zt", zf, dh.reshape(self.n_obs, self.d_theta))
             # point l's outcome and regressor rows of every period side by side, unit-major:
@@ -247,10 +268,6 @@ class _Design:
                 agg.b[l, m] = norm * np.einsum("tnk,tn->k", dh, py)
                 agg.C[l, m] = norm * np.einsum("tnk,tnj->kj", dh, ph)
                 del prod, py, ph  # freed before the next product: a lower peak
-        # s_z is one sequential sum over (point, obs), which fixes its bits; per-point
-        # partial sums would change them, so every point's instrument rows are kept
-        zf = dz.reshape(L, self.n_obs, self.d_z)
-        self.s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
         self.mean = _Aggregates(*(part.mean(axis=0) for part in self.per_point))
         if not all(np.isfinite(part).all() for part in (self.s_z, *self.per_point, *self.mean)):
             raise NumericalFailureError("moment aggregates are not finite (overflow in the "

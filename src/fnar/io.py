@@ -12,11 +12,19 @@ row-by-row scan of the same bytes with Python's ``int`` and ``float`` run: it
 names the first bad line, or reads what only Python accepts (``1_000``) and a
 table with a wider id, ids as int64.
 Blank and whitespace-only lines are skipped, quoted fields are accepted and
-columns after the ones a table needs are ignored. The panel reader sorts
-observation rows only if they are out of (unit, period, s) order, and copies
-a cell whose points are exactly the grid's, since ``np.interp`` at its own
-points returns their values bit for bit; it interpolates the other cells. A
-writer writes each value as its shortest round-trip text, byte for byte what
+columns after the ones a table needs are ignored. The panel reader streams a
+regular file whose observation rows run in (unit, period) order with each
+cell's points exactly the grid's, as ``write_panel`` writes them: it parses
+whole cells about ``_PANEL_BLOCK`` rows at a time and writes their values
+into one array sized by the line count, keeping no row's ids or points. At
+the first block that parses badly, breaks a rule or leaves that order, it
+reads the table again from its start as a whole, which is the only path for
+a pipe or any other table. That path sorts observation rows only if they are
+out of (unit, period, s) order, and copies a cell whose points are exactly
+the grid's, since ``np.interp`` at its own points returns their values bit
+for bit; it interpolates the other cells.
+
+A writer writes each value as its shortest round-trip text, byte for byte what
 ``repr`` writes, with the ``\\r\\n`` line ends of ``csv.writer``. A block of
 values at a time goes through a vectorised shortest-digit kernel (Schubfach,
 in numpy uint64) and a table of text layouts; the block's rows are assembled
@@ -33,6 +41,7 @@ import shutil
 import stat
 import tempfile
 import warnings
+from contextlib import contextmanager
 from io import TextIOWrapper
 
 import numpy as np
@@ -49,6 +58,7 @@ __all__ = ["write_table", "write_panel", "read_panel", "read_function",
 
 _BLOCK = 8192  # values formatted at once, which bounds a write's temporaries
 _COUNT_CHUNK = 1 << 16  # bytes per read of the line count, which bounds its temporaries
+_PANEL_BLOCK = 1 << 14  # observation rows an in-order panel read parses at once
 # Largest unit count an edge list read without n may imply. The count is one
 # more than the largest id, and the matrix's row pointer alone takes 8 bytes
 # a unit, so a stray large id would otherwise allocate without bound.
@@ -116,27 +126,83 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     Every ``y`` and covariate must be finite; a bad row raises ``SchemaError``
     naming its line.
     """
-    obs = _read(obs_path, _observation_columns, _observation_error)
-    if obs.size == 0:
-        raise SchemaError("observation table is empty", path=str(obs_path))
+    quad = build_quadrature(grid_count)
+    with _opened(obs_path) as (fh, lines):
+        y = None if lines is None else _in_order_values(fh, obs_path, lines, quad)
+        if y is None:  # the whole table's records, from its first line
+            fh.seek(0)
+            obs = _parse(fh, obs_path, _observation_columns, _observation_error, False, lines)
+            if obs.size == 0:
+                raise SchemaError("observation table is empty", path=str(obs_path))
     cov = _read(cov_path, _covariate_columns, _non_finite)
+    if y is None:
+        y, last_row = _gridded_values(obs, cov, quad, obs_path, cov_path)
+    else:  # every cell has observations
+        last_row = _last_rows(cov, *y.shape[:2], np.ones(y.shape[0] * y.shape[1], bool),
+                              obs_path, cov_path)
+    names = cov.dtype.names[2:]
+    x = np.column_stack([cov[name][last_row] for name in names])
+    return FunctionalPanel(y=y, x=x.reshape(*y.shape[:2], len(names)), quad=quad)
+
+
+def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
+    """The (n, T, G) values of the observation table open as ``fh``, at its
+    start, with ``lines`` line ends, if its rows run in (unit, period) order
+    and each cell's points are exactly the grid's. Else None, with ``fh``
+    anywhere: also for a malformed table, which the whole-table read names.
+
+    The rows are parsed about ``_PANEL_BLOCK`` at a time, in whole cells, and
+    their values written to one array allocated for the line count, so no
+    row's ids or points are kept.
+    """
+    dtype = np.dtype(_observation_columns(next(csv.reader(fh), []), path))
+    G = quad.count
+    block = max(_PANEL_BLOCK // G, 1) * G
+    try:
+        y = np.empty(lines)  # every row but an unended last one, and the header, ends a line
+    except MemoryError:
+        return None
+    rows, T = 0, None  # the periods of a unit, known once unit 1 starts
+    while True:
+        rec = _loadtxt(fh, dtype, range(len(dtype)), block)
+        if (rec is None or rec.size % G or rows + rec.size > lines
+                or _observation_error(rec) is not None):
+            return None
+        unit, period = rec["unit"].reshape(-1, G), rec["period"].reshape(-1, G)
+        if not (np.all(rec["s"].reshape(-1, G) == quad.points)
+                and np.all(unit == unit[:, :1]) and np.all(period == period[:, :1])):
+            return None
+        cell = np.arange(rows // G, (rows + rec.size) // G)
+        unit, period = unit[:, 0], period[:, 0]
+        if T is None and unit.any():  # 0 if unit 0 has no row: the check below fails
+            T = int(cell[(unit != 0).argmax()])
+        unit_at, period_at = np.divmod(cell, T) if T else (0, cell)
+        if not (np.all(unit == unit_at) and np.all(period == period_at)):
+            return None
+        y[rows:rows + rec.size] = rec["y"]
+        rows += rec.size
+        if rec.size < block:  # blank lines do not count towards a block
+            break
+    cells = rows // G
+    T = T or cells
+    if not cells or cells % T:
+        return None
+    return y[:rows].reshape(cells // T, T, G)
+
+
+def _gridded_values(obs, cov, quad, obs_path, cov_path):
+    """The (n, T, G) values of observation records in any order and on any
+    points, and each cell's last covariate row."""
     unit, period, s, y_obs = obs["unit"], obs["period"], obs["s"], obs["y"]
     n, T = _id_count(unit, obs_path), _id_count(period, obs_path)
-    quad = build_quadrature(grid_count)
-
     # int64 cell keys, built in place: np.bincount would copy int32 ones
     cells, key = n * T, np.multiply(unit, T, dtype=np.int64)
     key += period
-    inside = (cov["unit"] >= 0) & (cov["unit"] < n) & (cov["period"] >= 0) & (cov["period"] < T)
-    cov_key = cov["unit"][inside] * T + cov["period"][inside]
     if cells > obs.size:  # some cell has no rows; find it without per-cell arrays
-        _missing_cell(np.unique(key), np.unique(cov_key), T, obs_path, cov_path)
-    counts = np.bincount(key, minlength=cells)
-    last_row = np.full(cells, -1)
-    np.maximum.at(last_row, cov_key, np.flatnonzero(inside))
-    if not counts.all() or last_row.min() < 0:
-        _missing_cell(np.flatnonzero(counts), np.flatnonzero(last_row >= 0), T,
+        _missing_cell(np.unique(key), np.unique(_covariate_cells(cov, n, T)[0]), T,
                       obs_path, cov_path)
+    counts = np.bincount(key, minlength=cells)
+    last_row = _last_rows(cov, n, T, counts, obs_path, cov_path)
 
     # stable: points at the same s keep their file order, as interpolation sees
     # them; rows already in that order are left as they are
@@ -155,9 +221,27 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     for cell in np.flatnonzero(~on_grid).tolist():
         start, end = starts[cell], ends[cell]
         y[cell] = np.interp(quad.points, s[start:end], y_obs[start:end])
-    names = cov.dtype.names[2:]
-    x = np.column_stack([cov[name][last_row] for name in names])
-    return FunctionalPanel(y=y.reshape(n, T, -1), x=x.reshape(n, T, len(names)), quad=quad)
+    return y.reshape(n, T, -1), last_row
+
+
+def _covariate_cells(cov, n, T):
+    """The cell key, unit * T + period, of each covariate row inside the n x T
+    panel, and the index of that row."""
+    inside = (cov["unit"] >= 0) & (cov["unit"] < n) & (cov["period"] >= 0) & (cov["period"] < T)
+    return cov["unit"][inside] * T + cov["period"][inside], np.flatnonzero(inside)
+
+
+def _last_rows(cov, n, T, counts, obs_path, cov_path) -> np.ndarray:
+    """The last covariate row of each cell, unit-major, given each cell's
+    observation count; raise for the first cell without observations or
+    without covariates."""
+    key, row = _covariate_cells(cov, n, T)
+    last_row = np.full(n * T, -1)
+    np.maximum.at(last_row, key, row)
+    if not counts.all() or last_row.min() < 0:
+        _missing_cell(np.flatnonzero(counts), np.flatnonzero(last_row >= 0), T,
+                      obs_path, cov_path)
+    return last_row
 
 
 def read_function(path, quad) -> np.ndarray:
@@ -311,6 +395,25 @@ def _id_count(ids, path) -> int:
     return int(ids.max()) + 1
 
 
+@contextmanager
+def _opened(path):
+    """The table at ``path`` open as a seekable text file at its start, and
+    its line ends, counted for a regular file only. A pipe, which can be read
+    only once, is first copied to a temporary file, so that a scan reads the
+    bytes a parse read."""
+    try:
+        with open(path, newline="") as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                yield fh, _line_count(fh)
+                return
+            with tempfile.TemporaryFile() as copy, TextIOWrapper(copy, newline="") as text:
+                shutil.copyfileobj(fh.buffer, copy)
+                copy.seek(0)
+                yield text, None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise SchemaError(str(exc), path=str(path)) from exc
+
+
 def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
     """The body of a table as a structured array, one field per needed column.
 
@@ -321,19 +424,10 @@ def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
     wider id fails it; the scan reads every int column as int64. A regular
     file is parsed into records allocated once for its counted lines, or, if
     that many records cannot be allocated, as a pipe is: into records that
-    grow as rows are read. A pipe, which can be read only once, is first
-    copied to a temporary file, so that the scan reads the bytes the parse read.
+    grow as rows are read.
     """
-    try:
-        with open(path, newline="") as fh:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                return _parse(fh, path, columns, row_error, exact, _line_count(fh))
-            with tempfile.TemporaryFile() as copy, TextIOWrapper(copy, newline="") as text:
-                shutil.copyfileobj(fh.buffer, copy)
-                copy.seek(0)
-                return _parse(text, path, columns, row_error, exact, None)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise SchemaError(str(exc), path=str(path)) from exc
+    with _opened(path) as (fh, lines):
+        return _parse(fh, path, columns, row_error, exact, lines)
 
 
 def _parse(fh, path, columns, row_error, exact, lines) -> np.ndarray:

@@ -73,6 +73,7 @@ class McReport:
     per_rep_rmse: dict = field(default_factory=dict)
     coverage: dict = field(default_factory=dict)      # point -> rate
     coverage_count: int = 0
+    coverage_skipped: int = 0  # scored replications whose gmm1 fit did not converge
     failures: int = 0
     errors: list = field(default_factory=list)        # one message per failure
     nonconverged: dict = field(default_factory=dict)  # estimator -> count
@@ -177,6 +178,8 @@ def run_mc(cfg: McConfig) -> McReport:
             report.nonconverged[name] = report.nonconverged.get(name, 0) + 1
         if res["covered"] is not None:
             covered.append(res["covered"])
+        elif cfg.coverage_points:
+            report.coverage_skipped += 1
     if report.failures > 0.1 * cfg.replications:
         raise HarnessError(
             f"{report.failures} of {cfg.replications} replications failed; "

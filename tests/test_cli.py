@@ -422,6 +422,24 @@ class TestFailureReports:
         assert "10 replications, 1 failures" in err
         assert "first failure: replication 1: RuntimeError: synthetic failure" in err
 
+    def test_montecarlo_reports_non_converged_fits(self, tmp_path, monkeypatch, capsys):
+        import fnar.estimator as est
+
+        argv = ["montecarlo", "--n", 16, "--T", 3, "--moment-points", 8, "--replications", 2,
+                "--seed", 1]
+        assert run(argv) == 0
+        converged = capsys.readouterr()
+        assert "not converged" not in converged.err
+        monkeypatch.setattr(est, "_MAX_ITER", 1)
+        assert run(argv) == 0
+        capped = capsys.readouterr()
+        assert capped.err.splitlines()[1:] == [
+            "# fits not converged, still scored in bias and rmse: gmm1 2, gmm2 2"]
+        # the table keeps its layout; only its values move with the capped fits
+        table = [line.split(",")[:7] for line in capped.out.splitlines()]
+        assert table == [line.split(",")[:7] for line in converged.out.splitlines()]
+        assert len(table) == 7
+
     def test_estimate_warns_when_not_converged(self, sim_dir, tmp_path, monkeypatch,
                                                capsys):
         import fnar.cli as cli

@@ -20,6 +20,7 @@ from fnar.errors import (
     UnderidentifiedError,
 )
 from fnar.estimator import (
+    _UNIT_BLOCK,
     GmmFit,
     MomentSpec,
     _Design,
@@ -729,6 +730,15 @@ class TestFactoredDesign:
         self._check(panel, spec, [np.linspace(-0.5, 0.5, 2 * spec.basis.size)])
 
     @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
+    def test_several_unit_blocks(self, operator_kind):
+        # A(W y) is formed a block of units at a time: two whole blocks and a part
+        n = 1100
+        assert 2 * _UNIT_BLOCK < n < 3 * _UNIT_BLOCK
+        panel, spec = _paper_cell_spec(48, n=n)
+        spec = replace(spec, operator=small_operator(operator_kind, panel.quad))
+        self._check(panel, spec, [np.linspace(-0.5, 0.5, 2 * spec.basis.size)])
+
+    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
     def test_fixed_effects_equal_formula(self, operator_kind):
         # the fit takes period means first; the formula averages the (n, T, G) residuals
         panel, spec = _paper_cell_spec(46)
@@ -757,7 +767,9 @@ class TestFactoredDesign:
         # and held 44.5 MB; the factored one peaked near 53 MB and held 16.2 MB
         # while it kept A(W y) on the full grid, and peaked at 40.9 MB and held
         # 3.5 MB without it; summed one moment point at a time, so that one
-        # point's regressor rows exist at a time, it peaks at 29.9 MB
+        # point's regressor rows exist at a time, it peaked at 29.9 MB; with
+        # every point's instrument rows freed once s_z is summed, and A(W y)
+        # formed a block of units at a time, it peaks at about 18.8 MB
         panel, spec = _paper_cell_spec(13, n=3200)
         tracemalloc.start()
         try:
@@ -766,7 +778,7 @@ class TestFactoredDesign:
         finally:
             tracemalloc.stop()
         assert fit.converged
-        assert peak < 40e6
+        assert peak < 22e6
         assert held < 5e6
 
 

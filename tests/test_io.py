@@ -627,10 +627,11 @@ class TestReaderRules:
 class TestPanelShortcuts:
     """Rows already in order are not sorted, and cells at the grid points are
     copied, not interpolated; both must give what sorting and ``np.interp`` give.
-    Such a panel is read in under 40 bytes a row."""
+    Such a panel is read in under 20 bytes a row."""
 
-    def test_in_order_panel_read_in_under_40_bytes_a_row(self, tmp_path):
-        # 24-byte records, then the values; the int64 cell keys are gone by then
+    def test_in_order_panel_read_in_under_20_bytes_a_row(self, tmp_path):
+        # 8-byte values and one block's records: 16.2 bytes a row here, 9.6 at
+        # n=1600; the whole table's 24-byte records took 36.7 and 35.6
         rng = np.random.default_rng(21)
         quad = build_quadrature(99)
         panel = FunctionalPanel(y=rng.normal(size=(224, 5, quad.count)),
@@ -645,7 +646,7 @@ class TestPanelShortcuts:
             tracemalloc.stop()
         same_panel(read, panel)
         rows = panel.y.size  # 110,880
-        assert peak < 40 * rows, peak / rows
+        assert peak < 20 * rows, peak / rows
 
     @pytest.mark.parametrize("count", [2, 9, 99])
     def test_interp_at_its_own_points_returns_values_bitwise(self, count):
@@ -668,6 +669,133 @@ class TestPanelShortcuts:
         same_panel(io.read_panel(reversed_obs, cov), panel)
         same_panel(csv_oracle._build_panel(SimpleNamespace(
             observations=reversed_obs, covariates=cov, grid_count=99)), panel)
+
+
+class TestStreamedPanel:
+    """A regular file whose observation rows run in (unit, period) order, each
+    cell on the grid's points, is parsed a block of cells at a time into its
+    values. Any other table, met at any block, is read again as a whole; either
+    way the panel, or the error, is the whole-table read's."""
+
+    @staticmethod
+    def tables(tmp_path, n=7, T=3, grid_count=9, seed=5):
+        """The observation rows (with their line ends) and covariate file of a
+        random panel as ``write_panel`` writes them."""
+        rng = np.random.default_rng(seed)
+        quad = build_quadrature(grid_count)
+        panel = FunctionalPanel(y=rng.normal(size=(n, T, grid_count)),
+                                x=rng.normal(size=(n, T, 2)), quad=quad)
+        obs, cov = tmp_path / "obs.csv", tmp_path / "cov.csv"
+        io.write_panel(panel, obs, cov)
+        return obs.read_bytes().decode().splitlines(keepends=True), cov
+
+    @staticmethod
+    def reads(monkeypatch, obs, cov, grid_count=9):
+        """The panel read as it is, whether the stream gave it, and the panel
+        read as a whole table; a read that raises gives its message."""
+        def read():
+            try:
+                return io.read_panel(obs, cov, grid_count)
+            except SchemaError as exc:
+                return str(exc)
+
+        streamed, stream = [], io._in_order_values
+        monkeypatch.setattr(io, "_in_order_values",
+                            lambda *args: streamed.append(stream(*args)) or streamed[-1])
+        panel = read()
+        monkeypatch.setattr(io, "_in_order_values", lambda *args: None)
+        whole = read()
+        monkeypatch.setattr(io, "_in_order_values", stream)
+        return panel, streamed[0] is not None, whole
+
+    @pytest.mark.parametrize("block", [1, 20, 100, 1 << 14])
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    def test_blocks_line_ends_and_blank_lines(self, tmp_path, monkeypatch, block, line_end):
+        # 189 rows: blocks of 1, 2, 11 cells and one block, so the last block is
+        # short or the only one, and blank lines that do not count towards a block
+        monkeypatch.setattr(io, "_PANEL_BLOCK", block)
+        lines, cov = self.tables(tmp_path)
+        lines = [line.replace("\r\n", line_end) for line in lines]
+        for k in (1, 19, 20, 100, len(lines)):
+            lines.insert(k, line_end)
+        obs = write(tmp_path, "in-order.csv", "".join(lines))
+        panel, streamed, whole = self.reads(monkeypatch, obs, cov)
+        assert streamed
+        same_panel(panel, whole)
+
+    @pytest.mark.parametrize("row", [1, 120, 189])
+    def test_a_row_out_of_order_or_off_the_grid_in_any_block(self, tmp_path, monkeypatch,
+                                                               row):
+        monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
+        lines, cov = self.tables(tmp_path)
+        swapped = lines[:]
+        swapped[row], swapped[row - 1 or 2] = swapped[row - 1 or 2], swapped[row]
+        off_grid = lines[:]
+        unit, period, _, y = off_grid[row].split(",")
+        off_grid[row] = f"{unit},{period},0.45,{y}"
+        in_order = io.read_panel(write(tmp_path, "in-order.csv", "".join(lines)), cov, 9)
+        for text in (swapped, off_grid):
+            panel, streamed, whole = self.reads(
+                monkeypatch, write(tmp_path, "moved.csv", "".join(text)), cov)
+            assert not streamed
+            same_panel(panel, whole)
+            # sorted back, or interpolated at the moved point
+            assert np.array_equal(panel.y, in_order.y) == (text is swapped)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "x", "1.5,extra"])
+    def test_a_bad_row_in_a_later_block_fails_at_its_line(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
+        lines, cov = self.tables(tmp_path)
+        unit, period, s, _ = lines[150].split(",")
+        lines[150] = f"{unit},{period},{s},{bad}\r\n"
+        obs = write(tmp_path, "bad.csv", "".join(lines))
+        read, streamed, whole = self.reads(monkeypatch, obs, cov)
+        if bad == "1.5,extra":  # a column after y is ignored
+            assert streamed
+            same_panel(read, whole)
+        else:  # the message
+            assert not streamed
+            assert read == whole and read.startswith(f"{obs}:151: ")
+
+    @pytest.mark.parametrize("change", ["short cell", "short unit", "gap", "unit 1 first",
+                                        "periods swapped", "row of another cell",
+                                        "whitespace line"])
+    def test_tables_out_of_step_fall_back(self, tmp_path, monkeypatch, change):
+        # 9 rows a cell, 3 cells a unit; a whitespace-only line fails the parse,
+        # so the scan skips it
+        monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
+        lines, cov = self.tables(tmp_path)
+        header, body = lines[0], lines[1:]
+        relabelled = body[:]
+        unit, _, s, y = relabelled[4].split(",")
+        relabelled[4] = f"{unit},1,{s},{y}"
+        body = {"short cell": body[:-1], "short unit": body[:-9], "gap": body[:27] + body[36:],
+                "unit 1 first": body[27:54] + body[:27] + body[54:],
+                "periods swapped": body[:9] + body[18:27] + body[9:18] + body[27:],
+                "row of another cell": relabelled,
+                "whitespace line": body[:100] + [" \t\r\n"] + body[100:]}[change]
+        read, streamed, whole = self.reads(
+            monkeypatch, write(tmp_path, "changed.csv", header + "".join(body)), cov)
+        assert not streamed
+        if isinstance(whole, str):  # the message
+            assert read == whole
+        else:
+            same_panel(read, whole)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_reads_the_whole_table_as_the_file_streams(self, tmp_path, monkeypatch,
+                                                            max_rows_given):
+        monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
+        lines, cov = self.tables(tmp_path)
+        obs = write(tmp_path, "in-order.csv", "".join(lines))
+        from_file = io.read_panel(obs, cov, 9)
+        assert max_rows_given[:11] == [18] * 11  # ten whole blocks, then the short one
+        max_rows_given.clear()
+        pipe, feed = fifo_of(tmp_path, obs)
+        from_pipe = io.read_panel(pipe, cov, 9)
+        feed.join()
+        same_panel(from_pipe, from_file)
+        assert max_rows_given[0] is None
 
 
 # -- line count -------------------------------------------------------------

@@ -167,8 +167,8 @@ class TestRun:
         serial = run_mc(paper_cell(replications=6, base_seed=21))
         parallel = run_mc(paper_cell(replications=6, base_seed=21, workers=2))
         assert serial.coverage_count > 0
-        for name in ("bias", "rmse", "coverage", "coverage_count", "failures", "errors",
-                     "nonconverged"):
+        for name in ("bias", "rmse", "coverage", "coverage_count", "coverage_skipped",
+                     "failures", "errors", "nonconverged"):
             assert getattr(serial, name) == getattr(parallel, name), name
         for name in ("per_rep_err", "per_rep_rmse"):
             got, want = getattr(parallel, name), getattr(serial, name)
@@ -188,7 +188,17 @@ class TestRun:
     def test_coverage_tracking(self):
         rep = run_mc(tiny_cfg(estimators=("gmm1",), coverage_points=(0.5,)))
         assert rep.coverage_count == 4
+        assert rep.coverage_skipped == 0
         assert 0.0 <= rep.coverage[0.5] <= 1.0
+
+    def test_coverage_skips_non_converged_gmm1_fits_and_counts_them(self, monkeypatch):
+        import fnar.estimator as est
+
+        monkeypatch.setattr(est, "_MAX_ITER", 1)
+        rep = run_mc(tiny_cfg(coverage_points=(0.5,)))
+        assert rep.nonconverged == {"gmm1": 4}
+        assert (rep.coverage_count, rep.coverage_skipped, rep.coverage) == (0, 4, {})
+        assert rep.per_rep_err[("gmm1", "alpha")].size == 4  # still scored
 
     def test_failures_counted_and_capped(self, monkeypatch):
         original = mc._draw_mc_panel
