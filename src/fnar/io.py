@@ -3,26 +3,25 @@ writer per table, both vectorised. This module alone knows a table's layout
 and rules.
 
 A reader checks the header with ``csv``, then parses the body in one
-``np.loadtxt`` call, which stores observation ids in 32 bits. A regular file's
-line ends are counted first, so that call allocates its records once, at
-their final size, rather than growing and copying them; a pipe, which can be
-read only once, is copied to a temporary file and parsed without the count.
-Only if the parse fails, or a row breaks a rule of the table, does a
-row-by-row scan of the same bytes with Python's ``int`` and ``float`` run: it
-names the first bad line, or reads what only Python accepts (``1_000``) and a
-table with a wider id, ids as int64.
+``np.loadtxt`` call, which stores observation ids in 32 bits. A pipe, which
+can be read only once, is first copied to a temporary file and then read as a
+file is. The line ends are counted first, so that call allocates its records
+once, at their final size, rather than growing and copying them. A
+whitespace-only line fails that parse, so a failed parse runs once more
+without such lines. Only if that fails too, or a row breaks a rule of the
+table, does a row-by-row scan of the same bytes with Python's ``int`` and
+``float`` run: it names the first bad line, or reads what only Python accepts
+(``1_000``) and a table with a wider id, ids as int64.
 Blank and whitespace-only lines are skipped, quoted fields are accepted and
-columns after the ones a table needs are ignored. The panel reader streams a
-regular file whose observation rows run in (unit, period) order with each
-cell's points exactly the grid's, as ``write_panel`` writes them: it parses
-whole cells about ``_PANEL_BLOCK`` rows at a time and writes their values
-into one array sized by the line count, keeping no row's ids or points. At
-the first block that parses badly, breaks a rule or leaves that order, it
-reads the table again from its start as a whole, which is the only path for
-a pipe or any other table. That path sorts observation rows only if they are
-out of (unit, period, s) order, and copies a cell whose points are exactly
-the grid's, since ``np.interp`` at its own points returns their values bit
-for bit; it interpolates the other cells.
+columns after the ones a table needs are ignored. The panel reader streams an
+observation table whose rows run in (unit, period) order with each cell's
+points exactly the grid's, as ``write_panel`` writes them: it parses whole
+cells about ``_PANEL_BLOCK`` rows at a time and writes their values into one
+array sized by the line count, keeping no row's ids or points. At the first
+block that parses badly, breaks a rule or leaves that order, it reads the
+table again from its start as a whole, which is the only path for any other
+table: it sorts the rows stably by (unit, period, s) and interpolates each
+cell onto the grid.
 
 A writer writes each value as its shortest round-trip text, byte for byte what
 ``repr`` writes, with the ``\\r\\n`` line ends of ``csv.writer``. A block of
@@ -41,7 +40,7 @@ import shutil
 import stat
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from io import TextIOWrapper
 
 import numpy as np
@@ -118,19 +117,17 @@ def read_panel(obs_path, cov_path, grid_count: int = 99):
     """Read the tables of :func:`write_panel` into a ``FunctionalPanel``.
 
     Each (unit, period)'s points, which may be irregular and come in any row
-    order, are interpolated linearly onto ``grid_count`` grid points. Rows
-    already in (unit, period, s) order are not sorted, and a cell whose points
-    are exactly the grid's has its values copied, which is what interpolation
-    at those points returns. Ids run from 0 without gaps, and each
-    (unit, period) needs observations and a covariate row (the last counts).
-    Every ``y`` and covariate must be finite; a bad row raises ``SchemaError``
-    naming its line.
+    order, are interpolated linearly onto ``grid_count`` grid points, which
+    keeps the values of points exactly the grid's, bit for bit. Ids run from 0
+    without gaps, and each (unit, period) needs observations and a covariate
+    row (the last counts). Every ``y`` and covariate must be finite; a bad row
+    raises ``SchemaError`` naming its line, and values that cannot be
+    allocated raise ``InvalidArgumentError``.
     """
     quad = build_quadrature(grid_count)
     with _opened(obs_path) as (fh, lines):
-        y = None if lines is None else _in_order_values(fh, obs_path, lines, quad)
+        y = _in_order_values(fh, obs_path, lines, quad)
         if y is None:  # the whole table's records, from its first line
-            fh.seek(0)
             obs = _parse(fh, obs_path, _observation_columns, _observation_error, False, lines)
             if obs.size == 0:
                 raise SchemaError("observation table is empty", path=str(obs_path))
@@ -155,8 +152,10 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     their values written to one array allocated for the line count, so no
     row's ids or points are kept.
     """
-    dtype = np.dtype(_observation_columns(next(csv.reader(fh), []), path))
+    dtype = np.dtype(_observation_columns(_header(fh), path))
     G = quad.count
+    if G > lines:  # at most ``lines`` rows, as below: not one whole cell
+        return None
     block = max(_PANEL_BLOCK // G, 1) * G
     try:
         y = np.empty(lines)  # every row but an unended last one, and the header, ends a line
@@ -204,22 +203,17 @@ def _gridded_values(obs, cov, quad, obs_path, cov_path):
     counts = np.bincount(key, minlength=cells)
     last_row = _last_rows(cov, n, T, counts, obs_path, cov_path)
 
-    # stable: points at the same s keep their file order, as interpolation sees
-    # them; rows already in that order are left as they are
-    if not np.all((key[1:] > key[:-1]) | ((key[1:] == key[:-1]) & (s[1:] >= s[:-1]))):
-        order = np.lexsort((s, period, unit))
-        s, y_obs = s[order], y_obs[order]
-    del key  # before the (cells, G) values
-    y = np.empty((cells, quad.count))
-    on_grid = np.zeros(cells, dtype=bool)
-    if np.all(counts == quad.count):
-        # np.interp at its own points returns their values bit for bit
-        on_grid = np.all(s.reshape(cells, -1) == quad.points, axis=1)
-        np.copyto(y, y_obs.reshape(cells, -1), where=on_grid[:, None])
-    ends = np.cumsum(counts)
-    starts, ends = (ends - counts).tolist(), ends.tolist()
-    for cell in np.flatnonzero(~on_grid).tolist():
-        start, end = starts[cell], ends[cell]
+    # stable: points at the same s keep their file order, as interpolation sees them
+    order = np.lexsort((s, period, unit))
+    s, y_obs = s[order], y_obs[order]
+    del key, order  # before the (cells, G) values
+    try:
+        y = np.empty((cells, quad.count))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(f"grid count {quad.count} needs {cells} x {quad.count} "
+                                   "panel values, more memory than can be allocated") from exc
+    ends = np.cumsum(counts).tolist()
+    for cell, (start, end) in enumerate(zip([0] + ends, ends)):
         y[cell] = np.interp(quad.points, s[start:end], y_obs[start:end])
     return y.reshape(n, T, -1), last_row
 
@@ -398,18 +392,17 @@ def _id_count(ids, path) -> int:
 @contextmanager
 def _opened(path):
     """The table at ``path`` open as a seekable text file at its start, and
-    its line ends, counted for a regular file only. A pipe, which can be read
-    only once, is first copied to a temporary file, so that a scan reads the
-    bytes a parse read."""
+    its line ends. A pipe, which can be read only once, is first copied to a
+    temporary file, so that its line ends are counted and a scan reads the
+    bytes a parse read, as for a regular file."""
     try:
-        with open(path, newline="") as fh:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                yield fh, _line_count(fh)
-                return
-            with tempfile.TemporaryFile() as copy, TextIOWrapper(copy, newline="") as text:
+        with open(path, newline="") as fh, ExitStack() as stack:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                copy = stack.enter_context(tempfile.TemporaryFile())
                 shutil.copyfileobj(fh.buffer, copy)
                 copy.seek(0)
-                yield text, None
+                fh = stack.enter_context(TextIOWrapper(copy, newline=""))
+            yield fh, _line_count(fh)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise SchemaError(str(exc), path=str(path)) from exc
 
@@ -421,39 +414,46 @@ def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
     (name, int | float | np.int32) pairs; with ``exact`` a row must have no others.
     ``row_error(records)`` names the first row that breaks a rule of the table.
     The ``np.loadtxt`` parse stores an ``np.int32`` column in 32 bits, so a
-    wider id fails it; the scan reads every int column as int64. A regular
-    file is parsed into records allocated once for its counted lines, or, if
-    that many records cannot be allocated, as a pipe is: into records that
-    grow as rows are read.
+    wider id fails it; the scan reads every int column as int64. The body is
+    parsed into records allocated once for its counted lines, or, if that many
+    records cannot be allocated, into records that grow as rows are read. A
+    parse that fails runs again without whitespace-only lines, before the scan.
     """
     with _opened(path) as (fh, lines):
         return _parse(fh, path, columns, row_error, exact, lines)
 
 
 def _parse(fh, path, columns, row_error, exact, lines) -> np.ndarray:
-    """:func:`_read` of the open, seekable ``fh``, given its line ends, if counted."""
-    fields = columns(next(csv.reader(fh), []), path)
+    """:func:`_read` of the open, seekable ``fh``, given its line ends."""
+    fields = columns(_header(fh), path)
     dtype = np.dtype([(name, {int: np.int64, float: np.float64}.get(kind, kind))
                       for name, kind in fields])
     usecols = None if exact else range(len(fields))
+    max_rows = lines + 1  # a row takes at least one line end, bar an unended last line
     try:
-        # a row takes at least one line end, bar an unended last line
-        rec = _loadtxt(fh, dtype, usecols, None if lines is None else lines + 1)
+        rec = _loadtxt(fh, dtype, usecols, max_rows)
     except MemoryError:
-        if lines is None:
-            raise
-        fh.seek(0)
-        next(csv.reader(fh))
+        max_rows = None
+        _header(fh)
         rec = _loadtxt(fh, dtype, usecols, None)
+    if rec is None:  # np.loadtxt skips a blank line, not a whitespace-only one
+        _header(fh)
+        rec = _loadtxt((line for line in fh if not line.isspace()), dtype, usecols, max_rows)
     if rec is None or (row_error is not None and row_error(rec) is not None):
-        fh.seek(0)
         rec = _scan(path, fh, dtype, row_error, exact)
     return rec
 
 
+def _header(fh) -> list:
+    """The header row of the seekable ``fh``, read from its start; ``fh`` is
+    left at the row after it."""
+    fh.seek(0)
+    return next(csv.reader(fh), [])
+
+
 def _line_count(fh) -> int:
     """The line ends (``\\n``, ``\\r\\n`` or a lone ``\\r``, as ``np.loadtxt``
-    takes them) of the regular file open as ``fh``, which is left at its start."""
+    takes them) of the seekable file open as ``fh``, which is left at its start."""
     count, cr_end = 0, False
     while chunk := fh.buffer.read(_COUNT_CHUNK):
         data = np.frombuffer(chunk, np.uint8)
@@ -467,8 +467,8 @@ def _line_count(fh) -> int:
 
 
 def _loadtxt(fh, dtype, usecols, max_rows) -> np.ndarray | None:
-    """``np.loadtxt`` of the rest of ``fh``, at most ``max_rows`` rows; None if
-    a row does not parse."""
+    """``np.loadtxt`` of the rest of ``fh`` (a file or its lines), at most
+    ``max_rows`` rows; None if a row does not parse."""
     try:
         with warnings.catch_warnings():
             # an empty body, or a blank line under max_rows
@@ -480,15 +480,14 @@ def _loadtxt(fh, dtype, usecols, max_rows) -> np.ndarray | None:
 
 
 def _scan(path, fh, dtype, row_error, exact) -> np.ndarray:
-    """Row-by-row reading of ``path``, open as ``fh`` at its start, ints as
+    """Row-by-row reading of ``path``, open as the seekable ``fh``, ints as
     int64: raise at the first bad line, or return the records."""
     kinds = [int if dtype[name].kind == "i" else float for name in dtype.names]
     dtype = np.dtype([(name, np.int64 if kind is int else np.float64)
                       for name, kind in zip(dtype.names, kinds)])
     records = []
-    reader = csv.reader(fh)
-    next(reader, None)
-    for line, row in enumerate(reader, start=2):
+    _header(fh)
+    for line, row in enumerate(csv.reader(fh), start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:

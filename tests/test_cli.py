@@ -1,5 +1,10 @@
 import csv
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +319,31 @@ class TestEstimate:
             "error: grid count 2000000 needs a 2000000 x 2000000 operator table, "
             "more memory than can be allocated\n")
         assert read == []
+
+    @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                        reason="needs resource limits")
+    def test_grid_count_too_large_for_the_panel_values_is_data_error(self, sim_dir, tmp_path):
+        # point-eval has no table, so the count reaches read_panel, whose 200 x
+        # 4,000,000 values (6 GiB) the child's 1.5 GiB address space refuses
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+                  "from fnar.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        est = tmp_path / "est"
+        est.mkdir()
+        proc = subprocess.run([
+            sys.executable, "-c", script, "estimate",
+            "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv", "--weights", sim_dir / "weights.csv",
+            "--operator", "point-eval", "--grid-count", str(4 * 10**6), "--out", est,
+        ], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error: grid count 4000000 needs 200 x 4000000 panel values, "
+                               "more memory than can be allocated\n")
+        assert not any(est.iterdir())
 
     @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1", "0,0"])
     def test_bad_iv_exclude_is_data_error(self, sim_dir, tmp_path, capsys, value):

@@ -500,6 +500,31 @@ class TestReaderRules:
             csv_oracle._read_function_file(path, quad)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("blank", ["  \r\n", "\t\n", " \r"], ids=["crlf", "lf", "cr"])
+    def test_whitespace_only_lines_read_without_the_scan(self, tmp_path, monkeypatch, blank):
+        # such a line fails np.loadtxt; the parse runs again without it, where
+        # the scan read every row in Python
+        assert run(["simulate", "--n", 12, "--T", 3, "--seed", 2, "--out", tmp_path]) == 0
+        obs, cov, weights = (tmp_path / name
+                             for name in ("observations.csv", "covariates.csv", "weights.csv"))
+        panel, edges = io.read_panel(obs, cov), read_edge_list(weights)
+
+        def spaced(path, bad_line=None):
+            lines = path.read_bytes().decode().splitlines(keepends=True)
+            lines = lines[:1] + [blank] + lines[1:5] + [blank] + lines[5:] + [blank]
+            if bad_line is not None:  # 1-based, after the blank lines went in
+                lines[bad_line - 1] = lines[bad_line - 1].replace(",", ",x,", 1)
+            return write(tmp_path, f"spaced-{path.name}", "".join(lines))
+
+        with monkeypatch.context() as patched:
+            patched.setattr(io, "_scan", lambda *args: pytest.fail("scanned"))
+            same_panel(io.read_panel(spaced(obs), spaced(cov)), panel)
+            same_bytes(read_edge_list(spaced(weights)).w.toarray(), edges.w.toarray())
+        bad = spaced(obs, bad_line=8)
+        with pytest.raises(SchemaError) as err:
+            io.read_panel(bad, cov)
+        assert err.value.line == 8 and str(err.value).startswith(f"{bad}:8: ")
+
     def test_python_only_spellings_read_by_the_scan(self, tmp_path):
         path = write(tmp_path, "c.csv", "unit,lon,lat\n1,1_0.5,2\n０,3,4\n")
         np.testing.assert_array_equal(io.read_coords(path), [[3.0, 4.0], [10.5, 2.0]])
@@ -625,9 +650,10 @@ class TestReaderRules:
 
 
 class TestPanelShortcuts:
-    """Rows already in order are not sorted, and cells at the grid points are
-    copied, not interpolated; both must give what sorting and ``np.interp`` give.
-    Such a panel is read in under 20 bytes a row."""
+    """An in-order panel on the grid's points is streamed into its values, in
+    under 20 bytes a row; any other table is sorted and interpolated whole.
+    Both give what the row-by-row oracle gives, since ``np.interp`` at its own
+    points returns their values bit for bit."""
 
     def test_in_order_panel_read_in_under_20_bytes_a_row(self, tmp_path):
         # 8-byte values and one block's records: 16.2 bytes a row here, 9.6 at
@@ -660,22 +686,38 @@ class TestPanelShortcuts:
             for grid in grids:
                 same_bytes(np.interp(grid, grid, fp), fp)
 
-    def test_reversed_rows_give_the_same_panel(self, tmp_path):
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("table", ["reversed", "shuffled", "one-cell-off-grid"])
+    def test_any_order_or_points_match_the_oracle(self, tmp_path, table):
         assert run(["simulate", "--n", 40, "--T", 5, "--seed", 7, "--out", tmp_path]) == 0
         obs, cov = tmp_path / "observations.csv", tmp_path / "covariates.csv"
         header, *body = obs.read_text().splitlines(keepends=True)
-        reversed_obs = write(tmp_path, "reversed.csv", header + "".join(body[::-1]))
-        panel = io.read_panel(obs, cov)
-        same_panel(io.read_panel(reversed_obs, cov), panel)
-        same_panel(csv_oracle._build_panel(SimpleNamespace(
-            observations=reversed_obs, covariates=cov, grid_count=99)), panel)
+        if table == "reversed":
+            body = body[::-1]
+        elif table == "shuffled":
+            body = [body[i] for i in np.random.default_rng(3).permutation(len(body))]
+        else:  # the points of unit 3, period 2, each moved towards 0, rows in order
+            for k in range(17 * 99, 18 * 99):
+                unit, period, s, y = body[k].split(",")
+                body[k] = f"{unit},{period},{float(s) * 0.99!r},{y}"
+        changed = write(tmp_path, "changed.csv", header + "".join(body))
+        oracle = csv_oracle._build_panel(SimpleNamespace(
+            observations=changed, covariates=cov, grid_count=99))
+        same_panel(io.read_panel(changed, cov), oracle)
+        pipe, feed = fifo_of(tmp_path, changed)
+        same_panel(io.read_panel(pipe, cov), oracle)
+        feed.join()
+        # interpolated at the moved points, the one cell alone differs
+        differs = np.any(oracle.y != io.read_panel(obs, cov).y, axis=2)
+        assert np.argwhere(differs).tolist() == ([[3, 2]] if table == "one-cell-off-grid" else [])
 
 
 class TestStreamedPanel:
-    """A regular file whose observation rows run in (unit, period) order, each
-    cell on the grid's points, is parsed a block of cells at a time into its
-    values. Any other table, met at any block, is read again as a whole; either
-    way the panel, or the error, is the whole-table read's."""
+    """An observation table, from a file or a pipe, whose rows run in
+    (unit, period) order, each cell on the grid's points, is parsed a block of
+    cells at a time into its values. Any other table, met at any block, is
+    read again as a whole; either way the panel, or the error, is the
+    whole-table read's."""
 
     @staticmethod
     def tables(tmp_path, n=7, T=3, grid_count=9, seed=5):
@@ -782,20 +824,27 @@ class TestStreamedPanel:
         else:
             same_panel(read, whole)
 
+    def test_grid_count_above_the_line_count_parses_no_block(self, tmp_path, max_rows_given):
+        # no whole cell fits, so no block of 16,000 records is allocated for it
+        lines, cov = self.tables(tmp_path)
+        obs = write(tmp_path, "in-order.csv", "".join(lines))
+        assert io.read_panel(obs, cov, 1000).y.shape == (7, 3, 1000)
+        assert max(max_rows_given) == len(lines) + 1  # the whole table's read
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_reads_the_whole_table_as_the_file_streams(self, tmp_path, monkeypatch,
-                                                            max_rows_given):
+    def test_pipe_streams_as_the_file_does(self, tmp_path, monkeypatch, max_rows_given):
         monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
         lines, cov = self.tables(tmp_path)
         obs = write(tmp_path, "in-order.csv", "".join(lines))
         from_file = io.read_panel(obs, cov, 9)
-        assert max_rows_given[:11] == [18] * 11  # ten whole blocks, then the short one
+        from_file_rows = max_rows_given[:]
+        assert from_file_rows[:11] == [18] * 11  # ten whole blocks, then the short one
         max_rows_given.clear()
         pipe, feed = fifo_of(tmp_path, obs)
         from_pipe = io.read_panel(pipe, cov, 9)
         feed.join()
         same_panel(from_pipe, from_file)
-        assert max_rows_given[0] is None
+        assert max_rows_given == from_file_rows
 
 
 # -- line count -------------------------------------------------------------
@@ -845,9 +894,9 @@ def max_rows_given(monkeypatch):
 
 
 class TestLineCount:
-    """A regular file's records are allocated once, for its counted line ends;
-    the count may exceed the rows but never fall below them. A pipe, which can
-    be read only once, is parsed uncounted."""
+    """A table's records are allocated once, for its counted line ends; the
+    count may exceed the rows but never fall below them. A pipe, which can be
+    read only once, is counted in the temporary copy that is then parsed."""
 
     @FUZZ
     @given(text=line_ended_tables(), chunk=st.integers(1, 9))
@@ -913,14 +962,14 @@ class TestLineCount:
         assert str(failures[0]) == str(from_file.value).replace(str(bad), str(pipe))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_loadtxt_sized_for_a_regular_file_only(self, tmp_path, max_rows_given):
+    def test_loadtxt_sized_for_a_file_and_a_pipe(self, tmp_path, max_rows_given):
         path = write(tmp_path, "f.csv", "s,value\r\n0,1\r\n1,2\r\n")
         quad = build_quadrature(9)
         values = io.read_function(path, quad)
         pipe, feed = fifo_of(tmp_path, path)
         same_bytes(io.read_function(pipe, quad), values)
         feed.join()
-        assert max_rows_given == [4, None]
+        assert max_rows_given == [4, 4]
 
     def test_count_too_large_to_allocate_falls_back_to_growing_records(
             self, tmp_path, monkeypatch, max_rows_given):
