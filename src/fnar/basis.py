@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedBasisError, InvalidArgumentError
+from .errors import DomainError, IllConditionedBasisError, InvalidArgumentError, check_array_size
 
 __all__ = [
     "QuadratureGrid",
@@ -54,17 +54,14 @@ def build_quadrature(count: int) -> QuadratureGrid:
     ----------
     count : int
         Number of nodes G, at least 2. Nodes are l/(G+1) for l = 1..G with
-        uniform weights 1/G. A count whose grid cannot be allocated raises
-        ``InvalidArgumentError`` at once.
+        uniform weights 1/G. A count whose grid exceeds ``MAX_ARRAY_BYTES``
+        raises ``InvalidArgumentError`` before anything is allocated.
     """
     if count < 2:
         raise InvalidArgumentError(f"quadrature needs at least 2 points, got {count}")
-    try:
-        points = np.arange(1, count + 1, dtype=float) / (count + 1)
-        weights = np.full(count, 1.0 / count)
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"grid count {count} needs more memory than can be allocated") from exc
+    check_array_size(f"grid count {count} needs more memory than can be allocated", count)
+    points = np.arange(1, count + 1, dtype=float) / (count + 1)
+    weights = np.full(count, 1.0 / count)
     return QuadratureGrid(points=points, weights=weights)
 
 

@@ -53,9 +53,11 @@ EXIT_NUMERIC = 5
 # Exit code of each handled exception; the first matching row wins, so
 # NonStationaryDgpError comes before the FnarError fallback and the data
 # errors (some are ValueErrors) before JSONDecodeError (also a ValueError).
+# A MemoryError is an array within MAX_ARRAY_BYTES that the machine refused.
 _EXIT_CODES = (
     ((NonStationaryDgpError,), EXIT_MODEL),
     ((SchemaError, CannotDifferenceError, InvalidArgumentError, MissingDataError), EXIT_DATA),
+    ((MemoryError,), EXIT_DATA),
     ((NumericalFailureError, UnderidentifiedError, VarianceUnavailableError,
       IllConditionedBasisError, HarnessError, np.linalg.LinAlgError), EXIT_NUMERIC),
     ((OSError, json.JSONDecodeError), EXIT_IO),
@@ -69,9 +71,7 @@ def _build_operator(args, quad):
         return PointEval(quad)
     if args.operator == "epanechnikov":
         return KernelIntegral(quad, kernel=epanechnikov_kernel)
-    if args.operator == "past-window":
-        return PastWindow(quad, width=args.window_width)
-    raise InvalidArgumentError(f"unknown operator {args.operator!r}")
+    return PastWindow(quad, width=args.window_width)  # the one choice left
 
 
 def _build_weights(args, n_expected=None):
@@ -114,10 +114,9 @@ def cmd_estimate(args) -> int:
     out = Path(args.out)
     if not out.is_dir():
         raise FileNotFoundError(f"output directory {out} does not exist")
-    # the operator's G x G table first: a grid count it cannot take fails
-    # before the panel's values on that grid are allocated
+    # the operator's G x G table first: a grid count it cannot take fails before the panel is read
     operator = _build_operator(args, build_quadrature(args.grid_count))
-    panel = read_panel(args.observations, args.covariates, args.grid_count)
+    panel = read_panel(args.observations, args.covariates, operator.grid)
     weights = _build_weights(args, n_expected=panel.n)
     basis = build_bspline_basis(args.inner_knots, args.degree, panel.quad)
     try:
@@ -332,6 +331,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(parser, action, value):
+    """A config file's ``value`` for ``action``, as its command line would give
+    it: a JSON bool for a flag, else a string or a number that the option's
+    type reads and its choices admit."""
+    flag = action.nargs == 0  # bool is an int, so only a flag takes one
+    if isinstance(value, bool) != flag or not isinstance(value, (str, int, float)):
+        kind = "true or false" if flag else "a string or a number"
+        raise argparse.ArgumentError(action, f"expected {kind}, got {json.dumps(value)}")
+    if not flag:
+        value = parser._get_value(action, str(value))
+        parser._check_value(action, value)
+    return value
+
+
 def _apply_config(parser, argv):
     """Pre-scan for --config and install its section as subcommand defaults;
     that section may name only the running subcommand's options."""
@@ -350,14 +363,17 @@ def _apply_config(parser, argv):
         return
     if not isinstance(config[name], dict):
         raise SchemaError(f"section {name!r} must be a JSON object", path=known.config)
-    keys = {k.replace("-", "_"): v for k, v in config[name].items()}
-    unknown = sorted(set(keys) - {action.dest for action in subparser._actions} - {"help"})
-    if unknown:
-        raise SchemaError(f"unknown {name} option {unknown[0]!r}", path=known.config)
-    subparser.set_defaults(**keys)
-    for action in subparser._actions:
-        if action.dest in keys:
-            action.required = False
+    actions, defaults = {action.dest: action for action in subparser._actions}, {}
+    for key, value in config[name].items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise SchemaError(f"unknown {name} option {key!r}", path=known.config)
+        try:
+            defaults[action.dest] = _config_value(subparser, action, value)
+        except argparse.ArgumentError as exc:
+            raise SchemaError(f"{name} option {key!r}: {exc.message}", path=known.config) from None
+        action.required = False
+    subparser.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
@@ -368,7 +384,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _HANDLED as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 

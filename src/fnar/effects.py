@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import QuadratureGrid
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_array_size
 from .interaction import InteractionOperator
 from .network import NetworkWeights
 
@@ -55,17 +55,14 @@ class PropagationResult:
 def _by_order(order: int, shape: tuple) -> np.ndarray:
     """An empty (order + 1, *shape) array, one row per walk length 0..order.
 
-    It is allocated before any term is computed, so an order whose terms
-    cannot be held fails at once instead of after a long run.
+    It is checked against ``MAX_ARRAY_BYTES`` before any term is computed,
+    so an order whose terms are too large fails at once, not after a long run.
     """
     if order < 0:
         raise InvalidArgumentError(f"truncation order must be non-negative, got {order}")
-    try:
-        return np.empty((order + 1, *shape))
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"truncation order {order} needs more memory than can be allocated"
-        ) from exc
+    check_array_size(f"truncation order {order} needs more memory than can be allocated",
+                     order + 1, *shape)
+    return np.empty((order + 1, *shape))
 
 
 def _iterates(step, start: np.ndarray, order: int) -> np.ndarray:

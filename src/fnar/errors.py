@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and its one size rule."""
+
+import math
+
+# Largest single array, in bytes, that a size argument or a table's line count
+# may ask for: fixed, so that a size is refused alike on every machine and ulimit.
+MAX_ARRAY_BYTES = 2**32
 
 
 class FnarError(Exception):
@@ -7,6 +13,13 @@ class FnarError(Exception):
 
 class InvalidArgumentError(FnarError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_array_size(message: str, *shape: int, itemsize: int = 8) -> None:
+    """Raise ``InvalidArgumentError(message)`` if an array of ``shape`` and
+    ``itemsize``-byte items exceeds ``MAX_ARRAY_BYTES`` (in Python ints, which never wrap)."""
+    if math.prod(map(int, shape)) * itemsize > MAX_ARRAY_BYTES:
+        raise InvalidArgumentError(message)
 
 
 class DomainError(FnarError, ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import QuadratureGrid, interp_on_grid
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_array_size
 
 __all__ = [
     "InteractionOperator",
@@ -76,14 +76,12 @@ class PointEval(InteractionOperator):
 
 
 def _table(grid: QuadratureGrid) -> np.ndarray:
-    """An empty (G, G) operator table, allocated before any entry is computed,
-    so a grid whose table cannot be held fails at once."""
-    try:
-        return np.empty((grid.count, grid.count))
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"grid count {grid.count} needs a {grid.count} x {grid.count} operator "
-            "table, more memory than can be allocated") from exc
+    """An empty (G, G) operator table, checked against ``MAX_ARRAY_BYTES``
+    before any entry is computed."""
+    G = grid.count
+    check_array_size(f"grid count {G} needs a {G} x {G} operator table, "
+                     "more memory than can be allocated", G, G)
+    return np.empty((G, G))
 
 
 class KernelIntegral(InteractionOperator):

@@ -6,7 +6,8 @@ A reader checks the header with ``csv``, then parses the body in one
 ``np.loadtxt`` call, which stores observation ids in 32 bits. A pipe, which
 can be read only once, is first copied to a temporary file and then read as a
 file is. The line ends are counted first, so that call allocates its records
-once, at their final size, rather than growing and copying them. A
+once, at their final size, rather than growing and copying them, and a table
+is refused if they exceed ``MAX_ARRAY_BYTES``, blank lines or not. A
 whitespace-only line fails that parse, so a failed parse runs once more
 without such lines. Only if that fails too, or a row breaks a rule of the
 table, does a row-by-row scan of the same bytes with Python's ``int`` and
@@ -46,8 +47,8 @@ from io import TextIOWrapper
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import build_quadrature
-from .errors import InvalidArgumentError, MissingDataError, SchemaError
+from .basis import QuadratureGrid, build_quadrature
+from .errors import InvalidArgumentError, MissingDataError, SchemaError, check_array_size
 from .network import NetworkWeights
 from .simulate import FunctionalPanel
 
@@ -113,18 +114,18 @@ def write_panel(panel, obs_path, cov_path) -> None:
                 panel.x, [str(t) for t in range(panel.T)])
 
 
-def read_panel(obs_path, cov_path, grid_count: int = 99):
+def read_panel(obs_path, cov_path, quad: QuadratureGrid | None = None):
     """Read the tables of :func:`write_panel` into a ``FunctionalPanel``.
 
     Each (unit, period)'s points, which may be irregular and come in any row
-    order, are interpolated linearly onto ``grid_count`` grid points, which
-    keeps the values of points exactly the grid's, bit for bit. Ids run from 0
-    without gaps, and each (unit, period) needs observations and a covariate
-    row (the last counts). Every ``y`` and covariate must be finite; a bad row
-    raises ``SchemaError`` naming its line, and values that cannot be
-    allocated raise ``InvalidArgumentError``.
+    order, are interpolated linearly onto ``quad`` (the 99-point grid if None),
+    which keeps the values of points exactly the grid's, bit for bit. Ids run
+    from 0 without gaps, and each (unit, period) needs observations and a
+    covariate row (the last counts). Every ``y`` and covariate must be finite;
+    a bad row raises ``SchemaError`` naming its line, and values past
+    ``MAX_ARRAY_BYTES`` raise ``InvalidArgumentError``.
     """
-    quad = build_quadrature(grid_count)
+    quad = build_quadrature(99) if quad is None else quad
     with _opened(obs_path) as (fh, lines):
         y = _in_order_values(fh, obs_path, lines, quad)
         if y is None:  # the whole table's records, from its first line
@@ -157,10 +158,9 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     if G > lines:  # at most ``lines`` rows, as below: not one whole cell
         return None
     block = max(_PANEL_BLOCK // G, 1) * G
-    try:
-        y = np.empty(lines)  # every row but an unended last one, and the header, ends a line
-    except MemoryError:
-        return None
+    # every row but an unended last one, and the header, ends a line
+    check_array_size(f"{path}: {lines} lines need more memory than can be allocated", lines)
+    y = np.empty(lines)
     rows, T = 0, None  # the periods of a unit, known once unit 1 starts
     while True:
         rec = _loadtxt(fh, dtype, range(len(dtype)), block)
@@ -207,11 +207,9 @@ def _gridded_values(obs, cov, quad, obs_path, cov_path):
     order = np.lexsort((s, period, unit))
     s, y_obs = s[order], y_obs[order]
     del key, order  # before the (cells, G) values
-    try:
-        y = np.empty((cells, quad.count))
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(f"grid count {quad.count} needs {cells} x {quad.count} "
-                                   "panel values, more memory than can be allocated") from exc
+    check_array_size(f"grid count {quad.count} needs {cells} x {quad.count} panel values, "
+                     "more memory than can be allocated", cells, quad.count)
+    y = np.empty((cells, quad.count))
     ends = np.cumsum(counts).tolist()
     for cell, (start, end) in enumerate(zip([0] + ends, ends)):
         y[cell] = np.interp(quad.points, s[start:end], y_obs[start:end])
@@ -415,9 +413,9 @@ def _read(path, columns, row_error=None, exact=False) -> np.ndarray:
     ``row_error(records)`` names the first row that breaks a rule of the table.
     The ``np.loadtxt`` parse stores an ``np.int32`` column in 32 bits, so a
     wider id fails it; the scan reads every int column as int64. The body is
-    parsed into records allocated once for its counted lines, or, if that many
-    records cannot be allocated, into records that grow as rows are read. A
-    parse that fails runs again without whitespace-only lines, before the scan.
+    parsed into records allocated once for its counted lines, which raise
+    ``InvalidArgumentError`` if they exceed ``MAX_ARRAY_BYTES``, blank or not.
+    A parse that fails runs again without whitespace-only lines, before the scan.
     """
     with _opened(path) as (fh, lines):
         return _parse(fh, path, columns, row_error, exact, lines)
@@ -430,12 +428,9 @@ def _parse(fh, path, columns, row_error, exact, lines) -> np.ndarray:
                       for name, kind in fields])
     usecols = None if exact else range(len(fields))
     max_rows = lines + 1  # a row takes at least one line end, bar an unended last line
-    try:
-        rec = _loadtxt(fh, dtype, usecols, max_rows)
-    except MemoryError:
-        max_rows = None
-        _header(fh)
-        rec = _loadtxt(fh, dtype, usecols, None)
+    check_array_size(f"{path}: {lines} lines need more memory than can be allocated",
+                     max_rows, itemsize=dtype.itemsize)
+    rec = _loadtxt(fh, dtype, usecols, max_rows)
     if rec is None:  # np.loadtxt skips a blank line, not a whitespace-only one
         _header(fh)
         rec = _loadtxt((line for line in fh if not line.isspace()), dtype, usecols, max_rows)

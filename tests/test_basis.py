@@ -24,7 +24,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("count", [10**12, 10**30])
     def test_count_too_large_to_allocate_rejected(self, count):
-        # 7.3 TiB is refused by the allocator, 10**30 by numpy's size check
+        # 7.3 TiB and 10**30 points both exceed MAX_ARRAY_BYTES
         with pytest.raises(InvalidArgumentError,
                            match=f"grid count {count} needs more memory than can be"):
             build_quadrature(count)

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fnar import cli
+from fnar import cli, errors, io
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.cli import main
 from fnar.effects import impulse_response
@@ -74,8 +75,8 @@ class TestSimulate:
                     "more memory than can be allocated")])
     def test_grid_count_too_large_to_allocate_is_data_error(self, tmp_path, capsys, count,
                                                             message):
-        # a 7.3 TiB grid, and the 29 TiB kernel table of a 16 MB grid, are
-        # refused by the allocator at once, so nothing beyond that grid is held
+        # a 7.3 TiB grid, and the 29 TiB kernel table of a 16 MB grid, exceed
+        # MAX_ARRAY_BYTES, so nothing beyond that grid is held
         code = run(["simulate", "--n", 10, "--T", 3, "--seed", 1,
                     "--grid-count", count, "--out", tmp_path])
         assert code == 4
@@ -117,7 +118,7 @@ class TestEstimate:
             "--operator", "past-window", "--window-width", 0.3, "--out", est,
         ])
         assert code == 0
-        panel = read_panel(sim_dir / "observations.csv", sim_dir / "covariates.csv", 99)
+        panel = read_panel(sim_dir / "observations.csv", sim_dir / "covariates.csv")
         spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad),
                           operator=PastWindow(panel.quad, width=0.3),
                           weights=read_edge_list(sim_dir / "weights.csv", n=panel.n))
@@ -320,11 +321,10 @@ class TestEstimate:
             "more memory than can be allocated\n")
         assert read == []
 
-    @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
-                        reason="needs resource limits")
-    def test_grid_count_too_large_for_the_panel_values_is_data_error(self, sim_dir, tmp_path):
-        # point-eval has no table, so the count reaches read_panel, whose 200 x
-        # 4,000,000 values (6 GiB) the child's 1.5 GiB address space refuses
+    @staticmethod
+    def point_eval_in_a_small_address_space(sim_dir, tmp_path, grid_count):
+        """``fnar estimate --operator point-eval`` on the n=40 panel, run in a
+        child whose address space is limited to 1.5 GiB; the output directory."""
         script = ("import resource, sys\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
                   "from fnar.cli import main\n"
@@ -338,11 +338,30 @@ class TestEstimate:
             sys.executable, "-c", script, "estimate",
             "--observations", sim_dir / "observations.csv",
             "--covariates", sim_dir / "covariates.csv", "--weights", sim_dir / "weights.csv",
-            "--operator", "point-eval", "--grid-count", str(4 * 10**6), "--out", est,
+            "--operator", "point-eval", "--grid-count", str(grid_count), "--out", est,
         ], capture_output=True, text=True, env=env, timeout=300)
+        return proc, est
+
+    @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                        reason="needs resource limits")
+    def test_grid_count_too_large_for_the_panel_values_is_data_error(self, sim_dir, tmp_path):
+        # point-eval has no table, so the count reaches read_panel, whose 200 x
+        # 4,000,000 values (6 GiB) exceed MAX_ARRAY_BYTES
+        proc, est = self.point_eval_in_a_small_address_space(sim_dir, tmp_path, 4 * 10**6)
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr == ("error: grid count 4000000 needs 200 x 4000000 panel values, "
                                "more memory than can be allocated\n")
+        assert not any(est.iterdir())
+
+    @pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                        reason="needs resource limits")
+    def test_panel_values_the_address_space_refuses_are_data_error(self, sim_dir, tmp_path):
+        # 200 x 2,000,000 values (3.2 GB) pass MAX_ARRAY_BYTES, and the child's
+        # 1.5 GiB address space refuses them: a MemoryError, exit 4 and one line
+        proc, est = self.point_eval_in_a_small_address_space(sim_dir, tmp_path, 2 * 10**6)
+        assert proc.returncode == 4, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Traceback" not in proc.stderr
         assert not any(est.iterdir())
 
     @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1", "0,0"])
@@ -641,7 +660,7 @@ class TestEffects:
     @pytest.mark.parametrize("effect", ["impulse", "marginal", "keyplayer"])
     def test_order_too_large_to_allocate_is_data_error(self, star_files, tmp_path, capsys,
                                                        effect):
-        # 10**12 orders of 33 grid values are refused outright as 240 TiB
+        # 10**12 orders of 33 grid values, 240 TiB, exceed MAX_ARRAY_BYTES
         wfile, alpha, shock = star_files
         inputs = {"marginal": ["--beta-file", alpha]}.get(effect, ["--shock-file", shock])
         out = tmp_path / "eff"
@@ -745,6 +764,13 @@ class TestEffects:
         assert len(err) == 1 and err[0].startswith("error:") and "123456789012" in err[0]
 
 
+# config sections that name the files of the simulated panel, relative to its directory
+_PANEL_FILES = {"observations": "observations.csv", "covariates": "covariates.csv",
+                "weights": "weights.csv"}
+_FUNCTION_FILES = {"alpha_file": "truth_functions.csv", "shock_file": "truth_functions.csv",
+                   "weights": "weights.csv"}
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -768,15 +794,45 @@ class TestConfigFile:
         ([{"simulate": {"n": 12}}], "config must be a JSON object of subcommand sections"),
         ({"simulate": 3}, "section 'simulate' must be a JSON object"),
         ({"simulate": {"n": 12, "seeed": 4}}, "unknown simulate option 'seeed'"),
+        # values of the wrong kind, in sections that are otherwise complete
+        ({"simulate": {"n": 12, "T": 3, "grid_count": 99.5}},
+         "simulate option 'grid_count': invalid int value: '99.5'"),
+        ({"simulate": {"n": 12, "T": 3, "grid_count": None}},
+         "simulate option 'grid_count': expected a string or a number, got null"),
+        ({"simulate": {"n": 12.7, "T": 3}}, "simulate option 'n': invalid int value: '12.7'"),
+        ({"simulate": {"n": 12, "T": True}},
+         "simulate option 'T': expected a string or a number, got true"),
+        ({"estimate": {**_PANEL_FILES, "moment_points": 10.5}},
+         "estimate option 'moment_points': invalid int value: '10.5'"),
+        ({"estimate": {**_PANEL_FILES, "binary_weights": 1}},
+         "estimate option 'binary_weights': expected true or false, got 1"),
+        ({"effects": {**_FUNCTION_FILES, "orders": 2.5}},
+         "effects option 'orders': invalid int value: '2.5'"),
     ])
-    def test_malformed_config_is_schema_error(self, tmp_path, capsys, config, message):
+    def test_malformed_config_is_schema_error(self, request, tmp_path, monkeypatch, capsys,
+                                              config, message):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
-        code = run(["--config", cfg, "simulate", "--T", 3, "--seed", 4, "--out", tmp_path])
+        out = tmp_path / "out"
+        out.mkdir()
+        command = next(iter(config)) if isinstance(config, dict) else "simulate"
+        if command != "simulate":  # the config names the files of the simulated panel
+            monkeypatch.chdir(request.getfixturevalue("sim_dir"))
+        argv = {"simulate": ["simulate", "--seed", 4], "estimate": ["estimate"],
+                "effects": ["effects", "impulse"]}[command]
+        code = run(["--config", cfg, *argv, "--out", out])
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {cfg}: {message}"]
-        assert not (tmp_path / "observations.csv").exists()
+        assert not any(out.iterdir())
+
+    def test_config_value_outside_its_choices_is_schema_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"estimate": {"estimator": "gmm3"}}))
+        assert run(["--config", cfg, "estimate", "--out", tmp_path]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: {cfg}: estimate option 'estimator': invalid choice: 'gmm3'")
 
     def test_misspelt_estimate_key_is_schema_error(self, sim_dir, tmp_path, capsys):
         # the misspelt key would otherwise run gmm1 in place of gmm2 and exit 0
@@ -798,3 +854,89 @@ class TestConfigFile:
         code = run(["--config", cfg, "simulate", "--n", 12, "--T", 3, "--seed", 4,
                     "--grid-count", 33, "--out", tmp_path])
         assert code == 0
+
+
+def _peak_traced(call):
+    """``call()`` and the peak bytes Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_PANEL_ARGS = ["--observations", "observations.csv", "--covariates", "covariates.csv",
+               "--weights", "weights.csv"]
+
+
+def _effects(effect, *flags):
+    """``fnar effects`` of the simulated panel's truth; a later flag wins."""
+    given = "--beta-file" if effect == "marginal" else "--shock-file"
+    return ["effects", effect, "--alpha-file", "truth_functions.csv", given,
+            "truth_functions.csv", "--weights", "weights.csv", *flags]
+
+
+class TestSizeRule:
+    """Every size argument, and a table's line count, is checked against
+    MAX_ARRAY_BYTES before anything is allocated: a refused size exits 4 with
+    one error line, writes nothing and allocates little. Each run but the last
+    lowers the limit to 1 MiB, so that its refused sizes are small."""
+
+    @pytest.fixture()
+    def small(self, tmp_path, monkeypatch):
+        """An n=12, T=3 simulated panel, its tables with blank lines appended
+        and an empty output directory, all in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--n", 12, "--T", 3, "--seed", 4, "--out", tmp_path]) == 0
+        blank = {"observations.csv": 140_000, "truth_functions.csv": 70_000}
+        for name, count in blank.items():
+            Path(f"blank-{name}").write_bytes(Path(name).read_bytes() + b"\n" * count)
+        Path("out").mkdir()
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 2**20)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", 12, "--T", 3, "--seed", 4, "--grid-count", 2**17 + 1],
+         "grid count 131073 needs more memory than can be allocated"),
+        (["estimate", *_PANEL_ARGS, "--operator", "point-eval", "--grid-count", 4000],
+         "grid count 4000 needs 36 x 4000 panel values, more memory than can be allocated"),
+        (_effects("impulse", "--grid-count", 363),
+         "grid count 363 needs a 363 x 363 operator table, more memory than can be allocated"),
+        *[(_effects(effect, "--grid-count", 33, "--orders", 4000),
+           "truncation order 4000 needs more memory than can be allocated")
+          for effect in ("impulse", "marginal", "keyplayer")],
+        # counted lines, though all but the first few are blank
+        (["estimate", *_PANEL_ARGS, "--observations", "blank-observations.csv"],
+         "blank-observations.csv: 143565 lines need more memory than can be allocated"),
+        (_effects("keyplayer", "--alpha-file", "blank-truth_functions.csv"),
+         "blank-truth_functions.csv: 70100 lines need more memory than can be allocated"),
+    ])
+    def test_refused_size_allocates_nothing(self, small, capsys, argv, message):
+        out = "out/impacts.csv" if "keyplayer" in argv else "out"
+        code, peak = _peak_traced(lambda: run([*argv, "--out", out]))
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(Path("out").iterdir())
+        assert peak < 2**20
+
+    def test_point_eval_panel_values_past_the_limit_allocate_one_grid(
+            self, sim_dir, tmp_path, capsys, monkeypatch):
+        # 200 x 5,000,000 panel values are 7.45 GiB, which an overcommitting
+        # allocator grants and then fills; only the one grid of 5,000,000
+        # points and weights (80 MB) is allocated, with the n=40 table's records
+        grids = []
+        for module in (cli, io):
+            monkeypatch.setattr(module, "build_quadrature",
+                                lambda count: grids.append(count) or build_quadrature(count))
+        est = tmp_path / "est"
+        est.mkdir()
+        code, peak = _peak_traced(lambda: run([
+            "estimate", "--observations", sim_dir / "observations.csv",
+            "--covariates", sim_dir / "covariates.csv", "--weights", sim_dir / "weights.csv",
+            "--operator", "point-eval", "--grid-count", 5 * 10**6, "--out", est]))
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: grid count 5000000 needs 200 x 5000000 panel values, "
+            "more memory than can be allocated\n")
+        assert not any(est.iterdir())
+        assert grids == [5 * 10**6]
+        assert peak < 2 * 8 * 5 * 10**6 + 2**23

@@ -322,8 +322,7 @@ class TestOrderAllocation:
             assert np.array_equal(marginal_effects(*src, 7, h, order).per_order, per_order)
             assert np.array_equal(total_impacts(*src, h, order), impacts)
 
-    # 10**12 + 1 rows of 99 grid values are 720 TiB, an allocation the OS
-    # refuses outright; a smaller huge order could be granted and filled
+    # 10**12 + 1 rows of 99 grid values, 720 TiB, exceed MAX_ARRAY_BYTES
     @pytest.mark.parametrize("effect", sorted(EFFECTS))
     def test_order_too_large_to_allocate_rejected(self, quad99, epa_op, effect):
         src = truth_source(5, quad99, epa_op)

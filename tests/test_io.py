@@ -413,7 +413,7 @@ class TestReaderFuzz:
                 short = first_short_row(cov, len(texts[1].splitlines()[0].split(",")))
         except SchemaError:
             pass
-        check_against_oracle(lambda: io.read_panel(obs, cov, 9),
+        check_against_oracle(lambda: io.read_panel(obs, cov, build_quadrature(9)),
                              lambda: csv_oracle._build_panel(oracle_args), same_panel, short)
 
     @FUZZ
@@ -430,7 +430,7 @@ class TestReaderFuzz:
         cov_path = write(tmp_path, "cov.csv", data.draw(tables("unit,period,x1", cov, True)))
         oracle_args = SimpleNamespace(observations=blank_rows_emptied(obs_path),
                                       covariates=blank_rows_emptied(cov_path), grid_count=9)
-        check_against_oracle(lambda: io.read_panel(obs_path, cov_path, 9),
+        check_against_oracle(lambda: io.read_panel(obs_path, cov_path, build_quadrature(9)),
                              lambda: csv_oracle._build_panel(oracle_args), same_panel)
 
     @FUZZ
@@ -579,7 +579,7 @@ class TestReaderRules:
         tracemalloc.start()
         try:
             with pytest.raises(SchemaError) as err:
-                io.read_panel(obs, cov, 9)
+                io.read_panel(obs, cov, build_quadrature(9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -587,7 +587,7 @@ class TestReaderRules:
         assert peak < 4 * 2**20, peak
         cov.write_text("unit,period,x1\n" + "".join(f"{i},{t},1.0\n" for i, t in cells))
         with pytest.raises(SchemaError) as err:
-            io.read_panel(obs, cov, 9)
+            io.read_panel(obs, cov, build_quadrature(9))
         assert str(err.value) == f"{obs}: no observations for unit 1, period 1"
 
     @pytest.mark.parametrize("column", ["unit", "period"])
@@ -603,12 +603,12 @@ class TestReaderRules:
         obs = write(tmp_path, "obs.csv", f"unit,period,s,y\n0,0,0.5,1\n{row},0.5,1\n")
         cov = write(tmp_path, "cov.csv", "unit,period,x1\n0,0,1.0\n")
         with pytest.raises(SchemaError) as err:
-            io.read_panel(obs, cov, 9)
+            io.read_panel(obs, cov, build_quadrature(9))
         assert str(err.value) == f"{obs}: unit and period ids must be contiguous from 0"
         assert err.value.line is None and scans == [obs] * scanned
         obs.write_text(f"unit,period,s,y\n0,0,0.5,1\n{row},0.5,1\n1,0,1.5,1\n")
         with pytest.raises(SchemaError) as err:
-            io.read_panel(obs, cov, 9)
+            io.read_panel(obs, cov, build_quadrature(9))
         assert str(err.value) == f"{obs}:4: evaluation point 1.5 outside [0, 1]"
 
     def test_undecodable_file(self, tmp_path):
@@ -638,7 +638,7 @@ class TestReaderRules:
         paths = {"obs": write(tmp_path, "obs.csv", f"unit,period,s,y\n0,0,0,1\n{obs_row}\n"),
                  "cov": write(tmp_path, "cov.csv", f"unit,period,x1\n0,0,1.0\n{cov_row}\n")}
         with pytest.raises(SchemaError) as err:
-            io.read_panel(paths["obs"], paths["cov"], 9)
+            io.read_panel(paths["obs"], paths["cov"], build_quadrature(9))
         assert err.value.line == 3
         assert str(err.value).startswith(f"{paths[bad]}:3: non-finite point (")
 
@@ -737,7 +737,7 @@ class TestStreamedPanel:
         read as a whole table; a read that raises gives its message."""
         def read():
             try:
-                return io.read_panel(obs, cov, grid_count)
+                return io.read_panel(obs, cov, build_quadrature(grid_count))
             except SchemaError as exc:
                 return str(exc)
 
@@ -775,7 +775,8 @@ class TestStreamedPanel:
         off_grid = lines[:]
         unit, period, _, y = off_grid[row].split(",")
         off_grid[row] = f"{unit},{period},0.45,{y}"
-        in_order = io.read_panel(write(tmp_path, "in-order.csv", "".join(lines)), cov, 9)
+        in_order = io.read_panel(write(tmp_path, "in-order.csv", "".join(lines)), cov,
+                                 build_quadrature(9))
         for text in (swapped, off_grid):
             panel, streamed, whole = self.reads(
                 monkeypatch, write(tmp_path, "moved.csv", "".join(text)), cov)
@@ -828,7 +829,7 @@ class TestStreamedPanel:
         # no whole cell fits, so no block of 16,000 records is allocated for it
         lines, cov = self.tables(tmp_path)
         obs = write(tmp_path, "in-order.csv", "".join(lines))
-        assert io.read_panel(obs, cov, 1000).y.shape == (7, 3, 1000)
+        assert io.read_panel(obs, cov, build_quadrature(1000)).y.shape == (7, 3, 1000)
         assert max(max_rows_given) == len(lines) + 1  # the whole table's read
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -836,12 +837,12 @@ class TestStreamedPanel:
         monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
         lines, cov = self.tables(tmp_path)
         obs = write(tmp_path, "in-order.csv", "".join(lines))
-        from_file = io.read_panel(obs, cov, 9)
+        from_file = io.read_panel(obs, cov, build_quadrature(9))
         from_file_rows = max_rows_given[:]
         assert from_file_rows[:11] == [18] * 11  # ten whole blocks, then the short one
         max_rows_given.clear()
         pipe, feed = fifo_of(tmp_path, obs)
-        from_pipe = io.read_panel(pipe, cov, 9)
+        from_pipe = io.read_panel(pipe, cov, build_quadrature(9))
         feed.join()
         same_panel(from_pipe, from_file)
         assert max_rows_given == from_file_rows
@@ -971,16 +972,20 @@ class TestLineCount:
         feed.join()
         assert max_rows_given == [4, 4]
 
-    def test_count_too_large_to_allocate_falls_back_to_growing_records(
+    def test_count_past_the_limit_is_refused_before_the_parse(
             self, tmp_path, monkeypatch, max_rows_given):
-        # as for a huge run of blank lines: 10**13 records are refused at once
+        # as for a huge run of blank lines: 10**13 values or records exceed
+        # MAX_ARRAY_BYTES, in the streamed read and in the whole-table read
         assert run(["simulate", "--n", 12, "--T", 3, "--seed", 2, "--out", tmp_path]) == 0
         obs, cov = tmp_path / "observations.csv", tmp_path / "covariates.csv"
-        panel = io.read_panel(obs, cov)
-        max_rows_given.clear()
+        function = tmp_path / "truth_functions.csv"
         monkeypatch.setattr(io, "_line_count", lambda fh: 10**13)
-        same_panel(io.read_panel(obs, cov), panel)
-        assert max_rows_given == [10**13 + 1, None] * 2
+        for path, read in ((obs, lambda: io.read_panel(obs, cov)),
+                           (function, lambda: io.read_function(function, build_quadrature(9)))):
+            with pytest.raises(InvalidArgumentError, match=re.escape(
+                    f"{path}: 10000000000000 lines need more memory than can be allocated")):
+                read()
+        assert max_rows_given == []
 
 
 # -- the command line under fuzzed files -----------------------------------

@@ -384,7 +384,7 @@ class TestPanelIo:
     def test_round_trip(self, tmp_path):
         panel, _ = simulate_mc_panel(5, 3, 1.0, seed=4, n_quad=17)
         write_panel(panel, tmp_path / "obs.csv", tmp_path / "cov.csv")
-        back = read_panel(tmp_path / "obs.csv", tmp_path / "cov.csv", grid_count=17)
+        back = read_panel(tmp_path / "obs.csv", tmp_path / "cov.csv", build_quadrature(17))
         assert_allclose(back.y, panel.y)
         assert_allclose(back.x, panel.x)
         assert back.quad.count == 17
@@ -396,4 +396,4 @@ class TestPanelIo:
         # drop the last (unit, period)'s rows: a cell with fewer points is valid
         (tmp_path / "obs.csv").write_text("\n".join(lines[:-9]) + "\n")
         with pytest.raises(SchemaError):
-            read_panel(tmp_path / "obs.csv", tmp_path / "cov.csv", grid_count=9)
+            read_panel(tmp_path / "obs.csv", tmp_path / "cov.csv", build_quadrature(9))
