@@ -16,13 +16,16 @@ table, does a row-by-row scan of the same bytes with Python's ``int`` and
 Blank and whitespace-only lines are skipped, quoted fields are accepted and
 columns after the ones a table needs are ignored. The panel reader streams an
 observation table whose rows run in (unit, period) order with each cell's
-points exactly the grid's, as ``write_panel`` writes them: it parses whole
-cells about ``_PANEL_BLOCK`` rows at a time and writes their values into one
-array sized by the line count, keeping no row's ids or points. At the first
-block that parses badly, breaks a rule or leaves that order, it reads the
-table again from its start as a whole, which is the only path for any other
-table: it sorts the rows stably by (unit, period, s) and interpolates each
-cell onto the grid.
+points exactly the grid's, as ``write_panel`` writes them: it reads its bytes
+about ``_PANEL_BLOCK`` at a time, whole cells of lines, parses their fields
+with the vectorised decimal kernel of ``fnar.floattext`` (ids as digits, ``s``
+and ``y`` as ``[-]digits[.digits][e[+-]digits]``, bit for bit as ``float``
+reads them) and writes their values into one array sized by the line count,
+keeping no row's ids or points. At the first block with a quote, a lone
+``\r``, a field that is not such a text, a row that breaks a rule or leaves
+that order, it reads the table again from its start as a whole, which is the
+only path for any other table: it sorts the rows stably by (unit, period, s)
+and interpolates each cell onto the grid.
 
 A writer writes each value as its shortest round-trip text, byte for byte what
 ``repr`` writes, with the ``\\r\\n`` line ends of ``csv.writer``. A block of
@@ -41,6 +44,7 @@ import shutil
 import stat
 import tempfile
 import warnings
+from array import array
 from contextlib import ExitStack, contextmanager
 from io import TextIOWrapper
 
@@ -58,7 +62,9 @@ __all__ = ["write_table", "write_panel", "read_panel", "read_function",
 
 _BLOCK = 8192  # values formatted at once, which bounds a write's temporaries
 _COUNT_CHUNK = 1 << 16  # bytes per read of the line count, which bounds its temporaries
-_PANEL_BLOCK = 1 << 14  # observation rows an in-order panel read parses at once
+_SCAN_ROWS = 1 << 12  # rows the row-by-row scan holds as tuples before it makes them records
+_PANEL_BLOCK = 1 << 17  # bytes of an in-order observation table parsed at once
+_PAD = 32  # zero bytes after a block's last line: the decimal kernel reads past a field
 # Largest unit count an edge list read without n may imply. The count is one
 # more than the largest id, and the matrix's row pointer alone takes 8 bytes
 # a unit, so a stray large id would otherwise allocate without bound.
@@ -144,49 +150,131 @@ def read_panel(obs_path, cov_path, quad: QuadratureGrid | None = None):
 
 
 def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
-    """The (n, T, G) values of the observation table open as ``fh``, at its
-    start, with ``lines`` line ends, if its rows run in (unit, period) order
-    and each cell's points are exactly the grid's. Else None, with ``fh``
-    anywhere: also for a malformed table, which the whole-table read names.
+    """The (n, T, G) values of the observation table open as ``fh``, with
+    ``lines`` line ends, if its rows run in (unit, period) order, each cell's
+    points exactly the grid's, and every field is a text the decimal kernel
+    reads. Else None, with ``fh`` anywhere: also for a malformed table, which
+    the whole-table read names.
 
-    The rows are parsed about ``_PANEL_BLOCK`` at a time, in whole cells, and
-    their values written to one array allocated for the line count, so no
-    row's ids or points are kept.
+    The bytes are read about ``_PANEL_BLOCK`` at a time, whole cells of
+    lines, and their values written to one array allocated for the line
+    count, so no row's ids or points are kept. A cell's ids are read from its
+    first row, whose ``unit,period,`` bytes its other rows must repeat; an
+    ``s`` spelled as ``write_panel`` spells its grid point is matched by its
+    bytes, and any other spelling read and compared.
     """
-    dtype = np.dtype(_observation_columns(_header(fh), path))
+    from .floattext import decimal_ids, decimal_values, equal_bytes, float_texts
+
+    _observation_columns(_header(fh), path)
     G = quad.count
     if G > lines:  # at most ``lines`` rows, as below: not one whole cell
         return None
-    block = max(_PANEL_BLOCK // G, 1) * G
+    # the grid's points as write_panel spells them, each with its ","
+    points = [f"{text},".encode() for text in float_texts(quad.points)]
+    spellings = np.zeros((G, -(-max(map(len, points)) // 8) * 8), np.uint8)
+    for row, point in zip(spellings, points):
+        row[:len(point)] = np.frombuffer(point, np.uint8)
+    commas = np.array([len(point) - 1 for point in points])
     # every row but an unended last one, and the header, ends a line
     check_array_size(f"{path}: {lines} lines need more memory than can be allocated", lines)
     y = np.empty(lines)
     rows, T = 0, None  # the periods of a unit, known once unit 1 starts
-    while True:
-        rec = _loadtxt(fh, dtype, range(len(dtype)), block)
-        if (rec is None or rec.size % G or rows + rec.size > lines
-                or _observation_error(rec) is not None):
+    for block in _row_blocks(fh.buffer, G):
+        if block is None:
             return None
-        unit, period = rec["unit"].reshape(-1, G), rec["period"].reshape(-1, G)
-        if not (np.all(rec["s"].reshape(-1, G) == quad.points)
-                and np.all(unit == unit[:, :1]) and np.all(period == period[:, :1])):
+        text, at, stop = block
+        size = at.size
+        if rows + size > lines:
             return None
-        cell = np.arange(rows // G, (rows + rec.size) // G)
-        unit, period = unit[:, 0], period[:, 0]
+        # each cell's ids from its first row, "unit,period,", which its other rows repeat
+        at = at.reshape(-1, G)
+        ids, end = [], at[:, 0]
+        for _ in range(2):
+            field = decimal_ids(text, end)
+            if field is None or np.any(text[field[1]] != 44):
+                return None
+            ids.append(field[0])
+            end = field[1] + 1
+        width = end - at[:, 0]
+        prefix = text[at[:, :1] + np.arange(-(-int(width.max()) // 8) * 8)]
+        prefix[np.arange(prefix.shape[1]) >= width[:, None]] = 0
+        if not np.all(equal_bytes(text, at, prefix[:, None])):
+            return None
+        at += width[:, None]
+        # s as write_panel spells the grid's points, else read and compared
+        other = np.flatnonzero(~equal_bytes(text, at, spellings))
+        end, at = (at + commas).ravel(), at.ravel()
+        if other.size:
+            field = decimal_values(text, at[other], stop[other])
+            if field is None or np.any(text[field[1]] != 44) \
+                    or not np.all(field[0] == quad.points[other % G]):
+                return None
+            end[other] = field[1]
+        field = decimal_values(text, end + 1, stop)
+        if field is None or not np.all(np.isfinite(field[0])):
+            return None
+        y[rows:rows + size] = field[0]
+        del field, at, stop, end
+        unit, period = ids
+        cell = np.arange(rows // G, (rows + size) // G)
         if T is None and unit.any():  # 0 if unit 0 has no row: the check below fails
             T = int(cell[(unit != 0).argmax()])
         unit_at, period_at = np.divmod(cell, T) if T else (0, cell)
         if not (np.all(unit == unit_at) and np.all(period == period_at)):
             return None
-        y[rows:rows + rec.size] = rec["y"]
-        rows += rec.size
-        if rec.size < block:  # blank lines do not count towards a block
-            break
+        rows += size
     cells = rows // G
     T = T or cells
     if not cells or cells % T:
         return None
     return y[:rows].reshape(cells // T, T, G)
+
+
+def _row_blocks(raw, rows):
+    """The lines after the header of the binary file ``raw``, from its start,
+    about ``_PANEL_BLOCK`` bytes at a time, each block a multiple of ``rows``
+    lines that are not blank: the bytes, zero-padded ``_PAD`` bytes past their
+    last line, and each line's start and end before its ``\r\n`` or ``\n``.
+    None for a block with a quote or a lone ``\r``, or if lines that make no
+    whole multiple are left at the end."""
+    raw.seek(0)
+    buf = np.zeros(_PANEL_BLOCK + _PAD + 1, np.uint8)  # and an end for an unended last line
+    held, header = 0, True
+    while True:
+        got = raw.readinto(memoryview(buf)[held:buf.size - _PAD - 1])
+        end = held + got
+        if not got and end and buf[end - 1] != 10:
+            buf[end] = 10
+            end += 1
+        text = buf[:end]
+        ends = np.flatnonzero(text == 10)
+        cut = int(ends[-1]) + 1 if ends.size else 0
+        starts = np.concatenate(([0], ends[:-1] + 1))[:ends.size]
+        stops = ends - (buf[ends - 1] == 13)  # buf[-1], a pad byte, before a first empty line
+        if np.any(text[:cut] == 34) or np.count_nonzero(text[:cut] == 13) != np.count_nonzero(
+                stops < ends):
+            yield None
+            return
+        if header and ends.size:
+            starts, stops, header = starts[1:], stops[1:], False
+        filled = stops > starts
+        if not filled.all():
+            starts, stops = starts[filled], stops[filled]
+        whole = starts.size - starts.size % rows
+        if not got and whole < starts.size:
+            yield None
+            return
+        if whole:
+            buf[end:end + _PAD] = 0
+            yield buf, starts[:whole], stops[:whole]
+        if not got:
+            return
+        kept = int(starts[whole]) if whole < starts.size else cut
+        held = end - kept
+        if kept:
+            buf[:held] = buf[kept:end]
+        elif held == buf.size - _PAD - 1:  # a whole multiple of rows does not fit
+            buf = np.concatenate((buf[:held], np.zeros(held + _PAD + 1, np.uint8)))
 
 
 def _gridded_values(obs, cov, quad, obs_path, cov_path):
@@ -476,11 +564,31 @@ def _loadtxt(fh, dtype, usecols, max_rows) -> np.ndarray | None:
 
 def _scan(path, fh, dtype, row_error, exact) -> np.ndarray:
     """Row-by-row reading of ``path``, open as the seekable ``fh``, ints as
-    int64: raise at the first bad line, or return the records."""
+    int64: raise at the first bad line, or return the records.
+
+    Rows are read as Python tuples up to the first that does not parse, and
+    made into records ``_SCAN_ROWS`` at a time; the first line among that row,
+    a row too wide for int64 and a row that breaks ``row_error`` is named.
+    """
     kinds = [int if dtype[name].kind == "i" else float for name in dtype.names]
     dtype = np.dtype([(name, np.int64 if kind is int else np.float64)
                       for name, kind in zip(dtype.names, kinds)])
-    records = []
+    chunks, rows, lines, failure = [], [], array("q"), None
+
+    def records():
+        """The held rows as records; at a row too wide for int64, those before it and its error."""
+        try:
+            return np.array(rows, dtype), None
+        except OverflowError:
+            for k, row in enumerate(rows):
+                try:
+                    np.array([row], dtype)
+                except OverflowError as exc:
+                    error = SchemaError(str(exc), line=lines[len(lines) - len(rows) + k],
+                                        path=str(path))
+                    error.__cause__ = exc
+                    return np.array(rows[:k], dtype), error
+
     _header(fh)
     for line, row in enumerate(csv.reader(fh), start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -488,14 +596,34 @@ def _scan(path, fh, dtype, row_error, exact) -> np.ndarray:
         try:
             if len(row) < len(kinds) or (exact and len(row) > len(kinds)):
                 raise ValueError(f"expected {len(kinds)} fields, got {len(row)}")
-            record = np.array([tuple(kind(v) for kind, v in zip(kinds, row))], dtype)
+            rows.append(tuple(kind(v) for kind, v in zip(kinds, row)))
         except (ValueError, OverflowError) as exc:
-            raise SchemaError(str(exc), line=line, path=str(path)) from exc
-        message = None if row_error is None else row_error(record)
-        if message is not None:
-            raise SchemaError(message, line=line, path=str(path))
-        records.append(record)
-    return np.concatenate(records) if records else np.empty(0, dtype)
+            failure = SchemaError(str(exc), line=line, path=str(path))
+            failure.__cause__ = exc
+            break
+        lines.append(line)
+        if len(rows) == _SCAN_ROWS:
+            chunk, failure = records()
+            chunks.append(chunk)
+            rows = []
+            if failure is not None:
+                break
+    if rows:  # a row too wide comes before the row that did not parse
+        chunk, overflow = records()
+        chunks.append(chunk)
+        failure = overflow or failure
+    rec = np.concatenate(chunks) if chunks else np.empty(0, dtype)
+    del chunks, rows
+    if row_error is not None and row_error(rec) is not None:
+        # the fewest leading rows that break a rule end in the first such row
+        low, high = 0, rec.size
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (low, middle) if row_error(rec[:middle]) is not None else (middle, high)
+        raise SchemaError(row_error(rec[:high]), line=lines[high - 1], path=str(path))
+    if failure is not None:
+        raise failure
+    return rec
 
 
 def _field_table(texts) -> np.ndarray:

@@ -150,8 +150,9 @@ def run_mc(cfg: McConfig) -> McReport:
     (``InvalidArgumentError``, ``CannotDifferenceError``) is raised as is.
     """
     started = time.perf_counter()
-    basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, build_quadrature(cfg.n_quad))
-    dgp = _mc_parts(cfg.n, cfg.T, cfg.r, n_quad=cfg.n_quad)
+    quad = build_quadrature(cfg.n_quad)
+    basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, quad)
+    dgp = _mc_parts(cfg.n, cfg.T, cfg.r, quad)
     points = np.array(cfg.coverage_points)
     cover = (basis.eval_many(np.atleast_1d(points)), mc_alpha(points))
     seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)

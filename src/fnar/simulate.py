@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import QuadratureGrid, build_quadrature
-from .errors import InvalidArgumentError, NonStationaryDgpError
+from .errors import InvalidArgumentError, NonStationaryDgpError, check_array_size
 from .interaction import InteractionOperator, KernelIntegral, epanechnikov_kernel
 from .network import NetworkWeights, build_lattice_weights
 
@@ -255,16 +255,21 @@ class _McParts(NamedTuple):
     fixed_effects: np.ndarray
 
 
-def _mc_parts(n: int, T: int, r: float, *, n_quad: int = 99,
+def _mc_parts(n: int, T: int, r: float, grid: QuadratureGrid | int = 99, *,
               alpha_scale: float = 1.0) -> _McParts:
-    """The draw-independent parts of ``simulate_mc_panel``'s design, checked."""
+    """The draw-independent parts of ``simulate_mc_panel``'s design, checked;
+    ``grid`` is its quadrature grid, or the grid's point count, built after
+    the checks."""
     if not (np.isfinite(r) and r > 0):
         raise InvalidArgumentError(f"covariate strength r must be positive and finite, got {r}")
     if not np.isfinite(alpha_scale):
         raise InvalidArgumentError(f"alpha scale must be finite, got {alpha_scale}")
     if T < 1:
         raise InvalidArgumentError(f"need at least one period, got T={T}")
-    quad = build_quadrature(n_quad)
+    quad = build_quadrature(grid) if isinstance(grid, (int, np.integer)) else grid
+    # every draw holds the (n, T, G) panel values
+    check_array_size(f"n={n} and T={T} need {n} x {T} x {quad.count} panel values, "
+                     "more memory than can be allocated", n, T, quad.count)
     return _McParts(n=n, T=T, quad=quad,
                     operator=KernelIntegral(quad, kernel=epanechnikov_kernel),
                     alpha=alpha_scale * mc_alpha(quad.points),
@@ -315,4 +320,4 @@ def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
     ``alpha_scale`` finite, ``T`` at least 1 and an integer ``seed``
     non-negative; a violation raises ``InvalidArgumentError``.
     """
-    return _draw_mc_panel(_mc_parts(n, T, r, n_quad=n_quad, alpha_scale=alpha_scale), seed)
+    return _draw_mc_panel(_mc_parts(n, T, r, n_quad, alpha_scale=alpha_scale), seed)

@@ -909,14 +909,35 @@ class TestSizeRule:
          "blank-observations.csv: 143565 lines need more memory than can be allocated"),
         (_effects("keyplayer", "--alpha-file", "blank-truth_functions.csv"),
          "blank-truth_functions.csv: 70100 lines need more memory than can be allocated"),
+        # the simulated (n, T, G) panel values, before any draw
+        (["simulate", "--n", 400, "--T", 5, "--seed", 4],
+         "n=400 and T=5 need 400 x 5 x 99 panel values, more memory than can be allocated"),
+        (["montecarlo", "--n", 400, "--T", 5, "--replications", 1, "--seed", 4],
+         "n=400 and T=5 need 400 x 5 x 99 panel values, more memory than can be allocated"),
     ])
     def test_refused_size_allocates_nothing(self, small, capsys, argv, message):
-        out = "out/impacts.csv" if "keyplayer" in argv else "out"
+        out = ("out/impacts.csv" if "keyplayer" in argv
+               else "out/mc.txt" if argv[0] == "montecarlo" else "out")
         code, peak = _peak_traced(lambda: run([*argv, "--out", out]))
         assert code == 4
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(Path("out").iterdir())
         assert peak < 2**20
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_panel_size_past_the_limit_is_refused_before_any_draw(self, tmp_path, capsys,
+                                                                  command):
+        # 40,000 x 250 x 99 panel values are 7.38 GiB, which an overcommitting
+        # allocator grants and then fills
+        out = tmp_path / "mc.txt" if command == "montecarlo" else tmp_path
+        code, peak = _peak_traced(lambda: run([command, "--n", 40_000, "--T", 250,
+                                               "--seed", 1, "--out", out]))
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: n=40000 and T=250 need 40000 x 250 x 99 panel values, "
+            "more memory than can be allocated\n")
+        assert not any(tmp_path.iterdir())
+        assert peak < 2**23
 
     def test_point_eval_panel_values_past_the_limit_allocate_one_grid(
             self, sim_dir, tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ Writers: the bytes equal ``csv.writer`` given ``repr`` text.
 """
 
 import csv
+import itertools
 import os
 import re
 import shutil
@@ -26,7 +27,7 @@ import csv_oracle
 from fnar import cli, io
 from fnar.basis import build_quadrature
 from fnar.errors import FnarError, InvalidArgumentError, SchemaError
-from fnar.floattext import float_texts
+from fnar.floattext import decimal_ids, decimal_values, float_texts
 from fnar.io import MAX_INFERRED_UNITS, read_edge_list
 from fnar.simulate import FunctionalPanel
 
@@ -136,6 +137,91 @@ def texts_match_repr(values):
     got, want = float_texts(values), [repr(v) for v in values.tolist()]
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert not bad and len(got) == len(want), bad[:5]
+
+
+def decimal_read(texts, reader=decimal_values):
+    """``reader`` of the texts, one a line in a zero-padded block, or None."""
+    data = b"".join(text + b"\n" for text in texts)
+    block = np.zeros(len(data) + 32, np.uint8)
+    block[:len(data)] = np.frombuffer(data, np.uint8)
+    stop = np.cumsum([len(text) + 1 for text in texts]) - 1
+    at = stop - [len(text) for text in texts]
+    result = reader(block, at) if reader is decimal_ids else reader(block, at, stop)
+    if result is not None:
+        assert np.array_equal(result[1], stop)
+    return None if result is None else result[0]
+
+
+def texts_read_as_float_reads(texts):
+    texts = [text.encode() if isinstance(text, str) else text for text in texts]
+    got = decimal_read(texts)
+    assert got is not None
+    want = np.array([float(text) for text in texts])
+    bad = [(t, g, w) for t, g, w in zip(texts, got.tolist(), want.tolist())
+           if np.float64(g).tobytes() != np.float64(w).tobytes()]
+    assert not bad, bad[:5]
+
+
+class TestDecimalText:
+    """The vectorised decimal kernel reads each text bit for bit as ``float``
+    does, or finds it outside ``[-]digits[.digits][e[+-]digits]``."""
+
+    @FUZZ
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                           max_size=200))
+    def test_fuzzed_reprs(self, values):
+        texts_read_as_float_reads([repr(v) for v in values])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(29).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        texts_read_as_float_reads(float_texts(values[np.isfinite(values)]))
+
+    @pytest.mark.parametrize("digits", range(1, 26))
+    def test_fixed_and_exponent_spellings(self, digits):
+        rng = np.random.default_rng(digits)
+        values = np.concatenate([rng.normal(size=300) * 10.0 ** rng.integers(-30, 30, 300),
+                                 rng.integers(0, 2**64, 300, dtype=np.uint64).view(np.float64)])
+        values = values[np.isfinite(values)].tolist()
+        texts_read_as_float_reads([f"%.{digits}g" % v for v in values]
+                                  + [f"%.{digits}e" % v for v in values])
+
+    def test_edges(self):
+        texts_read_as_float_reads([
+            "0", "-0", "0.0", "-0.0", "000", "007", "007.50", "0.000", "00000000000000000000001",
+            "5e-324", "-5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+            "2.4703282292062328e-324", "2.2250738585072014e-308", "2.2250738585072011e-308",
+            "9007199254740993", "9007199254740992.5", "18446744073709551615",
+            "9999999999999999999", "10000000000000000000", "123456789012345678901234",
+            "2.00000000000000011102230246251565404236316680908203125",
+            "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+            "1e309", "-1e309", "1e-400", "0e999999", "1e22", "1e23", "8.98846567431158e307",
+            "123456789.5", "12345678901234.5", "1234567890123456789012.5", "0.1", "0.3",
+            "1e-05", "1.5e+16", "3e0", "3e+00000000001",
+            # a zero significand at an exponent that sends a non-zero one past Clinger's path
+            "0e23", "0e300", "0.0e25", "-0e100", "-0.0e308", "-0e-300", "0e-400",
+            "00000000000000000000e40", "0.00000000000000000000000e30"]
+            + [f"{sign}0{dot}e{e}" for sign in ("", "-") for dot in ("", ".0")
+               for e in range(-350, 360, 7)])
+
+    def test_reads_without_numpy_2_functions(self, monkeypatch):
+        # numpy 1.24 is supported, which has no bitwise_count (popcount)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        texts_read_as_float_reads(["7", "1.5", "-0.0", "12345678.87654321", "1e-05", "0e23",
+                                   "18446744073709551615", "2.2250738585072014e-308"])
+
+    @pytest.mark.parametrize("text", [
+        "", "-", ".5", "5.", "1e", "1e+", "+1", " 1", "1 ", "1.5x", "1..5", "1.5.3", "1e5.5",
+        "--1", "nan", "inf", "-inf", "1E5", "1_0", "0x10", '"1"'])
+    def test_other_texts_are_refused(self, text):
+        assert decimal_read([b"1.5", text.encode(), b"2"]) is None
+
+    def test_ids(self):
+        texts = [b"0", b"7", b"007", b"12345678", b"123456789", b"2147483647"[:9]]
+        assert decimal_read(texts, decimal_ids).tolist() == [0, 7, 7, 12345678, 123456789,
+                                                             214748364]
+        for bad in (b"", b"-1", b"+1", b"1234567890", b" 1"):
+            assert decimal_read([b"1", bad], decimal_ids) is None
 
 
 class TestFloatText:
@@ -642,6 +728,37 @@ class TestReaderRules:
         assert err.value.line == 3
         assert str(err.value).startswith(f"{paths[bad]}:3: non-finite point (")
 
+    def test_scan_names_the_first_bad_row_of_any_kind(self, tmp_path):
+        # a row that breaks a rule, a row too wide for int64 and a row that
+        # does not parse, in each order among good rows
+        cov = write(tmp_path, "cov.csv", "unit,period,x1\n0,0,1.0\n")
+        bad = {"rule": "0,0,1.5,1", "wide": "99999999999999999999,0,0.5,1", "field": "0,0,0.5,x"}
+
+        def error(*kinds):
+            body = "".join(f"0,0,0.{k + 1},1\n{bad[kind]}\n" for k, kind in enumerate(kinds))
+            with pytest.raises(SchemaError) as err:
+                io.read_panel(write(tmp_path, "obs.csv", "unit,period,s,y\n" + body), cov,
+                              build_quadrature(9))
+            return err.value.line, str(err.value)
+
+        for kinds in itertools.permutations(bad):
+            assert error(*kinds) == error(kinds[0])
+        assert error("rule") == (3, f"{tmp_path / 'obs.csv'}:3: evaluation point 1.5 outside [0, 1]")
+
+    def test_scan_of_a_bad_last_row_holds_records_not_rows(self, tmp_path):
+        # each row read before the bad one took 152 bytes as a record of its own
+        rows = 40_000
+        path = write(tmp_path, "f.csv", "s,value\n" + "0.5,1.25\n" * rows + "0.5,x\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as err:
+                io.read_function(path, build_quadrature(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == rows + 2
+        assert peak < 100 * rows, peak / rows
+
     def test_error_line_counts_records(self, tmp_path):
         path = write(tmp_path, "f.csv", 's,value\n"0\n",1\n\n0,x\n')
         with pytest.raises(SchemaError) as err:
@@ -656,8 +773,8 @@ class TestPanelShortcuts:
     points returns their values bit for bit."""
 
     def test_in_order_panel_read_in_under_20_bytes_a_row(self, tmp_path):
-        # 8-byte values and one block's records: 16.2 bytes a row here, 9.6 at
-        # n=1600; the whole table's 24-byte records took 36.7 and 35.6
+        # 8-byte values and one 128 KiB block's temporaries: 15.9 bytes a row
+        # here, 9.4 at n=1600; the whole table's 24-byte records took 36.7 and 35.6
         rng = np.random.default_rng(21)
         quad = build_quadrature(99)
         panel = FunctionalPanel(y=rng.normal(size=(224, 5, quad.count)),
@@ -753,8 +870,9 @@ class TestStreamedPanel:
     @pytest.mark.parametrize("block", [1, 20, 100, 1 << 14])
     @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
     def test_blocks_line_ends_and_blank_lines(self, tmp_path, monkeypatch, block, line_end):
-        # 189 rows: blocks of 1, 2, 11 cells and one block, so the last block is
-        # short or the only one, and blank lines that do not count towards a block
+        # 189 rows in blocks of 1, 20 and 100 bytes, which hold no whole cell, so
+        # the buffer grows to one, and in one block of 16 KiB; blank lines count
+        # towards no cell
         monkeypatch.setattr(io, "_PANEL_BLOCK", block)
         lines, cov = self.tables(tmp_path)
         lines = [line.replace("\r\n", line_end) for line in lines]
@@ -764,6 +882,45 @@ class TestStreamedPanel:
         panel, streamed, whole = self.reads(monkeypatch, obs, cov)
         assert streamed
         same_panel(panel, whole)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_form_repr_writes_streams(self, tmp_path, monkeypatch, seed):
+        # y in fixed and exponent form, with zeros, signs and subnormals
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(7, 3, 9)) * 10.0 ** rng.integers(-320, 300, (7, 3, 9))
+        y.ravel()[:7] = [0.0, -0.0, 5e-324, 1e-05, 1e16, -2.5e-310, 9.999999999999999e-05]
+        panel = FunctionalPanel(y=y, x=rng.normal(size=(7, 3, 2)), quad=build_quadrature(9))
+        obs, cov = tmp_path / "obs.csv", tmp_path / "cov.csv"
+        io.write_panel(panel, obs, cov)
+        read, streamed, whole = self.reads(monkeypatch, obs, cov)
+        assert streamed
+        same_panel(read, whole)
+        same_bytes(read.y, y)
+
+    def test_zeros_in_exponent_form_stream_as_zeros(self, tmp_path, monkeypatch):
+        lines, cov = self.tables(tmp_path)
+        zeros = ["0e23", "0e300", "0.0e25", "-0e100", "-0.0e308", "0e-5"]
+        for k, zero in enumerate(zeros, start=1):
+            unit, period, s, _ = lines[k * 7].split(",")
+            lines[k * 7] = f"{unit},{period},{s},{zero}\r\n"
+        obs = write(tmp_path, "zeros.csv", "".join(lines))
+        panel, streamed, whole = self.reads(monkeypatch, obs, cov)
+        assert streamed
+        same_panel(panel, whole)
+        got = panel.y.ravel()[[k * 7 - 1 for k in range(1, len(zeros) + 1)]]
+        same_bytes(got, np.array([float(zero) for zero in zeros]))
+
+    def test_observations_stream_without_loadtxt(self, tmp_path, monkeypatch):
+        tables, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda fh, *args, **kwargs: tables.append(
+            Path(fh.name).name) or loadtxt(fh, *args, **kwargs))
+        lines, cov = self.tables(tmp_path, n=40, T=5, grid_count=99)
+        obs = write(tmp_path, "in-order.csv", "".join(lines))
+        panel = io.read_panel(obs, cov)
+        assert tables == ["cov.csv"]
+        monkeypatch.setattr(io, "_in_order_values", lambda *args: None)
+        same_panel(panel, io.read_panel(obs, cov))
+        assert tables == ["cov.csv", "in-order.csv", "cov.csv"]
 
     @pytest.mark.parametrize("row", [1, 120, 189])
     def test_a_row_out_of_order_or_off_the_grid_in_any_block(self, tmp_path, monkeypatch,
@@ -826,26 +983,36 @@ class TestStreamedPanel:
             same_panel(read, whole)
 
     def test_grid_count_above_the_line_count_parses_no_block(self, tmp_path, max_rows_given):
-        # no whole cell fits, so no block of 16,000 records is allocated for it
+        # no whole cell fits, so no block is read for it
         lines, cov = self.tables(tmp_path)
         obs = write(tmp_path, "in-order.csv", "".join(lines))
         assert io.read_panel(obs, cov, build_quadrature(1000)).y.shape == (7, 3, 1000)
         assert max(max_rows_given) == len(lines) + 1  # the whole table's read
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_streams_as_the_file_does(self, tmp_path, monkeypatch, max_rows_given):
+    def test_pipe_streams_as_the_file_does(self, tmp_path, monkeypatch):
         monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
+        blocks, row_blocks = [], io._row_blocks
+
+        def spy(*args):  # the rows of each block the stream parses
+            for block in row_blocks(*args):
+                blocks.append(None if block is None else block[1].size)
+                yield block
+
+        monkeypatch.setattr(io, "_row_blocks", spy)
         lines, cov = self.tables(tmp_path)
         obs = write(tmp_path, "in-order.csv", "".join(lines))
         from_file = io.read_panel(obs, cov, build_quadrature(9))
-        from_file_rows = max_rows_given[:]
-        assert from_file_rows[:11] == [18] * 11  # ten whole blocks, then the short one
-        max_rows_given.clear()
+        from_file_blocks = blocks[:]
+        # blocks of whole cells: 20 bytes hold none, so the buffer grows to hold one
+        assert len(from_file_blocks) > 5 and sum(from_file_blocks) == 189
+        assert all(rows % 9 == 0 for rows in from_file_blocks)
+        blocks.clear()
         pipe, feed = fifo_of(tmp_path, obs)
         from_pipe = io.read_panel(pipe, cov, build_quadrature(9))
         feed.join()
         same_panel(from_pipe, from_file)
-        assert max_rows_given == from_file_rows
+        assert blocks == from_file_blocks
 
 
 # -- line count -------------------------------------------------------------

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import fnar.montecarlo as mc
+from fnar import simulate
+from fnar.basis import build_quadrature
 from fnar.errors import (
     CannotDifferenceError,
     HarnessError,
@@ -139,11 +141,22 @@ class TestSharedBasis:
         rep = run_mc(tiny_cfg(replications=5, coverage_points=(0.5,)))
         assert len(parts) == 1 and len(draws) == 5 and rep.failures == 0
 
+    def test_one_run_builds_one_grid(self, monkeypatch):
+        # the basis and the simulation share it
+        grids = []
+        for module in (mc, simulate):
+            monkeypatch.setattr(module, "build_quadrature",
+                                lambda count: grids.append(count) or build_quadrature(count))
+        rep = run_mc(tiny_cfg(replications=2))
+        assert grids == [33] and rep.failures == 0
+
     def test_basis_too_fine_stops_before_the_first_replication(self, monkeypatch):
         simulations = self._count_calls(monkeypatch, "_draw_mc_panel")
-        # K = 24 + 4 spline functions need at least 56 grid points, not 33
-        with pytest.raises(IllConditionedBasisError, match="cannot resolve"):
-            run_mc(tiny_cfg(inner_knots=24))
+        # K = 24 + 4 spline functions need at least 56 grid points, not 33;
+        # the basis is checked before the simulation's values
+        for bad in ({}, {"r": -1.0}, {"T": 0}):
+            with pytest.raises(IllConditionedBasisError, match="cannot resolve"):
+                run_mc(tiny_cfg(inner_knots=24, **bad))
         assert simulations == []
 
 

@@ -343,7 +343,7 @@ class TestMcPanel:
             simulate_mc_panel(10, 2, 1.0, seed=1, alpha_scale=scale)
 
     def test_draws_share_the_parts_unchanged(self):
-        parts = _mc_parts(12, 3, 0.4, n_quad=17)
+        parts = _mc_parts(12, 3, 0.4, 17)
         before = [np.copy(parts.alpha), np.copy(parts.beta), np.copy(parts.fixed_effects),
                   np.copy(parts.operator.matrix)]
         first, truth = _draw_mc_panel(parts, 5)
