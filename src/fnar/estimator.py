@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 _SV_FLOOR = 1e-10
-_UNIT_BLOCK = 512  # units whose A(W y) a design forms at once, which bounds its temporaries
+# bytes of a fit stage's temporary (one row at least): the rows of s_z a design sums at
+# once, the units whose A(W y) it forms at once, the variance's pairs summed at once
+_CHUNK_BYTES = 1 << 18
 ESTIMATORS = ("gmm1", "gmm2", "2sls")  # block-weight GMM, identity-weight GMM, 2SLS
 CI_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -182,10 +184,10 @@ class _Design:
     weight matrix, so fits on one spec that differ only in it share a design.
 
     The aggregates are summed one moment point at a time, so one point's
-    instrument and regressor rows exist at a time. The instrument rows of
-    every (point, period, unit) are built only to sum ``s_z``, one sequential
-    sum over all of them, and freed before those per-point sums. A(W y) is
-    formed ``_UNIT_BLOCK`` units at a time. Afterwards the design keeps the
+    instrument and regressor rows exist at a time. ``s_z`` is one sequential
+    sum over every (point, period, unit), added a chunk of rows at a time.
+    A(W y) is formed a block of units at a time. ``_CHUNK_BYTES`` sizes the
+    chunks and blocks. Afterwards the design keeps the
     outcome differences at the moment points (``dy``) and the factors of the
     rows: the differenced instruments, the basis at the moment points, the
     differenced aggregated outcomes at the grid nodes the stencil reads and
@@ -214,15 +216,6 @@ class _Design:
 
         self._phi = spec.basis.eval_many(points)  # (L, K)
         norm = 1.0 / self.n_obs
-        # s_z is one sequential sum over (point, obs), which fixes its bits; per-point
-        # partial sums would change them, so the instrument rows of every point are
-        # built for it alone, first, and freed before the loop below rebuilds them
-        # point by point
-        zf = np.empty((L, self.n_obs, self.d_z))
-        np.einsum("m,lk->lmk", self._db.reshape(-1), self._phi, out=zf.reshape(L, -1, K))
-        self.s_z = norm * np.einsum("lnz,lnt->zt", zf, zf) / L
-        del zf
-
         self._g0, self._lam = interp_nodes(panel.quad, points)
         # differences at the nodes the stencil reads; g0 and g0 + 1 are adjacent
         # columns there, and column self._col[l] holds node g0[l]
@@ -233,8 +226,9 @@ class _Design:
         # operator's (units, T, G) @ (G, G) product runs one GEMM per unit, so the
         # blocks give the bits of the whole product
         w, flat = spec.weights.w, panel.y.reshape(n, -1)
-        for start in range(0, n, _UNIT_BLOCK):
-            stop = min(start + _UNIT_BLOCK, n)
+        block = max(1, _CHUNK_BYTES // flat[0].nbytes)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
             lag = (w if stop - start == n else w[start:stop]) @ flat
             ay = spec.operator.apply_grid(lag.reshape(stop - start, T, -1))
             self._d_ay[:, start:stop] = _period_differences(ay[:, :, nodes])
@@ -249,10 +243,26 @@ class _Design:
             a=np.empty((L, self.d_z)), A=np.empty((L, self.d_z, self.d_theta)),
             c=np.empty((L, self.M)), b=np.empty((L, self.M, self.d_theta)),
             C=np.empty((L, self.M, self.d_theta, self.d_theta)))
+        # s_z is one sequential sum over (point, obs), which fixes its bits. Rows are
+        # gathered, across points while they fit, and added as einsum("nz,nt->zt",
+        # [I; rows], [s_z; rows]): the identity rows against the running sum give it
+        # back exactly, ahead of the rows' terms
+        step = max(1, _CHUNK_BYTES // (8 * self.d_z))
+        eye_rows, sum_rows = np.empty((2, self.d_z + step, self.d_z))
+        eye_rows[:self.d_z], sum_rows[:self.d_z] = np.eye(self.d_z), 0.0
+        end = self.d_z  # rows of the buffers in use
         for l in range(L):
             self.rows(l, out=(dz, dh))
-            # each entry of a and A is one sequential sum over point l's (t, n) rows
             zf = dz.reshape(self.n_obs, self.d_z)
+            for start in range(0, self.n_obs, step):
+                rows = zf[start:start + step]
+                eye_rows[end:end + len(rows)] = sum_rows[end:end + len(rows)] = rows
+                end += len(rows)
+                last = l == L - 1 and start + step >= self.n_obs
+                if last or end + min(step, self.n_obs) > self.d_z + step:  # next rows may not fit
+                    sum_rows[:self.d_z] = np.einsum("nz,nt->zt", eye_rows[:end], sum_rows[:end])
+                    end = self.d_z
+            # each entry of a and A is one sequential sum over point l's (t, n) rows
             agg.a[l] = norm * np.einsum("nz,n->z", zf, self.dy[l].reshape(self.n_obs))
             agg.A[l] = norm * np.einsum("nz,nt->zt", zf, dh.reshape(self.n_obs, self.d_theta))
             # point l's outcome and regressor rows of every period side by side, unit-major:
@@ -268,6 +278,7 @@ class _Design:
                 agg.b[l, m] = norm * np.einsum("tnk,tn->k", dh, py)
                 agg.C[l, m] = norm * np.einsum("tnk,tnj->kj", dh, ph)
                 del prod, py, ph  # freed before the next product: a lower peak
+        self.s_z = norm * sum_rows[:self.d_z] / L
         self.mean = _Aggregates(*(part.mean(axis=0) for part in self.per_point))
         if not all(np.isfinite(part).all() for part in (self.s_z, *self.per_point, *self.mean)):
             raise NumericalFailureError("moment aggregates are not finite (overflow in the "
@@ -312,12 +323,16 @@ class _Design:
         """
         coef = theta.reshape(-1, self._phi.shape[1])
         phi_nodes = self.spec.basis.values_on_grid
-        fitted = 0.0  # (T-1, n, L)
+        fitted = np.zeros(self._d_ay.shape[:2] + self._lam.shape)  # (T-1, n, L)
         for weight, node, g in ((1.0 - self._lam, self._col, self._g0),
                                 (self._lam, self._col + 1, self._g0 + 1)):
             c = phi_nodes[g] @ coef.T  # (L, 1 + d_x)
-            fitted = fitted + weight * (self._d_ay[..., node] * c[:, 0] + self._d_x @ c[:, 1:].T)
+            term = self._d_ay[..., node] * c[:, 0]
+            term += self._d_x @ c[:, 1:].T
+            term *= weight
+            fitted += term
         de = np.subtract(self.dy, np.moveaxis(fitted, -1, 0), order="C")
+        del fitted, term  # freed before the scores: a lower peak
         u = self._db[..., :, None] * np.einsum("lk,ltn->tnk", self._phi, de)[..., None, :]
         return de, u.reshape(*u.shape[:2], self.d_z)
 
@@ -646,7 +661,9 @@ def estimate_fixed_effects(fit: GmmFit, panel: FunctionalPanel) -> np.ndarray:
     if panel.T == 1:
         warnings.warn("fixed effects from a single period are the raw residual paths",
                       SmallTWarning)
-    fit.fixed_effects = y_bar - fit.alpha(points) * ay_bar - panel.x.mean(axis=1) @ beta_grid
+    ay_bar *= fit.alpha(points)
+    fit.fixed_effects = np.subtract(y_bar, ay_bar, out=y_bar)
+    fit.fixed_effects -= panel.x.mean(axis=1) @ beta_grid
     return fit.fixed_effects
 
 
@@ -671,10 +688,15 @@ def _union_pattern(quad_mats, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _quad_variance(de: np.ndarray, quad_mats) -> np.ndarray:
-    """Quadratic-moment variance block before scaling, on the union pattern only."""
+    """Quadratic-moment variance block before scaling, on the union pattern only,
+    a chunk of pairs at a time: each pair's ``c`` and ``s`` are its own sums."""
     rows, cols, pv = _union_pattern(quad_mats, de.shape[2])
-    c = np.einsum("ltk,ltk->tk", de[:, :, rows], de[:, :, cols])  # (T-1, nnz)
-    s = np.einsum("tk,tk->k", c, c) + 2.0 * np.einsum("tk,tk->k", c[:-1], c[1:])
+    s = np.empty(rows.size)
+    step = max(1, _CHUNK_BYTES // (8 * de.shape[0] * de.shape[1]))
+    for start in range(0, rows.size, step):
+        pair = slice(start, start + step)
+        c = np.einsum("ltk,ltk->tk", de[:, :, rows[pair]], de[:, :, cols[pair]])  # (T-1, pairs)
+        s[pair] = np.einsum("tk,tk->k", c, c) + 2.0 * np.einsum("tk,tk->k", c[:-1], c[1:])
     return 2.0 * (pv * s) @ pv.T
 
 

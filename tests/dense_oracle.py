@@ -7,7 +7,9 @@ deliberately naive; the streaming implementation must match it exactly.
 
 ``materialised_design`` keeps the moment design as it was built when it held
 its instrument and regressor rows at every point; the factored design must
-match it bit for bit.
+match it bit for bit. ``stacked_s_z``, ``residual_scores_with_temporaries``
+and ``fixed_effects_with_temporaries`` keep the one-shot expressions that the
+chunked and in-place forms must match bit for bit.
 """
 
 import numpy as np
@@ -246,3 +248,40 @@ def fixed_effects_formula(fit, panel, ay):
         "ntj,jg->ntg", panel.x, beta_grid
     )
     return resid.mean(axis=1)
+
+
+def stacked_s_z(panel, spec):
+    """The instrument second moment from the (L, n(T-1), d_z) stack of every
+    point's instrument rows, summed by one einsum."""
+    from fnar.estimator import _period_differences, build_instruments
+
+    db = _period_differences(build_instruments(panel, spec))
+    phi = spec.basis.eval_many(spec.points)
+    L, K = phi.shape
+    n_obs = db.shape[0] * db.shape[1]
+    zf = np.empty((L, n_obs, db.shape[2] * K))
+    np.einsum("m,lk->lmk", db.reshape(-1), phi, out=zf.reshape(L, -1, K))
+    return 1.0 / n_obs * np.einsum("lnz,lnt->zt", zf, zf) / L
+
+
+def residual_scores_with_temporaries(design, theta):
+    """``_Design.residual_scores`` with a new array for every partial result."""
+    coef = theta.reshape(-1, design._phi.shape[1])
+    phi_nodes = design.spec.basis.values_on_grid
+    fitted = 0.0
+    for weight, node, g in ((1.0 - design._lam, design._col, design._g0),
+                            (design._lam, design._col + 1, design._g0 + 1)):
+        c = phi_nodes[g] @ coef.T
+        fitted = fitted + weight * (design._d_ay[..., node] * c[:, 0] + design._d_x @ c[:, 1:].T)
+    de = np.subtract(design.dy, np.moveaxis(fitted, -1, 0), order="C")
+    u = design._db[..., :, None] * np.einsum("lk,ltn->tnk", design._phi, de)[..., None, :]
+    return de, u.reshape(*u.shape[:2], design.d_z)
+
+
+def fixed_effects_with_temporaries(fit, panel):
+    """``estimate_fixed_effects`` with a new array for every partial result."""
+    spec, points = fit.spec, panel.quad.points
+    y_bar = panel.y.mean(axis=1)
+    ay_bar = spec.operator.apply_grid(network_lag(spec.weights, y_bar))
+    beta_grid = np.stack([fit.beta(j, points) for j in range(fit.d_x)])
+    return y_bar - fit.alpha(points) * ay_bar - panel.x.mean(axis=1) @ beta_grid

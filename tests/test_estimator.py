@@ -19,8 +19,9 @@ from fnar.errors import (
     UnderidentificationWarning,
     UnderidentifiedError,
 )
+from fnar import estimator
 from fnar.estimator import (
-    _UNIT_BLOCK,
+    _CHUNK_BYTES,
     GmmFit,
     MomentSpec,
     _Design,
@@ -50,8 +51,11 @@ from dense_oracle import (
     dense_variance,
     fancy_index_quad_variance,
     fixed_effects_formula,
+    fixed_effects_with_temporaries,
     materialised_design,
     materialised_residual_scores,
+    residual_scores_with_temporaries,
+    stacked_s_z,
 )
 
 
@@ -570,8 +574,8 @@ class TestVariance:
         assert "variance_clipped_count: 4" in fit_report_text(fit)
 
 
-def _paper_cell_spec(seed, n=40):
-    panel, truth = simulate_mc_panel(n, 5, 1.0, seed=seed)
+def _paper_cell_spec(seed, n=40, T=5):
+    panel, truth = simulate_mc_panel(n, T, 1.0, seed=seed)
     spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad), operator=truth.operator,
                       weights=truth.weights, n_points=10)
     return panel, spec
@@ -729,14 +733,22 @@ class TestFactoredDesign:
         panel, spec = _paper_cell_spec(12, n=3200)
         self._check(panel, spec, [np.linspace(-0.5, 0.5, 2 * spec.basis.size)])
 
-    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
-    def test_several_unit_blocks(self, operator_kind):
+    def _check_unit_blocks(self, operator_kind, n, T):
         # A(W y) is formed a block of units at a time: two whole blocks and a part
-        n = 1100
-        assert 2 * _UNIT_BLOCK < n < 3 * _UNIT_BLOCK
-        panel, spec = _paper_cell_spec(48, n=n)
+        panel, spec = _paper_cell_spec(48, n=n, T=T)
+        block = _CHUNK_BYTES // panel.y[0].nbytes
+        assert 2 * block < n < 3 * block
         spec = replace(spec, operator=small_operator(operator_kind, panel.quad))
         self._check(panel, spec, [np.linspace(-0.5, 0.5, 2 * spec.basis.size)])
+        return block
+
+    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
+    def test_several_unit_blocks(self, operator_kind):
+        self._check_unit_blocks(operator_kind, n=160, T=5)
+
+    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
+    def test_few_units_a_block(self, operator_kind):
+        assert self._check_unit_blocks(operator_kind, n=20, T=40) < 10
 
     @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
     def test_fixed_effects_equal_formula(self, operator_kind):
@@ -769,7 +781,8 @@ class TestFactoredDesign:
         # 3.5 MB without it; summed one moment point at a time, so that one
         # point's regressor rows exist at a time, it peaked at 29.9 MB; with
         # every point's instrument rows freed once s_z is summed, and A(W y)
-        # formed a block of units at a time, it peaks at about 18.8 MB
+        # formed a block of units at a time, it peaked at 18.8 MB; with s_z
+        # summed a chunk of rows at a time, it peaks near 11.2 MB
         panel, spec = _paper_cell_spec(13, n=3200)
         tracemalloc.start()
         try:
@@ -778,8 +791,19 @@ class TestFactoredDesign:
         finally:
             tracemalloc.stop()
         assert fit.converged
-        assert peak < 22e6
+        assert peak < 13e6
         assert held < 5e6
+
+    def test_long_panel_memory(self):
+        # at T=40 the stack of every point's instrument rows and A(W y) in blocks of
+        # 512 units made fit_gmm peak near 33.4 MB and estimate_variance near 15.6 MB;
+        # chunks within one byte bound bring them near 13.6 MB and 5.0 MB
+        panel, spec = _paper_cell_spec(14, n=400, T=40)
+        fit, fit_peak = _traced_peak(lambda: fit_gmm(panel, spec))
+        variance_peak = _traced_peak(lambda: estimate_variance(fit, panel, spec))[1]
+        assert fit.converged
+        assert fit_peak < 16e6
+        assert variance_peak < 6e6
 
 
 def _fits_of_all_estimators(panel, spec):
@@ -886,19 +910,79 @@ class TestUnionPattern:
         self._check(de, [sp.csr_array((10, 10)), _band_quad_matrix(10, 2)])
 
 
+class TestChunkedSums:
+    """Sums taken a chunk at a time within ``_CHUNK_BYTES``, and partial results
+    formed in place, against their one-shot expressions, bit for bit."""
+
+    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
+    @pytest.mark.parametrize("n, T", [(40, 5), (3200, 5), (20, 40)])
+    def test_s_z_equals_stacked_sum(self, operator_kind, n, T):
+        # n=3200 takes several chunks a point; (20, 40) forms A(W y) in several blocks
+        panel, spec = _paper_cell_spec(49, n=n, T=T)
+        spec = replace(spec, operator=small_operator(operator_kind, panel.quad))
+        design = _Design(panel, spec)
+        if n == 3200:
+            assert design.n_obs > 2 * _CHUNK_BYTES // (8 * design.d_z)
+        assert np.array_equal(design.s_z, stacked_s_z(panel, spec))
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 7, 159, 400])
+    def test_s_z_with_small_chunks(self, monkeypatch, rows_per_chunk):
+        # a point has 160 rows: chunks within a point, and points gathered into one sum
+        panel, spec = _paper_cell_spec(50)
+        d_z = _Design(panel, spec).d_z
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * d_z * rows_per_chunk)
+        assert np.array_equal(_Design(panel, spec).s_z, stacked_s_z(panel, spec))
+
+    @pytest.mark.parametrize("periods", [1, 2, 5])
+    def test_quad_variance_in_one_two_and_many_chunks(self, monkeypatch, periods):
+        n, L = 60, 4
+        mats = build_quadratic_weights(build_lattice_weights(n, 3))
+        de = np.random.default_rng(periods).normal(size=(L, periods, n))
+        pairs = _union_pattern(mats, n)[0].size
+        one_shot = fancy_index_quad_variance(de, mats)[3]
+        assert np.array_equal(_quad_variance(de, mats), one_shot)  # one chunk
+        # two chunks, then many, down to one pair a chunk, also for a bound below one pair
+        for step in (pairs - pairs // 2, 7, 3, 2, 1, 0):
+            monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * L * periods * step)
+            assert np.array_equal(_quad_variance(de, mats), one_shot)
+
+    def test_variance_with_small_chunks(self, monkeypatch):
+        panel, spec = _paper_cell_spec(51)
+        fit = fit_gmm(panel, spec)
+        sigma = estimate_variance(fit, panel, spec)
+        monkeypatch.setattr(estimator, "_CHUNK_BYTES", 8 * 10 * 4 * 3)  # 3 pairs at L=10, T=5
+        assert np.array_equal(estimate_variance(fit, panel, spec), sigma)
+
+    @pytest.mark.parametrize("operator_kind", ["point", "kernel", "past"])
+    def test_in_place_forms_equal_expressions(self, operator_kind):
+        panel, spec = _paper_cell_spec(52)
+        spec = replace(spec, operator=small_operator(operator_kind, panel.quad))
+        fit = fit_gmm(panel, spec)
+        for theta in (fit.theta, np.linspace(-1.0, 1.0, fit.theta.size)):
+            for ours, theirs in zip(fit._design.residual_scores(theta),
+                                    residual_scores_with_temporaries(fit._design, theta)):
+                assert np.array_equal(ours, theirs)
+        assert np.array_equal(estimate_fixed_effects(fit, panel),
+                              fixed_effects_with_temporaries(fit, panel))
+
+
+def _traced_peak(call):
+    """``call()`` and the peak bytes that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_variance_memory_grows_with_edges_not_n_squared():
-    # the dense n x n formula peaks near 470 MB here; the edge-sparse one near 13 MB
+    # the dense n x n formula peaks near 470 MB here; the edge-sparse one peaked near
+    # 12.8 MB, and with its pairs summed a chunk at a time, near 4.1 MB
     panel, truth = simulate_mc_panel(3200, 5, 1.0, seed=11)
     spec = MomentSpec(basis=build_bspline_basis(2, 3, panel.quad), operator=truth.operator,
                       weights=truth.weights, n_points=10)
     fit = fit_gmm(panel, spec)
-    tracemalloc.start()
-    try:
-        estimate_variance(fit, panel, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6
+    assert _traced_peak(lambda: estimate_variance(fit, panel, spec))[1] < 5e6
 
 
 class TestInterpolateResponse:
