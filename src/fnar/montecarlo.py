@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -15,6 +16,7 @@ from .simulate import _draw_mc_panel, _mc_parts, _McParts, mc_alpha
 __all__ = ["McConfig", "McReport", "run_mc", "format_report", "PRESETS"]
 
 SPLINE_DEGREE = 3  # cubic B-splines, as in the simulation design
+_CHUNK = 8  # replications a worker process takes at a time
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,8 @@ def run_mc(cfg: McConfig) -> McReport:
     value the design rejects, raises here. Failed replications are kept in
     ``errors`` and skipped; more than 10% of them abort. A design error
     (``InvalidArgumentError``, ``CannotDifferenceError``) is raised as is.
+    The process pool starts at most as many processes as there are CPUs
+    and chunks of ``_CHUNK`` replications, whatever ``cfg.workers`` asks.
     """
     started = time.perf_counter()
     quad = build_quadrature(cfg.n_quad)
@@ -160,8 +164,9 @@ def run_mc(cfg: McConfig) -> McReport:
     if cfg.workers > 1:
         # only here: it loads multiprocessing, which the serial path never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_worker, payloads, chunksize=8))
+        workers = min(cfg.workers, os.cpu_count() or 1, -(-cfg.replications // _CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_worker, payloads, chunksize=_CHUNK))
     else:
         results = [_worker(p) for p in payloads]
 

@@ -156,53 +156,26 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     return NetworkWeights(w=_row_normalize(sp.csr_array(raw)))
 
 
-# W'W's entries are summed from a listing of their terms w_ki w_kj (there are
-# sum_k degree_k^2 of them) up to this many; beyond it scipy's sparse product,
-# which sums in the same order without holding the terms, is faster, and a
-# dense W would list n^3 terms
-_LISTED_TERMS = 4096
+def _symmetric_part(m, dtype) -> sp.csr_array:
+    """(m + m')/2 less its diagonal and zero entries, indexed in ``dtype``.
 
-
-def _summed(keys: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and the sum of each key's terms, added one by one
-    in listing order from 0.0 (``np.bincount`` does not sum pairwise)."""
-    union, inverse = np.unique(keys, return_inverse=True)
-    return union, np.bincount(inverse, weights=terms, minlength=union.size)
-
-
-def _gram_listed(w: sp.csr_array, rows: np.ndarray, cols: np.ndarray):
-    """Sorted keys i * n + j and sums m_ij of W'W's off-diagonal entries, from
-    a listing of the terms w_ki w_kj with k ascending within each entry."""
-    by_col = np.argsort(cols, kind="stable")  # k ascending within each column i
-    i, k = cols[by_col], rows[by_col]
-    count = np.diff(w.indptr)[k]  # terms per (i, k): the degree of row k
-    entry = np.repeat(np.arange(k.size), count)
-    first = np.cumsum(count) - count
-    pos = np.repeat(w.indptr[k] - first, count) + np.arange(entry.size)  # w_kj's slot
-    i, j = i[entry], cols[pos]
-    off = i != j
-    return _summed((i * w.shape[0] + j)[off], (w.data[by_col][entry] * w.data[pos])[off])
-
-
-def _gram_product(w: sp.csr_array):
-    """The same from scipy's sparse product W'W. Its compressed arrays are
-    those of a bitwise symmetric matrix, so they read as CSR arrays whichever
-    format it returns; the columns of a row come unsorted."""
-    m = w.T @ w
-    n = w.shape[0]
+    Reads m's compressed arrays as CSR arrays. Each off-diagonal m_ij is
+    listed under key row * n + col and again under col * n + row, and
+    ``np.bincount`` adds each key's two terms from 0.0 before the halving.
+    """
+    n = m.shape[0]
     rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    off = rows != m.indices
-    keys = (rows * n + m.indices)[off]
-    order = np.argsort(keys)
-    return keys[order], m.data[off][order]
-
-
-def _csr_from_sorted(keys: np.ndarray, data: np.ndarray, n: int, dtype) -> sp.csr_array:
-    """csr_array of the nonzero ``data`` at sorted keys row * n + col, indexed in ``dtype``."""
-    keep = data != 0.0
+    cols = m.indices.astype(np.int64)
+    off = rows != cols
+    rows, cols, vals = rows[off], cols[off], m.data[off]
+    keys, inverse = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                              return_inverse=True)
+    # not halved in place: with no terms, np.bincount returns int64
+    sums = np.bincount(inverse, weights=np.concatenate([vals, vals]), minlength=keys.size) * 0.5
+    keep = sums != 0.0
     keys = keys[keep]
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(dtype)
-    return sp.csr_array((data[keep], (keys % n).astype(dtype), indptr), shape=(n, n))
+    return sp.csr_array((sums[keep], (keys % n).astype(dtype), indptr), shape=(n, n))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # W'W may overflow, as scipy's product does
@@ -211,26 +184,16 @@ def build_quadratic_weights(weights: NetworkWeights) -> list[sp.csr_array]:
     diagonal, each exactly symmetric with a zero diagonal, no stored zeros
     and W's index dtype.
 
-    Both are built from W's CSR arrays, each entry's terms added one by one
-    in a fixed order. A P1 entry adds w_ij and w_ji and halves the sum. A P2
-    entry m_ij adds w_ki w_kj with k ascending: listed and summed by
-    ``np.bincount`` for a W with few terms (``_LISTED_TERMS``), by scipy's
-    sparse product W'W otherwise, which sums in that same order. So m_ij and
-    m_ji are the same bits, and the entry (m_ij + m_ji) / 2 is
-    (m + m) * 0.5, which overflows where that sum does. The order is kept
-    because the fits turn a one-ulp change in P2 into a visible change of
-    the gmm2 estimate: a pairwise sum (``np.add.reduceat``) rounds otherwise
-    once an entry has more than eight terms.
+    Both are the symmetric part of a matrix m: each entry adds m_ij and m_ji
+    from 0.0 and halves the sum. For P1, m is W. For P2, m is scipy's sparse
+    product W'W, which adds an entry's terms w_ki w_kj with k ascending, so
+    m_ij and m_ji are the same bits (its compressed arrays read as CSR
+    arrays whichever format scipy returns) and the entry is (m + m) * 0.5,
+    which overflows where that sum does. The order is kept because the fits
+    turn a one-ulp change in P2 into a visible change of the gmm2 estimate:
+    a pairwise sum (``np.add.reduceat``) rounds otherwise once an entry has
+    more than eight terms.
     """
     w = weights.w
-    n = w.shape[0]
-    degrees = np.diff(w.indptr).astype(np.int64)
-    rows = np.repeat(np.arange(n), degrees)
-    cols = w.indices.astype(np.int64)
-    keys, sums = _summed(np.concatenate([rows * n + cols, cols * n + rows]),
-                         np.concatenate([w.data, w.data]))
-    p1 = _csr_from_sorted(keys, sums * 0.5, n, w.indices.dtype)
-    keys, sums = (_gram_listed(w, rows, cols) if degrees @ degrees <= _LISTED_TERMS
-                  else _gram_product(w))
     gram_dtype = w.indices.dtype if w.nnz else np.int32  # scipy's empty product
-    return [p1, _csr_from_sorted(keys, (sums + sums) * 0.5, n, gram_dtype)]
+    return [_symmetric_part(w, w.indices.dtype), _symmetric_part(w.T @ w, gram_dtype)]

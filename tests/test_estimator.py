@@ -826,9 +826,16 @@ def test_theta_stable_under_tiny_outcome_perturbation():
 
 
 def _random_quad_matrix(n, density, seed):
-    """Symmetric zero-diagonal matrix on a random pattern unrelated to any network."""
-    upper = sp.triu(sp.random_array((n, n), density=density, rng=seed), k=1)
-    return sp.csr_array(upper + upper.T)
+    """Symmetric zero-diagonal matrix on a random pattern unrelated to any network:
+    the upper triangle of scipy's ``random_array((n, n), density, rng=seed)``,
+    drawn as it draws, since scipy 1.11 has no ``random_array`` taking ``rng``."""
+    rng = np.random.default_rng(seed)
+    size = round(density * n * n)
+    cols, rows = np.divmod(rng.choice(n * n, size=size, replace=False), n)
+    vals = rng.uniform(size=size)
+    upper = rows < cols
+    m = sp.csr_array((vals[upper], (rows[upper], cols[upper])), shape=(n, n))
+    return sp.csr_array(m + m.T)
 
 
 def _band_quad_matrix(n, offset):

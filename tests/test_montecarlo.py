@@ -1,3 +1,6 @@
+import concurrent.futures
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,6 +177,38 @@ class TestRun:
         parallel = run_mc(tiny_cfg(workers=2))
         assert serial.bias == parallel.bias
         assert serial.rmse == parallel.rmse
+
+    @pytest.mark.parametrize("workers,replications,cpus,started", [
+        (100_000, 16, 64, 2),  # two chunks of 8 replications
+        (3, 40, 64, 3),
+        (100_000, 40, 4, 4),
+        (2, 1, 64, 1),
+        (100_000, 16, None, 1),  # CPU count unknown
+    ])
+    def test_pool_capped_at_cpus_and_chunks(self, monkeypatch, workers, replications, cpus,
+                                            started):
+        # a fake pool records its size and maps in this process, starting none
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        cfg = tiny_cfg(n=5, estimators=("2sls",), replications=replications)
+        rep = run_mc(replace(cfg, workers=workers))
+        assert sizes == [started]
+        assert rep.rmse == run_mc(cfg).rmse
 
     def test_worker_count_invariance_of_the_whole_report(self):
         # the workers get the config-only values in their payload, pickled

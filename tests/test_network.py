@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,6 @@ from numpy.testing import assert_allclose
 from conftest import ring_weights
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.errors import InvalidArgumentError, SchemaError
-import fnar.network as network
 from fnar.estimator import MomentSpec
 from fnar.interaction import PointEval
 from fnar.io import read_edge_list, write_edge_list
@@ -430,8 +430,11 @@ class TestSymmetryCheck:
                 entries[rows[i]].append((cols[i], vals[i]))
             layout = _csr(n, entries)
             answers.add(bool(copying_symmetry_check(layout)))
-            assert _exactly_symmetric_zero_diagonal(
-                build_quadratic_weights(NetworkWeights(w=layout.copy())))
+            weights = NetworkWeights(w=layout.copy())
+            built = build_quadratic_weights(weights)
+            assert _exactly_symmetric_zero_diagonal(built)
+            for got, want in zip(built, coo_quadratic_weights(weights), strict=True):
+                assert_same_csr(got, want)
         assert answers == {True, False}
 
 
@@ -481,37 +484,38 @@ _CSR_BUILDER_CASES = {
 
 class TestCsrQuadraticWeights:
     """``build_quadratic_weights`` sums W's CSR arrays itself; the COO builder
-    it replaced is the oracle, bit for bit, index dtypes included, whether
-    W'W's terms are listed or summed by scipy's product."""
+    it replaced is the oracle, bit for bit, index dtypes included. Each case
+    runs once for P1, the symmetric part of W's listed entries, and once for
+    P2, that of scipy's product W'W."""
 
-    @pytest.mark.parametrize("path", ["listed", "product"])
+    @pytest.mark.parametrize("k", [0, 1], ids=["listed", "product"])
     @pytest.mark.parametrize("name", list(_CSR_BUILDER_CASES))
-    def test_matches_coo_builder(self, name, path, tmp_path, monkeypatch):
+    def test_matches_coo_builder(self, name, k, tmp_path):
         weights = _CSR_BUILDER_CASES[name](tmp_path)
-        monkeypatch.setattr(network, "_LISTED_TERMS", 10**9 if path == "listed" else -1)
-        for got, want in zip(build_quadratic_weights(weights), coo_quadratic_weights(weights),
-                             strict=True):
-            assert_same_csr(got, want)
-
-    def test_paper_cell_lists_and_large_lattice_multiplies(self, monkeypatch):
-        paths = []
-        for name in ("_gram_listed", "_gram_product"):
-            original = getattr(network, name)
-
-            def counted(*args, _name=name, _original=original):
-                paths.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(network, name, counted)
-        build_quadratic_weights(build_lattice_weights(40, 1))
-        build_quadratic_weights(build_lattice_weights(3200, 1))
-        assert paths == ["_gram_listed", "_gram_product"]
+        assert_same_csr(build_quadratic_weights(weights)[k], coo_quadratic_weights(weights)[k])
 
     def test_signed_case_sums_many_terms_an_entry(self):
         # the case where summation order shows: P2 entries of 28 signed terms
         w = _signed_dense_weights(30, 8).w
         terms = (w != 0).astype(float)
         assert (terms.T @ terms).toarray().max() >= 28
+
+    @pytest.mark.parametrize("make,bound", [
+        (lambda: build_distance_weights(np.random.default_rng(6).uniform(size=(200, 2)), np.inf),
+         10 * 2**20),
+        (lambda: build_lattice_weights(3200, 1), 2 * 2**20),
+    ], ids=["dense200", "lattice3200"])
+    def test_memory(self, make, bound):
+        # 5.9 and 1.3 MiB measured; listing the dense W's 7.9 million terms
+        # w_ki w_kj of W'W, as an earlier builder could, took 680 MiB
+        weights = make()
+        tracemalloc.start()
+        try:
+            build_quadratic_weights(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_overflow_as_in_the_sparse_product(self):
         weights = _signed_dense_weights(12, 9, scale=1e160)
