@@ -17,7 +17,8 @@ Blank and whitespace-only lines are skipped, quoted fields are accepted and
 columns after the ones a table needs are ignored. The panel reader streams an
 observation table whose rows run in (unit, period) order with each cell's
 points exactly the grid's, as ``write_panel`` writes them: it reads its bytes
-about ``_PANEL_BLOCK`` at a time, whole cells of lines, parses their fields
+in blocks of ``_PANEL_BLOCK`` for each whole ``_BLOCK_UNIT`` of the table, at
+least one and at most four, whole cells of lines, parses their fields
 with the vectorised decimal kernel of ``fnar.floattext`` (ids as digits, ``s``
 and ``y`` as ``[-]digits[.digits][e[+-]digits]``, bit for bit as ``float``
 reads them) and writes their values into one array sized by the line count,
@@ -63,7 +64,12 @@ __all__ = ["write_table", "write_panel", "read_panel", "read_function",
 _BLOCK = 8192  # values formatted at once, which bounds a write's temporaries
 _COUNT_CHUNK = 1 << 16  # bytes per read of the line count, which bounds its temporaries
 _SCAN_ROWS = 1 << 12  # rows the row-by-row scan holds as tuples before it makes them records
-_PANEL_BLOCK = 1 << 17  # bytes of an in-order observation table parsed at once
+_PANEL_BLOCK = 1 << 17  # bytes of an in-order observation table parsed at once, per unit
+# Table bytes per _PANEL_BLOCK of a streamed block, up to four: a block grows
+# only where it is at most 1/32 of its table, so its temporaries stay under
+# 20 B a row. Its own constant, not a multiple of _PANEL_BLOCK, so that a
+# small table read with a smaller _PANEL_BLOCK keeps blocks of exactly that.
+_BLOCK_UNIT = 1 << 22
 _PAD = 32  # zero bytes after a block's last line: the decimal kernel reads past a field
 # Largest unit count an edge list read without n may imply. The count is one
 # more than the largest id, and the matrix's row pointer alone takes 8 bytes
@@ -156,12 +162,14 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     reads. Else None, with ``fh`` anywhere: also for a malformed table, which
     the whole-table read names.
 
-    The bytes are read about ``_PANEL_BLOCK`` at a time, whole cells of
-    lines, and their values written to one array allocated for the line
-    count, so no row's ids or points are kept. A cell's ids are read from its
-    first row, whose ``unit,period,`` bytes its other rows must repeat; an
-    ``s`` spelled as ``write_panel`` spells its grid point is matched by its
-    bytes, and any other spelling read and compared.
+    The bytes are read in blocks of ``_PANEL_BLOCK`` times the file's whole
+    ``_BLOCK_UNIT``s, at least 1 and at most 4 (128 KiB below 8 MiB, 512 KiB
+    from 16 MiB), whole cells of lines, and their values written to one
+    array allocated for the line count, so no row's ids or points are kept.
+    A cell's ids are read from its first row, whose ``unit,period,`` bytes
+    its other rows must repeat; an ``s`` spelled as ``write_panel`` spells its
+    grid point is matched by its bytes, and any other spelling read and
+    compared.
     """
     from .floattext import decimal_ids, decimal_values, equal_bytes, float_texts
 
@@ -179,7 +187,8 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     check_array_size(f"{path}: {lines} lines need more memory than can be allocated", lines)
     y = np.empty(lines)
     rows, T = 0, None  # the periods of a unit, known once unit 1 starts
-    for block in _row_blocks(fh.buffer, G):
+    units = os.fstat(fh.fileno()).st_size // _BLOCK_UNIT
+    for block in _row_blocks(fh.buffer, G, _PANEL_BLOCK * min(4, max(1, units))):
         if block is None:
             return None
         text, at, stop = block
@@ -230,15 +239,15 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     return y[:rows].reshape(cells // T, T, G)
 
 
-def _row_blocks(raw, rows):
+def _row_blocks(raw, rows, size):
     """The lines after the header of the binary file ``raw``, from its start,
-    about ``_PANEL_BLOCK`` bytes at a time, each block a multiple of ``rows``
+    about ``size`` bytes at a time, each block a multiple of ``rows``
     lines that are not blank: the bytes, zero-padded ``_PAD`` bytes past their
     last line, and each line's start and end before its ``\r\n`` or ``\n``.
     None for a block with a quote or a lone ``\r``, or if lines that make no
     whole multiple are left at the end."""
     raw.seek(0)
-    buf = np.zeros(_PANEL_BLOCK + _PAD + 1, np.uint8)  # and an end for an unended last line
+    buf = np.zeros(size + _PAD + 1, np.uint8)  # and an end for an unended last line
     held, header = 0, True
     while True:
         got = raw.readinto(memoryview(buf)[held:buf.size - _PAD - 1])

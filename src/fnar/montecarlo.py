@@ -151,7 +151,8 @@ def run_mc(cfg: McConfig) -> McReport:
     ``errors`` and skipped; more than 10% of them abort. A design error
     (``InvalidArgumentError``, ``CannotDifferenceError``) is raised as is.
     The process pool starts at most as many processes as there are CPUs
-    and chunks of ``_CHUNK`` replications, whatever ``cfg.workers`` asks.
+    and chunks of ``_CHUNK`` replications, whatever ``cfg.workers`` asks, and
+    only if that is more than one: else the replications run in this process.
     """
     started = time.perf_counter()
     quad = build_quadrature(cfg.n_quad)
@@ -161,10 +162,10 @@ def run_mc(cfg: McConfig) -> McReport:
     cover = (basis.eval_many(np.atleast_1d(points)), mc_alpha(points))
     seeds = np.random.SeedSequence(cfg.base_seed).spawn(cfg.replications)
     payloads = [(cfg, basis, dgp, cover, seed) for seed in seeds]
-    if cfg.workers > 1:
+    workers = min(cfg.workers, os.cpu_count() or 1, -(-cfg.replications // _CHUNK))
+    if workers > 1:
         # only here: it loads multiprocessing, which the serial path never needs
         from concurrent.futures import ProcessPoolExecutor
-        workers = min(cfg.workers, os.cpu_count() or 1, -(-cfg.replications // _CHUNK))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, payloads, chunksize=_CHUNK))
     else:

@@ -766,21 +766,40 @@ class TestReaderRules:
         assert err.value.line == 4
 
 
+@pytest.fixture(scope="module")
+def written_panel(tmp_path_factory):
+    """``written_panel(n)``: the observation and covariate files of a random
+    n x 5 panel on the 99-point grid, as ``write_panel`` writes them, and the
+    panel; each n is written once."""
+    written = {}
+
+    def panel_of(n):
+        if n not in written:
+            rng = np.random.default_rng(21)
+            quad = build_quadrature(99)
+            panel = FunctionalPanel(y=rng.normal(size=(n, 5, quad.count)),
+                                    x=rng.normal(size=(n, 5, 2)), quad=quad)
+            folder = tmp_path_factory.mktemp(f"panel-{n}")
+            obs, cov = folder / "obs.csv", folder / "cov.csv"
+            io.write_panel(panel, obs, cov)
+            written[n] = obs, cov, panel
+        return written[n]
+
+    return panel_of
+
+
 class TestPanelShortcuts:
     """An in-order panel on the grid's points is streamed into its values, in
     under 20 bytes a row; any other table is sorted and interpolated whole.
     Both give what the row-by-row oracle gives, since ``np.interp`` at its own
     points returns their values bit for bit."""
 
-    def test_in_order_panel_read_in_under_20_bytes_a_row(self, tmp_path):
-        # 8-byte values and one 128 KiB block's temporaries: 15.9 bytes a row
-        # here, 9.4 at n=1600; the whole table's 24-byte records took 36.7 and 35.6
-        rng = np.random.default_rng(21)
-        quad = build_quadrature(99)
-        panel = FunctionalPanel(y=rng.normal(size=(224, 5, quad.count)),
-                                x=rng.normal(size=(224, 5, 2)), quad=quad)
-        obs, cov = tmp_path / "obs.csv", tmp_path / "cov.csv"
-        io.write_panel(panel, obs, cov)
+    @pytest.mark.parametrize("n", [224, 1200])
+    def test_in_order_panel_read_in_under_20_bytes_a_row(self, written_panel, n):
+        # 8-byte values and one block's temporaries: at n=224, one 128 KiB
+        # block, 15.9 bytes a row; at n=1200, one 512 KiB block, 14.3; the whole
+        # table's 24-byte records took 36.7 at n=224 and 35.6 at n=1600
+        obs, cov, panel = written_panel(n)
         tracemalloc.start()
         try:
             read = io.read_panel(obs, cov)
@@ -788,7 +807,7 @@ class TestPanelShortcuts:
         finally:
             tracemalloc.stop()
         same_panel(read, panel)
-        rows = panel.y.size  # 110,880
+        rows = panel.y.size  # 110,880 and 594,000
         assert peak < 20 * rows, peak / rows
 
     @pytest.mark.parametrize("count", [2, 9, 99])
@@ -1013,6 +1032,48 @@ class TestStreamedPanel:
         feed.join()
         same_panel(from_pipe, from_file)
         assert blocks == from_file_blocks
+
+    @staticmethod
+    def block_sizes(monkeypatch):
+        """The block size of each stream that ``_row_blocks`` reads from now on."""
+        sizes, row_blocks = [], io._row_blocks
+
+        def spy(*args):
+            sizes.append(args[2])
+            return row_blocks(*args)
+
+        monkeypatch.setattr(io, "_row_blocks", spy)
+        return sizes
+
+    @pytest.mark.parametrize("n,mib,block", [(224, 3, 128), (600, 8, 256), (1200, 17, 512)])
+    def test_block_grows_with_the_table(self, written_panel, monkeypatch, n, mib, block):
+        # 128 KiB for each whole 4 MiB of the table, from one to four of them
+        obs, cov, panel = written_panel(n)
+        assert obs.stat().st_size >> 20 == mib
+        sizes = self.block_sizes(monkeypatch)
+        same_panel(io.read_panel(obs, cov), panel)
+        assert sizes == [block << 10]
+
+    @pytest.mark.parametrize("parts,block", [(None, 20), (2, 40), (3, 60), (1000, 80)])
+    def test_block_is_one_to_four_panel_blocks(self, tmp_path, monkeypatch, parts, block):
+        # with the table cut into ``parts`` units, a block is that many
+        # _PANEL_BLOCKs, four at most; a table under one unit takes one
+        monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
+        lines, cov = self.tables(tmp_path)
+        obs = write(tmp_path, "in-order.csv", "".join(lines))
+        if parts:
+            monkeypatch.setattr(io, "_BLOCK_UNIT", obs.stat().st_size // parts)
+        sizes = self.block_sizes(monkeypatch)
+        panel, streamed, whole = self.reads(monkeypatch, obs, cov)
+        assert streamed and sizes == [block]
+        same_panel(panel, whole)
+
+    def test_512_kib_blocks_stream_the_whole_read_bitwise(self, written_panel, monkeypatch):
+        obs, cov, panel = written_panel(1200)
+        read, streamed, whole = self.reads(monkeypatch, obs, cov, grid_count=99)
+        assert streamed
+        same_panel(read, whole)
+        same_panel(read, panel)
 
 
 # -- line count -------------------------------------------------------------

@@ -178,15 +178,15 @@ class TestRun:
         assert serial.bias == parallel.bias
         assert serial.rmse == parallel.rmse
 
-    @pytest.mark.parametrize("workers,replications,cpus,started", [
+    @pytest.mark.parametrize("workers,replications,cpus,processes", [
         (100_000, 16, 64, 2),  # two chunks of 8 replications
         (3, 40, 64, 3),
         (100_000, 40, 4, 4),
-        (2, 1, 64, 1),
+        (2, 1, 64, 1),  # one chunk: no pool, the replications run in this process
         (100_000, 16, None, 1),  # CPU count unknown
     ])
     def test_pool_capped_at_cpus_and_chunks(self, monkeypatch, workers, replications, cpus,
-                                            started):
+                                            processes):
         # a fake pool records its size and maps in this process, starting none
         sizes = []
 
@@ -207,13 +207,15 @@ class TestRun:
         monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
         cfg = tiny_cfg(n=5, estimators=("2sls",), replications=replications)
         rep = run_mc(replace(cfg, workers=workers))
-        assert sizes == [started]
+        assert sizes == ([processes] if processes > 1 else [])
         assert rep.rmse == run_mc(cfg).rmse
 
-    def test_worker_count_invariance_of_the_whole_report(self):
-        # the workers get the config-only values in their payload, pickled
-        serial = run_mc(paper_cell(replications=6, base_seed=21))
-        parallel = run_mc(paper_cell(replications=6, base_seed=21, workers=2))
+    def test_worker_count_invariance_of_the_whole_report(self, monkeypatch):
+        # the workers get the config-only values in their payload, pickled: two
+        # chunks of replications and two CPUs start a pool of two on any machine
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        serial = run_mc(paper_cell(replications=9, base_seed=21))
+        parallel = run_mc(paper_cell(replications=9, base_seed=21, workers=2))
         assert serial.coverage_count > 0
         for name in ("bias", "rmse", "coverage", "coverage_count", "coverage_skipped",
                      "failures", "errors", "nonconverged"):
