@@ -27,6 +27,7 @@ from .errors import (
     UnderidentificationWarning,
     UnderidentifiedError,
     VarianceUnavailableError,
+    check_array_size,
 )
 from .interaction import InteractionOperator, network_lag
 from .network import NetworkWeights, build_quadratic_weights
@@ -213,6 +214,11 @@ class _Design:
         points = spec.points
         L = points.size
         self.n_obs = n * (T - 1)
+        # dy and the per-point A and C, which grow with L
+        for shape in ((L, T - 1, n), (L, self.d_z, self.d_theta),
+                      (L, self.M, self.d_theta, self.d_theta)):
+            check_array_size(f"{L} moment points need {' x '.join(map(str, shape))} design "
+                             "values, more memory than can be allocated", *shape)
 
         self._phi = spec.basis.eval_many(points)  # (L, K)
         norm = 1.0 / self.n_obs

@@ -11,22 +11,24 @@ is refused if they exceed ``MAX_ARRAY_BYTES``, blank lines or not. A
 whitespace-only line fails that parse, so a failed parse runs once more
 without such lines. Only if that fails too, or a row breaks a rule of the
 table, does a row-by-row scan of the same bytes with Python's ``int`` and
-``float`` run: it names the first bad line, or reads what only Python accepts
-(``1_000``) and a table with a wider id, ids as int64.
+``float`` run: it checks its rows a batch at a time as it reads them and
+stops at the first bad line, which it names, or reads what only Python
+accepts (``1_000``) and a table with a wider id, ids as int64.
 Blank and whitespace-only lines are skipped, quoted fields are accepted and
 columns after the ones a table needs are ignored. The panel reader streams an
 observation table whose rows run in (unit, period) order with each cell's
-points exactly the grid's, as ``write_panel`` writes them: it reads its bytes
+points the grid's, spelled as ``write_panel`` writes them: it reads its bytes
 in blocks of ``_PANEL_BLOCK`` for each whole ``_BLOCK_UNIT`` of the table, at
-least one and at most four, whole cells of lines, parses their fields
-with the vectorised decimal kernel of ``fnar.floattext`` (ids as digits, ``s``
-and ``y`` as ``[-]digits[.digits][e[+-]digits]``, bit for bit as ``float``
-reads them) and writes their values into one array sized by the line count,
-keeping no row's ids or points. At the first block with a quote, a lone
-``\r``, a field that is not such a text, a row that breaks a rule or leaves
-that order, it reads the table again from its start as a whole, which is the
-only path for any other table: it sorts the rows stably by (unit, period, s)
-and interpolates each cell onto the grid.
+least one and at most four, whole cells of lines, matches each ``s`` by its
+bytes, parses the ids and ``y`` with the vectorised decimal kernel of
+``fnar.floattext`` (ids as digits, ``y`` as ``[-]digits[.digits][e[+-]digits]``,
+bit for bit as ``float`` reads them) and writes the values into one array
+sized by the line count, keeping no row's ids or points. At the first block
+with a quote, a lone ``\r``, an ``s`` spelled otherwise, a field that is not
+such a text, a row that breaks a rule or leaves that order, it reads the
+table again from its start as a whole, which is the only path for any other
+table: it sorts the rows stably by (unit, period, s) and interpolates each
+cell onto the grid.
 
 A writer writes each value as its shortest round-trip text, byte for byte what
 ``repr`` writes, with the ``\\r\\n`` line ends of ``csv.writer``. A block of
@@ -45,7 +47,6 @@ import shutil
 import stat
 import tempfile
 import warnings
-from array import array
 from contextlib import ExitStack, contextmanager
 from io import TextIOWrapper
 
@@ -63,7 +64,7 @@ __all__ = ["write_table", "write_panel", "read_panel", "read_function",
 
 _BLOCK = 8192  # values formatted at once, which bounds a write's temporaries
 _COUNT_CHUNK = 1 << 16  # bytes per read of the line count, which bounds its temporaries
-_SCAN_ROWS = 1 << 12  # rows the row-by-row scan holds as tuples before it makes them records
+_SCAN_ROWS = 1 << 12  # rows the row-by-row scan holds as tuples before it checks them as records
 _PANEL_BLOCK = 1 << 17  # bytes of an in-order observation table parsed at once, per unit
 # Table bytes per _PANEL_BLOCK of a streamed block, up to four: a block grows
 # only where it is at most 1/32 of its table, so its temporaries stay under
@@ -158,18 +159,18 @@ def read_panel(obs_path, cov_path, quad: QuadratureGrid | None = None):
 def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     """The (n, T, G) values of the observation table open as ``fh``, with
     ``lines`` line ends, if its rows run in (unit, period) order, each cell's
-    points exactly the grid's, and every field is a text the decimal kernel
-    reads. Else None, with ``fh`` anywhere: also for a malformed table, which
-    the whole-table read names.
+    points the grid's, spelled as ``write_panel`` spells them, and every other
+    field is a text the decimal kernel reads. Else None, with ``fh`` anywhere:
+    also for a malformed table, which the whole-table read names.
 
     The bytes are read in blocks of ``_PANEL_BLOCK`` times the file's whole
     ``_BLOCK_UNIT``s, at least 1 and at most 4 (128 KiB below 8 MiB, 512 KiB
     from 16 MiB), whole cells of lines, and their values written to one
     array allocated for the line count, so no row's ids or points are kept.
     A cell's ids are read from its first row, whose ``unit,period,`` bytes
-    its other rows must repeat; an ``s`` spelled as ``write_panel`` spells its
-    grid point is matched by its bytes, and any other spelling read and
-    compared.
+    its other rows must repeat, and each ``s`` is matched by its bytes. A
+    table with any other spelling of a grid point takes the whole-table read,
+    whose interpolation at the grid's own points gives the same values.
     """
     from .floattext import decimal_ids, decimal_values, equal_bytes, float_texts
 
@@ -182,7 +183,7 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     spellings = np.zeros((G, -(-max(map(len, points)) // 8) * 8), np.uint8)
     for row, point in zip(spellings, points):
         row[:len(point)] = np.frombuffer(point, np.uint8)
-    commas = np.array([len(point) - 1 for point in points])
+    lengths = np.array([len(point) for point in points])
     # every row but an unended last one, and the header, ends a line
     check_array_size(f"{path}: {lines} lines need more memory than can be allocated", lines)
     y = np.empty(lines)
@@ -210,20 +211,15 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
         if not np.all(equal_bytes(text, at, prefix[:, None])):
             return None
         at += width[:, None]
-        # s as write_panel spells the grid's points, else read and compared
-        other = np.flatnonzero(~equal_bytes(text, at, spellings))
-        end, at = (at + commas).ravel(), at.ravel()
-        if other.size:
-            field = decimal_values(text, at[other], stop[other])
-            if field is None or np.any(text[field[1]] != 44) \
-                    or not np.all(field[0] == quad.points[other % G]):
-                return None
-            end[other] = field[1]
-        field = decimal_values(text, end + 1, stop)
+        # each s spelled, with its ",", as write_panel spells its grid point
+        if not np.all(equal_bytes(text, at, spellings)):
+            return None
+        at += lengths
+        field = decimal_values(text, at.ravel(), stop)
         if field is None or not np.all(np.isfinite(field[0])):
             return None
         y[rows:rows + size] = field[0]
-        del field, at, stop, end
+        del field, at, stop
         unit, period = ids
         cell = np.arange(rows // G, (rows + size) // G)
         if T is None and unit.any():  # 0 if unit 0 has no row: the check below fails
@@ -571,68 +567,62 @@ def _loadtxt(fh, dtype, usecols, max_rows) -> np.ndarray | None:
         return None
 
 
+def _int64(text) -> int:
+    """``int(text)``, raising ``OverflowError`` outside the int64 range."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise OverflowError("Python int too large to convert to C long")
+    return value
+
+
 def _scan(path, fh, dtype, row_error, exact) -> np.ndarray:
     """Row-by-row reading of ``path``, open as the seekable ``fh``, ints as
     int64: raise at the first bad line, or return the records.
 
-    Rows are read as Python tuples up to the first that does not parse, and
-    made into records ``_SCAN_ROWS`` at a time; the first line among that row,
-    a row too wide for int64 and a row that breaks ``row_error`` is named.
+    Rows are read as Python tuples, an int too wide for int64 failing as it is
+    read, and made into records ``_SCAN_ROWS`` at a time; ``row_error`` checks
+    each batch as it is made. A row that does not parse, or a fault of the
+    csv layer such as an oversized field, is raised once the rows held
+    before it pass, so the first bad line is named and no row after it read.
     """
-    kinds = [int if dtype[name].kind == "i" else float for name in dtype.names]
-    dtype = np.dtype([(name, np.int64 if kind is int else np.float64)
+    kinds = [_int64 if dtype[name].kind == "i" else float for name in dtype.names]
+    dtype = np.dtype([(name, np.int64 if kind is _int64 else np.float64)
                       for name, kind in zip(dtype.names, kinds)])
-    chunks, rows, lines, failure = [], [], array("q"), None
+    chunks, rows, lines = [], [], []
 
-    def records():
-        """The held rows as records; at a row too wide for int64, those before it and its error."""
-        try:
-            return np.array(rows, dtype), None
-        except OverflowError:
-            for k, row in enumerate(rows):
-                try:
-                    np.array([row], dtype)
-                except OverflowError as exc:
-                    error = SchemaError(str(exc), line=lines[len(lines) - len(rows) + k],
-                                        path=str(path))
-                    error.__cause__ = exc
-                    return np.array(rows[:k], dtype), error
+    def check():
+        """Make the held rows records, or raise at the first that breaks a rule."""
+        rec = np.array(rows, dtype)
+        if row_error is not None and row_error(rec) is not None:
+            # the fewest leading rows that break a rule end in the first such row
+            low, high = 0, rec.size
+            while high - low > 1:
+                middle = (low + high) // 2
+                low, high = (low, middle) if row_error(rec[:middle]) is not None else (middle, high)
+            raise SchemaError(row_error(rec[:high]), line=lines[high - 1], path=str(path))
+        chunks.append(rec)
+        del rows[:], lines[:]
 
     _header(fh)
-    for line, row in enumerate(csv.reader(fh), start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        try:
-            if len(row) < len(kinds) or (exact and len(row) > len(kinds)):
-                raise ValueError(f"expected {len(kinds)} fields, got {len(row)}")
-            rows.append(tuple(kind(v) for kind, v in zip(kinds, row)))
-        except (ValueError, OverflowError) as exc:
-            failure = SchemaError(str(exc), line=line, path=str(path))
-            failure.__cause__ = exc
-            break
-        lines.append(line)
-        if len(rows) == _SCAN_ROWS:
-            chunk, failure = records()
-            chunks.append(chunk)
-            rows = []
-            if failure is not None:
-                break
-    if rows:  # a row too wide comes before the row that did not parse
-        chunk, overflow = records()
-        chunks.append(chunk)
-        failure = overflow or failure
-    rec = np.concatenate(chunks) if chunks else np.empty(0, dtype)
-    del chunks, rows
-    if row_error is not None and row_error(rec) is not None:
-        # the fewest leading rows that break a rule end in the first such row
-        low, high = 0, rec.size
-        while high - low > 1:
-            middle = (low + high) // 2
-            low, high = (low, middle) if row_error(rec[:middle]) is not None else (middle, high)
-        raise SchemaError(row_error(rec[:high]), line=lines[high - 1], path=str(path))
-    if failure is not None:
-        raise failure
-    return rec
+    try:
+        for line, row in enumerate(csv.reader(fh), start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                if len(row) < len(kinds) or (exact and len(row) > len(kinds)):
+                    raise ValueError(f"expected {len(kinds)} fields, got {len(row)}")
+                rows.append(tuple(kind(v) for kind, v in zip(kinds, row)))
+            except (ValueError, OverflowError) as exc:
+                check()
+                raise SchemaError(str(exc), line=line, path=str(path)) from exc
+            lines.append(line)
+            if len(rows) == _SCAN_ROWS:
+                check()
+    except (csv.Error, UnicodeDecodeError):
+        check()
+        raise
+    check()
+    return np.concatenate(chunks)
 
 
 def _field_table(texts) -> np.ndarray:

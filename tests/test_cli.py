@@ -914,6 +914,14 @@ class TestSizeRule:
          "n=400 and T=5 need 400 x 5 x 99 panel values, more memory than can be allocated"),
         (["montecarlo", "--n", 400, "--T", 5, "--replications", 1, "--seed", 4],
          "n=400 and T=5 need 400 x 5 x 99 panel values, more memory than can be allocated"),
+        # the moment design's per-point aggregates, before the first is allocated
+        (["estimate", *_PANEL_ARGS, "--moment-points", 1000],
+         "1000 moment points need 1000 x 18 x 12 design values, "
+         "more memory than can be allocated"),
+        (["montecarlo", "--n", 12, "--T", 3, "--moment-points", 1000, "--replications", 1,
+          "--seed", 4],
+         "1000 moment points need 1000 x 18 x 12 design values, "
+         "more memory than can be allocated"),
     ])
     def test_refused_size_allocates_nothing(self, small, capsys, argv, message):
         out = ("out/impacts.csv" if "keyplayer" in argv

@@ -759,6 +759,39 @@ class TestReaderRules:
         assert err.value.line == rows + 2
         assert peak < 100 * rows, peak / rows
 
+    @pytest.mark.parametrize("fault_line", [10, 10_004])
+    def test_scan_names_a_bad_row_before_a_csv_fault(self, tmp_path, fault_line):
+        # a field over csv's limit fails the csv layer, which names no line
+        rows = ["0,0,0.5,1", "0,0,1.5,1"] + ["0,0,0.5,1"] * (fault_line - 4)
+        rows.append("0,0," + "9" * (csv.field_size_limit() + 1) + ",1")
+        obs = write(tmp_path, "obs.csv", "unit,period,s,y\n" + "\n".join(rows) + "\n")
+        cov = write(tmp_path, "cov.csv", "unit,period,x1\n0,0,1.0\n")
+        with pytest.raises(SchemaError) as err:
+            io.read_panel(obs, cov, build_quadrature(9))
+        assert str(err.value) == f"{obs}:3: evaluation point 1.5 outside [0, 1]"
+
+    @pytest.mark.parametrize("later", [None, "0.5,x", "0.5," + "9" * 200_000],
+                             ids=["good", "unparsed", "csv-fault"])
+    def test_scan_stops_in_the_batch_of_the_first_bad_row(self, tmp_path, monkeypatch, later):
+        # row k holds the value k; row 19, in the third batch of 8, is not
+        # finite, and row 21, in the same batch, may fail to parse
+        monkeypatch.setattr(io, "_SCAN_ROWS", 8)
+        rows = [f"0.5,{k}.0" for k in range(100)]
+        rows[19] = "0.5,nan"
+        rows[21] = later or rows[21]
+        path = write(tmp_path, "f.csv", "s,value\n" + "\n".join(rows) + "\n")
+        seen = []
+
+        def row_error(rec):
+            seen.append(np.nanmax(rec["value"], initial=0.0))
+            return io._non_finite(rec)
+
+        dtype = np.dtype([("s", float), ("value", float)])
+        with io._opened(path) as (fh, _), pytest.raises(SchemaError) as err:
+            io._scan(path, fh, dtype, row_error, False)
+        assert err.value.line == 21 and "non-finite point" in str(err.value)
+        assert max(seen) <= 23.0
+
     def test_error_line_counts_records(self, tmp_path):
         path = write(tmp_path, "f.csv", 's,value\n"0\n",1\n\n0,x\n')
         with pytest.raises(SchemaError) as err:
@@ -960,6 +993,25 @@ class TestStreamedPanel:
             same_panel(panel, whole)
             # sorted back, or interpolated at the moved point
             assert np.array_equal(panel.y, in_order.y) == (text is swapped)
+
+    @pytest.mark.parametrize("spelling", ["{}0", "{:.20e}", "{:.17g}"])
+    def test_other_spellings_of_a_grid_point_read_as_a_whole(self, tmp_path, monkeypatch,
+                                                             spelling):
+        # the same point, spelled otherwise than write_panel spells it, in the
+        # last block: the whole-table read interpolates at the grid's own points
+        monkeypatch.setattr(io, "_PANEL_BLOCK", 20)
+        lines, cov = self.tables(tmp_path)
+        in_order = io.read_panel(write(tmp_path, "in-order.csv", "".join(lines)), cov,
+                                 build_quadrature(9))
+        unit, period, s, y = lines[184].split(",")
+        text = spelling.format(s if spelling == "{}0" else float(s))
+        assert text != s and float(text) == float(s)
+        lines[184] = f"{unit},{period},{text},{y}"
+        panel, streamed, whole = self.reads(
+            monkeypatch, write(tmp_path, "respelled.csv", "".join(lines)), cov)
+        assert not streamed
+        same_panel(panel, whole)
+        same_bytes(panel.y, in_order.y)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "x", "1.5,extra"])
     def test_a_bad_row_in_a_later_block_fails_at_its_line(self, tmp_path, monkeypatch, bad):
