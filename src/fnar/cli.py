@@ -74,8 +74,18 @@ def _build_operator(args, quad):
     return PastWindow(quad, width=args.window_width)  # the one choice left
 
 
+def _warn_ignored(args, dests, reason):
+    """Warn on stderr of each option of ``dests`` given a value that ``reason`` leaves unread."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            print(f"warning: --{dest.replace('_', '-')} does not apply {reason}; ignored",
+                  file=sys.stderr)
+
+
 def _build_weights(args, n_expected=None):
     if args.weights is not None:
+        _warn_ignored(args, ("coords", "threshold", "coord_type", "binary_weights"),
+                      "with --weights")
         w = read_edge_list(args.weights, n=n_expected)
     elif args.coords is not None:
         if args.threshold is None:
@@ -84,7 +94,7 @@ def _build_weights(args, n_expected=None):
         w = build_distance_weights(
             coords, args.threshold,
             inverse_distance=not args.binary_weights,
-            metric=args.coord_type,
+            metric=args.coord_type or "euclidean",
         )
     else:
         raise InvalidArgumentError("provide --weights or --coords")
@@ -148,23 +158,24 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+# McConfig's field of each design option, all of which a preset fixes
+_DESIGN_FIELDS = {"n": "n", "T": "T", "moment_points": "L", "inner_knots": "inner_knots",
+                  "r": "r", "estimators": "estimators"}
+
+
 def cmd_montecarlo(args) -> int:
-    overrides = {"base_seed": args.seed}
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.preset is not None:
-        if args.preset not in montecarlo.PRESETS:
-            raise InvalidArgumentError(
-                f"unknown preset {args.preset!r}; choose from {sorted(montecarlo.PRESETS)}"
-            )
-        cfg = dataclasses.replace(montecarlo.PRESETS[args.preset], **overrides)
+    fields = {"seed": "base_seed", "replications": "replications", "workers": "workers"}
+    if args.preset is None:
+        fields.update(_DESIGN_FIELDS)
+        cfg = McConfig(estimators=("gmm1", "gmm2", "2sls"))
+    elif args.preset in montecarlo.PRESETS:
+        _warn_ignored(args, _DESIGN_FIELDS, "with --preset")
+        cfg = montecarlo.PRESETS[args.preset]
     else:
-        cfg = McConfig(
-            n=args.n, T=args.T, L=args.moment_points, inner_knots=args.inner_knots,
-            r=args.r, estimators=tuple(args.estimators.split(",")), **overrides,
-        )
+        raise InvalidArgumentError(
+            f"unknown preset {args.preset!r}; choose from {sorted(montecarlo.PRESETS)}")
+    cfg = dataclasses.replace(cfg, **{field: getattr(args, dest) for dest, field in fields.items()
+                                      if getattr(args, dest) is not None})
     report = run_mc(cfg)
     text = format_report(report)
     if args.out is not None:
@@ -209,10 +220,7 @@ def cmd_effects(args) -> int:
         raise InvalidArgumentError(f"{args.effect} needs --shock-file")
     if args.effect == "marginal" and args.beta_file is None:
         raise InvalidArgumentError("marginal effects need --beta-file")
-    for dest in _IGNORED_EFFECT_OPTIONS[args.effect]:
-        if getattr(args, dest) is not None:
-            print(f"warning: --{dest.replace('_', '-')} does not apply to {args.effect}; "
-                  "ignored", file=sys.stderr)
+    _warn_ignored(args, _IGNORED_EFFECT_OPTIONS[args.effect], f"to {args.effect}")
     unit = 0 if args.unit is None else args.unit
     out = None if args.out is None else Path(args.out)
     if args.effect != "keyplayer" and out is None:
@@ -255,8 +263,8 @@ def _add_weight_args(parser):
     parser.add_argument("--coords", help="coordinate file unit,lon,lat")
     parser.add_argument("--threshold", type=float, help="distance band for --coords")
     parser.add_argument("--coord-type", choices=["euclidean", "greatcircle"],
-                        default="euclidean")
-    parser.add_argument("--binary-weights", action="store_true",
+                        help="distance of --coords (default euclidean)")
+    parser.add_argument("--binary-weights", action="store_true", default=None,
                         help="indicator weights instead of inverse distance")
 
 
@@ -303,12 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="run the replication study")
     p_mc.add_argument("--preset", help=f"one of {sorted(montecarlo.PRESETS)}")
-    p_mc.add_argument("--n", type=int, default=40)
-    p_mc.add_argument("--T", type=int, default=5)
-    p_mc.add_argument("--moment-points", type=int, default=10)
-    p_mc.add_argument("--inner-knots", type=int, default=2)
-    p_mc.add_argument("--r", type=float, default=1.0)
-    p_mc.add_argument("--estimators", default="gmm1,gmm2,2sls")
+    p_mc.add_argument("--n", type=int)
+    p_mc.add_argument("--T", type=int)
+    p_mc.add_argument("--moment-points", type=int)
+    p_mc.add_argument("--inner-knots", type=int)
+    p_mc.add_argument("--r", type=float)
+    p_mc.add_argument("--estimators", type=lambda names: tuple(names.split(",")),
+                      help="comma-separated (default gmm1,gmm2,2sls)")
     p_mc.add_argument("--replications", type=int)
     p_mc.add_argument("--seed", type=int, required=True)
     p_mc.add_argument("--workers", type=int)

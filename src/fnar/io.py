@@ -485,16 +485,17 @@ def _opened(path):
     """The table at ``path`` open as a seekable text file at its start, and
     its line ends. A pipe, which can be read only once, is first copied to a
     temporary file, so that its line ends are counted and a scan reads the
-    bytes a parse read, as for a regular file."""
+    bytes a parse read, as for a regular file. A byte that does not decode is
+    kept as a lone surrogate, which no number parses, so the scan names its line."""
     try:
-        with open(path, newline="") as fh, ExitStack() as stack:
+        with open(path, newline="", errors="surrogateescape") as fh, ExitStack() as stack:
             if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 copy = stack.enter_context(tempfile.TemporaryFile())
                 shutil.copyfileobj(fh.buffer, copy)
                 copy.seek(0)
-                fh = stack.enter_context(TextIOWrapper(copy, newline=""))
+                fh = stack.enter_context(TextIOWrapper(copy, newline="", errors="surrogateescape"))
             yield fh, _line_count(fh)
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
         raise SchemaError(str(exc), path=str(path)) from exc
 
 
@@ -618,7 +619,7 @@ def _scan(path, fh, dtype, row_error, exact) -> np.ndarray:
             lines.append(line)
             if len(rows) == _SCAN_ROWS:
                 check()
-    except (csv.Error, UnicodeDecodeError):
+    except csv.Error:
         check()
         raise
     check()

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,17 @@ def small_operator(kind: str, quad):
     if kind == "kernel":
         return KernelIntegral(quad, kernel=epanechnikov_kernel)
     return PastWindow(quad, width=0.3)
+
+
+def fifo_of(tmp_path, source):
+    """A named pipe that a thread fills with the bytes of ``source``, and the thread."""
+    pipe = tmp_path / f"{source.name}.fifo"
+    os.mkfifo(pipe)
+
+    def feed():
+        with open(pipe, "wb") as fh:
+            fh.write(source.read_bytes())
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    return pipe, thread

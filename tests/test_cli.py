@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fifo_of
 from fnar import cli, errors, io
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.cli import main
@@ -106,6 +107,43 @@ class TestEstimate:
         assert "converged: True" in report
         assert (est / "fixed_effects.csv").exists()
         assert (est / "beta1_hat.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("layout", ["sorted", "pipe", "space"])
+    def test_outputs_are_byte_equal_whatever_the_table_layout(self, sim_dir, tmp_path, layout):
+        # rows sorted by y take the whole-table read, whose stable sort and
+        # interpolation at the grid's own points give the streamed values; pipes
+        # are copied and read as files; a whitespace-only last line fails the
+        # first parse, which runs again without it
+        written = {name: sim_dir / f"{name}.csv"
+                   for name in ("observations", "covariates", "weights")}
+        tables, feeds = dict(written), []
+        if layout == "sorted":
+            header, *rows = written["observations"].read_bytes().splitlines(keepends=True)
+            rows.sort(key=lambda row: float(row.split(b",")[3]))
+            tables["observations"] = tmp_path / "sorted.csv"
+            tables["observations"].write_bytes(header + b"".join(rows))
+        elif layout == "space":
+            tables["observations"] = tmp_path / "space.csv"
+            tables["observations"].write_bytes(written["observations"].read_bytes() + b"  \r\n")
+        else:
+            for name, path in written.items():
+                tables[name], feed = fifo_of(tmp_path, path)
+                feeds.append(feed)
+        outputs = []
+        for files in (written, tables):
+            out = tmp_path / f"est-{len(outputs)}"
+            out.mkdir()
+            assert run(["estimate", "--observations", files["observations"],
+                        "--covariates", files["covariates"], "--weights", files["weights"],
+                        "--out", out]) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        for feed in feeds:
+            feed.join(60)
+            assert not feed.is_alive()
+        assert sorted(outputs[0]) == ["alpha_hat.csv", "beta1_hat.csv", "fit_report.txt",
+                                      "fixed_effects.csv"]
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("estimator", ["gmm1", "gmm2", "2sls"])
     def test_past_window_matches_library_fit(self, sim_dir, tmp_path, estimator):
@@ -402,6 +440,22 @@ class TestMonteCarlo:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("flag,value", [("--n", 64), ("--T", 3), ("--moment-points", 8),
+                                            ("--inner-knots", 3), ("--r", 0.4),
+                                            ("--estimators", "gmm1")])
+    def test_design_option_beside_a_preset_warns(self, tmp_path, capsys, flag, value):
+        # a preset fixes the whole design: the option is reported and has no effect
+        preset = ["montecarlo", "--preset", "benchmark-table1-row2", "--replications", 2,
+                  "--seed", 5]
+        assert run([*preset, "--out", tmp_path / "preset.csv"]) == 0
+        capsys.readouterr()
+        code = run([*preset, flag, value, "--out", tmp_path / "mc.csv"])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("# ")] == [
+            f"warning: {flag} does not apply with --preset; ignored"]
+        assert (tmp_path / "mc.csv").read_bytes() == (tmp_path / "preset.csv").read_bytes()
+
     @pytest.mark.parametrize("design", [["--preset", "benchmark-table1-row1"],
                                         ["--n", 16, "--T", 3, "--estimators", "2sls"]])
     @pytest.mark.parametrize("flag", ["--replications", "--workers"])
@@ -625,24 +679,35 @@ class TestEffects:
 
     @pytest.mark.parametrize("effect, given, ignored", [
         ("keyplayer", ["--unit", 2, "--beta-file", "does-not-exist.csv"],
-         ["--unit", "--beta-file"]),
-        ("impulse", ["--beta-file", "does-not-exist.csv"], ["--beta-file"]),
-        ("marginal", ["--shock-file", "does-not-exist.csv"], ["--shock-file"]),
+         ["--unit does not apply to keyplayer", "--beta-file does not apply to keyplayer"]),
+        ("impulse", ["--beta-file", "does-not-exist.csv"],
+         ["--beta-file does not apply to impulse"]),
+        ("marginal", ["--shock-file", "does-not-exist.csv"],
+         ["--shock-file does not apply to marginal"]),
+        ("keyplayer", ["--coords", "does-not-exist.csv", "--threshold", -5,
+                       "--coord-type", "greatcircle", "--binary-weights"],
+         [f"{option} does not apply with --weights"
+          for option in ("--coords", "--threshold", "--coord-type", "--binary-weights")]),
     ])
     def test_ignored_options_warn(self, star_files, tmp_path, capsys, effect, given,
                                   ignored):
         wfile, alpha, shock = star_files
         needs = {"keyplayer": ["--shock-file", shock], "impulse": ["--shock-file", shock],
                  "marginal": ["--beta-file", alpha]}[effect]
-        out = tmp_path / "eff"
-        out.mkdir()
-        code = run(["effects", effect, "--alpha-file", alpha, "--weights", wfile,
-                    *needs, *given, "--grid-count", 33,
-                    "--out", out / "impacts.csv" if effect == "keyplayer" else out])
-        assert code == 0
+
+        def outputs(name, *options):
+            out = tmp_path / name
+            out.mkdir()
+            code = run(["effects", effect, "--alpha-file", alpha, "--weights", wfile,
+                        *needs, *options, "--grid-count", 33,
+                        "--out", out / "impacts.csv" if effect == "keyplayer" else out])
+            assert code == 0
+            return out, {path.name: path.read_bytes() for path in out.iterdir()}
+
+        out, files = outputs("eff", *given)
         stdout, err = capsys.readouterr()
-        assert err.splitlines() == [f"warning: {option} does not apply to {effect}; ignored"
-                                    for option in ignored]
+        assert err.splitlines() == [f"warning: {text}; ignored" for text in ignored]
+        assert files and files == outputs("plain")[1]
         if effect != "keyplayer":
             # without --unit, impulse and marginal take unit 0
             assert f" for unit 0 written to {out}" in stdout
@@ -969,3 +1034,26 @@ class TestSizeRule:
         assert not any(est.iterdir())
         assert grids == [5 * 10**6]
         assert peak < 2 * 8 * 5 * 10**6 + 2**23
+
+
+class TestProcess:
+    """``python -m fnar.cli`` exits with the code that ``main`` returns."""
+
+    @pytest.mark.parametrize("scale,code", [(1.0, 0), ("nan", 4)])
+    def test_exit_code_reaches_the_shell(self, tmp_path, scale, code):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "fnar.cli", "simulate", "--n", "10",
+                               "--T", "3", "--seed", "1", "--alpha-scale", str(scale),
+                               "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            err = proc.stderr.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and proc.stdout == ""
+            assert not any(tmp_path.iterdir())
+        else:
+            assert proc.stderr == "" and proc.stdout == f"wrote panel (n=10, T=3) to {tmp_path}\n"
+            assert sorted(path.name for path in tmp_path.iterdir()) == [
+                "covariates.csv", "observations.csv", "truth_functions.csv", "weights.csv"]

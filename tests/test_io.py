@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
+from conftest import fifo_of
 from fnar import cli, io
 from fnar.basis import build_quadrature
 from fnar.errors import FnarError, InvalidArgumentError, SchemaError
@@ -457,8 +458,10 @@ def check_against_oracle(new_call, oracle_call, same, expected_line=None):
 
 
 def write(tmp_path, name, text):
+    """``text`` written as UTF-8, where a lone surrogate (``"\\udcff"``) writes
+    the byte it escapes (0xff)."""
     path = tmp_path / name
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode(errors="surrogateescape"))
     return path
 
 
@@ -729,10 +732,12 @@ class TestReaderRules:
         assert str(err.value).startswith(f"{paths[bad]}:3: non-finite point (")
 
     def test_scan_names_the_first_bad_row_of_any_kind(self, tmp_path):
-        # a row that breaks a rule, a row too wide for int64 and a row that
-        # does not parse, in each order among good rows
+        # a row that breaks a rule, a row too wide for int64, a row that does
+        # not parse and a row with a byte that is not UTF-8, in each order among
+        # good rows: the byte, which once failed the whole read, fails its row
         cov = write(tmp_path, "cov.csv", "unit,period,x1\n0,0,1.0\n")
-        bad = {"rule": "0,0,1.5,1", "wide": "99999999999999999999,0,0.5,1", "field": "0,0,0.5,x"}
+        bad = {"rule": "0,0,1.5,1", "wide": "99999999999999999999,0,0.5,1", "field": "0,0,0.5,x",
+               "byte": "0,0,0.5,\udcff"}
 
         def error(*kinds):
             body = "".join(f"0,0,0.{k + 1},1\n{bad[kind]}\n" for k, kind in enumerate(kinds))
@@ -744,6 +749,8 @@ class TestReaderRules:
         for kinds in itertools.permutations(bad):
             assert error(*kinds) == error(kinds[0])
         assert error("rule") == (3, f"{tmp_path / 'obs.csv'}:3: evaluation point 1.5 outside [0, 1]")
+        assert error("byte") == (3, f"{tmp_path / 'obs.csv'}:3: could not convert string to "
+                                 "float: '\\udcff'")
 
     def test_scan_of_a_bad_last_row_holds_records_not_rows(self, tmp_path):
         # each row read before the bad one took 152 bytes as a record of its own
@@ -1145,20 +1152,6 @@ def line_ended_tables(draw):
     text = "s,value" + draw(LINE_ENDS) + "".join(
         draw(st.lists(st.builds(str.__add__, line, LINE_ENDS), max_size=30)))
     return text.rstrip("\r\n") if draw(st.booleans()) else text
-
-
-def fifo_of(tmp_path, source):
-    """A named pipe that a thread fills with the bytes of ``source``, and the thread."""
-    pipe = tmp_path / f"{source.name}.fifo"
-    os.mkfifo(pipe)
-
-    def feed():
-        with open(pipe, "wb") as fh:
-            fh.write(source.read_bytes())
-
-    thread = threading.Thread(target=feed, daemon=True)
-    thread.start()
-    return pipe, thread
 
 
 @pytest.fixture()
