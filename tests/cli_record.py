@@ -4,7 +4,8 @@ script that regenerates it.
 ``record(folder)`` runs, through ``fnar.cli.main`` in this process and under
 ``folder``: ``simulate`` at n=12, T=3 on a 12-point grid (the fewest a
 6-function basis takes), ``estimate`` with each of the 3 operators and the 3
-estimators, ``effects impulse``, ``marginal`` and ``keyplayer`` on one of those
+estimators, ``estimate`` with gmm1 and gmm2 on great-circle distance weights
+from 12 fixed stations, ``effects impulse``, ``marginal`` and ``keyplayer`` on one of those
 estimates, and a 3-replication ``montecarlo``. It returns every output file,
 by its path under ``folder``, as a header and rows: a table's fields, or
 ``fit_report.txt``'s lines split into text and numbers. Integer fields are
@@ -37,6 +38,21 @@ from fnar.cli import main
 RECORD = Path(__file__).with_name("cli_record.json")
 OPERATORS = ("point-eval", "epanechnikov", "past-window")
 ESTIMATORS = ("gmm1", "gmm2", "2sls")
+# 12 stations, unit,lon,lat; a 500 km band links each to 2-5 others
+STATIONS = """unit,lon,lat
+0,116.41,39.9
+1,117.2,39.08
+2,114.51,38.04
+3,112.55,37.87
+4,113.62,34.75
+5,117.0,36.65
+6,118.78,32.06
+7,120.15,30.27
+8,121.47,31.23
+9,114.3,30.59
+10,112.94,28.23
+11,115.86,28.68
+"""
 # a number as fnar prints one: repr's texts, and the fit report's %.12g and %g
 _NUMBER = re.compile(r"(?<![\w.-])(-?(?:\d+(?:\.\d*)?(?:e[-+]\d+)?|inf|nan))(?![\w.])")
 
@@ -66,6 +82,12 @@ def _commands(folder):
             out = folder / f"est-{operator}-{estimator}"
             yield out, ["estimate", *panel, "--operator", operator, "--estimator", estimator,
                         *grid, "--out", out]
+    coords = ["--coords", folder / "stations.csv", "--coord-type", "greatcircle",
+              "--threshold", 500]
+    for estimator in ("gmm1", "gmm2"):
+        out = folder / f"est-coords-{estimator}"
+        yield out, ["estimate", *panel[:4], *coords, "--estimator", estimator, *grid,
+                    "--out", out]
     est, shock = folder / "est-epanechnikov-gmm1", folder / "shock.csv"
     effects = ["--alpha-file", est / "alpha_hat.csv", "--weights", sim / "weights.csv",
                "--orders", 3, *grid]
@@ -101,6 +123,7 @@ def record(folder) -> dict:
     """Every output of the commands above, run under ``folder``, by its path there."""
     folder = Path(folder)
     (folder / "shock.csv").write_text("s,value\n0,1\n1,0.5\n")
+    (folder / "stations.csv").write_text(STATIONS)
     outputs = {}
     for out, args in _commands(folder):
         if not out.suffix:
