@@ -51,8 +51,7 @@ EXIT_DATA = 4
 EXIT_NUMERIC = 5
 
 # Exit code of each handled exception; the first matching row wins, so
-# NonStationaryDgpError comes before the FnarError fallback and the data
-# errors (some are ValueErrors) before JSONDecodeError (also a ValueError).
+# NonStationaryDgpError comes before the FnarError fallback.
 # A MemoryError is an array within MAX_ARRAY_BYTES that the machine refused.
 _EXIT_CODES = (
     ((NonStationaryDgpError,), EXIT_MODEL),
@@ -60,7 +59,7 @@ _EXIT_CODES = (
     ((MemoryError,), EXIT_DATA),
     ((NumericalFailureError, UnderidentifiedError, VarianceUnavailableError,
       IllConditionedBasisError, HarnessError, np.linalg.LinAlgError), EXIT_NUMERIC),
-    ((OSError, json.JSONDecodeError), EXIT_IO),
+    ((OSError,), EXIT_IO),
     ((FnarError,), EXIT_NUMERIC),
 )
 _HANDLED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
@@ -190,9 +189,6 @@ def cmd_montecarlo(args) -> int:
         counts = ", ".join(f"{name} {report.nonconverged[name]}" for name in cfg.estimators
                            if name in report.nonconverged)
         print(f"# fits not converged, still scored in bias and rmse: {counts}", file=sys.stderr)
-    if report.coverage_skipped:
-        print(f"# coverage skipped {report.coverage_skipped} non-converged gmm1 fits",
-              file=sys.stderr)
     return EXIT_OK
 
 
@@ -362,8 +358,11 @@ def _apply_config(parser, argv):
     known, rest = probe.parse_known_args(argv)
     if known.config is None:
         return
-    with open(known.config) as fh:
-        config = json.load(fh)
+    try:
+        with open(known.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"not a JSON file: {exc}", path=known.config) from None
     if not isinstance(config, dict):
         raise SchemaError("config must be a JSON object of subcommand sections", path=known.config)
     name = next((a for a in rest if not a.startswith("-")), None)

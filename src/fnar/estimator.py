@@ -85,8 +85,9 @@ class MomentSpec:
         Covariate indices excluded from instrument construction (they
         still instrument themselves), each at most once.
     quad_mats : list of scipy.sparse.csr_array
-        Built from ``weights``, not an argument: the quadratic-moment
-        matrices P1 = (W + W')/2 and P2 = W'W less its diagonal.
+        Built from ``weights`` by ``build_quadratic_weights``, not an
+        argument: the quadratic-moment matrices P1 = (W + W')/2 and P2 = W'W
+        less its diagonal, from scipy's sparse sum and product.
     """
 
     basis: BasisSystem
@@ -211,14 +212,14 @@ class _Design:
         self.d_z = self._db.shape[2] * K
         self.M = len(spec.quad_mats)
         self.d_g = self.d_z + self.M
-        points = spec.points
-        L = points.size
+        L = spec.n_points
         self.n_obs = n * (T - 1)
-        # dy and the per-point A and C, which grow with L
+        # dy and the per-point A and C, which grow with L, checked before the L points are made
         for shape in ((L, T - 1, n), (L, self.d_z, self.d_theta),
                       (L, self.M, self.d_theta, self.d_theta)):
             check_array_size(f"{L} moment points need {' x '.join(map(str, shape))} design "
                              "values, more memory than can be allocated", *shape)
+        points = spec.points
 
         self._phi = spec.basis.eval_many(points)  # (L, K)
         norm = 1.0 / self.n_obs

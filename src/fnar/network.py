@@ -156,44 +156,22 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     return NetworkWeights(w=_row_normalize(sp.csr_array(raw)))
 
 
-def _symmetric_part(m, dtype) -> sp.csr_array:
-    """(m + m')/2 less its diagonal and zero entries, indexed in ``dtype``.
-
-    Reads m's compressed arrays as CSR arrays. Each off-diagonal m_ij is
-    listed under key row * n + col and again under col * n + row, and
-    ``np.bincount`` adds each key's two terms from 0.0 before the halving.
-    """
-    n = m.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    cols = m.indices.astype(np.int64)
-    off = rows != cols
-    rows, cols, vals = rows[off], cols[off], m.data[off]
-    keys, inverse = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
-                              return_inverse=True)
-    # not halved in place: with no terms, np.bincount returns int64
-    sums = np.bincount(inverse, weights=np.concatenate([vals, vals]), minlength=keys.size) * 0.5
-    keep = sums != 0.0
-    keys = keys[keep]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(dtype)
-    return sp.csr_array((sums[keep], (keys % n).astype(dtype), indptr), shape=(n, n))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # W'W may overflow, as scipy's product does
 def build_quadratic_weights(weights: NetworkWeights) -> list[sp.csr_array]:
     """Quadratic-moment matrices P1 = (W + W')/2 and P2 = W'W less its
     diagonal, each exactly symmetric with a zero diagonal, no stored zeros
-    and W's index dtype.
+    and sorted indices, from scipy's own sparse sum and product.
 
-    Both are the symmetric part of a matrix m: each entry adds m_ij and m_ji
-    from 0.0 and halves the sum. For P1, m is W. For P2, m is scipy's sparse
-    product W'W, which adds an entry's terms w_ki w_kj with k ascending, so
-    m_ij and m_ji are the same bits (its compressed arrays read as CSR
-    arrays whichever format scipy returns) and the entry is (m + m) * 0.5,
-    which overflows where that sum does. The order is kept because the fits
-    turn a one-ulp change in P2 into a visible change of the gmm2 estimate:
-    a pairwise sum (``np.add.reduceat``) rounds otherwise once an entry has
-    more than eight terms.
+    W's diagonal is zero, so each entry of W + W' is w_ij + w_ji, one
+    commutative add. scipy's product adds an entry's terms w_ki w_kj with k
+    ascending, so W'W is symmetric bit for bit. The fits turn a one-ulp
+    change in P2 into a visible change of the gmm2 estimate, so a pairwise
+    sum (``np.add.reduceat``), which rounds otherwise once an entry has more
+    than eight terms, is no substitute for the product.
     """
     w = weights.w
-    gram_dtype = w.indices.dtype if w.nnz else np.int32  # scipy's empty product
-    return [_symmetric_part(w, w.indices.dtype), _symmetric_part(w.T @ w, gram_dtype)]
+    p1 = (w + w.T) * 0.5
+    p2 = (w.T @ w).tocsr()  # the product is CSC with unsorted indices
+    p2.data[p2.indices == np.repeat(np.arange(weights.n), np.diff(p2.indptr))] = 0.0
+    for p in (p1, p2):
+        p.eliminate_zeros()  # the diagonal, and an entry that halving took to zero
+    return [p1, p2]

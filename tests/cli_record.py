@@ -5,8 +5,8 @@ script that regenerates it.
 ``folder``: ``simulate`` at n=12, T=3 on a 12-point grid (the fewest a
 6-function basis takes), ``estimate`` with each of the 3 operators and the 3
 estimators, ``estimate`` with gmm1 and gmm2 on great-circle distance weights
-from 12 fixed stations, ``effects impulse``, ``marginal`` and ``keyplayer`` on one of those
-estimates, and a 3-replication ``montecarlo``. It returns every output file,
+from 12 fixed stations, ``effects impulse``, ``marginal`` and ``keyplayer`` on
+one of the estimates, and a 3-replication ``montecarlo``. It returns every output file,
 by its path under ``folder``, as a header and rows: a table's fields, or
 ``fit_report.txt``'s lines split into text and numbers. Integer fields are
 ints and other numbers floats, both as Python reads their text; anything else

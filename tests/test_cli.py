@@ -295,6 +295,35 @@ class TestEstimate:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--weights", "negw.csv"], 4, "negw.csv:3: unit ids must be non-negative"),
+        (["--coords", "two.csv", "--threshold", 5], 4, "weights are for 2 units, panel has 12"),
+        (["--coords", "two.csv"], 4, "--threshold is required with --coords"),
+        ([], 4, "provide --weights or --coords"),
+        (["--weights", "weights.csv", "--out", "nowhere"], 2,
+         "output directory nowhere does not exist"),
+        (["--weights", "weights.csv", "--observations", "empty.csv"], 4,
+         "empty.csv: observation table is empty"),
+        (["--weights", "weights.csv", "--covariates", "nox.csv"], 4,
+         "nox.csv:1: covariate table needs at least one x column"),
+    ], ids=["negative-edge-id", "two-stations", "coords-without-threshold", "no-weights",
+            "missing-out", "header-only-observations", "covariates-without-x"])
+    def test_refused_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, flags, code,
+                                             message):
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--n", 12, "--T", 3, "--seed", 4, "--out", tmp_path]) == 0
+        tables = {"negw.csv": "i,j,weight\n0,1,0.5\n-1,2,0.5\n",
+                  "two.csv": "unit,lon,lat\n0,0,0\n1,1,1\n",
+                  "empty.csv": "unit,period,s,y\n", "nox.csv": "unit,period\n0,0\n"}
+        for name, text in tables.items():
+            Path(name).write_text(text)
+        Path("out").mkdir()
+        capsys.readouterr()
+        assert run(["estimate", "--observations", "observations.csv", "--covariates",
+                    "covariates.csv", "--out", "out", *flags]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not any(Path("out").iterdir())
+
     def test_excluding_every_instrument_is_numeric_error(self, sim_dir, tmp_path, capsys):
         est = tmp_path / "est"
         est.mkdir()
@@ -793,6 +822,16 @@ class TestEffects:
         assert out == "" and err.startswith(f"error: {alpha}:3: non-finite point")
         assert err.count("\n") == 1
 
+    def test_one_column_function_table_is_data_error(self, star_files, tmp_path, capsys):
+        wfile, _, shock = star_files
+        alpha = tmp_path / "alpha-one.csv"
+        alpha.write_text("s\n0\n1\n")
+        code = run(["effects", "keyplayer", "--alpha-file", alpha, "--weights", wfile,
+                    "--shock-file", shock, "--grid-count", 33])
+        assert code == 4
+        assert capsys.readouterr() == (
+            "", f"error: {alpha}:1: expected a header with at least two columns\n")
+
     def test_non_finite_beta_file_is_data_error(self, star_files, tmp_path, capsys):
         wfile, alpha, _ = star_files
         beta = tmp_path / "beta.csv"
@@ -891,6 +930,20 @@ class TestConfigFile:
         assert err == [f"error: {cfg}: {message}"]
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("text", [b'{"simulate": {"n": "1\xff"}}', b"[1, 2"],
+                             ids=["not-utf8", "not-json"])
+    def test_unreadable_config_is_schema_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["--config", cfg, "simulate", "--seed", 4, "--out", out]) == 4
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        err = printed.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: not a JSON file: ")
+        assert not any(out.iterdir())
+
     def test_config_value_outside_its_choices_is_schema_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"estimate": {"estimator": "gmm3"}}))
@@ -986,6 +1039,14 @@ class TestSizeRule:
         (["montecarlo", "--n", 12, "--T", 3, "--moment-points", 1000, "--replications", 1,
           "--seed", 4],
          "1000 moment points need 1000 x 18 x 12 design values, "
+         "more memory than can be allocated"),
+        # refused before the points themselves, 1.6 MB of them, are made
+        (["estimate", *_PANEL_ARGS, "--moment-points", 200_000],
+         "200000 moment points need 200000 x 2 x 12 design values, "
+         "more memory than can be allocated"),
+        (["montecarlo", "--n", 12, "--T", 3, "--moment-points", 200_000, "--replications", 1,
+          "--seed", 4],
+         "200000 moment points need 200000 x 2 x 12 design values, "
          "more memory than can be allocated"),
     ])
     def test_refused_size_allocates_nothing(self, small, capsys, argv, message):

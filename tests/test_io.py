@@ -942,6 +942,18 @@ class TestStreamedPanel:
         assert streamed
         same_panel(panel, whole)
 
+    @pytest.mark.parametrize("block", [20, 1 << 14])
+    def test_table_without_its_last_line_end_streams(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(io, "_PANEL_BLOCK", block)
+        lines, cov = self.tables(tmp_path)
+        ended = write(tmp_path, "ended.csv", "".join(lines))
+        cut = write(tmp_path, "cut.csv", "".join(lines).rstrip("\r\n"))
+        assert not cut.read_bytes().endswith((b"\n", b"\r"))
+        panel, streamed, whole = self.reads(monkeypatch, cut, cov)
+        assert streamed
+        same_panel(panel, whole)
+        same_panel(panel, io.read_panel(ended, cov, build_quadrature(9)))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_every_form_repr_writes_streams(self, tmp_path, monkeypatch, seed):
         # y in fixed and exponent form, with zeros, signs and subnormals

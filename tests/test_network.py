@@ -292,6 +292,13 @@ class TestQuadraticWeights:
         # W'W = I for the exchange matrix, so removing the diagonal empties it
         assert p2.nnz == 0
 
+    def test_entry_halved_to_zero_is_not_stored(self):
+        # the smallest subnormal halves to 0.0, which P1 must not store
+        weights = NetworkWeights(w=sp.csr_array(np.array([[0.0, 5e-324], [0.0, 0.0]])))
+        p1, _ = build_quadratic_weights(weights)
+        assert p1.nnz == 0
+        assert_same_csr(p1, coo_quadratic_weights(weights)[0])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_invariants_on_lattice(self, seed):
         w = build_lattice_weights(25, seed)
@@ -483,10 +490,10 @@ _CSR_BUILDER_CASES = {
 
 
 class TestCsrQuadraticWeights:
-    """``build_quadratic_weights`` sums W's CSR arrays itself; the COO builder
-    it replaced is the oracle, bit for bit, index dtypes included. Each case
-    runs once for P1, the symmetric part of W's listed entries, and once for
-    P2, that of scipy's product W'W."""
+    """``build_quadratic_weights`` takes scipy's sparse sum and product; the
+    COO builder, which lists W's entries itself, is the oracle, bit for bit,
+    index dtypes included. Each case runs once for P1, the symmetric part of
+    W's listed entries, and once for P2, that of scipy's product W'W."""
 
     @pytest.mark.parametrize("k", [0, 1], ids=["listed", "product"])
     @pytest.mark.parametrize("name", list(_CSR_BUILDER_CASES))
@@ -516,6 +523,17 @@ class TestCsrQuadraticWeights:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_product_entries_above_half_the_largest_double_stay_finite(self):
+        # the one departure from the oracle, which adds m_ij and m_ji before
+        # halving and so overflows where W'W does not
+        w = np.zeros((3, 3))
+        w[0, 1] = w[0, 2] = 1.2e154
+        weights = NetworkWeights(w=sp.csr_array(w))
+        _, p2 = build_quadratic_weights(weights)
+        assert p2.data.tolist() == [1.2e154 * 1.2e154] * 2
+        assert p2.data[0] > np.finfo(float).max / 2
+        assert np.isinf(coo_quadratic_weights(weights)[1].data).all()
 
     def test_overflow_as_in_the_sparse_product(self):
         weights = _signed_dense_weights(12, 9, scale=1e160)
