@@ -37,7 +37,8 @@ from .estimator import (
     fit_report_text,
     functional_estimate_table,
 )
-from .interaction import KernelIntegral, PastWindow, PointEval, epanechnikov_kernel
+from .interaction import (KernelIntegral, PastWindow, PointEval, epanechnikov_kernel,
+                          stationarity_margin)
 from .io import (read_coords, read_edge_list, read_function, read_panel, write_edge_list,
                  write_panel, write_table)
 from .montecarlo import McConfig, format_report, run_mc
@@ -227,6 +228,9 @@ def cmd_effects(args) -> int:
     weights = _build_weights(args)
     operator = _build_operator(args, quad)
     alpha = read_function(args.alpha_file, quad)
+    if (margin := stationarity_margin(alpha, operator, weights)) >= 1.0:  # sufficient only: warn
+        print(f"warning: stationarity margin {margin:.4g} >= 1: the propagation "
+              "series may diverge, so the effects may mean nothing", file=sys.stderr)
 
     if args.effect == "marginal":
         beta = read_function(args.beta_file, quad)

@@ -21,6 +21,7 @@ __all__ = [
     "PastWindow",
     "epanechnikov_kernel",
     "network_lag",
+    "stationarity_margin",
 ]
 
 
@@ -144,3 +145,9 @@ def network_lag(weights, values: np.ndarray) -> np.ndarray:
     flat = values.reshape(n, -1)
     out = weights.w @ flat
     return np.asarray(out).reshape(values.shape)
+
+
+def stationarity_margin(alpha: np.ndarray, operator: InteractionOperator, weights) -> float:
+    """max|alpha| * ||W||_inf * operator contraction bound. Below 1 it suffices for the
+    simultaneous system to have a stable solution and the network multiplier to converge."""
+    return float(np.max(np.abs(alpha))) * weights.row_sup * operator.contraction_bound()

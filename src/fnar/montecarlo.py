@@ -21,7 +21,7 @@ _CHUNK = 8  # replications a worker process takes at a time
 
 @dataclass(frozen=True)
 class McConfig:
-    """One cell of the simulation design.
+    """One cell of the simulation design, on a 99-point quadrature grid.
 
     ``coverage_points`` lists evaluation points at which the pointwise 95%
     confidence interval for the interaction-effect function is checked
@@ -40,7 +40,6 @@ class McConfig:
     estimators: tuple[str, ...] = ("gmm1",)
     replications: int = 500
     base_seed: int = 0
-    n_quad: int = 99
     workers: int = 1
     coverage_points: tuple[float, ...] = ()
 
@@ -155,7 +154,7 @@ def run_mc(cfg: McConfig) -> McReport:
     only if that is more than one: else the replications run in this process.
     """
     started = time.perf_counter()
-    quad = build_quadrature(cfg.n_quad)
+    quad = build_quadrature(99)  # the simulation design's grid
     basis = build_bspline_basis(cfg.inner_knots, SPLINE_DEGREE, quad)
     dgp = _mc_parts(cfg.n, cfg.T, cfg.r, quad)
     points = np.array(cfg.coverage_points)

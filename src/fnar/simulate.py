@@ -4,7 +4,6 @@ lattice design used throughout the simulation experiments."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -12,7 +11,8 @@ import numpy as np
 
 from .basis import QuadratureGrid, build_quadrature
 from .errors import InvalidArgumentError, NonStationaryDgpError, check_array_size
-from .interaction import InteractionOperator, KernelIntegral, epanechnikov_kernel
+from .interaction import (InteractionOperator, KernelIntegral, epanechnikov_kernel,
+                          stationarity_margin)
 from .network import NetworkWeights, build_lattice_weights
 
 __all__ = [
@@ -80,11 +80,9 @@ class DgpConfig:
     """Ground-truth configuration of the data-generating process.
 
     ``alpha``, ``beta`` and ``fixed_effects`` are grid values on
-    ``operator.grid``. ``tol`` (positive and finite) and ``max_iter`` (at
-    least 1) set ``neumann_solve``'s stopping rule. Construction verifies
-    the stationarity margin max|alpha| * ||W||_inf * contraction_bound < 1;
-    pass ``allow_nonstationary=True`` to downgrade the failure to a warning
-    for divergence experiments.
+    ``operator.grid``. Construction verifies the stationarity margin
+    max|alpha| * ||W||_inf * contraction_bound < 1, and raises
+    ``NonStationaryDgpError`` otherwise.
     """
 
     alpha: np.ndarray
@@ -92,15 +90,8 @@ class DgpConfig:
     fixed_effects: np.ndarray
     operator: InteractionOperator
     weights: NetworkWeights
-    tol: float = 1e-3
-    max_iter: int = 1000
-    allow_nonstationary: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise InvalidArgumentError(f"need at least one iteration, got max_iter={self.max_iter}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise InvalidArgumentError(f"tolerance must be positive and finite, got {self.tol}")
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
         self.fixed_effects = np.asarray(self.fixed_effects, dtype=float)
@@ -114,16 +105,9 @@ class DgpConfig:
                 "beta and fixed_effects must live on the operator grid, one "
                 "fixed-effect row per unit"
             )
-        margin = self.stationarity_margin()
-        if margin >= 1.0:
-            message = (
-                f"stationarity margin {margin:.4f} >= 1: the simultaneous system "
-                "may have no stable solution"
-            )
-            if self.allow_nonstationary:
-                warnings.warn(message)
-            else:
-                raise NonStationaryDgpError(message)
+        if (margin := self.stationarity_margin()) >= 1.0:
+            raise NonStationaryDgpError(f"stationarity margin {margin:.4f} >= 1: the "
+                                        "simultaneous system may have no stable solution")
 
     @property
     def d_x(self) -> int:
@@ -131,8 +115,7 @@ class DgpConfig:
 
     def stationarity_margin(self) -> float:
         """max|alpha| * ||W||_inf * operator contraction bound."""
-        alpha_sup = float(np.max(np.abs(self.alpha)))
-        return alpha_sup * self.weights.row_sup * self.operator.contraction_bound()
+        return stationarity_margin(self.alpha, self.operator, self.weights)
 
 
 class NeumannResult(NamedTuple):
@@ -146,13 +129,17 @@ class NeumannResult(NamedTuple):
 # in cache between these passes (512 rows of a 99-point grid are 0.4 MB).
 _ROW_BLOCK = 512
 
+_TOL = 1e-3  # neumann_solve stops once an iteration changes no value by _TOL or more,
+_MAX_ITER = 1000  # and fails after _MAX_ITER iterations
+
 
 def neumann_solve(cfg: DgpConfig, rhs: np.ndarray) -> NeumannResult:
     """Solve Y = alpha(s) W A(Y, s) + rhs by fixed-point iteration.
 
     Iterates the partial sums of the Neumann series until the maximum
-    change over units and grid points falls below ``cfg.tol``. ``rhs`` is
-    only read; the returned values never share its memory.
+    change over units and grid points falls below ``_TOL``; more than
+    ``_MAX_ITER`` iterations, or a non-finite value, raise ``NonStationaryDgpError``.
+    ``rhs`` is only read; the returned values never share its memory.
     """
     rhs = np.asarray(rhs, dtype=float)
     w, apply_grid, alpha = cfg.weights.w, cfg.operator.apply_grid, cfg.alpha
@@ -165,7 +152,7 @@ def neumann_solve(cfg: DgpConfig, rhs: np.ndarray) -> NeumannResult:
     blocks = [(slice(start, start + _ROW_BLOCK), rhs[start:start + _ROW_BLOCK],
                diff[: min(_ROW_BLOCK, n - start)]) for start in range(0, n, _ROW_BLOCK)]
     y = rhs
-    for iteration in range(1, cfg.max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         y_next = w @ apply_grid(y)  # a fresh array
         change = 0.0
         for rows, rhs_rows, step in blocks:
@@ -180,10 +167,10 @@ def neumann_solve(cfg: DgpConfig, rhs: np.ndarray) -> NeumannResult:
             if block_change > change:
                 change = block_change
         y = y_next
-        if change < cfg.tol:
+        if change < _TOL:
             return NeumannResult(values=y, iterations=iteration, final_change=change)
     raise NonStationaryDgpError(
-        f"no convergence within {cfg.max_iter} iterations (last change {change:.3g})"
+        f"no convergence within {_MAX_ITER} iterations (last change {change:.3g})"
     )
 
 
@@ -315,7 +302,7 @@ def simulate_mc_panel(n: int, T: int, r: float, seed, *, n_quad: int = 99,
     standard-normal scalar covariate, and the quadratic heteroskedastic
     error paths. ``alpha_scale`` rescales the interaction-effect function
     (useful for stationarity-violation experiments). The Neumann iteration
-    stops at the ``DgpConfig`` default tolerance, and a non-stationary design
+    stops at ``neumann_solve``'s fixed tolerance, and a non-stationary design
     raises ``NonStationaryDgpError``. ``r`` must be positive and finite,
     ``alpha_scale`` finite, ``T`` at least 1 and an integer ``seed``
     non-negative; a violation raises ``InvalidArgumentError``.

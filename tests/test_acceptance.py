@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from fnar import simulate
 from fnar.basis import build_bspline_basis, build_quadrature
 from fnar.effects import impulse_response, marginal_effects
 from fnar.estimator import fit_2sls, fit_gmm, moment_function, moment_jacobian
@@ -155,7 +156,7 @@ def test_criterion_08_concurrent_closed_forms():
     alpha = 0.55 + 0.1 * np.sin(6 * quad.points)
     beta = (1.0 + quad.points)[None, :]
     cfg = DgpConfig(alpha=alpha, beta=beta, fixed_effects=np.zeros((n, 33)),
-                    operator=operator, weights=weights, tol=1e-3)
+                    operator=operator, weights=weights)
     rng = np.random.default_rng(8)
     rhs = rng.normal(size=(n, 33))
     dense_w = weights.dense()
@@ -165,7 +166,7 @@ def test_criterion_08_concurrent_closed_forms():
                       - np.linalg.solve(np.eye(n) - alpha[g] * dense_w, rhs[:, g])))
         for g in range(33)
     )
-    ok_neumann = neumann_err < 2 * cfg.tol
+    ok_neumann = neumann_err < 2 * simulate._TOL
 
     q = float(np.max(np.abs(alpha)))  # row sums are one, bound is one
     order = 30

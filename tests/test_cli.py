@@ -741,6 +741,40 @@ class TestEffects:
             # without --unit, impulse and marginal take unit 0
             assert f" for unit 0 written to {out}" in stdout
 
+    @pytest.mark.parametrize("value, operator, margin", [
+        (2.5, "point-eval", "2.5"), (2.5, "epanechnikov", "1.875"),
+        (0.4, "point-eval", None), (0.4, "epanechnikov", None)])
+    @pytest.mark.parametrize("effect", ["impulse", "marginal", "keyplayer"])
+    def test_margin_past_one_warns_and_writes_the_same_files(
+            self, sim_dir, tmp_path, capsys, monkeypatch, effect, value, operator, margin):
+        # on the row-normalised lattice ||W||_inf = 1: the margin is 2.5 times
+        # the operator's bound, 1 for point-eval and 0.75 for epanechnikov
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text(f"s,value\n0,{value}\n1,{value}\n")
+        shock = tmp_path / "eta.csv"
+        shock.write_text("s,value\n0,1\n1,0.5\n")
+        given = ["--beta-file" if effect == "marginal" else "--shock-file", shock]
+
+        def outputs(name):
+            out = tmp_path / name
+            out.mkdir()
+            code = run(["effects", effect, "--alpha-file", alpha,
+                        "--weights", sim_dir / "weights.csv", *given, "--operator", operator,
+                        "--out", out / "impacts.csv" if effect == "keyplayer" else out])
+            return code, {path.name: path.read_bytes() for path in out.iterdir()}
+
+        capsys.readouterr()
+        code, files = outputs("checked")
+        err = capsys.readouterr().err
+        assert code == 0 and files
+        assert err.splitlines() == ([] if margin is None else [
+            f"warning: stationarity margin {margin} >= 1: the propagation series "
+            "may diverge, so the effects may mean nothing"])
+        # the check changes neither the exit code nor a byte of the tables
+        monkeypatch.setattr(cli, "stationarity_margin", lambda *args: 0.0)
+        assert outputs("unchecked") == (0, files)
+        assert capsys.readouterr().err == ""
+
     def test_applicable_options_do_not_warn(self, star_files, tmp_path, capsys):
         wfile, alpha, shock = star_files
         out = tmp_path / "eff"

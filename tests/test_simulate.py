@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fnar import simulate
 from fnar.basis import build_quadrature
 from fnar.errors import InvalidArgumentError, NonStationaryDgpError, SchemaError
 from fnar.interaction import PointEval, network_lag
@@ -27,7 +28,7 @@ def allocating_neumann_solve(cfg, rhs):
     """The update neumann_solve made before it worked in place and in row
     blocks, kept as the oracle: whole arrays, with the same errors."""
     y = rhs.copy()
-    for iteration in range(1, cfg.max_iter + 1):
+    for iteration in range(1, simulate._MAX_ITER + 1):
         propagated = cfg.alpha[None, :] * network_lag(cfg.weights, cfg.operator.apply_grid(y))
         y_next = propagated + rhs
         change = float(np.max(np.abs(y_next - y)))
@@ -36,10 +37,10 @@ def allocating_neumann_solve(cfg, rhs):
             raise NonStationaryDgpError(
                 f"iteration diverged to non-finite values at step {iteration}"
             )
-        if change < cfg.tol:
+        if change < simulate._TOL:
             return y, iteration, change
     raise NonStationaryDgpError(
-        f"no convergence within {cfg.max_iter} iterations (last change {change:.3g})"
+        f"no convergence within {simulate._MAX_ITER} iterations (last change {change:.3g})"
     )
 
 
@@ -61,7 +62,24 @@ def allocating_draw_mc_panel(parts, seed):
     return y, x
 
 
-def _point_eval_config(n=6, alpha_const=0.5, tol=1e-10, **kwargs):
+@pytest.fixture
+def stop_rule(monkeypatch):
+    """Sets neumann_solve's stopping rule for one test."""
+    def set_rule(tol=simulate._TOL, max_iter=simulate._MAX_ITER):
+        monkeypatch.setattr(simulate, "_TOL", tol)
+        monkeypatch.setattr(simulate, "_MAX_ITER", max_iter)
+    return set_rule
+
+
+def _without_margin_check(build):
+    """``build()`` with DgpConfig's stationarity check passed, for divergence
+    experiments; the config's own margin is not changed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DgpConfig, "stationarity_margin", lambda self: 0.0)
+        return build()
+
+
+def _point_eval_config(n=6, alpha_const=0.5):
     quad = build_quadrature(33)
     w = ring_weights(n)
     return DgpConfig(
@@ -70,13 +88,12 @@ def _point_eval_config(n=6, alpha_const=0.5, tol=1e-10, **kwargs):
         fixed_effects=np.zeros((n, 33)),
         operator=PointEval(quad),
         weights=w,
-        tol=tol,
-        **kwargs,
     ), quad, w
 
 
 class TestNeumann:
-    def test_zero_alpha_returns_rhs(self):
+    def test_zero_alpha_returns_rhs(self, stop_rule):
+        stop_rule(tol=1e-10)
         cfg, quad, w = _point_eval_config(alpha_const=0.0)
         rhs = np.random.default_rng(0).normal(size=(6, 33))
         res = neumann_solve(cfg, rhs)
@@ -85,69 +102,72 @@ class TestNeumann:
         assert not np.shares_memory(res.values, rhs)
 
     def test_point_eval_matches_direct_solve(self):
-        cfg, quad, w = _point_eval_config(alpha_const=0.6, tol=1e-3)
+        cfg, quad, w = _point_eval_config(alpha_const=0.6)
         rng = np.random.default_rng(1)
         rhs = rng.normal(size=(6, 33))
         res = neumann_solve(cfg, rhs)
         dense_w = w.dense()
         for g in range(33):
             direct = np.linalg.solve(np.eye(6) - cfg.alpha[g] * dense_w, rhs[:, g])
-            assert np.max(np.abs(res.values[:, g] - direct)) < 2 * cfg.tol
+            assert np.max(np.abs(res.values[:, g] - direct)) < 2 * simulate._TOL
 
     def test_nonstationary_config_rejected(self):
         with pytest.raises(NonStationaryDgpError):
             _point_eval_config(n=2, alpha_const=1.2)
 
-    def test_forced_nonstationary_iteration_diverges(self):
-        with pytest.warns(UserWarning):
-            cfg, quad, w = _point_eval_config(
-                n=2, alpha_const=1.2, allow_nonstationary=True
-            )
+    def test_forced_nonstationary_iteration_diverges(self, stop_rule):
+        stop_rule(tol=1e-10)
+        cfg, quad, w = _without_margin_check(lambda: _point_eval_config(n=2, alpha_const=1.2))
         # symmetric 2-cycle: spectral radius 1.2 > 1, partial sums blow up
         rhs = np.ones((2, 33))
         with pytest.raises(NonStationaryDgpError):
             neumann_solve(cfg, rhs)
 
     def test_residual_within_geometric_tail(self):
-        cfg, quad, w = _point_eval_config(alpha_const=0.6, tol=1e-3)
+        cfg, quad, w = _point_eval_config(alpha_const=0.6)
         rhs = np.random.default_rng(2).normal(size=(6, 33))
         y = neumann_solve(cfg, rhs).values
         fixed_point = cfg.alpha * network_lag(cfg.weights, cfg.operator.apply_grid(y)) + rhs
         q = cfg.stationarity_margin()
-        bound = cfg.tol * (1 + q) / (1 - q)
+        bound = simulate._TOL * (1 + q) / (1 - q)
         assert np.max(np.abs(y - fixed_point)) < bound
 
-    def test_halving_alpha_weakly_reduces_iterations(self):
-        cfg_full, quad, w = _point_eval_config(alpha_const=0.8, tol=1e-8)
-        cfg_half, _, _ = _point_eval_config(alpha_const=0.4, tol=1e-8)
+    def test_halving_alpha_weakly_reduces_iterations(self, stop_rule):
+        stop_rule(tol=1e-8)
+        cfg_full, quad, w = _point_eval_config(alpha_const=0.8)
+        cfg_half, _, _ = _point_eval_config(alpha_const=0.4)
         rhs = np.random.default_rng(3).normal(size=(6, 33))
         assert neumann_solve(cfg_half, rhs).iterations <= neumann_solve(cfg_full, rhs).iterations
 
-    def test_doubled_kernel_pushes_margin_past_one(self):
+    def test_doubled_kernel_pushes_margin_past_one(self, stop_rule):
         # contraction certificate 1.5 combined with |alpha| * ||W|| = 0.9
         # breaks the stationarity margin, and the iteration indeed blows up
-        import warnings
-
         from fnar.interaction import KernelIntegral, epanechnikov_kernel
 
         quad = build_quadrature(33)
         op = KernelIntegral(quad, kernel=lambda u, s: 2.0 * epanechnikov_kernel(u, s))
         assert op.contraction_bound() == pytest.approx(1.5)
         w = ring_weights(2)
-        with pytest.warns(UserWarning):
-            cfg = DgpConfig(alpha=np.full(33, 0.9), beta=np.ones((1, 33)),
-                            fixed_effects=np.zeros((2, 33)), operator=op,
-                            weights=w, allow_nonstationary=True, max_iter=500)
+        stop_rule(max_iter=500)
+
+        def build():
+            return DgpConfig(alpha=np.full(33, 0.9), beta=np.ones((1, 33)),
+                             fixed_effects=np.zeros((2, 33)), operator=op, weights=w)
+
+        with pytest.raises(NonStationaryDgpError, match="stationarity margin 1.3500 >= 1"):
+            build()
+        cfg = _without_margin_check(build)
         assert cfg.stationarity_margin() == pytest.approx(1.35)
         with pytest.raises(NonStationaryDgpError):
             neumann_solve(cfg, np.ones((2, 33)))
 
     @pytest.mark.parametrize("kind", ["point", "kernel", "window"])
-    def test_in_place_update_matches_allocating_update(self, kind):
+    def test_in_place_update_matches_allocating_update(self, kind, stop_rule):
+        stop_rule(tol=1e-12)
         quad = build_quadrature(33)
         cfg = DgpConfig(alpha=0.6 * np.cos(quad.points), beta=np.ones((1, 33)),
                         fixed_effects=np.zeros((9, 33)), operator=small_operator(kind, quad),
-                        weights=ring_weights(9), tol=1e-12)
+                        weights=ring_weights(9))
         rhs = np.random.default_rng(4).normal(size=(9, 33))
         before = rhs.copy()
         res = neumann_solve(cfg, rhs)
@@ -186,27 +206,29 @@ class TestRowBlocks:
     """neumann_solve updates _ROW_BLOCK rows at a time; every size, error
     and message must be those of the whole-array oracle."""
 
-    def _ring_config(self, n, **kwargs):
+    def _ring_config(self, n):
         quad = build_quadrature(33)
         return DgpConfig(alpha=np.full(33, 0.5), beta=np.ones((1, 33)),
                          fixed_effects=np.zeros((n, 33)), operator=PointEval(quad),
-                         weights=ring_weights(n), **kwargs)
+                         weights=ring_weights(n))
 
-    def test_divergence_first_in_a_later_block(self):
+    def test_divergence_first_in_a_later_block(self, stop_rule):
         # near-overflow values in the third block reach inf at step 2, while
         # every other block stays finite
         n = 2 * _ROW_BLOCK + 76
-        cfg = self._ring_config(n, tol=1e-12)
+        stop_rule(tol=1e-12)
+        cfg = self._ring_config(n)
         rhs = np.random.default_rng(7).normal(size=(n, 33))
         rhs[2 * _ROW_BLOCK + 26] = 1.7e308
         message = _oracle_error(neumann_solve, cfg, rhs)
         assert message == "iteration diverged to non-finite values at step 2"
         assert message == _oracle_error(allocating_neumann_solve, cfg, rhs)
 
-    def test_max_iter_exhausted_reports_the_same_last_change(self):
+    def test_max_iter_exhausted_reports_the_same_last_change(self, stop_rule):
         # the largest change sits in the ragged last block
         n = 2 * _ROW_BLOCK + 1
-        cfg = self._ring_config(n, tol=1e-300, max_iter=3)
+        stop_rule(tol=1e-300, max_iter=3)
+        cfg = self._ring_config(n)
         rhs = np.random.default_rng(8).normal(size=(n, 33))
         rhs[n - 1] *= 100.0
         message = _oracle_error(neumann_solve, cfg, rhs)
@@ -215,8 +237,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
                                    2 * _ROW_BLOCK, 3 * _ROW_BLOCK + 1])
-    def test_block_edges_match_oracle(self, n):
-        cfg = self._ring_config(n, tol=1e-9)
+    def test_block_edges_match_oracle(self, n, stop_rule):
+        stop_rule(tol=1e-9)
+        cfg = self._ring_config(n)
         rhs = np.random.default_rng(n).normal(size=(n, 33))
         res = neumann_solve(cfg, rhs)
         values, iterations, change = allocating_neumann_solve(cfg, rhs)
@@ -225,21 +248,11 @@ class TestRowBlocks:
 
 
 class TestSolverSettings:
-    """DgpConfig rejects a Neumann stopping rule that cannot work: no
-    iteration at all, or a tolerance that no change can fall below."""
+    """neumann_solve's stopping rule is the module constants _TOL and _MAX_ITER."""
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_rejects_fewer_than_one_iteration(self, max_iter):
-        with pytest.raises(InvalidArgumentError, match="max_iter"):
-            _point_eval_config(max_iter=max_iter)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_tolerance_not_positive_and_finite(self, tol):
-        with pytest.raises(InvalidArgumentError, match="tolerance"):
-            _point_eval_config(tol=tol)
-
-    def test_one_iteration_suffices_without_interaction(self):
-        cfg, _, _ = _point_eval_config(alpha_const=0.0, max_iter=1)
+    def test_one_iteration_suffices_without_interaction(self, stop_rule):
+        stop_rule(tol=1e-10, max_iter=1)
+        cfg, _, _ = _point_eval_config(alpha_const=0.0)
         rhs = np.random.default_rng(3).normal(size=(6, 33))
         assert neumann_solve(cfg, rhs).iterations == 1
 
@@ -371,6 +384,11 @@ class TestMcPanel:
 
         with pytest.raises(InvalidArgumentError, match="at least one period"):
             simulate_mc_panel(10, T, 1.0, seed=1)
+
+    @pytest.mark.parametrize("n_quad", [1, 0, -3])
+    def test_rejects_fewer_than_two_grid_points(self, n_quad):
+        with pytest.raises(InvalidArgumentError, match="at least 2 points"):
+            simulate_mc_panel(16, 3, 1.0, seed=3, n_quad=n_quad)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
     def test_negative_seed_rejected(self, seed):
