@@ -242,9 +242,9 @@ def cmd_effects(args) -> int:
     shock = read_function(args.shock_file, quad)
     if args.effect == "impulse":
         result = impulse_response(alpha, operator, weights, unit, shock, order=args.orders)
+        impact = total_impact(result)  # before the tables, which an overflow leaves unwritten
         _write_propagation(result, out, "impulse")
-        print(f"impulse responses for unit {unit} written to {out} "
-              f"(total impact {total_impact(result):.6g})")
+        print(f"impulse responses for unit {unit} written to {out} (total impact {impact:.6g})")
         return EXIT_OK
 
     # key player: the argmax of the per-unit total impacts that are written

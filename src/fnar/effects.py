@@ -2,7 +2,8 @@
 risk key player, all as truncated propagation sums over walk lengths.
 
 Each function takes alpha, a coefficient beta or a shock eta as finite values
-on ``operator.grid``; for a fit, ``fit.alpha(operator.grid.points)``."""
+on ``operator.grid``; for a fit, ``fit.alpha(operator.grid.points)``. A
+propagation that overflows raises ``NumericalFailureError``."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import QuadratureGrid
-from .errors import InvalidArgumentError, check_array_size
+from .errors import InvalidArgumentError, NumericalFailureError, check_array_size
 from .interaction import InteractionOperator
 from .network import NetworkWeights
 
@@ -100,6 +101,15 @@ def gamma_power(alpha: np.ndarray, operator: InteractionOperator,
     return _gammas(alpha, operator, _grid_values("h", h, operator), ell)[-1]
 
 
+def _overflow(terms: np.ndarray) -> NumericalFailureError:
+    """The error of a propagation whose sum is not finite, naming the first
+    walk length (axis 0 of ``terms``) at which a partial sum is not."""
+    finite = np.isfinite(np.cumsum(terms, axis=0)).reshape(len(terms), -1).all(axis=1)
+    ell = int(np.argmin(finite)) if not finite.all() else len(terms) - 1
+    return NumericalFailureError(f"the propagation is not finite from walk length {ell}: "
+                                 "alpha, the shock or the weights are too large")
+
+
 def _propagate(alpha: np.ndarray, operator: InteractionOperator,
                weights: NetworkWeights, unit: int, h: np.ndarray,
                order: int) -> PropagationResult:
@@ -108,10 +118,14 @@ def _propagate(alpha: np.ndarray, operator: InteractionOperator,
     if not 0 <= unit < n:
         raise InvalidArgumentError(f"unit {unit} out of range for {n} units")
     per_order = _by_order(order, (n, operator.grid.count))
-    gammas = _gammas(alpha, operator, h, order)
-    reach = _iterates(weights.w.__matmul__, np.eye(1, n, unit)[0], order)
-    np.multiply(reach[:, :, None], gammas[:, None, :], out=per_order)
-    return PropagationResult(per_order=per_order, quad=operator.grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        gammas = _gammas(alpha, operator, h, order)
+        reach = _iterates(weights.w.__matmul__, np.eye(1, n, unit)[0], order)
+        np.multiply(reach[:, :, None], gammas[:, None, :], out=per_order)
+        result = PropagationResult(per_order=per_order, quad=operator.grid)
+        if not np.isfinite(result.cumulative).all():
+            raise _overflow(per_order)
+    return result
 
 
 def marginal_effects(alpha: np.ndarray, operator: InteractionOperator,
@@ -137,7 +151,12 @@ def impulse_response(alpha: np.ndarray, operator: InteractionOperator,
 
 def total_impact(result: PropagationResult) -> float:
     """Integrated aggregate response: sum over units of the integral of the sum."""
-    return float(result.quad.integrate(result.cumulative).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        total = float(result.quad.integrate(result.cumulative).sum())
+    if not np.isfinite(total):
+        raise NumericalFailureError("the total impact is not finite: alpha, the shock or "
+                                    "the weights are too large")
+    return total
 
 
 def total_impacts(alpha: np.ndarray, operator: InteractionOperator,
@@ -149,9 +168,14 @@ def total_impacts(alpha: np.ndarray, operator: InteractionOperator,
     shared by every unit. Entry i is ``total_impact(impulse_response(...))``
     for unit i, up to rounding.
     """
-    gammas = _gammas(alpha, operator, _grid_values("eta", eta, operator), order)
-    walks = _iterates(weights.w.T.__matmul__, np.ones(weights.n), order)
-    return operator.grid.integrate(gammas) @ walks
+    eta = _grid_values("eta", eta, operator)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        integrals = operator.grid.integrate(_gammas(alpha, operator, eta, order))
+        walks = _iterates(weights.w.T.__matmul__, np.ones(weights.n), order)
+        impacts = integrals @ walks
+        if not np.isfinite(impacts).all():
+            raise _overflow(integrals[:, None] * walks)
+    return impacts
 
 
 def risk_key_player(alpha: np.ndarray, operator: InteractionOperator,

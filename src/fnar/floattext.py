@@ -13,12 +13,11 @@ digits, ``.0`` on integral values, and ``-0.0``, ``nan``, ``inf``, ``-inf``.
 
 Reading (``decimal_values``): a field ``[-]digits[.digits][e[+-]digits]`` of a
 byte block is read 8 digits a word (SWAR), into a significand w of at most 19
-digits and a decimal exponent q. Clinger's exact product or quotient of two
-doubles settles w < 2**53 with |q| <= 22; Eisel-Lemire (Lemire 2021, "Number
-parsing at a gigabyte per second") settles the rest with one 64 x 128-bit
-product by a truncated power of ten, in numpy uint64 with the writer's
-product of 32-bit halves. A field with more digits, a subnormal double or a
-product that leaves the rounding open is read by ``float``.
+digits and a decimal exponent q. Eisel-Lemire (Lemire 2021, "Number parsing at
+a gigabyte per second") settles each w * 10**q with one 64 x 128-bit product
+by a truncated power of ten, in numpy uint64 with the writer's product of
+32-bit halves. A field with more digits, a subnormal double or a product that
+leaves the rounding open is read by ``float``.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ _K_MIN, _K_MAX = -324, 292
 # reads as 0 or infinity
 _Q_MIN, _Q_MAX = -342, 308
 _M32 = np.uint64(0xFFFF_FFFF)
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # every power of ten below 2**64
 
 
 def _power_tables():
@@ -157,7 +157,6 @@ _EXP_FORM, _INF_FORM, _NAN_FORM, _FORMS = 20, 21, 22, 23
 _QUADS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
           % 10 + 48).astype(np.uint8).view(np.uint32).ravel()  # "0000", ..., "9999"
 _TRAILING_ZEROS = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
-_POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _EXP_OFFSET = 330  # decimal points from -330
 _EXPONENTS = np.frombuffer(b"".join(f"e{point - 1:+03d}".encode().ljust(8, b"\0")
                                     for point in range(-_EXP_OFFSET, 320)), np.uint64)
@@ -290,10 +289,6 @@ _ABOVE_NINE = np.uint64(0x7676_7676_7676_7676)  # a byte of 10 or more reaches 0
 _DOTS = np.uint64(0x1E1E_1E1E_1E1E_1E1E)  # "........" xor "00000000"
 _PAIRS = np.uint64(0x0000_00FF_0000_00FF)
 _MUL1, _MUL2 = np.uint64(100 + (1_000_000 << 32)), np.uint64(1 + (10_000 << 32))
-_POW10_DIGITS = 10 ** np.arange(20, dtype=np.uint64)
-# 10**(i - 22) as a product and a quotient of exact doubles, for i in 0..44
-_SCALE_UP = np.array([10.0 ** max(i - 22, 0) for i in range(45)])
-_SCALE_DOWN = np.array([10.0 ** max(22 - i, 0) for i in range(45)])
 _FIELD = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?")
 
 
@@ -342,14 +337,14 @@ def _digit_run(x, word_after, most):
         digits, part = _below_first(_non_digits(x))
         digits &= full
         part &= full
-        value = value * _POW10_DIGITS.take(part >> 3) + _eight_digits(x, digits, part)
+        value = value * _POW10.take(part >> 3) + _eight_digits(x, digits, part)
         bits += part
     return value, (bits >> 3).astype(np.int64), lead
 
 
 def _fits(lead, count):
     """Whether ``count`` digits whose first 8 spell ``lead`` are below 10**19."""
-    return lead < _POW10_DIGITS.take(np.minimum(np.maximum(27 - count, 0), 8))
+    return lead < _POW10.take(np.minimum(np.maximum(27 - count, 0), 8))
 
 
 def equal_bytes(block, at, texts):
@@ -404,18 +399,11 @@ def decimal_values(block, at, stop):
         q[scaled] += np.where(minus, -power, power)
         end[scaled] = e + n
         ok[scaled] &= (n > 0) & (n < 8)
-    # Clinger's fast path: w and 10**|q| are exact doubles, so one operation rounds once
-    values = w.astype(np.float64)
-    index = np.minimum((q + 22).view(np.uint64), 44)
-    values *= _SCALE_UP.take(index)
-    values /= _SCALE_DOWN.take(index)
-    slow = np.flatnonzero((w >= np.uint64(2**53)) | (index == 44) & (q != 22))
-    if slow.size:
-        bits, unsettled = _binary64(w[slow], q[slow])
-        values.view(np.uint64)[slow] = bits
-        ok[slow[unsettled]] = False
+    bits, unsettled = _binary64(w, q)
     del w
-    values.view(np.uint64)[...] |= neg.astype(np.uint64) << 63
+    ok[unsettled] = False
+    bits |= neg.astype(np.uint64) << 63
+    values = bits.view(np.float64)
     # a field the kernel did not settle, or that goes on, is read by float
     for i in np.flatnonzero(~ok | ((block[end] != 44) & (end != stop))).tolist():
         text = block[at[i]:stop[i]].tobytes().split(b",", 1)[0]
@@ -450,7 +438,7 @@ def _significand(words, p, levels):
             rest, rest_fraction, rest_end, rest_ok = _significand(words, p[longer] + 8, levels - 1)
             digits = rest_end - p[longer] - (rest_fraction > 0)
             lead = lead[longer]
-            w[longer] = lead * _POW10_DIGITS.take(np.minimum(digits - 8, 19)) + rest
+            w[longer] = lead * _POW10.take(np.minimum(digits - 8, 19)) + rest
             fraction[longer], end[longer] = rest_fraction, rest_end
             ok[longer] = rest_ok & _fits(lead, digits)
     return w, fraction, end, ok

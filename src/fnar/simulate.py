@@ -106,7 +106,7 @@ class DgpConfig:
                 "fixed-effect row per unit"
             )
         if (margin := self.stationarity_margin()) >= 1.0:
-            raise NonStationaryDgpError(f"stationarity margin {margin:.4f} >= 1: the "
+            raise NonStationaryDgpError(f"stationarity margin {margin:.4g} >= 1: the "
                                         "simultaneous system may have no stable solution")
 
     @property
@@ -138,7 +138,8 @@ def neumann_solve(cfg: DgpConfig, rhs: np.ndarray) -> NeumannResult:
 
     Iterates the partial sums of the Neumann series until the maximum
     change over units and grid points falls below ``_TOL``; more than
-    ``_MAX_ITER`` iterations, or a non-finite value, raise ``NonStationaryDgpError``.
+    ``_MAX_ITER`` iterations, or a non-finite value, raise ``NonStationaryDgpError``,
+    unless ``rhs`` itself is not finite, which raises ``InvalidArgumentError``.
     ``rhs`` is only read; the returned values never share its memory.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -161,6 +162,9 @@ def neumann_solve(cfg: DgpConfig, rhs: np.ndarray) -> NeumannResult:
             block += rhs_rows
             block_change = float(np.abs(np.subtract(block, y[rows], out=step), out=step).max())
             if not math.isfinite(block_change):
+                if not np.isfinite(rhs).all():
+                    raise InvalidArgumentError("right-hand side has non-finite values: "
+                                               "an input of the system overflows")
                 raise NonStationaryDgpError(
                     f"iteration diverged to non-finite values at step {iteration}"
                 )
@@ -286,11 +290,13 @@ def _draw_mc_panel(parts: _McParts, seed) -> tuple[FunctionalPanel, DgpConfig]:
     draws = _error_coefficients(n, T, seed_eps)
     degrees = weights.degrees.astype(float)
     y = np.empty((n, T, quad.count))
-    for t in range(T):
-        rhs = x[:, t, :] @ cfg.beta
-        rhs += cfg.fixed_effects
-        rhs += _poly_error_paths(draws[:, t, :], degrees, quad.points)
-        y[:, t, :] = neumann_solve(cfg, rhs).values
+    # an overflow is reported by neumann_solve's error, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            rhs = x[:, t, :] @ cfg.beta
+            rhs += cfg.fixed_effects
+            rhs += _poly_error_paths(draws[:, t, :], degrees, quad.points)
+            y[:, t, :] = neumann_solve(cfg, rhs).values
     return FunctionalPanel(y=y, x=x, quad=quad), cfg
 
 

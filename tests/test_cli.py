@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,28 @@ class TestSimulate:
         code = run(["simulate", "--n", 10, "--T", 3, "--r", 1, "--seed", 1,
                     "--alpha-scale", 2.0, "--out", out])
         assert code == 3
+
+    def test_margin_of_a_huge_scale_is_printed_to_four_digits(self, tmp_path, capsys):
+        code = run(["simulate", "--n", 12, "--T", 3, "--seed", 1, "--alpha-scale", "1e308",
+                    "--out", tmp_path])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: stationarity margin 6.118e+307 >= 1: the "
+                                           "simultaneous system may have no stable solution\n")
+
+    @pytest.mark.parametrize("r,code", [("1e308", 4), ("1e200", 0)])
+    def test_right_hand_side_that_overflows_is_data_error(self, tmp_path, capsys, r, code):
+        # r = 1e308 is finite, but the covariate times beta overflows; 1e200 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--n", 12, "--T", 3, "--seed", 1, "--r", r,
+                        "--out", tmp_path]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: right-hand side has non-finite values: an input of the "
+                           "system overflows\n")
+            assert not any(tmp_path.iterdir())
+        else:
+            assert err == "" and (tmp_path / "observations.csv").exists()
 
     @pytest.mark.parametrize("flags", [["--T", 3, "--seed", -1], ["--T", 0, "--seed", 1],
                                        ["--T", -2, "--seed", 1]])
@@ -774,6 +797,36 @@ class TestEffects:
         monkeypatch.setattr(cli, "stationarity_margin", lambda *args: 0.0)
         assert outputs("unchecked") == (0, files)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("effect,alpha,eta,operator,err", [
+        *[(effect, "1e308", "1", "epanechnikov", [
+            "warning: stationarity margin 7.5e+307 >= 1: the propagation series may diverge, "
+            "so the effects may mean nothing",
+            "error: the propagation is not finite from walk length 2: alpha, the shock or the "
+            "weights are too large"]) for effect in ("impulse", "marginal", "keyplayer")],
+        # every unit's response is finite, their total impact is not
+        ("impulse", "0.5", "1.2e308", "point-eval", [
+            "error: the total impact is not finite: alpha, the shock or the weights are too "
+            "large"])])
+    def test_propagation_that_overflows_is_numeric_error(self, tmp_path, capsys, effect, alpha,
+                                                         eta, operator, err):
+        sim, out = tmp_path / "sim", tmp_path / "out"
+        sim.mkdir()
+        out.mkdir()
+        assert run(["simulate", "--n", 12, "--T", 3, "--seed", 1, "--out", sim]) == 0
+        (tmp_path / "alpha.csv").write_text(f"s,value\n0,{alpha}\n1,{alpha}\n")
+        (tmp_path / "eta.csv").write_text(f"s,value\n0,{eta}\n1,{eta}\n")
+        given = ["--beta-file" if effect == "marginal" else "--shock-file", tmp_path / "eta.csv"]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["effects", effect, "--alpha-file", tmp_path / "alpha.csv", "--weights",
+                        sim / "weights.csv", *given, "--operator", operator,
+                        "--out", out / "impacts.csv" if effect == "keyplayer" else out])
+        assert code == 5
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.splitlines() == err
+        assert not any(out.iterdir())
 
     def test_applicable_options_do_not_warn(self, star_files, tmp_path, capsys):
         wfile, alpha, shock = star_files

@@ -4,9 +4,10 @@ Each example's argv is built from ``_build_parser()``'s own actions: a
 subcommand, then each of its options or none, read by the option's type and
 choices, with boundary values (0, -1, nan, +-inf, an empty string, an option
 given twice), a ``--config`` file that may be malformed, and input tables
-that may have one bad row. Every size argument is capped and ``--workers``
-is at most 1, so that no example allocates much memory or starts a process
-pool. Whatever the argv, ``main`` run in this process must
+that may have one bad row, a finite 1e308 among them. Every size argument
+is capped and ``--workers`` is at most 1, so that no example allocates much
+memory or starts a process pool. Whatever the argv, ``main`` run in this
+process must
 
 - exit with a documented code: 0, 2 (I/O, or a usage error argparse
   reports), 3, 4 or 5;
@@ -37,7 +38,9 @@ DOCUMENTED_CODES = {cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_MODEL, cli.EXIT_DATA, cli
 GOOD_INPUTS = {"observations": "observations.csv", "covariates": "covariates.csv",
                "weights": "weights.csv", "coords": "coords.csv", "alpha_file": "alpha.csv",
                "beta_file": "eta.csv", "shock_file": "eta.csv"}
-BAD_ROWS = ("text", "nan", "short")
+# a bad row's last field: a text, a nan, missing, or a finite extreme that
+# overflows what is computed from it
+BAD_ROWS = {"text": "x", "nan": "nan", "short": None, "huge": "1e308"}
 CONFIGS = {
     "config.json": {"simulate": {"r": 0.5}, "estimate": {"moment-points": 8},
                     "montecarlo": {"n": 6, "T": 2, "replications": 1},
@@ -57,10 +60,10 @@ def _with_bad_row(text, kind):
     lines = text.splitlines()
     row = 1 + (len(lines) - 1) // 2
     fields = lines[row].split(",")
-    if kind == "short":
+    if BAD_ROWS[kind] is None:
         fields = fields[:-1]
     else:
-        fields[-1] = "x" if kind == "text" else "nan"
+        fields[-1] = BAD_ROWS[kind]
     lines[row] = ",".join(fields)
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +15,7 @@ from fnar.effects import (
     total_impact,
     total_impacts,
 )
-from fnar.errors import InvalidArgumentError
+from fnar.errors import InvalidArgumentError, NumericalFailureError
 from fnar.interaction import PastWindow, PointEval
 from fnar.network import NetworkWeights, build_lattice_weights
 from fnar.simulate import mc_alpha, mc_beta, simulate_mc_panel
@@ -335,6 +337,37 @@ class TestOrderAllocation:
         with pytest.raises(InvalidArgumentError,
                            match="truncation order 1000000000000 needs more memory"):
             call()
+
+
+class TestOverflow:
+    """A propagation whose partial sums leave the doubles raises
+    ``NumericalFailureError`` at the first walk length where one does, and
+    numpy warns of nothing."""
+
+    # on the two-unit exchange ring with point evaluation, Gamma^ell(h) is
+    # alpha**ell h and unit 0's shock reaches unit ell mod 2 at walk length ell
+    @pytest.mark.parametrize("alpha,h,lengths", [
+        (1e200, 1.0, {"impulse_response": 2, "marginal_effects": 2, "total_impacts": 2}),
+        # every term is finite: unit 0's sum overflows at 2, the total at 1
+        (1.0, 1e308, {"impulse_response": 2, "marginal_effects": 2, "total_impacts": 1})])
+    @pytest.mark.parametrize("effect", sorted(EFFECTS.keys() - {"gamma_power"}))
+    def test_names_the_first_walk_length_that_overflows(self, effect, alpha, h, lengths):
+        quad = build_quadrature(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError,
+                               match=f"not finite from walk length {lengths[effect]}:"):
+                EFFECTS[effect](np.full(9, alpha), PointEval(quad), ring_weights(2),
+                                np.full(9, h))
+
+    def test_total_impact_past_the_largest_double(self):
+        # each unit's response is finite, their sum is not
+        result = PropagationResult(per_order=np.full((1, 2, 9), 1e308),
+                                   quad=build_quadrature(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="total impact is not finite"):
+                total_impact(result)
 
 
 class TestTruncationDecay:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import csv_oracle
 from conftest import fifo_of
-from fnar import cli, io
+from fnar import cli, floattext, io
 from fnar.basis import build_quadrature
 from fnar.errors import FnarError, InvalidArgumentError, SchemaError
 from fnar.floattext import decimal_ids, decimal_values, float_texts
@@ -199,11 +199,26 @@ class TestDecimalText:
             "1e309", "-1e309", "1e-400", "0e999999", "1e22", "1e23", "8.98846567431158e307",
             "123456789.5", "12345678901234.5", "1234567890123456789012.5", "0.1", "0.3",
             "1e-05", "1.5e+16", "3e0", "3e+00000000001",
-            # a zero significand at an exponent that sends a non-zero one past Clinger's path
+            # a zero significand at exponents up to and far past the doubles' range
             "0e23", "0e300", "0.0e25", "-0e100", "-0.0e308", "-0e-300", "0e-400",
             "00000000000000000000e40", "0.00000000000000000000000e30"]
             + [f"{sign}0{dot}e{e}" for sign in ("", "-") for dot in ("", ".0")
                for e in range(-350, 360, 7)])
+
+    def test_short_significands_at_small_exponents(self, monkeypatch):
+        # every w * 10**q with w below 2**53 and |q| <= 22 is one exactly rounded
+        # operation on two exact doubles; Eisel-Lemire must read each alone, with
+        # no field left to float, in exponent form and in fixed form
+        draws = np.random.default_rng(53).integers(0, 2**53, 100).tolist()
+        significands = [0, 1, 9, 10, 12345, 2**52 + 1, 2**53 - 2, 2**53 - 1] + draws
+        exponent, fixed = [], []
+        for w, q, sign in itertools.product(significands, range(-22, 23), ("", "-")):
+            exponent.append(f"{sign}{w}e{q:+d}")
+            digits = str(w).rjust(1 - q, "0")
+            fixed.append(f"{sign}{w * 10**q}.0" if q >= 0 else f"{sign}{digits[:q]}.{digits[q:]}")
+        texts_read_as_float_reads(fixed)
+        monkeypatch.setattr(floattext, "_FIELD", re.compile(rb"(?!)"))  # float reads nothing
+        texts_read_as_float_reads(exponent)
 
     def test_reads_without_numpy_2_functions(self, monkeypatch):
         # numpy 1.24 is supported, which has no bitwise_count (popcount)
@@ -964,6 +979,19 @@ class TestStreamedPanel:
         obs, cov = tmp_path / "obs.csv", tmp_path / "cov.csv"
         io.write_panel(panel, obs, cov)
         read, streamed, whole = self.reads(monkeypatch, obs, cov)
+        assert streamed
+        same_panel(read, whole)
+        same_bytes(read.y, y)
+
+    def test_two_decimal_values_stream_bitwise(self, tmp_path, monkeypatch):
+        # y written as "12.34", "-0.5", "7.0": short significands at small exponents
+        rng = np.random.default_rng(12)
+        y = rng.integers(-99_999, 100_000, (40, 5, 99)) / 100
+        panel = FunctionalPanel(y=y, x=rng.normal(size=(40, 5, 1)), quad=build_quadrature(99))
+        obs, cov = tmp_path / "obs.csv", tmp_path / "cov.csv"
+        io.write_panel(panel, obs, cov)
+        assert re.search(rb",-?[0-9]+\.[0-9]{2}\r\n", obs.read_bytes())
+        read, streamed, whole = self.reads(monkeypatch, obs, cov, grid_count=99)
         assert streamed
         same_panel(read, whole)
         same_bytes(read.y, y)

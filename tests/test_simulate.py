@@ -154,7 +154,7 @@ class TestNeumann:
             return DgpConfig(alpha=np.full(33, 0.9), beta=np.ones((1, 33)),
                              fixed_effects=np.zeros((2, 33)), operator=op, weights=w)
 
-        with pytest.raises(NonStationaryDgpError, match="stationarity margin 1.3500 >= 1"):
+        with pytest.raises(NonStationaryDgpError, match="stationarity margin 1.35 >= 1"):
             build()
         cfg = _without_margin_check(build)
         assert cfg.stationarity_margin() == pytest.approx(1.35)
