@@ -82,6 +82,14 @@ def _warn_ignored(args, dests, reason):
                   file=sys.stderr)
 
 
+def _warn_margin(alpha, operator, weights):
+    """Warn on stderr when the stationarity margin of ``alpha`` is at least 1;
+    the margin only suffices, so nothing is refused."""
+    if (margin := stationarity_margin(alpha, operator, weights)) >= 1.0:
+        print(f"warning: stationarity margin {margin:.4g} >= 1: the propagation "
+              "series may diverge, so the effects may mean nothing", file=sys.stderr)
+
+
 def _build_weights(args, n_expected=None):
     if args.weights is not None:
         _warn_ignored(args, ("coords", "threshold", "coord_type", "binary_weights"),
@@ -155,6 +163,7 @@ def cmd_estimate(args) -> int:
     if not fit.converged:
         print(f"warning: {args.estimator} fit not converged after "
               f"{fit.iterations} iterations", file=sys.stderr)
+    _warn_margin(fit.alpha(operator.grid.points), operator, weights)
     return EXIT_OK
 
 
@@ -228,9 +237,7 @@ def cmd_effects(args) -> int:
     weights = _build_weights(args)
     operator = _build_operator(args, quad)
     alpha = read_function(args.alpha_file, quad)
-    if (margin := stationarity_margin(alpha, operator, weights)) >= 1.0:  # sufficient only: warn
-        print(f"warning: stationarity margin {margin:.4g} >= 1: the propagation "
-              "series may diverge, so the effects may mean nothing", file=sys.stderr)
+    _warn_margin(alpha, operator, weights)
 
     if args.effect == "marginal":
         beta = read_function(args.beta_file, quad)

@@ -98,7 +98,12 @@ def _gammas(alpha: np.ndarray, operator: InteractionOperator, h: np.ndarray,
 def gamma_power(alpha: np.ndarray, operator: InteractionOperator,
                 h: np.ndarray, ell: int) -> np.ndarray:
     """Iterate h -> alpha(s) A(h, s) on the grid, ell times."""
-    return _gammas(alpha, operator, _grid_values("h", h, operator), ell)[-1]
+    h = _grid_values("h", h, operator)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        gammas = _gammas(alpha, operator, h, ell)
+        if not np.isfinite(gammas[-1]).all():
+            raise _overflow(gammas)
+    return gammas[-1]
 
 
 def _overflow(terms: np.ndarray) -> NumericalFailureError:

@@ -108,16 +108,6 @@ def build_lattice_weights(n: int, rng_seed) -> NetworkWeights:
     return NetworkWeights(w=sp.csr_array((data, around[linked], indptr), shape=(n, n)))
 
 
-def _great_circle_distances(coords: np.ndarray) -> np.ndarray:
-    """Pairwise great-circle distances in km for (lon, lat) rows in degrees."""
-    lon = np.radians(coords[:, 0])
-    lat = np.radians(coords[:, 1])
-    dlat = lat[:, None] - lat[None, :]
-    dlon = lon[:, None] - lon[None, :]
-    a = np.sin(dlat / 2) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2) ** 2
-    return 2.0 * _EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
 def build_distance_weights(coords: np.ndarray, threshold: float,
                            inverse_distance: bool = True,
                            metric: str = "euclidean") -> NetworkWeights:
@@ -126,8 +116,8 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     Raw weights are 1/distance inside the band (or 1 when
     ``inverse_distance`` is off), then each row is normalized by its sum.
     ``metric`` is "euclidean" for planar coordinates or "greatcircle" for
-    (lon, lat) in degrees with distances in km. ``threshold`` must be
-    positive; ``inf`` links every pair.
+    (lon, lat) in degrees with haversine distances in km. ``threshold`` must
+    be positive; ``inf`` links every pair. A k-d tree lists the pairs to check.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[0] < 2:
@@ -137,23 +127,33 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
     if not threshold > 0.0:  # also NaN
         raise InvalidArgumentError(f"distance threshold must be positive, got {threshold}")
     if metric == "euclidean":
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-    elif metric == "greatcircle":
-        dist = _great_circle_distances(coords)
+        points, radius = coords, threshold
+    elif metric == "greatcircle":  # chords between unit vectors
+        lon, lat = np.radians(coords[:, 0]), np.radians(coords[:, 1])
+        points = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+        radius = (2.0 * np.sin(min(threshold / (2.0 * _EARTH_RADIUS_KM), np.pi / 2))
+                  + 1e-12 * max(1.0, np.abs(lon).max(), np.abs(lat).max()))
     else:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
-    n = coords.shape[0]
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(dist[off_diag] == 0.0):
-        raise InvalidArgumentError("duplicate coordinates: zero distance between distinct units")
-    band = (dist <= threshold) & off_diag
-    raw = np.zeros((n, n))
-    if inverse_distance:
-        raw[band] = 1.0 / dist[band]
+    from scipy.spatial import cKDTree  # here, so that a lattice run never loads it
+    # A power of two keeps the tree's squared distances finite; the margins cover their rounding,
+    # squares that underflow (the floor) and great circles' unit vectors and angles (their ulps).
+    scale = 2.0 ** -max(0, int(np.frexp(np.abs(points).max())[1]) - 500)
+    pairs = cKDTree(points * scale).query_pairs(max(radius * scale * (1 + 1e-9), 1e-150),
+                                                output_type="ndarray").astype(np.int32)
+    rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+    if metric == "euclidean":
+        dist = np.sqrt(np.sum((coords[rows] - coords[cols]) ** 2, axis=-1))
     else:
-        raw[band] = 1.0
-    return NetworkWeights(w=_row_normalize(sp.csr_array(raw)))
+        a = (np.sin((lat[rows] - lat[cols]) / 2) ** 2
+             + np.cos(lat)[rows] * np.cos(lat)[cols] * np.sin((lon[rows] - lon[cols]) / 2) ** 2)
+        dist = 2.0 * _EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    if np.any(dist == 0.0):
+        raise InvalidArgumentError("duplicate coordinates: zero distance between distinct units")
+    weight = 1.0 / dist if inverse_distance else np.ones(dist.size)
+    band = (dist <= threshold) & (weight != 0.0)  # not 1/inf, which a dense matrix does not hold
+    w = sp.csr_array((weight[band], (rows[band], cols[band])), shape=(len(coords),) * 2)
+    return NetworkWeights(w=_row_normalize(w))
 
 
 def build_quadratic_weights(weights: NetworkWeights) -> list[sp.csr_array]:

@@ -10,13 +10,18 @@ its instrument and regressor rows at every point; the factored design must
 match it bit for bit. ``stacked_s_z``, ``residual_scores_with_temporaries``
 and ``fixed_effects_with_temporaries`` keep the one-shot expressions that the
 chunked and in-place forms must match bit for bit.
+
+``dense_distance_weights`` keeps the distance-band builder that formed every
+n x n distance; the k-d tree builder must match it bit for bit.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 
+from fnar.errors import InvalidArgumentError
 from fnar.interaction import network_lag
+from fnar.network import _EARTH_RADIUS_KM, NetworkWeights, _row_normalize
 
 
 def difference_matrix(n: int, T: int) -> np.ndarray:
@@ -285,3 +290,45 @@ def fixed_effects_with_temporaries(fit, panel):
     ay_bar = spec.operator.apply_grid(network_lag(spec.weights, y_bar))
     beta_grid = np.stack([fit.beta(j, points) for j in range(fit.d_x)])
     return y_bar - fit.alpha(points) * ay_bar - panel.x.mean(axis=1) @ beta_grid
+
+
+def _great_circle_distances(coords):
+    """Pairwise great-circle distances in km for (lon, lat) rows in degrees."""
+    lon = np.radians(coords[:, 0])
+    lat = np.radians(coords[:, 1])
+    dlat = lat[:, None] - lat[None, :]
+    dlon = lon[:, None] - lon[None, :]
+    a = np.sin(dlat / 2) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2) ** 2
+    return 2.0 * _EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def dense_distance_weights(coords, threshold, inverse_distance=True, metric="euclidean"):
+    """The distance-band builder before it listed the pairs in the band with a
+    k-d tree: every n x n distance, then the band's raw weights as a dense
+    matrix. Kept as the oracle the sparse builder must match bit for bit,
+    errors included."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[0] < 2:
+        raise InvalidArgumentError("coords must be a 2-d array with at least two rows")
+    if not np.all(np.isfinite(coords)):
+        raise InvalidArgumentError("coordinates must be finite")
+    if not threshold > 0.0:  # also NaN
+        raise InvalidArgumentError(f"distance threshold must be positive, got {threshold}")
+    if metric == "euclidean":
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt(np.sum(diff**2, axis=-1))
+    elif metric == "greatcircle":
+        dist = _great_circle_distances(coords)
+    else:
+        raise InvalidArgumentError(f"unknown metric {metric!r}")
+    n = coords.shape[0]
+    off_diag = ~np.eye(n, dtype=bool)
+    if np.any(dist[off_diag] == 0.0):
+        raise InvalidArgumentError("duplicate coordinates: zero distance between distinct units")
+    band = (dist <= threshold) & off_diag
+    raw = np.zeros((n, n))
+    if inverse_distance:
+        raw[band] = 1.0 / dist[band]
+    else:
+        raw[band] = 1.0
+    return NetworkWeights(w=_row_normalize(sp.csr_array(raw)))

@@ -454,6 +454,38 @@ class TestEstimate:
         assert len(err) == 1 and err[0].startswith("error: ") and "Traceback" not in proc.stderr
         assert not any(est.iterdir())
 
+    @pytest.mark.parametrize("margin, text", [(2.5, "2.5"), (1.0, "1"), (0.999, None)])
+    def test_margin_of_the_fit_past_one_warns_and_writes_the_same_files(
+            self, sim_dir, tmp_path, capsys, monkeypatch, margin, text):
+        seen = []
+
+        def outputs(name):
+            out = tmp_path / name
+            out.mkdir()
+            code = run(["estimate", "--observations", sim_dir / "observations.csv",
+                        "--covariates", sim_dir / "covariates.csv",
+                        "--weights", sim_dir / "weights.csv", "--out", out])
+            stdout, err = capsys.readouterr()
+            return (code, stdout.replace(str(out), "OUT"),
+                    {path.name: path.read_bytes() for path in out.iterdir()}), err
+
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "stationarity_margin",
+                            lambda *args: seen.append(args) or margin)
+        checked, err = outputs("checked")
+        assert checked[0] == 0 and checked[2]
+        assert err.splitlines() == ([] if text is None else [
+            f"warning: stationarity margin {text} >= 1: the propagation series "
+            "may diverge, so the effects may mean nothing"])
+        # the margin of alpha-hat as alpha_hat.csv holds it, on the operator's grid and W
+        (alpha, operator, weights), = seen
+        with open(tmp_path / "checked" / "alpha_hat.csv") as fh:
+            written = [float(row["estimate"]) for row in csv.DictReader(fh)]
+        assert alpha.tolist() == written and operator.grid.count == 99 and weights.n == 40
+        # the check changes neither the exit code nor stdout nor a byte of the files
+        monkeypatch.setattr(cli, "stationarity_margin", lambda *args: 0.0)
+        assert outputs("unchecked") == (checked, "")
+
     @pytest.mark.parametrize("value", ["a", "0,x", "5", "-1", "0,1", "0,0"])
     def test_bad_iv_exclude_is_data_error(self, sim_dir, tmp_path, capsys, value):
         # not integers, not covariate indices of the one-covariate panel, or repeated

@@ -14,6 +14,9 @@ process must
 - on a nonzero exit, print no traceback and end stderr with an ``error:``
   line;
 - on exit 0, write only finite numbers.
+
+A second property draws each size the size rule bounds just past a lowered
+``MAX_ARRAY_BYTES``: it must exit 4 with one ``error:`` line and write nothing.
 """
 
 import contextlib
@@ -24,13 +27,14 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fnar import cli, montecarlo
+from fnar import cli, errors, montecarlo
 
 DOCUMENTED_CODES = {cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_MODEL, cli.EXIT_DATA, cli.EXIT_NUMERIC}
 
@@ -224,3 +228,72 @@ def test_exit_code_error_line_and_finite_outputs(inputs, command, data):
     for path in work.rglob("*"):
         if path.is_file():
             assert _non_finite_tokens(path.read_text()) == [], f"{path.name}: {note}"
+
+
+# Each size the size rule bounds, with the first array it sizes: a strategy for
+# the size, and (argv, that array's bytes, the refusal) of the size. The panel
+# is the contract's n=12, T=3 one on 12 grid points; effects run on 15 points,
+# so that the key player's (order + 1) x 15 Gamma powers are its largest array.
+def _panel(data):
+    return ["--observations", data / "observations.csv", "--covariates",
+            data / "covariates.csv", "--weights", data / "weights.csv", "--grid-count", 12]
+
+
+def _effect(effect, data, out, *options):
+    given = "--beta-file" if effect == "marginal" else "--shock-file"
+    target = out / "impacts.csv" if effect == "keyplayer" else out
+    return ["effects", effect, "--alpha-file", data / "alpha.csv", given, data / "eta.csv",
+            "--weights", data / "weights.csv", *options, "--out", target]
+
+
+def _panel_values(n, T, G):
+    return f"n={n} and T={T} need {n} x {T} x {G} panel values,"
+
+
+NT = st.tuples(st.integers(2, 10**6), st.integers(2, 10**4))
+GRID = st.integers(2, 10**7)
+ORDERS = st.integers(100, 10**7)
+SIZES = {
+    "simulate-n-T": (NT, lambda nt, data, out: (
+        ["simulate", "--n", nt[0], "--T", nt[1], "--seed", 4, "--grid-count", 12, "--out", out],
+        nt[0] * nt[1] * 12 * 8, _panel_values(*nt, 12))),
+    "montecarlo-n-T": (NT, lambda nt, data, out: (
+        ["montecarlo", "--n", nt[0], "--T", nt[1], "--replications", 1, "--workers", 1,
+         "--seed", 4, "--out", out / "mc.txt"],
+        nt[0] * nt[1] * 99 * 8, _panel_values(*nt, 99))),
+    "simulate-grid-count": (GRID, lambda G, data, out: (
+        ["simulate", "--n", 12, "--T", 3, "--seed", 4, "--grid-count", G, "--out", out],
+        G * 8, f"grid count {G} needs")),
+    "estimate-grid-count": (GRID, lambda G, data, out: (
+        ["estimate", *_panel(data), "--grid-count", G, "--out", out],
+        G * 8, f"grid count {G} needs")),
+    "effects-grid-count": (GRID, lambda G, data, out: (
+        _effect("impulse", data, out, "--grid-count", G), G * 8, f"grid count {G} needs")),
+    # the (L, M, d_theta, d_theta) aggregates of the gmm1 design, M = 2 and d_theta = 12
+    "estimate-moment-points": (st.integers(100, 10**7), lambda L, data, out: (
+        ["estimate", *_panel(data), "--moment-points", L, "--out", out],
+        L * 2 * 12 * 12 * 8, f"{L} moment points need {L} x 2 x 12 x 12 design values,")),
+    **{f"effects-{effect}-orders": (ORDERS, lambda order, data, out, effect=effect: (
+        _effect(effect, data, out, "--grid-count", 15, "--orders", order),
+        (order + 1) * (15 if effect == "keyplayer" else 12 * 15) * 8,
+        f"truncation order {order} needs")) for effect in ("impulse", "marginal", "keyplayer")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZES))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_size_just_past_the_limit_exits_4_and_writes_nothing(inputs, case, data):
+    # MAX_ARRAY_BYTES is patched to 1-8 bytes under the size's array, which is
+    # the only array that crosses it: every other one is smaller or not yet sized
+    inputs_dir, work_root = inputs
+    out = Path(tempfile.mkdtemp(dir=work_root))
+    strategy, case_of = SIZES[case]
+    argv, nbytes, refusal = case_of(data.draw(strategy), inputs_dir, out)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(errors, "MAX_ARRAY_BYTES", nbytes - data.draw(st.integers(1, 8))):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([str(a) for a in argv])
+    assert (code, stdout.getvalue()) == (cli.EXIT_DATA, "")
+    assert stderr.getvalue() == f"error: {refusal} more memory than can be allocated\n"
+    assert list(out.iterdir()) == []

@@ -360,6 +360,17 @@ class TestOverflow:
                 EFFECTS[effect](np.full(9, alpha), PointEval(quad), ring_weights(2),
                                 np.full(9, h))
 
+    def test_power_past_the_largest_double(self):
+        # Gamma^ell(h) is alpha**ell h: 1e400 at ell = 2 for alpha = 1e200, and
+        # h itself for alpha = 1, which stays finite however large h is
+        quad = build_quadrature(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="not finite from walk length 2:"):
+                gamma_power(np.full(9, 1e200), PointEval(quad), np.ones(9), 2)
+            power = gamma_power(np.ones(9), PointEval(quad), np.full(9, 1e308), 2)
+        assert power.tolist() == [1e308] * 9
+
     def test_total_impact_past_the_largest_double(self):
         # each unit's response is finite, their sum is not
         result = PropagationResult(per_order=np.full((1, 2, 9), 1e308),
