@@ -10,7 +10,6 @@ uncertainty, and computes network multiplier effects.
 from .basis import BasisSystem, QuadratureGrid, build_bspline_basis, build_quadrature
 from .effects import (
     PropagationResult,
-    gamma_power,
     impulse_response,
     marginal_effects,
     risk_key_player,
@@ -60,7 +59,6 @@ from .network import (
 from .simulate import (
     DgpConfig,
     FunctionalPanel,
-    gen_mc_errors,
     neumann_solve,
     simulate_mc_panel,
 )

@@ -135,7 +135,7 @@ class BasisSystem:
         self.degree = int(degree)
         self.coeffs = np.asarray(coeffs, dtype=float)  # (K, K_raw)
         self.quad = quad
-        self._grid_values = self.eval_many(quad.points)  # (G, K)
+        self.values_on_grid = self.eval_many(quad.points)  # (G, K), cached
 
     @property
     def size(self) -> int:
@@ -153,19 +153,14 @@ class BasisSystem:
         """Evaluate all basis functions at one point, shape (K,)."""
         return self.eval_many(np.array([float(s)]))[0]
 
-    @property
-    def values_on_grid(self) -> np.ndarray:
-        """Cached basis values on the quadrature grid, shape (G, K)."""
-        return self._grid_values
-
     def gram_matrix(self) -> np.ndarray:
         """Inner-product matrix of the basis under the system's quadrature."""
-        v = self._grid_values
+        v = self.values_on_grid
         return (v * self.quad.weights[:, None]).T @ v
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the quadrature-L2 projection of grid values."""
-        return (self._grid_values * self.quad.weights[:, None]).T @ np.asarray(values)
+        return (self.values_on_grid * self.quad.weights[:, None]).T @ np.asarray(values)
 
 
 def _gram_schmidt(raw: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from .network import NetworkWeights
 
 __all__ = [
     "PropagationResult",
-    "gamma_power",
     "marginal_effects",
     "impulse_response",
     "total_impact",
@@ -32,8 +31,8 @@ class PropagationResult:
     """Per-walk-length terms of a truncated propagation and their sum.
 
     ``per_order[ell]`` holds the order-ell term for every unit on the grid;
-    ``cumulative`` is their exact sum, so successive partial sums can be
-    reconstructed for response plots by walk length.
+    ``cumulative`` is their exact sum, and ``per_order[:k + 1].sum(axis=0)``
+    the partial sum up to walk length k, for response plots by walk length.
     """
 
     per_order: np.ndarray  # (S+1, n, G)
@@ -43,14 +42,6 @@ class PropagationResult:
     def __post_init__(self):
         self.per_order = np.asarray(self.per_order, dtype=float)
         self.cumulative = self.per_order.sum(axis=0)
-
-    @property
-    def order(self) -> int:
-        return self.per_order.shape[0] - 1
-
-    def partial(self, upto: int) -> np.ndarray:
-        """Cumulative response truncated at walk length ``upto``."""
-        return self.per_order[: upto + 1].sum(axis=0)
 
 
 def _by_order(order: int, shape: tuple) -> np.ndarray:
@@ -93,17 +84,6 @@ def _gammas(alpha: np.ndarray, operator: InteractionOperator, h: np.ndarray,
     """Rows Gamma^0(h), ..., Gamma^order(h) of the map h -> alpha(s) A(h, s)."""
     alpha = _grid_values("alpha", alpha, operator)
     return _iterates(lambda g: alpha * operator.apply_grid(g), h, order)
-
-
-def gamma_power(alpha: np.ndarray, operator: InteractionOperator,
-                h: np.ndarray, ell: int) -> np.ndarray:
-    """Iterate h -> alpha(s) A(h, s) on the grid, ell times."""
-    h = _grid_values("h", h, operator)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        gammas = _gammas(alpha, operator, h, ell)
-        if not np.isfinite(gammas[-1]).all():
-            raise _overflow(gammas)
-    return gammas[-1]
 
 
 def _overflow(terms: np.ndarray) -> NumericalFailureError:

@@ -26,7 +26,7 @@ import re
 
 import numpy as np
 
-__all__ = ["float_rows", "float_texts", "decimal_ids", "decimal_values", "equal_bytes"]
+__all__ = ["float_rows", "decimal_ids", "decimal_values", "equal_bytes"]
 
 _GATHER = 2048  # values whose text is gathered at once, which bounds the 8-byte indices
 
@@ -146,9 +146,9 @@ def _shortest_digits(a):
 # A value's text is gathered from a 40-byte source row: "000" and its 17 digits
 # (zero-filled on the right), the bytes ".0-,naif\r\n" and NULs, then its
 # exponent text. A pattern lists the source bytes of one text shape: what
-# follows it ("," before another value, "\r\n" at the end of a table row, or
-# nothing), the sign, the form (decimal point at -3..16, or exponent form) and
-# the significant digits; NUL (_SRC_NUL) pads it to _TEXT_WIDTH.
+# follows it ("," before another value, or "\r\n" at the end of a table row),
+# the sign, the form (decimal point at -3..16, or exponent form) and the
+# significant digits; NUL (_SRC_NUL) pads it to _TEXT_WIDTH.
 _SRC_WIDTH, _TEXT_WIDTH = 40, 32
 _SRC_DOT, _SRC_ZERO, _SRC_MINUS, _SRC_COMMA, _SRC_NUL, _SRC_EXP = 20, 21, 22, 23, 30, 32
 _SRC_N, _SRC_A, _SRC_I, _SRC_F, _SRC_CR, _SRC_LF = 24, 25, 26, 27, 28, 29
@@ -190,27 +190,27 @@ def _text_patterns():
     signed[_NAN_FORM] = bodies[_NAN_FORM]  # nan has no sign
     signed_lengths = lengths + 1
     signed_lengths[_NAN_FORM] = lengths[_NAN_FORM]
-    patterns = np.stack([np.stack([bodies, signed])] * 3)
+    patterns = np.stack([np.stack([bodies, signed])] * 2)
     ends = np.stack([lengths, signed_lengths])
     np.put_along_axis(patterns[0], ends[..., None], _SRC_COMMA, axis=-1)
     np.put_along_axis(patterns[1], ends[..., None], _SRC_CR, axis=-1)
     np.put_along_axis(patterns[1], ends[..., None] + 1, _SRC_LF, axis=-1)
-    return patterns.reshape(-1, _TEXT_WIDTH), np.stack([ends + 1, ends + 2, ends]).ravel()
+    return patterns.reshape(-1, _TEXT_WIDTH), np.stack([ends + 1, ends + 2]).ravel()
 
 
 _PATTERNS, _LENGTHS = _text_patterns()
-_ROW_END = _PATTERNS.shape[0] // 3  # pattern offset of a value that ends a row
+_ROW_END = len(_PATTERNS) // 2  # pattern offset of a value that ends a row
 _CRLF = np.frombuffer(b"\r\n\0\0\0\0\0\0", np.uint8)
 
 
-def float_rows(values, line_ends=True) -> np.ndarray:
+def float_rows(values) -> np.ndarray:
     """The (rows, k) float64 ``values`` as a NUL-padded byte matrix of rows of
     whole 8-byte words: each value's ``repr`` text then "," or, for the last of
-    a row, ``\\r\\n`` (nothing without ``line_ends``)."""
+    a row, ``\\r\\n``."""
     rows, k = values.shape
     v = values.ravel()
     if v.size == 0:
-        return np.tile(_CRLF if line_ends else _CRLF[:0], (rows, 1))
+        return np.tile(_CRLF, (rows, 1))
     a = np.abs(v)
     regular = (a > 0) & (a < np.inf)
     every = regular.all()
@@ -253,7 +253,7 @@ def float_rows(values, line_ends=True) -> np.ndarray:
         form[np.isinf(v)] = _INF_FORM
         form[np.isnan(v)] = _NAN_FORM
     shape = (np.signbit(v) * _FORMS + form) * 18 + (17 - zeros)
-    shape.reshape(rows, k)[:, -1] += _ROW_END * (1 if line_ends else 2)
+    shape.reshape(rows, k)[:, -1] += _ROW_END
     width = -(-int(_LENGTHS.take(shape).max()) // 8) * 8
     text = np.empty((v.size, width), np.uint8)
     for start in range(0, v.size, _GATHER):
@@ -264,15 +264,6 @@ def float_rows(values, line_ends=True) -> np.ndarray:
         # every index is in range: "wrap" changes none and is the faster mode
         src.ravel().take(index, out=text[start:start + part.size], mode="wrap")
     return text.reshape(rows, k * width)
-
-
-def float_texts(values) -> list[str]:
-    """Each value's shortest round-trip text, as ``repr`` writes it."""
-    values = np.asarray(values, dtype=float).reshape(-1, 1)
-    if not values.size:
-        return []
-    text = float_rows(values, line_ends=False)
-    return [t.decode() for t in text.view(f"S{text.shape[1]}").ravel().tolist()]
 
 
 # -- reading ----------------------------------------------------------------

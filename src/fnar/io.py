@@ -119,10 +119,8 @@ def write_table(path, header, values, labels=None) -> None:
 
 def write_panel(panel, obs_path, cov_path) -> None:
     """Write ``unit,period,s,y`` observations and ``unit,period,x1,...`` covariates."""
-    from .floattext import float_texts
-
     write_table(obs_path, ["unit", "period", "s", "y"], panel.y[..., None],
-                float_texts(panel.quad.points))
+                [repr(s) for s in panel.quad.points.tolist()])
     write_table(cov_path, ["unit", "period"] + [f"x{j + 1}" for j in range(panel.d_x)],
                 panel.x, [str(t) for t in range(panel.T)])
 
@@ -172,14 +170,14 @@ def _in_order_values(fh, path, lines, quad) -> np.ndarray | None:
     table with any other spelling of a grid point takes the whole-table read,
     whose interpolation at the grid's own points gives the same values.
     """
-    from .floattext import decimal_ids, decimal_values, equal_bytes, float_texts
+    from .floattext import decimal_ids, decimal_values, equal_bytes
 
     _observation_columns(_header(fh), path)
     G = quad.count
     if G > lines:  # at most ``lines`` rows, as below: not one whole cell
         return None
     # the grid's points as write_panel spells them, each with its ","
-    points = [f"{text},".encode() for text in float_texts(quad.points)]
+    points = [f"{s!r},".encode() for s in quad.points.tolist()]
     spellings = np.zeros((G, -(-max(map(len, points)) // 8) * 8), np.uint8)
     for row, point in zip(spellings, points):
         row[:len(point)] = np.frombuffer(point, np.uint8)

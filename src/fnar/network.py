@@ -143,7 +143,8 @@ def build_distance_weights(coords: np.ndarray, threshold: float,
                                                 output_type="ndarray").astype(np.int32)
     rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
     if metric == "euclidean":
-        dist = np.sqrt(np.sum((coords[rows] - coords[cols]) ** 2, axis=-1))
+        with np.errstate(over="ignore"):  # a difference or square past the doubles is inf
+            dist = np.sqrt(np.sum((coords[rows] - coords[cols]) ** 2, axis=-1))
     else:
         a = (np.sin((lat[rows] - lat[cols]) / 2) ** 2
              + np.cos(lat)[rows] * np.cos(lat)[cols] * np.sin((lon[rows] - lon[cols]) / 2) ** 2)

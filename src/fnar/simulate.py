@@ -20,7 +20,6 @@ __all__ = [
     "DgpConfig",
     "NeumannResult",
     "neumann_solve",
-    "gen_mc_errors",
     "simulate_mc_panel",
     "mc_alpha",
     "mc_beta",
@@ -81,8 +80,8 @@ class DgpConfig:
 
     ``alpha``, ``beta`` and ``fixed_effects`` are grid values on
     ``operator.grid``. Construction verifies the stationarity margin
-    max|alpha| * ||W||_inf * contraction_bound < 1, and raises
-    ``NonStationaryDgpError`` otherwise.
+    max|alpha| * ||W||_inf * contraction_bound < 1
+    (``interaction.stationarity_margin``), and raises ``NonStationaryDgpError`` otherwise.
     """
 
     alpha: np.ndarray
@@ -105,17 +104,13 @@ class DgpConfig:
                 "beta and fixed_effects must live on the operator grid, one "
                 "fixed-effect row per unit"
             )
-        if (margin := self.stationarity_margin()) >= 1.0:
+        if (margin := stationarity_margin(self.alpha, self.operator, self.weights)) >= 1.0:
             raise NonStationaryDgpError(f"stationarity margin {margin:.4g} >= 1: the "
                                         "simultaneous system may have no stable solution")
 
     @property
     def d_x(self) -> int:
         return self.beta.shape[0]
-
-    def stationarity_margin(self) -> float:
-        """max|alpha| * ||W||_inf * operator contraction bound."""
-        return stationarity_margin(self.alpha, self.operator, self.weights)
 
 
 class NeumannResult(NamedTuple):
@@ -190,22 +185,6 @@ def _poly_error_paths(draws: np.ndarray, degrees: np.ndarray,
     scale = np.sqrt(1.0 + degrees)
     paths *= scale.reshape(scale.shape + (1,) * (paths.ndim - 1))
     return paths
-
-
-def _error_coefficients(n: int, T: int, rng_seed) -> np.ndarray:
-    """The (n, T, 3) N(0, 0.4^2) coefficient draws of the error paths."""
-    return np.random.default_rng(rng_seed).normal(0.0, 0.4, size=(n, T, 3))
-
-
-def gen_mc_errors(n: int, T: int, weights: NetworkWeights, quad: QuadratureGrid,
-                  rng_seed) -> np.ndarray:
-    """Heteroskedastic quadratic error paths, i.i.d. across units and periods.
-
-    Coefficients are N(0, 0.4^2) and each unit's path is scaled by
-    sqrt(1 + degree), with degrees read off the adjacency pattern.
-    """
-    draws = _error_coefficients(n, T, rng_seed)
-    return _poly_error_paths(draws, weights.degrees.astype(float), quad.points)
 
 
 def mc_alpha(s) -> np.ndarray:
@@ -286,8 +265,9 @@ def _draw_mc_panel(parts: _McParts, seed) -> tuple[FunctionalPanel, DgpConfig]:
     )
 
     x = np.random.default_rng(seed_x).normal(size=(n, T, 1))
-    # gen_mc_errors' paths, made one period at a time
-    draws = _error_coefficients(n, T, seed_eps)
+    # heteroskedastic quadratic error paths, i.i.d. across units and periods,
+    # of N(0, 0.4^2) coefficients, made one period at a time
+    draws = np.random.default_rng(seed_eps).normal(0.0, 0.4, size=(n, T, 3))
     degrees = weights.degrees.astype(float)
     y = np.empty((n, T, quad.count))
     # an overflow is reported by neumann_solve's error, not by numpy's warnings

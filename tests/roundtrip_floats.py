@@ -1,7 +1,7 @@
 """Check the decimal kernels of ``fnar.floattext`` on random doubles, with a
 fresh seed each run, which a failure prints:
 
-- written floats: ``float_texts`` of 10**7 random bit patterns is ``repr``'s text;
+- written floats: ``float_rows`` of 10**7 random bit patterns writes ``repr``'s text;
 - read floats: ``decimal_values`` reads the texts of another 10**7 (the
   finite ones), and 10**6 ``%.20e`` spellings (21 significant digits, not
   the shortest), as ``float`` does.
@@ -18,7 +18,15 @@ import sys
 
 import numpy as np
 
-from fnar.floattext import decimal_values, float_texts
+from fnar.floattext import decimal_values, float_rows
+
+
+def written_texts(values) -> list[str]:
+    """Each value's text as ``float_rows`` writes it in a one-column table:
+    without its NULs (an exponent text holds one inside, which ``write_table``
+    drops with the padding) and without the row's "\\r\\n"."""
+    text = float_rows(np.asarray(values, dtype=float).reshape(-1, 1))
+    return text[text != 0].tobytes().decode().split("\r\n")[:-1]
 
 
 def read(texts):
@@ -34,7 +42,7 @@ def written(seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         values = rng.integers(0, 2**64, 500_000, dtype=np.uint64).view(np.float64)
-        for value, text in zip(values.tolist(), float_texts(values)):
+        for value, text in zip(values.tolist(), written_texts(values)):
             if text != repr(value):
                 sys.exit(f"seed {seed}: {value!r} written as {text!r}")
     print(f"seed {seed}: 10**7 doubles written as repr writes them")
@@ -45,7 +53,7 @@ def read_back(seed):
     for _ in range(20):
         values = rng.integers(0, 2**64, 500_000, dtype=np.uint64).view(np.float64)
         values = values[np.isfinite(values)]
-        texts = float_texts(values)
+        texts = written_texts(values)
         bad = np.flatnonzero(read(texts).view(np.uint64) != values.view(np.uint64))
         if bad.size:
             sys.exit(f"seed {seed}: {texts[bad[0]]} read as {read(texts)[bad[0]]!r}")

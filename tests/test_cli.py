@@ -1219,15 +1219,19 @@ class TestSizeRule:
 class TestProcess:
     """``python -m fnar.cli`` exits with the code that ``main`` returns."""
 
-    @pytest.mark.parametrize("scale,code", [(1.0, 0), ("nan", 4)])
-    def test_exit_code_reaches_the_shell(self, tmp_path, scale, code):
+    @staticmethod
+    def fnar(*args):
+        """``python -m fnar.cli`` with ``args``, on this checkout's sources."""
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "fnar.cli", "simulate", "--n", "10",
-                               "--T", "3", "--seed", "1", "--alpha-scale", str(scale),
-                               "--out", str(tmp_path)],
+        return subprocess.run([sys.executable, "-m", "fnar.cli", *map(str, args)],
                               capture_output=True, text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("scale,code", [(1.0, 0), ("nan", 4)])
+    def test_exit_code_reaches_the_shell(self, tmp_path, scale, code):
+        proc = self.fnar("simulate", "--n", 10, "--T", 3, "--seed", 1, "--alpha-scale", scale,
+                         "--out", tmp_path)
         assert proc.returncode == code, proc.stderr
         if code:
             err = proc.stderr.splitlines()
@@ -1237,3 +1241,23 @@ class TestProcess:
             assert proc.stderr == "" and proc.stdout == f"wrote panel (n=10, T=3) to {tmp_path}\n"
             assert sorted(path.name for path in tmp_path.iterdir()) == [
                 "covariates.csv", "observations.csv", "truth_functions.csv", "weights.csv"]
+
+    def test_distances_past_the_largest_double_print_no_numpy_warning(self, tmp_path):
+        # the 1e308 row's squared differences from the others pass the largest
+        # double: inside the infinite band at weight 1/inf, which W drops
+        assert run(["simulate", "--n", 12, "--T", 3, "--seed", 4, "--out", tmp_path]) == 0
+        coords = np.random.default_rng(4).uniform(size=(12, 2))
+        coords[6, 1] = 1e308
+        (tmp_path / "coords.csv").write_text("unit,lon,lat\n" + "".join(
+            f"{i},{lon!r},{lat!r}\n" for i, (lon, lat) in enumerate(coords.tolist())))
+        est = tmp_path / "est"
+        est.mkdir()
+        proc = self.fnar("estimate", "--observations", tmp_path / "observations.csv",
+                         "--covariates", tmp_path / "covariates.csv",
+                         "--coords", tmp_path / "coords.csv", "--threshold", "inf",
+                         "--out", est)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        # only the fit's own warning, of a margin past one
+        assert all(line.startswith("warning: stationarity margin")
+                   for line in proc.stderr.splitlines()), proc.stderr

@@ -1,4 +1,4 @@
-"""Metamorphic checks: exact symmetries of the estimator.
+"""Metamorphic checks: exact symmetries of the estimator and the network maps.
 
 Relabelling the units (y, x and W's rows and columns permuted together)
 leaves theta and sigma unchanged and permutes the fixed effects and the
@@ -8,14 +8,21 @@ variance band cancel. Doubling the covariate halves beta and leaves alpha,
 the fixed effects and the impacts alone (gmm1 and 2SLS). All hold in real
 arithmetic; in floating point the sums run in another order, so the fits
 must agree to 1e-12 relative.
+
+A property test draws networks, operators and relabellings: the network lag,
+the quadratic-moment matrices, the total impacts and a unit's impulse
+response are each relabelled with the units, to 1e-12 relative to the
+largest value.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fnar.basis import build_bspline_basis, build_quadrature
-from fnar.effects import total_impacts
+from fnar.effects import impulse_response, total_impacts
 from fnar.estimator import (
     ESTIMATORS,
     MomentSpec,
@@ -24,7 +31,13 @@ from fnar.estimator import (
     fit_2sls,
     fit_gmm,
 )
-from fnar.network import NetworkWeights
+from fnar.interaction import network_lag
+from fnar.network import (
+    NetworkWeights,
+    build_distance_weights,
+    build_lattice_weights,
+    build_quadratic_weights,
+)
 from fnar.simulate import (
     DgpConfig,
     FunctionalPanel,
@@ -142,3 +155,50 @@ def test_doubling_the_covariate_halves_beta(case, name):
     assert relative_gap(scale[:, None] * fit2.sigma * scale, fit.sigma) <= RTOL
     assert relative_gap(fit2.fixed_effects, fit.fixed_effects) <= RTOL
     assert relative_gap(impacts2, impacts) <= RTOL
+
+
+@st.composite
+def relabelled_networks(draw):
+    """(weights, operator, perm, rng): a lattice, ring or distance-band W of
+    n in [8, 60] units, one of the three operators on a 33-point grid, a
+    permutation of the units and a generator for the values."""
+    n = draw(st.integers(8, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    network = draw(st.sampled_from(["lattice", "ring", "distance"]))
+    if network == "lattice":
+        weights = build_lattice_weights(n, rng)
+    elif network == "ring":
+        weights = ring_weights(n)
+    else:
+        weights = build_distance_weights(rng.uniform(size=(n, 2)), 0.3,
+                                         inverse_distance=draw(st.booleans()))
+    operator = small_operator(draw(st.sampled_from(["point", "kernel", "window"])),
+                              build_quadrature(33))
+    return weights, operator, rng.permutation(n), rng
+
+
+def assert_relabelled(got, want):
+    """``got`` equals ``want`` to 1e-12 relative to the largest |value|."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=relabelled_networks())
+def test_network_maps_commute_with_relabelling(case):
+    # unit i of the relabelled network is unit perm[i] of the original
+    weights, operator, perm, rng = case
+    relabelled = NetworkWeights(w=sp.csr_array(weights.w[perm][:, perm]))
+    points = operator.grid.points
+    values = rng.normal(size=(weights.n, points.size))
+    assert_relabelled(network_lag(relabelled, values[perm]), network_lag(weights, values)[perm])
+    for got, want in zip(build_quadratic_weights(relabelled), build_quadratic_weights(weights)):
+        assert_relabelled(got.toarray(), want.toarray()[perm][:, perm])
+    alpha = rng.choice([-1.0, 1.0]) * (0.55 + 0.1 * np.sin(6 * points))
+    eta = rng.normal(size=points.size)
+    assert_relabelled(total_impacts(alpha, operator, relabelled, eta),
+                      total_impacts(alpha, operator, weights, eta)[perm])
+    unit = int(rng.integers(weights.n))
+    got = impulse_response(alpha, operator, relabelled, int(np.argsort(perm)[unit]), eta)
+    want = impulse_response(alpha, operator, weights, unit, eta)
+    assert_relabelled(got.per_order, want.per_order[:, perm])

@@ -28,9 +28,10 @@ from conftest import fifo_of
 from fnar import cli, floattext, io
 from fnar.basis import build_quadrature
 from fnar.errors import FnarError, InvalidArgumentError, SchemaError
-from fnar.floattext import decimal_ids, decimal_values, float_texts
+from fnar.floattext import decimal_ids, decimal_values
 from fnar.io import MAX_INFERRED_UNITS, read_edge_list
 from fnar.simulate import FunctionalPanel
+from roundtrip_floats import written_texts
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -135,7 +136,7 @@ class TestWriters:
 
 def texts_match_repr(values):
     values = np.asarray(values, dtype=float).ravel()
-    got, want = float_texts(values), [repr(v) for v in values.tolist()]
+    got, want = written_texts(values), [repr(v) for v in values.tolist()]
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert not bad and len(got) == len(want), bad[:5]
 
@@ -176,7 +177,7 @@ class TestDecimalText:
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(29).integers(0, 2**64, 200_000, dtype=np.uint64)
         values = bits.view(np.float64)
-        texts_read_as_float_reads(float_texts(values[np.isfinite(values)]))
+        texts_read_as_float_reads(written_texts(values[np.isfinite(values)]))
 
     @pytest.mark.parametrize("digits", range(1, 26))
     def test_fixed_and_exponent_spellings(self, digits):
@@ -273,13 +274,13 @@ class TestFloatText:
         edges = np.array([1e16, 9999999999999998.0, 1e-05, 0.0001, 0.001])
         values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
         texts_match_repr(np.concatenate([values, -values]))
-        assert float_texts([1e16, 9999999999999998.0, 1e-05, 0.0001, 0.001]) == [
+        assert written_texts([1e16, 9999999999999998.0, 1e-05, 0.0001, 0.001]) == [
             "1e+16", "9999999999999998.0", "1e-05", "0.0001", "0.001"]
 
     def test_zero_nan_and_infinity(self):
-        assert float_texts([0.0, -0.0, float("nan"), -float("nan"), float("inf"),
-                            -float("inf")]) == ["0.0", "-0.0", "nan", "nan", "inf", "-inf"]
-        assert float_texts([]) == []
+        assert written_texts([0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+                              -float("inf")]) == ["0.0", "-0.0", "nan", "nan", "inf", "-inf"]
+        assert written_texts([]) == []
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 64])
     def test_blocks_that_split_a_row_or_a_run(self, tmp_path, monkeypatch, block):

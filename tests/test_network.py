@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -337,6 +338,20 @@ class TestDistanceWeights:
         with np.errstate(all="ignore"):  # the dense builder overflows, and warns
             assert_same_weights_or_error(np.asarray(coords, dtype=float), threshold, inverse,
                                          metric)
+
+    @pytest.mark.parametrize("threshold", [np.inf, 1e308], ids=["inf", "1e308"])
+    @pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "binary"])
+    def test_distances_past_the_largest_double_warn_of_nothing(self, threshold, inverse):
+        # the 1e308 rows' differences square past the doubles, and the two of
+        # them differ by more than the largest double: those distances are inf
+        coords = np.random.default_rng(4).uniform(size=(12, 2))
+        coords[5, 1], coords[6, 1] = 1e308, -1e308
+        with np.errstate(all="ignore"):  # the dense builder overflows, and warns
+            want = dense_distance_weights(coords, threshold, inverse, "euclidean").w
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = build_distance_weights(coords, threshold, inverse, "euclidean").w
+        assert_same_csr(got, want)
 
     def test_memory_grows_with_the_pairs_in_the_band(self):
         # 3,200 stations uniform in a 0.10 x 0.12 degree box at 42.3N, linked within

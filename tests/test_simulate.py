@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from fnar import simulate
 from fnar.basis import build_quadrature
 from fnar.errors import InvalidArgumentError, NonStationaryDgpError, SchemaError
-from fnar.interaction import PointEval, network_lag
+from fnar.interaction import PointEval, network_lag, stationarity_margin
 from fnar.io import read_panel, write_panel
 from fnar.network import build_lattice_weights
 from fnar.simulate import (
@@ -14,7 +14,6 @@ from fnar.simulate import (
     _draw_mc_panel,
     _mc_parts,
     _poly_error_paths,
-    gen_mc_errors,
     mc_alpha,
     mc_beta,
     neumann_solve,
@@ -54,7 +53,8 @@ def allocating_draw_mc_panel(parts, seed):
     cfg = DgpConfig(alpha=parts.alpha, beta=parts.beta, fixed_effects=parts.fixed_effects,
                     operator=parts.operator, weights=weights)
     x = np.random.default_rng(seed_x).normal(size=(n, T, 1))
-    eps = gen_mc_errors(n, T, weights, quad, np.random.default_rng(seed_eps))
+    draws = np.random.default_rng(seed_eps).normal(0.0, 0.4, size=(n, T, 3))
+    eps = _poly_error_paths(draws, weights.degrees.astype(float), quad.points)
     y = np.empty((n, T, quad.count))
     for t in range(T):
         rhs = x[:, t, :] @ cfg.beta + cfg.fixed_effects + eps[:, t, :]
@@ -75,7 +75,7 @@ def _without_margin_check(build):
     """``build()`` with DgpConfig's stationarity check passed, for divergence
     experiments; the config's own margin is not changed."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DgpConfig, "stationarity_margin", lambda self: 0.0)
+        patch.setattr(simulate, "stationarity_margin", lambda *args: 0.0)
         return build()
 
 
@@ -128,7 +128,7 @@ class TestNeumann:
         rhs = np.random.default_rng(2).normal(size=(6, 33))
         y = neumann_solve(cfg, rhs).values
         fixed_point = cfg.alpha * network_lag(cfg.weights, cfg.operator.apply_grid(y)) + rhs
-        q = cfg.stationarity_margin()
+        q = stationarity_margin(cfg.alpha, cfg.operator, cfg.weights)
         bound = simulate._TOL * (1 + q) / (1 - q)
         assert np.max(np.abs(y - fixed_point)) < bound
 
@@ -157,7 +157,7 @@ class TestNeumann:
         with pytest.raises(NonStationaryDgpError, match="stationarity margin 1.35 >= 1"):
             build()
         cfg = _without_margin_check(build)
-        assert cfg.stationarity_margin() == pytest.approx(1.35)
+        assert stationarity_margin(cfg.alpha, cfg.operator, cfg.weights) == pytest.approx(1.35)
         with pytest.raises(NonStationaryDgpError):
             neumann_solve(cfg, np.ones((2, 33)))
 
@@ -284,7 +284,8 @@ class TestMcErrors:
         quad = build_quadrature(9)
         w = ring_weights(4)  # every unit has degree 2
         rng = np.random.default_rng(42)
-        eps = gen_mc_errors(4, 25000, w, quad, rng)
+        draws = rng.normal(0.0, 0.4, size=(4, 25000, 3))
+        eps = _poly_error_paths(draws, w.degrees.astype(float), quad.points)
         var0 = eps[:, :, 0].var()  # s ~ 0.1, Var = 3(1 + s^2 + s^4) * 0.16-ish
         s0 = quad.points[0]
         expected0 = 3.0 * 0.16 * (1 + s0**2 + s0**4)
@@ -322,7 +323,7 @@ class TestMcPanel:
 
     def test_stationarity_margin_of_design(self):
         _, truth = simulate_mc_panel(20, 2, 1.0, seed=0)
-        margin = truth.stationarity_margin()
+        margin = stationarity_margin(truth.alpha, truth.operator, truth.weights)
         assert margin < 1.0
         assert margin == pytest.approx(0.75 * np.max(np.abs(mc_alpha(truth.operator.grid.points))), rel=1e-6)
 
